@@ -3,11 +3,12 @@
 A modular invariant Z factorizes through the ambichiral sector set as
 Z = b+^t b- with non-negative integer branching matrices b+, b-.  For the
 block-diagonal (type I) SU(2) cases b+ = b-; the permutation invariants at
-levels 2 mod 4 and the level-16 exceptional case are genuinely twisted and
-their branching matrices are shipped as built-in constants verified against
-Z.  The module also factorizes M = F^t F Gram matrices of sector systems by
-integer backtracking and reproduces the summary table of the SU(2)
-classification.
+levels 2 mod 4 and the level-16 exceptional case are genuinely twisted.
+The branching pairs come from the table in ``search``, which derives every
+closed-form SU(2) invariant from them; ``chiral_table`` checks each pair
+against the enumerated Z.  The module also factorizes M = F^t F Gram
+matrices of sector systems by integer backtracking and reproduces the
+summary table of the SU(2) classification.
 """
 
 from __future__ import annotations
@@ -17,24 +18,29 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ModularData, FusionRing, su2_fusion_closed_form, su2_modular_data
+from .core import (
+    CHIRAL_TABLE_LEVEL_MAX,
+    FusionRing,
+    ModularData,
+    UsageError,
+    su2_fusion_closed_form,
+    su2_modular_data,
+)
 from .search import (
+    SU2_E_LEVELS,
+    BranchingError,
     MassMatrix,
+    case_of_invariant,
     su2_ade_catalog,
+    su2_branching,
     su2_invariant_matrix,
-    _dodd_exponents,
 )
 from .nimrep import identify_ade
 
-PF_TOL = 1e-8
 GRAM_NODE_BUDGET = 10 ** 6
 
 
 class GramDecompositionError(ValueError):
-    pass
-
-
-class BranchingError(ValueError):
     pass
 
 
@@ -199,74 +205,12 @@ class BranchingData:
         return self.b_plus.T @ self.b_minus
 
 
-def _rows_from_supports(L, supports):
-    B = np.zeros((len(supports), L), dtype=int)
-    for r, sup in enumerate(supports):
-        for j in sup:
-            B[r, j] += 1
-    return B
-
-
-E7_PLUS_SUPPORTS = [(0, 16), (2, 14), (4, 12), (6, 10), (8,), (8,)]
-E7_MINUS_SUPPORTS = [(0, 16), (8,), (4, 12), (6, 10), (8,), (2, 14)]
-E7_AMBI_LABELS = ("id", "a2+", "a4+", "a6+", "delta", "a2-")
-
-
 def branching_data(case: str, k: int) -> BranchingData:
     """Branching matrices b+ and b- for a named SU(2)_k invariant.
 
-    case is one of A, D_even, D_odd, E6, E7, E8.  Type I cases have one row
-    per block of the invariant with b+ = b- (the middle spin-k/2 block of
-    D_even splits into two rows); D_odd is the permutation case b+ = 1,
-    b- = pi; E7 mixes an honest ambichiral sextet.
+    case is one of A, D_even, D_odd, E6, E7, E8; see ``search.su2_branching``.
     """
-    L = k + 1
-    if case == "A":
-        eye = np.eye(L, dtype=int)
-        return BranchingData(case, k, tuple(f"a{j}" for j in range(L)), eye, eye.copy())
-    if case == "D_even":
-        if k % 4 != 0:
-            raise BranchingError("D_even requires level 0 mod 4")
-        half = k // 2
-        supports = [(j, k - j) for j in range(0, half, 2)] + [(half,), (half,)]
-        labels = tuple(f"a{j}" for j in range(0, half, 2)) + ("delta", "delta'")
-        B = _rows_from_supports(L, supports)
-        return BranchingData(case, k, labels, B, B.copy())
-    if case == "D_odd":
-        if k % 4 != 2:
-            raise BranchingError("D_odd requires level 2 mod 4")
-        exps = _dodd_exponents(k)
-        perm = np.zeros((L, L), dtype=int)
-        for j in range(L):
-            perm[j, j if j in exps else k - j] = 1
-        return BranchingData(case, k, tuple(f"a{j}" for j in range(L)),
-                             np.eye(L, dtype=int), perm)
-    if case == "E6":
-        if k != 10:
-            raise BranchingError("E6 requires level 10")
-        B = _rows_from_supports(L, [(0, 6), (3, 7), (4, 10)])
-        return BranchingData(case, k, ("id", "a3", "a4"), B, B.copy())
-    if case == "E7":
-        if k != 16:
-            raise BranchingError("E7 requires level 16")
-        return BranchingData(case, k, E7_AMBI_LABELS,
-                             _rows_from_supports(L, E7_PLUS_SUPPORTS),
-                             _rows_from_supports(L, E7_MINUS_SUPPORTS))
-    if case == "E8":
-        if k != 28:
-            raise BranchingError("E8 requires level 28")
-        B = _rows_from_supports(L, [(0, 10, 18, 28), (6, 12, 16, 22)])
-        return BranchingData(case, k, ("id", "tau"), B, B.copy())
-    raise BranchingError(f"unknown case {case!r}")
-
-
-def case_of_invariant(name: str, k: int) -> str:
-    """Map a catalog name (A17, D10, E7, ...) to its branching case."""
-    if name.startswith("A"):
-        return "A"
-    if name.startswith("D"):
-        return "D_even" if k % 4 == 0 else "D_odd"
-    return name
+    return BranchingData(case, k, *su2_branching(case, k))
 
 
 @dataclass(frozen=True)
@@ -360,8 +304,8 @@ def chiral_table(kmax: int) -> list[ChiralRow]:
     Every row is built from the enumerated invariant and its branching data;
     counts are recomputed, never copied from a table.
     """
-    if kmax > 32:
-        raise ValueError("kmax beyond desk bound")
+    if kmax > CHIRAL_TABLE_LEVEL_MAX:
+        raise UsageError(f"kmax beyond desk bound {CHIRAL_TABLE_LEVEL_MAX}")
     rows = []
     for k in range(1, kmax + 1):
         for named in su2_ade_catalog(k):
@@ -398,8 +342,8 @@ def chiral_system(case: str, k: int):
     if case == "D_odd":
         return np.eye(k + 1, dtype=int), d.copy()
     if case in ("D_even", "E7"):
-        if case == "E7" and k != 16:
-            raise BranchingError("E7 requires level 16")
+        if case == "E7" and k != SU2_E_LEVELS["E7"]:
+            raise BranchingError(f"E7 requires level {SU2_E_LEVELS['E7']}")
         if case == "D_even" and k % 4 != 0:
             raise BranchingError("D_even requires level 0 mod 4")
         half = k // 2
@@ -423,8 +367,7 @@ def chiral_system(case: str, k: int):
 def chiral_pf_residual(case: str, k: int) -> float:
     """Residual of sum_l d_l B[beta, l] = (w / w+) d_beta over the chiral system."""
     md = su2_modular_data(k)
-    name = {"D_odd": "D", "D_even": "D", "E7": "E7"}[case]
-    Z = su2_invariant_matrix(name, k)
+    Z = su2_invariant_matrix(case, k)
     idx = chiral_indices(md, Z)
     B, dims_chiral = chiral_system(case, k)
     lhs = B @ md.dims

@@ -143,11 +143,6 @@ def cmd_catalog(args) -> int:
     return EXIT_OK
 
 
-def _invariant_for_graph(name: str, k: int) -> search.MassMatrix:
-    case = "A" if name.startswith("A") else ("D" if name.startswith("D") else name)
-    return search.su2_invariant_matrix(case, k)
-
-
 def cmd_nimrep(args) -> int:
     graph = nimrep.ade_graph(args.graph)
     k = graph.level
@@ -158,7 +153,7 @@ def cmd_nimrep(args) -> int:
         with open(args.invariant) as fh:
             Z = search.MassMatrix(np.array(_json.load(fh)["Z"], dtype=int))
     else:
-        Z = _invariant_for_graph(args.graph, k)
+        Z = search.su2_invariant_matrix(search.case_of_invariant(args.graph, k), k)
     report = nimrep.spectrum_vs_diagonal(family, md, Z)
     if args.csv:
         print("graph,nu,eigenvalue,multiplicity,matched_spin")
@@ -202,8 +197,8 @@ def cmd_chiral_table(args) -> int:
         for r in rows:
             md = core.su2_modular_data(r.level)
             case = chiral.case_of_invariant(r.name, r.level)
-            Z = _invariant_for_graph(r.name, r.level)
-            dossiers.append(chiral.dossier(r.name, r.level, Z,
+            dossiers.append(chiral.dossier(r.name, r.level,
+                                           search.su2_invariant_matrix(case, r.level),
                                            chiral.branching_data(case, r.level), md))
         print(core.dumps_deterministic({"rows": dossiers}))
         return EXIT_OK
@@ -228,18 +223,14 @@ def _parse_theta(spec: str, k: int) -> np.ndarray:
         elif token.startswith("l") and token[1:].isdigit():
             spins.append(int(token[1:]))
         else:
-            raise ValueError(f"bad theta token {token!r}")
+            raise core.UsageError(f"bad theta token {token!r}")
     if any(j > k for j in spins):
-        raise ValueError("theta spin beyond level")
+        raise core.UsageError("theta spin beyond level")
     return chiral.theta_vector(k, spins)
 
 
 def cmd_gram(args) -> int:
-    try:
-        theta = _parse_theta(args.theta, args.level)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    theta = _parse_theta(args.theta, args.level)
     ring = core.su2_fusion_closed_form(args.level)
     M = chiral.gram_matrix(ring, theta)
     try:
@@ -264,12 +255,7 @@ def _case_document(name: str) -> dot.GraphDocument:
 
 
 def cmd_emit_graph(args) -> int:
-    try:
-        doc = _case_document(args.case)
-    except (nimrep.NimRepError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    text = dot.emit_dot(doc)
+    text = dot.emit_dot(_case_document(args.case))
     out = args.out
     outdir = os.environ.get("MODINV_OUTDIR")
     if outdir and not os.path.isabs(out):
@@ -350,6 +336,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except core.UsageError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     except (ValueError, RuntimeError, AssertionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VERIFY

@@ -22,6 +22,11 @@ ASSERT_TOL = 1e-9
 
 SU2_LEVEL_MAX = 64
 SUN_LABEL_MAX = 400
+CHIRAL_TABLE_LEVEL_MAX = 32
+
+
+class UsageError(ValueError):
+    """An argument outside the declared limits or names (CLI exit code 2)."""
 
 
 class DegenerateDataError(ValueError):
@@ -145,7 +150,7 @@ def _central_charge_from_twists(twists, dims) -> float:
 def su2_modular_data(k: int) -> ModularData:
     """Kac-Peterson S and T for SU(2) at level k (labels are spins 0..k)."""
     if not 1 <= k <= SU2_LEVEL_MAX:
-        raise ValueError(f"su2 level out of range: {k}")
+        raise UsageError(f"su2 level out of range: {k}")
     j = np.arange(k + 1)
     S = np.sqrt(2.0 / (k + 2)) * np.sin(np.pi * np.outer(j + 1, j + 1) / (k + 2))
     T = np.diag(np.exp(1j * np.pi * (j + 1) ** 2 / (2 * k + 4) - 1j * np.pi / 4))
@@ -168,7 +173,7 @@ def su2_modular_data(k: int) -> ModularData:
 def su2_fusion_closed_form(k: int) -> FusionRing:
     """SU(2)_k fusion rules from the truncated angular-momentum coupling window."""
     if not 1 <= k <= SU2_LEVEL_MAX:
-        raise ValueError(f"su2 level out of range: {k}")
+        raise UsageError(f"su2 level out of range: {k}")
     L = k + 1
     N = np.zeros((L, L, L), dtype=int)
     for a in range(L):
@@ -224,13 +229,13 @@ def sun_modular_data(n: int, k: int) -> ModularData:
     n = 2 this agrees entrywise with :func:`su2_modular_data`.
     """
     if n not in (2, 3, 4):
-        raise ValueError(f"unsupported rank: SU({n})")
+        raise UsageError(f"unsupported rank: SU({n})")
     if k < 1:
-        raise ValueError(f"level must be positive: {k}")
+        raise UsageError(f"level must be positive: {k}")
     parts = _sun_partitions(n, k)
     L = len(parts)
     if L > SUN_LABEL_MAX:
-        raise ValueError(f"SU({n})_{k} has {L} labels, beyond the desk bound")
+        raise UsageError(f"SU({n})_{k} has {L} labels, beyond the desk bound")
     kappa = k + n
     # shifted weights in traceless orthogonal coordinates
     xi = np.array([_traceless(np.array(list(a) + [0], dtype=float)
@@ -316,7 +321,7 @@ def ising_modular_data() -> ModularData:
 def cyclic_group_modular_data(n: int) -> ModularData:
     """Degenerate data of a Z_n group dual: all twists 1, S = d d^t / #G (rank one)."""
     if n < 2:
-        raise ValueError("group order must be at least 2")
+        raise UsageError("group order must be at least 2")
     dims = np.ones(n)
     S = np.full((n, n), 1.0 / n, dtype=complex)
     twists = np.ones(n, dtype=complex)

@@ -15,11 +15,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .core import ASSERT_TOL, ROUND_TOL
 from .nimrep import AdeGraph, NimRepFamily, ade_graph
 
-INT_TOL = 1e-6
 NEG_TOL = -1e-6
-UNITARY_TOL = 1e-9
 
 
 class GaugeError(ValueError):
@@ -41,7 +40,7 @@ class EigenGauge:
 
     def validate(self) -> None:
         V = self.graph.num_vertices
-        if np.max(np.abs(self.psi.conj().T @ self.psi - np.eye(V))) > UNITARY_TOL:
+        if np.max(np.abs(self.psi.conj().T @ self.psi - np.eye(V))) > ASSERT_TOL:
             raise GaugeError("psi is not unitary")
         h = self.graph.coxeter
         A = self.graph.adjacency.astype(float)
@@ -51,7 +50,7 @@ class EigenGauge:
             if np.max(np.abs(A @ v - lam * v)) > 1e-8:
                 raise GaugeError(f"column {col} is not an eigenvector for exponent {m}")
             if not (self.psi[self.base, col].real > 0
-                    and abs(self.psi[self.base, col].imag) < UNITARY_TOL):
+                    and abs(self.psi[self.base, col].imag) < ASSERT_TOL):
                 raise GaugeError(f"psi[base, {col}] not positive")
 
 
@@ -146,7 +145,7 @@ class GraphFusion:
     base: int                 # distinguished vertex acting as the unit
     Nhat: np.ndarray          # complex values as computed
     rounded: np.ndarray       # nearest integers
-    positive: bool            # all entries within INT_TOL of non-negative integers
+    positive: bool            # all entries within ROUND_TOL of non-negative integers
     worst_negative: float
     integrality_gap: float
 
@@ -172,19 +171,16 @@ def graph_structure_constants(gauge: EigenGauge) -> GraphFusion:
     ratio = psi / psi[gauge.base, :][None, :]
     N = np.einsum("am,bm,cm->abc", ratio, psi, psi.conj())
     real = N.real
-    if np.max(np.abs(N.imag)) > INT_TOL:
+    if np.max(np.abs(N.imag)) > ROUND_TOL:
         raise GaugeError(f"{gauge.graph.name}: complex structure constants "
                          f"(imag {np.max(np.abs(N.imag)):.2e})")
     rounded = np.round(real)
     gap = float(np.max(np.abs(real - rounded)))
     worst_neg = float(real.min())
-    if gap > INT_TOL and worst_neg > NEG_TOL:
+    if gap > ROUND_TOL and worst_neg > NEG_TOL:
         raise GaugeError(f"{gauge.graph.name}: entries neither integral nor negative; "
                          f"worst residual {gap:.3g}")
-    if gap > INT_TOL:
-        # negative case: still report; integrality is not guaranteed there
-        rounded = np.round(real)
-    positive = bool(gap <= INT_TOL and rounded.min() >= 0)
+    positive = bool(gap <= ROUND_TOL and rounded.min() >= 0)
     return GraphFusion(
         graph=gauge.graph.name,
         base=gauge.base,
@@ -239,6 +235,6 @@ def csv_rows(fusion: GraphFusion):
             for c in range(V):
                 val = float(fusion.Nhat[a, b, c].real)
                 rnd = int(fusion.rounded[a, b, c])
-                flag = "neg" if val < NEG_TOL else ("ok" if abs(val - rnd) < INT_TOL else "frac")
+                flag = "neg" if val < NEG_TOL else ("ok" if abs(val - rnd) < ROUND_TOL else "frac")
                 rows.append((fusion.graph, a, b, c, val, rnd, flag))
     return rows

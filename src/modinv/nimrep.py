@@ -11,14 +11,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ModularData, su2_fusion_closed_form
-from .search import MassMatrix, ade_exponent_multiset
+from .core import ModularData, UsageError, su2_fusion_closed_form
+from .search import MassMatrix, ade_exponent_multiset, diagram_case
 
 SPECTRUM_TOL = 1e-7
 
 
 class NimRepError(ValueError):
     pass
+
+
+class UnknownDiagramError(NimRepError, UsageError):
+    """A name outside A_n (n >= 1), D_n (n >= 4) and E6, E7, E8."""
 
 
 @dataclass(frozen=True)
@@ -61,29 +65,24 @@ class AdeGraph:
 
 def ade_graph(name: str) -> AdeGraph:
     """Build the named diagram ("A7", "D5", "E6", ...) in canonical vertex order."""
-    kind = name[:1]
     try:
-        num = int(name[1:])
-    except ValueError:
-        raise NimRepError(f"unknown diagram name {name!r}") from None
-    if kind == "A" and num >= 1:
+        _, k = diagram_case(name)
+    except ValueError as exc:
+        raise UnknownDiagramError(str(exc)) from None
+    kind, num = name[0], int(name[1:])
+    if kind == "A":
         A = _path(num)
-        h = num + 1
-    elif kind == "D" and num >= 4:
+    elif kind == "D":
         A = _path(num - 2)
         A = _grow(A, num)
         A[num - 3, num - 2] = A[num - 2, num - 3] = 1
         A[num - 3, num - 1] = A[num - 1, num - 3] = 1
-        h = 2 * num - 2
-    elif kind == "E" and num in (6, 7, 8):
+    else:
         spine = num - 1
         A = _grow(_path(spine), num)
         tail_at = {6: 2, 7: 3, 8: 4}[num]
         A[tail_at, num - 1] = A[num - 1, tail_at] = 1
-        h = {6: 12, 7: 18, 8: 30}[num]
-    else:
-        raise NimRepError(f"unknown diagram name {name!r}")
-    g = AdeGraph(name=name, adjacency=A, coxeter=h,
+    g = AdeGraph(name=name, adjacency=A, coxeter=k + 2,
                  exponents=ade_exponent_multiset(name))
     g.validate()
     return g

@@ -337,95 +337,115 @@ def permutation_criterion(ring: FusionRing, Z: MassMatrix) -> PermutationVerdict
 
 
 # ---------------------------------------------------------------------------
-# Closed-form SU(2) mass matrices and the A-D-E naming of search results
+# The SU(2) classification as branching pairs, and the A-D-E naming of results
 
-def _dodd_exponents(k: int) -> set[int]:
-    # D_{2l+1} at k = 4l-2: even spins plus the middle odd spin k/2
-    return set(range(0, k + 1, 2)) | {k // 2}
-
-
-E_EXPONENTS = {10: {0, 3, 4, 6, 7, 10}, 16: {0, 4, 6, 8, 10, 12, 16},
-               28: {0, 6, 10, 12, 16, 18, 22, 28}}
+class BranchingError(ValueError):
+    """An unknown branching case, or one asked for at a level where it does not exist."""
 
 
-def su2_invariant_matrix(case: str, k: int) -> MassMatrix:
-    """The named SU(2)_k mass matrix in closed form.
+SU2_E_LEVELS = {"E6": 10, "E7": 16, "E8": 28}
 
-    case "A" exists at every level, "D" at even levels (block-diagonal for
-    k = 0 mod 4, a permutation for k = 2 mod 4), "E6"/"E7"/"E8" at their
-    exceptional levels 10, 16, 28.
+# Ambichiral rows (label, b+ support, b- support) of the exceptional cases;
+# a row without a b- support has b- = b+ there.
+SU2_E_ROWS = {
+    "E6": (("id", (0, 6)), ("a3", (3, 7)), ("a4", (4, 10))),
+    "E7": (("id", (0, 16)), ("a2+", (2, 14), (8,)), ("a4+", (4, 12)), ("a6+", (6, 10)),
+           ("delta", (8,)), ("a2-", (8,), (2, 14))),
+    "E8": (("id", (0, 10, 18, 28)), ("tau", (6, 12, 16, 22))),
+}
+
+
+def su2_branching(case: str, k: int) -> tuple[tuple[str, ...], np.ndarray, np.ndarray]:
+    """Ambichiral labels and branching matrices (b+, b-) of an SU(2)_k case.
+
+    case is one of A, D_even, D_odd, E6, E7, E8; rows are ambichiral
+    sectors, columns spins, and the invariant is Z = b+^t b-.  Type I cases
+    have one row per block of Z with b+ = b- (the middle spin-k/2 block of
+    D_even splits into two rows); D_odd is the permutation case b+ = 1,
+    b- = pi; E7 mixes an honest ambichiral sextet.
     """
     L = k + 1
     if case == "A":
-        return MassMatrix(np.eye(L, dtype=int))
+        return tuple(f"a{j}" for j in range(L)), np.eye(L, dtype=int), np.eye(L, dtype=int)
+    if case == "D_odd":
+        if k % 4 != 2:
+            raise BranchingError("D_odd requires level 2 mod 4")
+        # the even spins and the middle odd spin k/2 stay, the rest mirror to k - j
+        pi = [j if j % 2 == 0 or 2 * j == k else k - j for j in range(L)]
+        return tuple(f"a{j}" for j in range(L)), np.eye(L, dtype=int), np.eye(L, dtype=int)[pi]
+    if case == "D_even":
+        if k % 4 != 0:
+            raise BranchingError("D_even requires level 0 mod 4")
+        half = k // 2
+        rows = tuple((f"a{j}", (j, k - j)) for j in range(0, half, 2)) + \
+            (("delta", (half,)), ("delta'", (half,)))
+    elif case in SU2_E_ROWS:
+        if k != SU2_E_LEVELS[case]:
+            raise BranchingError(f"{case} requires level {SU2_E_LEVELS[case]}")
+        rows = SU2_E_ROWS[case]
+    else:
+        raise BranchingError(f"unknown case {case!r}")
+    b = np.zeros((2, len(rows), L), dtype=int)
+    for t, row in enumerate(rows):
+        b[0, t, list(row[1])] = 1
+        b[1, t, list(row[-1])] = 1
+    return tuple(row[0] for row in rows), b[0], b[1]
+
+
+def su2_diagrams(k: int) -> list[tuple[str, str]]:
+    """(diagram name, branching case) of every SU(2)_k invariant, in A-D-E order."""
+    out = [(f"A{k + 1}", "A")]
+    if k % 2 == 0 and k >= 4:  # the D series starts at D4 (D3 is A3)
+        out.append((f"D{k // 2 + 2}", "D_even" if k % 4 == 0 else "D_odd"))
+    return out + [(name, name) for name, level in SU2_E_LEVELS.items() if level == k]
+
+
+def diagram_case(name: str) -> tuple[str, int]:
+    """(branching case, level k) of an A-D-E diagram; its Coxeter number is k + 2."""
+    num = int(name[1:]) if name[1:].isdigit() else 0
+    k = SU2_E_LEVELS.get(name, {"A": num - 1, "D": 2 * num - 4}.get(name[:1], -1))
+    cases = dict(su2_diagrams(k)) if k >= 0 else {}
+    if name not in cases:
+        raise ValueError(f"unknown diagram name {name!r}")
+    return cases[name], k
+
+
+def case_of_invariant(name: str, k: int) -> str:
+    """Map a catalog name (A17, D10, E7, ...) at level k to its branching case."""
+    cases = dict(su2_diagrams(k))
+    if name not in cases:
+        raise BranchingError(f"no invariant {name!r} at level {k}")
+    return cases[name]
+
+
+def _diagonal(case: str, k: int) -> np.ndarray:
+    # diag(b+^t b-)[j] = sum_t b+[t, j] b-[t, j], without the L x L product
+    _, b_plus, b_minus = su2_branching(case, k)
+    return (b_plus * b_minus).sum(axis=0)
+
+
+def su2_invariant_matrix(case: str, k: int) -> MassMatrix:
+    """The SU(2)_k mass matrix Z = b+^t b- of a branching case.
+
+    "D" picks D_even at levels 0 mod 4 and D_odd at levels 2 mod 4; the E
+    cases live at their exceptional levels SU2_E_LEVELS.
+    """
     if case == "D":
         if k % 2:
-            raise ValueError("D invariants exist at even levels only")
-        Z = np.zeros((L, L), dtype=int)
-        if k % 4 == 0:
-            for j in range(0, L, 2):
-                Z[j, j] += 1
-                Z[j, k - j] += 1
-        else:
-            exps = _dodd_exponents(k)
-            for j in range(L):
-                Z[j, j if j in exps else k - j] = 1
-        return MassMatrix(Z)
-    if case == "E6":
-        if k != 10:
-            raise ValueError("E6 lives at level 10")
-        return _block_invariant(L, [[0, 6], [3, 7], [4, 10]])
-    if case == "E7":
-        if k != 16:
-            raise ValueError("E7 lives at level 16")
-        Z = _block_invariant(L, [[0, 16], [4, 12], [6, 10], [8]]).Z.copy()
-        for j in (2, 14):
-            Z[j, 8] = Z[8, j] = 1
-        return MassMatrix(Z)
-    if case == "E8":
-        if k != 28:
-            raise ValueError("E8 lives at level 28")
-        return _block_invariant(L, [[0, 10, 18, 28], [6, 12, 16, 22]])
-    raise ValueError(f"unknown case {case!r}")
-
-
-def _block_invariant(L: int, blocks) -> MassMatrix:
-    Z = np.zeros((L, L), dtype=int)
-    for block in blocks:
-        for a in block:
-            for b in block:
-                Z[a, b] += 1
-    return MassMatrix(Z)
+            raise BranchingError("D invariants exist at even levels only")
+        case = "D_even" if k % 4 == 0 else "D_odd"
+    _, b_plus, b_minus = su2_branching(case, k)
+    return MassMatrix(b_plus.T @ b_minus)
 
 
 def ade_exponent_multiset(name: str) -> tuple[int, ...]:
-    """Exponents (spin labels, with multiplicity) of the named A-D-E diagram."""
-    kind, num = name[0], int(name[1:])
-    if kind == "A" and num >= 1:
-        return tuple(range(num))
-    if kind == "D" and num >= 4:
-        exps = sorted(list(range(0, 2 * num - 3, 2)) + [num - 2])
-        return tuple(exps)
-    if name == "E6":
-        return (0, 3, 4, 6, 7, 10)
-    if name == "E7":
-        return (0, 4, 6, 8, 10, 12, 16)
-    if name == "E8":
-        return (0, 6, 10, 12, 16, 18, 22, 28)
-    raise ValueError(f"unknown diagram {name!r}")
+    """Exponents (spin labels, with multiplicity) of the named A-D-E diagram.
 
-
-def _diagram_candidates(k: int) -> list[str]:
-    names = [f"A{k + 1}"]
-    if k % 2 == 0 and k >= 4:  # the D series starts at D4 (D3 is A3)
-        names.append(f"D{k // 2 + 2}")
-    if k == 10:
-        names.append("E6")
-    if k == 16:
-        names.append("E7")
-    if k == 28:
-        names.append("E8")
-    return names
+    They are the diagonal of the diagram's invariant: spin j appears
+    Z[j, j] times.
+    """
+    diag = _diagonal(*diagram_case(name))
+    return tuple(j for j, m in enumerate(diag.tolist()) for _ in range(m))
 
 
 @dataclass(frozen=True)
@@ -436,10 +456,8 @@ class NamedInvariant:
 
 def name_su2_invariant(k: int, Z: MassMatrix) -> str | None:
     """Diagram name whose exponent multiset matches the invariant's diagonal."""
-    for name in _diagram_candidates(k):
-        exps = ade_exponent_multiset(name)
-        diag = tuple(sum(1 for e in exps if e == j) for j in range(k + 1))
-        if diag == Z.diagonal:
+    for name, case in su2_diagrams(k):
+        if tuple(_diagonal(case, k).tolist()) == Z.diagonal:
             return name
     return None
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -208,6 +209,45 @@ def test_determinism(capsys, argv):
     _, first, _ = run(capsys, *argv)
     _, second, _ = run(capsys, *argv)
     assert first == second
+
+
+# sha256 of stdout, recorded at the commit before the SU(2) cases were
+# derived from one branching table
+GOLDEN_STDOUT = {
+    ("catalog", "--level", "10", "--json"):
+        "63c9607a01a54bf241daf9dc3c11fc09cfc229ef62f7d633dda271b56f1ac4df",
+    ("catalog", "--level", "16", "--json"):
+        "26a18d382927fc96ac2495fbe0f9a03a8990a8fffc2ce73a3db46eb728b80847",
+    ("catalog", "--level", "28", "--json"):
+        "05c830cc7968c93178b05f0659daa0f6c8e56c7407a7edef4c0264f48bf22894",
+    ("chiral-table", "--max-level", "28", "--csv"):
+        "034688eec7400a6423095d86469afab021d455b28a49e4fb67e18a8f4830f6b3",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(GOLDEN_STDOUT))
+def test_golden_stdout(capsys, argv):
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_STDOUT[argv]
+
+
+@pytest.mark.parametrize("argv", [
+    ("catalog", "--level", "65"),
+    ("catalog", "--level", "0"),
+    ("show", "--family", "su2", "--level", "0"),
+    ("invariants", "--family", "su2", "--level", "65"),
+    ("gram", "--level", "0", "--theta", "id"),
+    ("fusion", "--family", "su3", "--level", "0"),
+    ("chiral-table", "--max-level", "33"),
+    ("nimrep", "--graph", "F4"),
+    ("graph-algebra", "--graph", "Q5"),
+    ("emit-graph", "--case", "F4", "--out", "unused.dot"),
+])
+def test_out_of_range_input_is_usage_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == "" and err.startswith("error: ")
 
 
 def test_document_validation():

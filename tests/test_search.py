@@ -119,10 +119,13 @@ def test_catalog_level16_no_naming_ambiguity():
 
 
 def test_closed_form_invariants_match_enumeration():
-    for k in (4, 6, 8, 10, 12):
+    # the branching table is the only source of the closed forms; the
+    # unpruned enumeration checks it, E6, E7 and E8 included
+    for k in range(1, 29):
         enumerated = {Z.key() for Z in search.enumerate_invariants(core.su2_modular_data(k))}
-        assert search.su2_invariant_matrix("A", k).key() in enumerated
-        assert search.su2_invariant_matrix("D", k).key() in enumerated
+        closed = {search.su2_invariant_matrix(case, k).key()
+                  for _, case in search.su2_diagrams(k)}
+        assert closed == enumerated, k
 
 
 def test_deven_closed_form_block_structure():
