@@ -304,8 +304,8 @@ def chiral_table(kmax: int) -> list[ChiralRow]:
     Every row is built from the enumerated invariant and its branching data;
     counts are recomputed, never copied from a table.
     """
-    if kmax > CHIRAL_TABLE_LEVEL_MAX:
-        raise UsageError(f"kmax beyond desk bound {CHIRAL_TABLE_LEVEL_MAX}")
+    if not 1 <= kmax <= CHIRAL_TABLE_LEVEL_MAX:
+        raise UsageError(f"kmax outside 1..{CHIRAL_TABLE_LEVEL_MAX}: {kmax}")
     rows = []
     for k in range(1, kmax + 1):
         for named in su2_ade_catalog(k):

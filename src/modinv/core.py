@@ -68,9 +68,6 @@ class FusionRing:
     def size(self) -> int:
         return len(self.labels)
 
-    def fusion_matrix(self, a: int) -> np.ndarray:
-        return self.N[a]
-
     def validate(self) -> None:
         """Assert the ring axioms exactly on the integer tensor."""
         L = self.size
@@ -86,9 +83,7 @@ class FusionRing:
         conj[np.arange(L), self.dual] = 1
         if not np.array_equal(self.N[:, :, 0], conj):
             raise ValueError("duality map inconsistent with vacuum couplings")
-        lhs = np.einsum("lms,snt->lmnt", self.N, self.N)
-        rhs = np.einsum("mns,lst->lmnt", self.N, self.N)
-        if not np.array_equal(lhs, rhs):
+        if not represents(self.N, self.N):
             raise ValueError("fusion tensor not associative")
 
     def perron_dims(self) -> np.ndarray:
@@ -102,6 +97,24 @@ class FusionRing:
         d = np.asarray(dims, dtype=float)
         prod = np.einsum("lmn,n->lm", self.N, d)
         return bool(np.max(np.abs(np.outer(d, d) - prod)) < tol * max(1.0, d.max() ** 2))
+
+
+def represents(N: np.ndarray, G) -> bool:
+    """Whether G_b G_a == sum_c N[a, b, c] G_c exactly, for a stack G of L matrices.
+
+    G = N checks ring associativity; fused adjacencies, the nimrep identity.
+    Runs in int64 one label a at a time: O(L V^2) memory for V x V matrices.
+    """
+    N = np.asarray(N, dtype=np.int64)
+    G = np.asarray(G, dtype=np.int64)
+    flat = G.reshape(len(G), -1)
+    return all(np.array_equal(G @ G[a], (N[a] @ flat).reshape(G.shape))
+               for a in range(len(G)))
+
+
+def verlinde_sum(U: np.ndarray, base: int) -> np.ndarray:
+    """X[a,b,c] = sum_m U[a,m] / U[base,m] * U[b,m] * conj(U[c,m]); Verlinde's at U = S^t."""
+    return np.einsum("am,bm,cm->abc", U / U[base], U, U.conj())
 
 
 @dataclass(frozen=True)
@@ -175,11 +188,9 @@ def su2_fusion_closed_form(k: int) -> FusionRing:
     if not 1 <= k <= SU2_LEVEL_MAX:
         raise UsageError(f"su2 level out of range: {k}")
     L = k + 1
-    N = np.zeros((L, L, L), dtype=int)
-    for a in range(L):
-        for b in range(L):
-            for c in range(abs(a - b), min(a + b, 2 * k - a - b) + 1, 2):
-                N[a, b, c] = 1
+    a, b, c = np.ogrid[:L, :L, :L]
+    N = ((abs(a - b) <= c) & (c <= np.minimum(a + b, 2 * k - a - b))
+         & ((a + b + c) % 2 == 0)).astype(int)
     labels = tuple(Label(i, str(i)) for i in range(L))
     ring = FusionRing(labels=labels, N=N, dual=np.arange(L))
     ring.validate()
@@ -393,8 +404,7 @@ def verlinde_fusion(md: ModularData) -> FusionRing:
         raise DegenerateDataError(
             f"S is degenerate (unitarity residual {md.unitarity_residual:.2e}); "
             "the Verlinde formula needs a unitary S")
-    ratio = md.S / md.S[:, [0]]
-    N = np.einsum("ra,rb,rc->abc", ratio, md.S, md.S.conj())
+    N = verlinde_sum(md.S.T, 0)
     Nr = np.round(N.real)
     residual = float(np.max(np.abs(N - Nr)))
     if residual > ROUND_TOL:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ASSERT_TOL, ROUND_TOL
+from .core import ASSERT_TOL, ROUND_TOL, represents, verlinde_sum
 from .nimrep import AdeGraph, NimRepFamily, ade_graph
 
 NEG_TOL = -1e-6
@@ -150,10 +150,7 @@ class GraphFusion:
     integrality_gap: float
 
     def associative(self) -> bool:
-        T = self.rounded
-        lhs = np.einsum("abs,sct->abct", T, T)
-        rhs = np.einsum("bcs,ast->abct", T, T)
-        return bool(np.array_equal(lhs, rhs))
+        return represents(self.rounded, self.rounded)
 
     def unit_residual(self) -> float:
         V = self.rounded.shape[0]
@@ -167,9 +164,7 @@ def graph_structure_constants(gauge: EigenGauge) -> GraphFusion:
     value; anything else (e.g. an entry near 1/2) means the gauge is wrong
     and raises.
     """
-    psi = gauge.psi
-    ratio = psi / psi[gauge.base, :][None, :]
-    N = np.einsum("am,bm,cm->abc", ratio, psi, psi.conj())
+    N = verlinde_sum(gauge.psi, gauge.base)
     real = N.real
     if np.max(np.abs(N.imag)) > ROUND_TOL:
         raise GaugeError(f"{gauge.graph.name}: complex structure constants "

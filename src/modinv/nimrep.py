@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ModularData, UsageError, su2_fusion_closed_form
+from .core import ModularData, UsageError, represents, su2_fusion_closed_form
 from .search import MassMatrix, ade_exponent_multiset, diagram_case
 
 SPECTRUM_TOL = 1e-7
@@ -158,28 +158,21 @@ def fused_adjacencies(graph: AdeGraph) -> NimRepFamily:
         if nxt.min() < 0:
             raise NimRepError(f"{graph.name}: negative entry in fused adjacency")
         G.append(nxt)
-    ring = su2_fusion_closed_form(k)
-    for a in range(k + 1):
-        for b in range(a, k + 1):
-            want = sum(int(ring.N[a, b, c]) * G[c] for c in range(k + 1))
-            if not np.array_equal(G[a] @ G[b], want):
-                raise NimRepError(f"{graph.name}: nimrep identity fails at ({a},{b})")
+    if not represents(su2_fusion_closed_form(k).N, np.array(G)):
+        raise NimRepError(f"{graph.name}: nimrep identity fails")
     return NimRepFamily(graph=graph, G=tuple(G))
 
 
-def _match_multisets(values, expected, tol):
-    """Greedy nearest matching of two real multisets; None if sizes differ.
+def _match_multisets(values, expected):
+    """Pair two real multisets in sorted order: (pairs, (worst gap, summed gap)).
 
-    Returns (pairs, total_gap) with pairs[i] = (value, matched_expected).
+    pairs[i] = (value, matched expected); pairs is None if the sizes differ.
     """
     if len(values) != len(expected):
         return None, (float("inf"), float("inf"))
-    vals = sorted(values)
-    exps = sorted(expected)
-    pairs = list(zip(vals, exps))
-    gap = sum(abs(a - b) for a, b in pairs)
-    worst = max((abs(a - b) for a, b in pairs), default=0.0)
-    return pairs, (worst, gap)
+    pairs = list(zip(sorted(values), sorted(expected)))
+    gaps = [abs(a - b) for a, b in pairs]
+    return pairs, (max(gaps, default=0.0), sum(gaps))
 
 
 @dataclass(frozen=True)
@@ -209,8 +202,8 @@ def spectrum_vs_diagonal(family: NimRepFamily, md: ModularData, Z: MassMatrix,
     """Check that eigenvalues of every G_nu are the characters chi_l(nu), each
     with multiplicity Z[l, l].
 
-    chi_l(nu) = S[l, nu] / S[l, 0].  Matching is greedy nearest-neighbour at
-    ``tol`` with a global consistency bound on the summed gaps.
+    chi_l(nu) = S[l, nu] / S[l, 0].  The two sorted multisets are paired in
+    order; each pair must agree within ``tol``, the summed gaps within 1e-6 V.
     """
     k = family.level
     if md.size != k + 1 or Z.size != k + 1:
@@ -223,7 +216,7 @@ def spectrum_vs_diagonal(family: NimRepFamily, md: ModularData, Z: MassMatrix,
         expected = []
         for lam in range(k + 1):
             expected.extend([float((md.S[lam, nu] / md.S[lam, 0]).real)] * diag[lam])
-        pairs, (worst, gap) = _match_multisets(eig.tolist(), expected, tol)
+        pairs, (worst, gap) = _match_multisets(eig.tolist(), expected)
         ok = pairs is not None and worst < tol and gap < 1e-6 * V
         entries.append(SpectrumEntry(nu=nu, matched=bool(ok), worst_gap=float(worst),
                                      pairs=tuple(pairs or ())))

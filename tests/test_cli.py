@@ -240,6 +240,8 @@ def test_golden_stdout(capsys, argv):
     ("gram", "--level", "0", "--theta", "id"),
     ("fusion", "--family", "su3", "--level", "0"),
     ("chiral-table", "--max-level", "33"),
+    ("chiral-table", "--max-level", "0"),
+    ("chiral-table", "--max-level", "-1"),
     ("nimrep", "--graph", "F4"),
     ("graph-algebra", "--graph", "Q5"),
     ("emit-graph", "--case", "F4", "--out", "unused.dot"),

@@ -1,7 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from modinv import core
 
@@ -48,6 +52,63 @@ def test_su2_closed_form_examples():
     assert [c for c in range(5) if ring4.N[1, 1, c]] == [0, 2]
     # identity fusion at any level
     assert np.array_equal(ring4.N[0], np.eye(5, dtype=int))
+
+
+def _closed_form_by_loop(k):
+    # reference: the angular-momentum coupling window, one triple at a time
+    L = k + 1
+    N = np.zeros((L, L, L), dtype=int)
+    for a in range(L):
+        for b in range(L):
+            for c in range(abs(a - b), min(a + b, 2 * k - a - b) + 1, 2):
+                N[a, b, c] = 1
+    return N
+
+
+def test_su2_closed_form_matches_loop_at_every_level(monkeypatch):
+    # only the tensor is compared here; the ring axioms of the closed form
+    # are checked by test_su2_ring_axioms, and validating every level would
+    # cost O(L^5) each
+    monkeypatch.setattr(core.FusionRing, "validate", lambda self: None)
+    for k in range(1, core.SU2_LEVEL_MAX + 1):
+        assert np.array_equal(core.su2_fusion_closed_form(k).N, _closed_form_by_loop(k)), k
+
+
+def _associative_by_einsum(N):
+    # reference: the full L^4 tensors of (N_l N_m)_{nt} both ways round
+    lhs = np.einsum("lms,snt->lmnt", N, N)
+    rhs = np.einsum("mns,lst->lmnt", N, N)
+    return bool(np.array_equal(lhs, rhs))
+
+
+@settings(derandomize=True, max_examples=300)
+@given(st.integers(1, 5).flatmap(
+    lambda L: hnp.arrays(np.int64, (L, L, L), elements=st.integers(0, 2))))
+def test_represents_agrees_with_einsum_associativity(N):
+    assert core.represents(N, N) == _associative_by_einsum(N)
+
+
+def test_validate_rejects_non_associative_ring():
+    # unit, commutative, self-dual, but (1 x 1) x 2 = 2 while 1 x (1 x 2) = 0
+    N = np.zeros((3, 3, 3), dtype=int)
+    N[0] = N[:, 0] = np.eye(3, dtype=int)
+    N[1, 1, 0] = N[2, 2, 0] = 1
+    ring = core.FusionRing(labels=tuple(core.Label(i, str(i)) for i in range(3)),
+                           N=N, dual=np.arange(3))
+    with pytest.raises(ValueError, match="not associative"):
+        ring.validate()
+
+
+def test_validate_peak_memory_is_cubic():
+    ring = core.su2_fusion_closed_form(44)
+    L = ring.size
+    tracemalloc.start()
+    try:
+        ring.validate()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * L ** 3
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4, 8, 11, 16])

@@ -20,6 +20,15 @@ def test_a5_adjacency_is_spin_one_fusion_matrix():
     assert np.array_equal(g.adjacency, ring.N[1])
 
 
+def test_represents_rejects_changed_fused_adjacency():
+    family = nimrep.fused_adjacencies(nimrep.ade_graph("D6"))
+    N = core.su2_fusion_closed_form(family.level).N
+    G = np.array(family.G)
+    assert core.represents(N, G)
+    G[2, 0, 0] += 1
+    assert not core.represents(N, G)
+
+
 def test_d5_exponents():
     assert sorted(nimrep.ade_graph("D5").exponents) == [0, 2, 3, 4, 6]
 
