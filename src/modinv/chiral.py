@@ -19,7 +19,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
+    ASSERT_TOL,
     CHIRAL_TABLE_LEVEL_MAX,
+    SPECTRUM_TOL,
     FusionRing,
     ModularData,
     UsageError,
@@ -162,7 +164,7 @@ def decompose_gram(M: np.ndarray, ring: FusionRing,
     sol, *_ = np.linalg.lstsq(F.T.astype(float), (F @ N1).T.astype(float), rcond=None)
     G1 = sol.T
     G1r = np.round(G1)
-    if np.max(np.abs(G1 - G1r)) > 1e-9 or G1r.min() < 0:
+    if np.max(np.abs(G1 - G1r)) > ASSERT_TOL or G1r.min() < 0:
         raise GramDecompositionError("induced G1 is not a non-negative integer matrix")
     G1i = G1r.astype(int)
     if not np.array_equal(G1i @ F, F @ N1):
@@ -248,7 +250,7 @@ def chiral_indices(md: ModularData, Z: MassMatrix) -> ChiralIndices:
     d = md.dims
     col = float(d @ Z.Z[:, 0])
     row = float(Z.Z[0, :] @ d)
-    if abs(col - row) > 1e-9 * max(1.0, col):
+    if abs(col - row) > ASSERT_TOL * max(1.0, col):
         raise AssertionError(f"vacuum row/column sums disagree: {col} vs {row}")
     w = md.global_index
     w_plus = w / col
@@ -386,7 +388,7 @@ class FullSystemReport:
     worst_gap: float
 
 
-def full_system_dodd(k: int, tol: float = 1e-7) -> FullSystemReport:
+def full_system_dodd(k: int) -> FullSystemReport:
     """Model the full system at level k = 2 mod 4 and check its spectra.
 
     The full system is the spin fusion ring with the two chiralities acting
@@ -420,7 +422,7 @@ def full_system_dodd(k: int, tol: float = 1e-7) -> FullSystemReport:
                 continue
             gap = float(np.max(np.abs(eig - expected)))
             worst = max(worst, gap)
-            if gap > tol:
+            if gap > SPECTRUM_TOL:
                 ok = False
     return FullSystemReport(level=k, pairs_checked=pairs, matched=ok, worst_gap=worst)
 

@@ -15,10 +15,18 @@ from itertools import permutations
 
 import numpy as np
 
-# Rounding a float to a fusion coefficient tolerates this much residual;
-# numerical identities are asserted at the tighter tolerance.
-ROUND_TOL = 1e-6
-ASSERT_TOL = 1e-9
+# Every tolerance of the package, each with the reason for its size.
+ROUND_TOL = 1e-6  # a float rounded to an integer or a small rational may be this far off
+ASSERT_TOL = 1e-9  # numerical identities of S, T, dimensions and eigenvectors hold to this
+VACUUM_ROW_TOL = 100 * ASSERT_TOL  # the vacuum-row identity sums L products of dimensions
+PHASE_TOL = 1e-12  # two T phases this close are equal; distinct phases are far apart
+SVD_TOL = 1e-8  # singular values below this, relative to the largest, span the nullspace
+PIVOT_TOL = 1e-7  # an echelon pivot candidate below this is zero in exact arithmetic
+COMMUTE_TOL = 1e-8  # a commutant element commutes with S and T to this
+EIGEN_TOL = 1e-8  # eigenvector residual; eigenvalues this close are one degenerate value
+SPECTRUM_TOL = 1e-7  # a computed eigenvalue matches its character value to this
+NEG_TOL = -1e-6  # a structure constant below this is negative, not rounding noise
+MAX_DENOMINATOR = 10 ** 6  # largest denominator tried in rational reconstruction
 
 SU2_LEVEL_MAX = 64
 SUN_LABEL_MAX = 400
@@ -93,10 +101,10 @@ class FusionRing:
                          else max(abs(np.linalg.eigvals(self.N[a])))
                          for a in range(self.size)])
 
-    def is_dimension_function(self, dims, tol=ASSERT_TOL) -> bool:
+    def is_dimension_function(self, dims) -> bool:
         d = np.asarray(dims, dtype=float)
         prod = np.einsum("lmn,n->lm", self.N, d)
-        return bool(np.max(np.abs(np.outer(d, d) - prod)) < tol * max(1.0, d.max() ** 2))
+        return bool(np.max(np.abs(np.outer(d, d) - prod)) < ASSERT_TOL * max(1.0, d.max() ** 2))
 
 
 def represents(N: np.ndarray, G) -> bool:
@@ -430,13 +438,11 @@ class ModularChecks:
     first_row_positive: bool
     dual: tuple[int, ...]    # permutation read off from S^2
 
-    tol: float = ASSERT_TOL
-
     @property
     def passed(self) -> bool:
         return (self.first_row_positive
                 and max(self.symmetric, self.unitary, self.st_cubed,
-                        self.s_squared_conjugation, self.s_fourth) < self.tol)
+                        self.s_squared_conjugation, self.s_fourth) < ASSERT_TOL)
 
     def summary(self) -> str:
         flag = "ok" if self.passed else "FAIL"
@@ -518,16 +524,16 @@ def modular_data_from_json(doc: dict) -> ModularData:
     return md
 
 
-def _validate_modular_data(md: ModularData, tol: float = 1e-9) -> None:
-    if np.max(np.abs(md.S - md.S.T)) > tol:
+def _validate_modular_data(md: ModularData) -> None:
+    if np.max(np.abs(md.S - md.S.T)) > ASSERT_TOL:
         raise ValueError("imported S is not symmetric")
-    if md.S[0, 0].real <= 0 or np.min(md.S[:, 0].real) < md.S[0, 0].real - tol:
+    if md.S[0, 0].real <= 0 or np.min(md.S[:, 0].real) < md.S[0, 0].real - ASSERT_TOL:
         raise ValueError("imported S violates S[l,0] >= S[0,0] > 0")
     if np.max(np.abs(md.dims - (md.S[:, 0] / md.S[0, 0]).real)) > ROUND_TOL:
         raise ValueError("imported dims disagree with S[:,0]/S[0,0]")
     if abs(md.global_index - float(md.dims @ md.dims)) > ROUND_TOL * md.global_index:
         raise ValueError("imported global index disagrees with sum d^2")
-    if np.max(np.abs(np.abs(md.twists) - 1.0)) > tol:
+    if np.max(np.abs(np.abs(md.twists) - 1.0)) > ASSERT_TOL:
         raise ValueError("imported twists are not unimodular")
 
 

@@ -15,10 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ASSERT_TOL, ROUND_TOL, represents, verlinde_sum
+from .core import ASSERT_TOL, EIGEN_TOL, NEG_TOL, ROUND_TOL, represents, verlinde_sum
 from .nimrep import AdeGraph, NimRepFamily, ade_graph
-
-NEG_TOL = -1e-6
 
 
 class GaugeError(ValueError):
@@ -47,7 +45,7 @@ class EigenGauge:
         for col, m in enumerate(self.exponent_of):
             v = self.psi[:, col]
             lam = 2.0 * np.cos(np.pi * (m + 1) / h)
-            if np.max(np.abs(A @ v - lam * v)) > 1e-8:
+            if np.max(np.abs(A @ v - lam * v)) > EIGEN_TOL:
                 raise GaugeError(f"column {col} is not an eigenvector for exponent {m}")
             if not (self.psi[self.base, col].real > 0
                     and abs(self.psi[self.base, col].imag) < ASSERT_TOL):
@@ -89,14 +87,14 @@ def eigen_gauge(graph: AdeGraph) -> EigenGauge:
     while i < V:
         block = [order[i]]
         j = i + 1
-        while j < V and abs(evals[order[j]] - evals[order[i]]) < 1e-8:
+        while j < V and abs(evals[order[j]] - evals[order[i]]) < EIGEN_TOL:
             block.append(order[j])
             j += 1
         ms = exps_sorted[i:j]
         if len(block) == 1:
             v = vecs[:, block[0]].astype(complex)
             entry = v[base].real
-            if abs(entry) < 1e-9:
+            if abs(entry) < ASSERT_TOL:
                 raise GaugeError(
                     f"{graph.name}: psi[{base}, m={ms[0]}] vanishes; base vertex unusable")
             if entry < 0:

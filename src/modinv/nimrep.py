@@ -11,10 +11,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ModularData, UsageError, represents, su2_fusion_closed_form
+from .core import (ASSERT_TOL, ROUND_TOL, SPECTRUM_TOL, ModularData, UsageError, represents,
+                   su2_fusion_closed_form)
 from .search import MassMatrix, ade_exponent_multiset, diagram_case
-
-SPECTRUM_TOL = 1e-7
 
 
 class NimRepError(ValueError):
@@ -55,7 +54,7 @@ class AdeGraph:
         if not np.array_equal(A, A.T) or A.dtype.kind not in "iu":
             raise NimRepError("adjacency must be a symmetric integer matrix")
         norm = np.linalg.eigvalsh(A.astype(float)).max()
-        if abs(norm - 2.0 * np.cos(np.pi / self.coxeter)) > 1e-9:
+        if abs(norm - 2.0 * np.cos(np.pi / self.coxeter)) > ASSERT_TOL:
             raise NimRepError(f"{self.name}: |A| != 2 cos(pi/{self.coxeter})")
         if not _connected(A):
             raise NimRepError(f"{self.name}: not connected")
@@ -203,7 +202,7 @@ def spectrum_vs_diagonal(family: NimRepFamily, md: ModularData, Z: MassMatrix,
     with multiplicity Z[l, l].
 
     chi_l(nu) = S[l, nu] / S[l, 0].  The two sorted multisets are paired in
-    order; each pair must agree within ``tol``, the summed gaps within 1e-6 V.
+    order; each pair must agree within ``tol``, the summed gaps within ROUND_TOL V.
     """
     k = family.level
     if md.size != k + 1 or Z.size != k + 1:
@@ -217,7 +216,7 @@ def spectrum_vs_diagonal(family: NimRepFamily, md: ModularData, Z: MassMatrix,
         for lam in range(k + 1):
             expected.extend([float((md.S[lam, nu] / md.S[lam, 0]).real)] * diag[lam])
         pairs, (worst, gap) = _match_multisets(eig.tolist(), expected)
-        ok = pairs is not None and worst < tol and gap < 1e-6 * V
+        ok = pairs is not None and worst < tol and gap < ROUND_TOL * V
         entries.append(SpectrumEntry(nu=nu, matched=bool(ok), worst_gap=float(worst),
                                      pairs=tuple(pairs or ())))
     return SpectrumReport(graph=family.graph.name, entries=tuple(entries))

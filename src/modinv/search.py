@@ -2,8 +2,10 @@
 
 A mass matrix is an integer matrix Z >= 0 with Z[0,0] = 1 commuting with S
 and T.  The commutant of {S, T} is computed as a rational matrix space in
-reduced echelon form; lattice points inside it are enumerated by a bounded
-depth-first search over the echelon coordinates.
+reduced echelon form, stored as integer matrices over one common
+denominator; lattice points inside it are enumerated by a bounded
+depth-first search over the echelon coordinates, with an exact integer test
+at every leaf.
 """
 
 from __future__ import annotations
@@ -14,19 +16,10 @@ from fractions import Fraction
 
 import numpy as np
 
-from .core import (
-    ASSERT_TOL,
-    ROUND_TOL,
-    DegenerateDataError,
-    FusionRing,
-    ModularData,
-    sun_modular_data,
-    sun_label_index,
-)
+from .core import (COMMUTE_TOL, MAX_DENOMINATOR, PHASE_TOL, PIVOT_TOL, ROUND_TOL, SVD_TOL,
+                   VACUUM_ROW_TOL, DegenerateDataError, FusionRing, ModularData,
+                   sun_label_index, sun_modular_data)
 
-COMMUTE_TOL = 1e-8
-SVD_TOL = 1e-8
-MAX_DENOMINATOR = 10 ** 6
 DEFAULT_NODE_BUDGET = 10 ** 8
 
 
@@ -82,75 +75,71 @@ class MassMatrix:
 
 @dataclass(frozen=True)
 class CommutantBasis:
-    """Echelon basis of the real solution space of [S,X] = [T,X] = 0.
+    """Integer echelon basis of the real solution space of [S,X] = [T,X] = 0.
 
-    ``exact`` holds the rational matrices; ``approx`` their float images.
-    Pivot positions are row-major indices into the flattened matrix; the
-    basis is in reduced echelon form, so any commutant element X satisfies
-    X.flat[pivots[i]] = coefficient_i.
+    The i-th basis matrix is E[i] / denominator, one common denominator for
+    all.  Pivot positions are row-major indices into the flattened matrix;
+    the basis is in reduced echelon form, E[i].flat[pivots[j]] = denominator
+    * delta_ij, so a commutant element X is sum_i X.flat[pivots[i]] E[i] /
+    denominator.
     """
 
-    exact: tuple       # tuple of tuples of Fraction, each of length L*L
-    approx: np.ndarray  # dim x L x L float
+    E: np.ndarray  # dim x L x L int64
+    denominator: int
     pivots: tuple[int, ...]
-    size: int
 
     @property
     def dim(self) -> int:
         return len(self.pivots)
 
-    def matrices(self) -> np.ndarray:
-        return self.approx
 
-
-def _t_support(md: ModularData, tol: float = 1e-12):
-    """Positions (i, j) allowed by [T, X] = 0, i.e. with equal T phases."""
+def _t_support(md: ModularData) -> tuple[np.ndarray, np.ndarray]:
+    """Row-major positions (i, j) allowed by [T, X] = 0, i.e. with equal T phases."""
     t = np.diag(md.T)
-    L = md.size
-    return [(i, j) for i in range(L) for j in range(L) if abs(t[i] - t[j]) < tol]
+    return np.nonzero(np.abs(t[:, None] - t[None, :]) < PHASE_TOL)
 
 
 def commutant_basis(md: ModularData) -> CommutantBasis:
-    """Solve [S,X] = [T,X] = 0 over the reals and return a rational echelon basis.
+    """Solve [S,X] = [T,X] = 0 over the reals and return an integer echelon basis.
 
     T is diagonal, so X vanishes outside pairs with equal T phases; on that
-    support the S commutation is solved by an SVD nullspace (threshold 1e-8),
-    followed by reduced row echelon form over row-major pivots and rational
-    reconstruction with denominators <= 10^6.
+    support the S commutation is solved by a thin-SVD nullspace, followed by
+    reduced row echelon form over row-major pivots, rational reconstruction
+    with denominators <= MAX_DENOMINATOR and scaling by their common
+    denominator.  The reduced echelon form of a subspace is unique, so the
+    result does not depend on the nullspace basis the SVD returns.
     """
     if md.degenerate:
         raise DegenerateDataError(
             f"braiding is degenerate (unitarity residual {md.unitarity_residual:.2e}); "
             "modular invariant search requires a non-degenerate S")
     L = md.size
-    support = _t_support(md)
-    m = len(support)
-    # rows: entries of SX - XS as X ranges over the support basis
-    A = np.zeros((L * L, m), dtype=complex)
+    I, J = _t_support(md)
+    m = len(I)
+    # rows: entries of SX - XS as X ranges over the unit matrices on the support
     S = md.S
-    for c, (i, j) in enumerate(support):
-        A[np.arange(L) * L + j, c] += S[:, i]
-        A[i * L + np.arange(L), c] -= S[j, :]
-    Areal = np.vstack([A.real, A.imag])
-    _, sv, vt = np.linalg.svd(Areal, full_matrices=True)
+    cols = np.arange(m)
+    line = np.arange(L)[:, None]
+    A = np.zeros((L * L, m), dtype=complex)
+    A[line * L + J, cols] += S[:, I]
+    A[I * L + line, cols] -= S[J, :].T
+    # m <= L^2 < 2 L^2, so the thin factor vt is the whole right factor
+    _, sv, vt = np.linalg.svd(np.vstack([A.real, A.imag]), full_matrices=False)
     rank = int(np.sum(sv > SVD_TOL * max(1.0, sv[0] if sv.size else 0.0)))
-    null = vt[rank:]
-    dim = null.shape[0]
+    dim = m - rank
     if dim == 0:
         raise ValueError("empty commutant (no identity found); S/T data inconsistent")
 
     # reduced row echelon over floats, pivots in row-major position order
     B = np.zeros((dim, L * L))
-    for r in range(dim):
-        for c, p in enumerate(support):
-            B[r, p[0] * L + p[1]] = null[r, c]
+    B[:, I * L + J] = vt[rank:]
     pivots = []
     r = 0
     for col in range(L * L):
         if r >= dim:
             break
         piv = int(np.argmax(np.abs(B[r:, col]))) + r
-        if abs(B[piv, col]) < 1e-7:
+        if abs(B[piv, col]) < PIVOT_TOL:
             continue
         B[[r, piv]] = B[[piv, r]]
         B[r] /= B[r, col]
@@ -160,22 +149,20 @@ def commutant_basis(md: ModularData) -> CommutantBasis:
         pivots.append(col)
         r += 1
 
-    exact_rows = []
-    for row in B:
-        rats = []
-        for x in row:
-            f = Fraction(float(x)).limit_denominator(MAX_DENOMINATOR)
-            if abs(float(f) - float(x)) > 1e-6:
-                raise RationalReconstructionError(
-                    f"no rational with denominator <= {MAX_DENOMINATOR} near {float(x)!r}")
-            rats.append(f)
-        exact_rows.append(tuple(rats))
-    approx = np.array([[float(f) for f in row] for row in exact_rows]).reshape(dim, L, L)
-    for X in approx:
+    rats = []
+    for x in B.ravel().tolist():
+        f = Fraction(x).limit_denominator(MAX_DENOMINATOR)
+        if abs(float(f) - x) > ROUND_TOL:
+            raise RationalReconstructionError(
+                f"no rational with denominator <= {MAX_DENOMINATOR} near {x!r}")
+        rats.append(f)
+    D = math.lcm(*(f.denominator for f in rats))
+    E = np.array([f.numerator * (D // f.denominator) for f in rats],
+                 dtype=np.int64).reshape(dim, L, L)
+    for X in E / D:
         if max(np.max(np.abs(S @ X - X @ S)), np.max(np.abs(md.T @ X - X @ md.T))) > COMMUTE_TOL:
             raise RationalReconstructionError("rationalized basis element fails to commute")
-    return CommutantBasis(exact=tuple(exact_rows), approx=approx,
-                          pivots=tuple(pivots), size=L)
+    return CommutantBasis(E=E, denominator=D, pivots=tuple(pivots))
 
 
 class InvariantList(list):
@@ -204,23 +191,22 @@ def enumerate_invariants(md: ModularData, budget: int = DEFAULT_NODE_BUDGET) -> 
     bound = np.outer(d, d).reshape(-1)
     # most-constrained pivot first, ties by row-major position
     order = sorted(range(dim), key=lambda i: (bound[basis.pivots[i]], basis.pivots[i]))
-    mats = basis.approx.reshape(dim, L * L)
+    E = basis.E.reshape(dim, L * L)
+    D = basis.denominator
+    # a leaf sums dim terms c_i E_i with 0 <= c_i <= bound; int64 must hold them exactly
+    if dim * (int(bound.max()) + 1) * int(np.abs(E).max()) >= 2 ** 63:
+        raise RationalReconstructionError("integer echelon basis too large for an int64 search")
     results = []
     nodes = 0
     complete = True
-    coeffs = np.zeros(dim)
+    coeffs = np.zeros(dim, dtype=np.int64)
 
     def leaf():
-        Z = coeffs @ mats
-        Zr = np.round(Z)
-        if np.max(np.abs(Z - Zr)) >= ROUND_TOL:
+        # D Z = coeffs @ E exactly; Z is an integer matrix iff D divides every entry
+        Z = coeffs @ E
+        if Z[0] != D or Z.min() < 0 or (Z % D).any():
             return
-        if Zr.min() < 0:
-            return
-        Zi = Zr.astype(int).reshape(L, L)
-        if Zi[0, 0] != 1:
-            return
-        results.append(MassMatrix(Zi))
+        results.append(MassMatrix((Z // D).reshape(L, L)))
 
     def dfs(idx):
         nonlocal nodes, complete
@@ -244,7 +230,7 @@ def enumerate_invariants(md: ModularData, budget: int = DEFAULT_NODE_BUDGET) -> 
                 return
             coeffs[i] = c
             dfs(idx + 1)
-        coeffs[i] = 0.0
+        coeffs[i] = 0
 
     dfs(0)
     uniq = sorted({Z.key(): Z for Z in results}.values(), key=MassMatrix.key)
@@ -265,13 +251,11 @@ class InvariantReport:
     vacuum_normalized: bool
     vacuum_row_residual: float  # | sum d Z[:,0] - sum Z[0,:] d |
 
-    tol: float = COMMUTE_TOL
-
     @property
     def ok(self) -> bool:
         return (self.non_negative and self.vacuum_normalized
-                and max(self.commutes_s, self.commutes_t) < self.tol
-                and self.vacuum_row_residual < ASSERT_TOL * 100)
+                and max(self.commutes_s, self.commutes_t) < COMMUTE_TOL
+                and self.vacuum_row_residual < VACUUM_ROW_TOL)
 
 
 def verify_invariant(md: ModularData, Z: MassMatrix) -> InvariantReport:

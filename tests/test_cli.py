@@ -222,6 +222,12 @@ GOLDEN_STDOUT = {
         "05c830cc7968c93178b05f0659daa0f6c8e56c7407a7edef4c0264f48bf22894",
     ("chiral-table", "--max-level", "28", "--csv"):
         "034688eec7400a6423095d86469afab021d455b28a49e4fb67e18a8f4830f6b3",
+    ("invariants", "--family", "su3", "--level", "5", "--json"):
+        "4046e1235d2411cad29c7c77d46fe2d91fe85c0d8a9dd44cd88a50a453c5683e",
+    ("invariants", "--family", "su3", "--level", "7", "--json"):
+        "50ef76a28078244eadedc5fedf53cd77e7e4c6c5157fd9c768f979b2a0579657",
+    ("invariants", "--family", "su4", "--level", "4", "--json"):
+        "057200004a43f7ee4c1510fb4b22cc448039c4addfe38f320a2695b2803f9ba4",
 }
 
 

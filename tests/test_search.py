@@ -8,18 +8,88 @@ def test_commutant_su2_level4():
     md = core.su2_modular_data(4)
     basis = search.commutant_basis(md)
     assert basis.dim >= 2
-    for X in basis.matrices():
+    assert basis.E.dtype == np.int64 and basis.E.shape == (basis.dim, 5, 5)
+    for X in basis.E / basis.denominator:
         assert np.max(np.abs(md.S @ X - X @ md.S)) < 1e-8
         assert np.max(np.abs(md.T @ X - X @ md.T)) < 1e-8
+
+
+def _in_integer_span(basis, Z) -> bool:
+    # D Z == sum_i Z.flat[pivots[i]] E_i, in exact integer arithmetic
+    coords = np.asarray(Z, dtype=np.int64).reshape(-1)[list(basis.pivots)]
+    return np.array_equal(np.tensordot(coords, basis.E, 1), basis.denominator * Z)
 
 
 def test_commutant_contains_identity():
     md = core.su2_modular_data(6)
     basis = search.commutant_basis(md)
-    mats = basis.matrices().reshape(basis.dim, -1)
-    coeffs, residual, *_ = np.linalg.lstsq(mats.T, np.eye(7).reshape(-1), rcond=None)
-    recon = coeffs @ mats
-    assert np.max(np.abs(recon - np.eye(7).reshape(-1))) < 1e-8
+    assert _in_integer_span(basis, np.eye(7, dtype=np.int64))
+
+
+def _modular_data(family, k):
+    if family == "ising":
+        return core.ising_modular_data()
+    if family == "su2":
+        return core.su2_modular_data(k)
+    return core.sun_modular_data(int(family[2:]), k)
+
+
+@pytest.mark.parametrize("family,k", [("su2", k) for k in range(1, 29)]
+                         + [("su3", k) for k in range(1, 6)]
+                         + [("su4", k) for k in range(1, 4)] + [("ising", 0)])
+def test_integer_basis_is_exact_echelon(family, k):
+    md = _modular_data(family, k)
+    basis = search.commutant_basis(md)
+    D = basis.denominator
+    at_pivots = basis.E.reshape(basis.dim, -1)[:, list(basis.pivots)]
+    assert np.array_equal(at_pivots, D * np.eye(basis.dim, dtype=np.int64))
+    found = [Z.Z for Z in search.enumerate_invariants(md)]
+    assert found
+    closed = [search.su2_invariant_matrix(case, k).Z
+              for _, case in search.su2_diagrams(k)] if family == "su2" else []
+    for Z in found + closed:
+        assert _in_integer_span(basis, Z)
+
+
+def _enumerate_with_basis(monkeypatch, md, change):
+    real = search.commutant_basis
+    monkeypatch.setattr(search, "commutant_basis", lambda md: change(real(md)))
+    return search.enumerate_invariants(md)
+
+
+@pytest.mark.parametrize("family,k", [("su2", 16), ("su3", 5)])
+def test_enumeration_divides_by_the_common_denominator(monkeypatch, family, k):
+    # every real case has denominator 1; scale the basis to reach the division
+    md = _modular_data(family, k)
+    expected = search.enumerate_invariants(md)
+    found = _enumerate_with_basis(monkeypatch, md, lambda b: search.CommutantBasis(
+        E=3 * b.E, denominator=3 * b.denominator, pivots=b.pivots))
+    assert search.commutant_basis(md).denominator == 3
+    assert [Z.key() for Z in found] == [Z.key() for Z in expected]
+    assert (found.nodes, found.complete) == (expected.nodes, expected.complete)
+
+
+@pytest.mark.parametrize("family,k", [("su2", 16), ("su3", 5)])
+def test_enumeration_rejects_leaves_off_the_lattice(monkeypatch, family, k):
+    # halve the basis element of the widest pivot: its coordinate becomes
+    # twice the Z entry, so every odd coordinate gives a leaf that the
+    # denominator does not divide, and the invariants stay the same
+    md = _modular_data(family, k)
+    expected = search.enumerate_invariants(md)
+    basis = search.commutant_basis(md)
+    bound = np.floor(np.outer(md.dims, md.dims).reshape(-1) + 1e-6)
+    i = max(range(basis.dim), key=lambda i: bound[basis.pivots[i]])
+    p = basis.pivots[i]
+    assert max(2 * Z.Z.flat[p] for Z in expected) <= bound[p]
+
+    def halve(b):
+        E = 2 * b.E
+        E[i] = b.E[i]
+        return search.CommutantBasis(E=E, denominator=2 * b.denominator, pivots=b.pivots)
+
+    found = _enumerate_with_basis(monkeypatch, md, halve)
+    assert [Z.key() for Z in found] == [Z.key() for Z in expected]
+    assert (found.nodes, found.complete) == (expected.nodes, expected.complete)
 
 
 def test_commutant_rejects_degenerate():
