@@ -95,69 +95,60 @@ def decompose_gram(M: np.ndarray, ring: FusionRing,
     L = M.shape[0]
     if not np.array_equal(M, M.T):
         raise GramDecompositionError("Gram matrix must be symmetric")
+    if M.min() < 0:
+        raise GramDecompositionError("Gram matrix of a non-negative F must be non-negative")
     nodes = 0
     solution = None
 
-    def dfs(col, rows):
-        nonlocal nodes, solution
-        if solution is not None:
-            return
+    # Each search step is a generator that yields the steps below it.  An
+    # explicit stack of suspended generators replaces recursion, so the
+    # depth (one step per entry of F) is not bounded by the recursion limit.
+    def column(col, rows):
+        nonlocal solution
         if col == L:
-            solution = [row[:] for row in rows]
+            solution = rows
             return
-        target = int(M[col, col])
-        dots = [int(M[col, mu]) for mu in range(col)]
-        R = len(rows)
-        entry = [0] * R
+        entry = [0] * len(rows)
+        yield assign(col, rows, entry, 0, int(M[col, col]), [int(M[col, mu]) for mu in range(col)])
 
-        def assign(i, rem, dotrem):
-            nonlocal nodes, solution
-            if solution is not None:
-                return
-            nodes += 1
-            if nodes > budget:
-                raise GramDecompositionError(
-                    f"no factorization within {budget} nodes")
-            if i == R:
-                if any(dotrem):
-                    return
-                _spawn(rem, int(math.isqrt(rem)) if rem else 0, [])
-                return
-            row = rows[i]
-            maxv = int(math.isqrt(rem))
-            for v in range(maxv + 1):
-                nd = [dotrem[mu] - v * row[mu] for mu in range(col)]
-                if all(x >= 0 for x in nd):
-                    entry[i] = v
-                    assign(i + 1, rem - v * v, nd)
-                    entry[i] = 0
-                if solution is not None:
-                    return
+    def assign(col, rows, entry, i, rem, dotrem):
+        # entry i of the column on existing row i, keeping inner products >= 0
+        nonlocal nodes
+        nodes += 1
+        if nodes > budget:
+            raise GramDecompositionError(f"no factorization within {budget} nodes")
+        if i == len(rows):
+            if not any(dotrem):
+                yield spawn(col, rows, entry, rem, math.isqrt(rem), [])
+            return
+        # the row is non-negative, so each remaining inner product falls as v
+        # grows; vmax is the largest v that keeps all of them >= 0
+        row = rows[i]
+        vmax = min([math.isqrt(rem)] + [d // r for d, r in zip(dotrem, row) if r])
+        for v in range(vmax + 1):
+            entry[i] = v
+            yield assign(col, rows, entry, i + 1, rem - v * v, [d - v * r for d, r in zip(dotrem, row)])
+        entry[i] = 0
 
-        def _spawn(rem, cap, mults):
-            # leftover norm splits into squares of new-sector multiplicities
-            nonlocal solution
-            if solution is not None:
-                return
-            if rem == 0:
-                new_rows = [row[:] for row in rows]
-                for i in range(R):
-                    new_rows[i] = new_rows[i] + [entry[i]]
-                shaped = [r if len(r) == col + 1 else r + [0] for r in new_rows]
-                for m_new in mults:
-                    shaped.append([0] * col + [m_new])
-                dfs(col + 1, shaped)
-                return
-            for m_new in range(min(cap, int(math.isqrt(rem))), 0, -1):
-                _spawn(rem - m_new * m_new, m_new, mults + [m_new])
+    def spawn(col, rows, entry, rem, cap, mults):
+        # leftover norm splits into squares of new-sector multiplicities
+        if rem == 0:
+            shaped = [row + [e] for row, e in zip(rows, entry)]
+            yield column(col + 1, shaped + [[0] * col + [m] for m in mults])
+            return
+        for m in range(min(cap, math.isqrt(rem)), 0, -1):
+            yield spawn(col, rows, entry, rem - m * m, m, mults + [m])
 
-        assign(0, target, dots)
-
-    dfs(0, [])
+    stack = [column(0, [])]
+    while stack and solution is None:
+        step = next(stack[-1], None)
+        if step is None:
+            stack.pop()
+        else:
+            stack.append(step)
     if solution is None:
         raise GramDecompositionError("no non-negative integer factorization found")
-    R = len(solution)
-    F = np.array([row + [0] * (L - len(row)) for row in solution], dtype=int)
+    F = np.array(solution, dtype=int)  # every row has one entry per column
     if not np.array_equal(F.T @ F, M):
         raise GramDecompositionError("factorization check failed")
     N1 = ring.N[1]

@@ -27,6 +27,7 @@ EIGEN_TOL = 1e-8  # eigenvector residual; eigenvalues this close are one degener
 SPECTRUM_TOL = 1e-7  # a computed eigenvalue matches its character value to this
 NEG_TOL = -1e-6  # a structure constant below this is negative, not rounding noise
 MAX_DENOMINATOR = 10 ** 6  # largest denominator tried in rational reconstruction
+FLOAT_EXACT_MAX = 2 ** 53  # float64 sums of integers are exact while every partial sum is below this
 
 SU2_LEVEL_MAX = 64
 SUN_LABEL_MAX = 400
@@ -111,13 +112,25 @@ def represents(N: np.ndarray, G) -> bool:
     """Whether G_b G_a == sum_c N[a, b, c] G_c exactly, for a stack G of L matrices.
 
     G = N checks ring associativity; fused adjacencies, the nimrep identity.
-    Runs in int64 one label a at a time: O(L V^2) memory for V x V matrices.
+    Both sides are float64 BLAS products, one label a and one block of labels
+    b at a time, in O(L V^2) memory for V x V matrices.  Every partial sum of
+    either side is an integer of magnitude at most max(V max|G|^2,
+    L max|N| max|G|).  Below FLOAT_EXACT_MAX float64 holds each of them
+    exactly, in any summation order, so the comparison is an exact integer
+    test; integer inputs beyond that bound raise ValueError.
     """
-    N = np.asarray(N, dtype=np.int64)
-    G = np.asarray(G, dtype=np.int64)
-    flat = G.reshape(len(G), -1)
-    return all(np.array_equal(G @ G[a], (N[a] @ flat).reshape(G.shape))
-               for a in range(len(G)))
+    N = np.asarray(N)
+    G = np.asarray(G)
+    L, V = len(G), G.shape[-1]
+    g = max(int(G.max()), -int(G.min()))
+    if max(V * g * g, L * max(int(N.max()), -int(N.min())) * g) >= FLOAT_EXACT_MAX:
+        raise ValueError("representation check beyond the exact float64 range")
+    G = G.astype(np.float64)
+    flat = G.reshape(L, -1)
+    step = -(-L // 8)  # eight blocks of b keep the temporaries near a quarter of G
+    blocks = [slice(b, b + step) for b in range(0, L, step)]
+    return all(np.array_equal(G[s] @ G[a], (N[a, s].astype(np.float64) @ flat).reshape(-1, V, V))
+               for a in range(L) for s in blocks)
 
 
 def verlinde_sum(U: np.ndarray, base: int) -> np.ndarray:

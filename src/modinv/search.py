@@ -104,10 +104,11 @@ def commutant_basis(md: ModularData) -> CommutantBasis:
 
     T is diagonal, so X vanishes outside pairs with equal T phases; on that
     support the S commutation is solved by a thin-SVD nullspace, followed by
-    reduced row echelon form over row-major pivots, rational reconstruction
-    with denominators <= MAX_DENOMINATOR and scaling by their common
-    denominator.  The reduced echelon form of a subspace is unique, so the
-    result does not depend on the nullspace basis the SVD returns.
+    reduced row echelon form over the support columns in row-major order,
+    rational reconstruction with denominators <= MAX_DENOMINATOR and scaling
+    by their common denominator.  The reduced echelon form of a subspace is
+    unique, so the result does not depend on the nullspace basis the SVD
+    returns.
     """
     if md.degenerate:
         raise DegenerateDataError(
@@ -130,12 +131,12 @@ def commutant_basis(md: ModularData) -> CommutantBasis:
     if dim == 0:
         raise ValueError("empty commutant (no identity found); S/T data inconsistent")
 
-    # reduced row echelon over floats, pivots in row-major position order
-    B = np.zeros((dim, L * L))
-    B[:, I * L + J] = vt[rank:]
+    # reduced row echelon over floats on the support columns, which are in
+    # row-major order; every entry off the support is exactly zero
+    B = vt[rank:]
     pivots = []
     r = 0
-    for col in range(L * L):
+    for col in range(m):
         if r >= dim:
             break
         piv = int(np.argmax(np.abs(B[r:, col]))) + r
@@ -146,7 +147,7 @@ def commutant_basis(md: ModularData) -> CommutantBasis:
         for rr in range(dim):
             if rr != r:
                 B[rr] -= B[rr, col] * B[r]
-        pivots.append(col)
+        pivots.append(int(I[col] * L + J[col]))
         r += 1
 
     rats = []
@@ -157,8 +158,9 @@ def commutant_basis(md: ModularData) -> CommutantBasis:
                 f"no rational with denominator <= {MAX_DENOMINATOR} near {x!r}")
         rats.append(f)
     D = math.lcm(*(f.denominator for f in rats))
-    E = np.array([f.numerator * (D // f.denominator) for f in rats],
-                 dtype=np.int64).reshape(dim, L, L)
+    E = np.zeros((dim, L, L), dtype=np.int64)
+    E[:, I, J] = np.array([f.numerator * (D // f.denominator) for f in rats],
+                          dtype=np.int64).reshape(dim, m)
     for X in E / D:
         if max(np.max(np.abs(S @ X - X @ S)), np.max(np.abs(md.T @ X - X @ md.T))) > COMMUTE_TOL:
             raise RationalReconstructionError("rationalized basis element fails to commute")

@@ -61,6 +61,14 @@ def test_decompose_gram_two_sided_ideal(k):
     assert dec.graph_name == f"A{k + 1}"
 
 
+def test_decompose_gram_rejects_negative_entries():
+    ring = core.su2_fusion_closed_form(2)
+    M = chiral.gram_matrix(ring, chiral.theta_vector(2, [0]))
+    M[0, 1] = M[1, 0] = -1
+    with pytest.raises(chiral.GramDecompositionError, match="non-negative"):
+        chiral.decompose_gram(M, ring)
+
+
 def test_decompose_gram_budget():
     ring = core.su2_fusion_closed_form(16)
     M = chiral.gram_matrix(ring, chiral.theta_vector(16, [0, 8, 16]))

@@ -134,6 +134,18 @@ def test_gram_command(capsys):
     assert "7 sectors" in out and "E7" in out
 
 
+@pytest.mark.parametrize("level, theta, head", [
+    (40, "id+l2", "41 sectors, G1 graph A41"),
+    (46, "id+l46", "25 sectors, G1 graph D25"),
+    (64, "id+l2", "65 sectors, G1 graph A65"),
+])
+def test_gram_deep_factorizations(capsys, level, theta, head):
+    # the search is deeper here than Python's default recursion limit
+    code, out, _ = run(capsys, "gram", "--level", str(level), "--theta", theta)
+    assert code == 0
+    assert out.splitlines()[0] == f"level {level} theta {theta}: {head}"
+
+
 def test_gram_bad_theta_usage_error(capsys):
     code, _, err = run(capsys, "gram", "--level", "4", "--theta", "id+x9")
     assert code == 2
@@ -228,6 +240,15 @@ GOLDEN_STDOUT = {
         "50ef76a28078244eadedc5fedf53cd77e7e4c6c5157fd9c768f979b2a0579657",
     ("invariants", "--family", "su4", "--level", "4", "--json"):
         "057200004a43f7ee4c1510fb4b22cc448039c4addfe38f320a2695b2803f9ba4",
+    # recorded before the representation check moved to float64 products
+    ("nimrep", "--graph", "A49", "--csv"):
+        "e87375756dde83ff790b242997ba64a7a90ff598330267f38c814b63a21955df",
+    ("graph-algebra", "--graph", "A49", "--json"):
+        "f3977ccc7fbca28f595276c4826a1282fe8bee522b346a761b410e6e4df8200b",
+    ("fusion", "--family", "su3", "--level", "7", "--json"):
+        "f6b554a5824e822c2572f52b59ab4394d7e49b545c612818a351a89024570a84",
+    ("gram", "--level", "38", "--theta", "id+l38"):
+        "020b915d8c38eaec80f591650855fc5902fac0a7b5a0c0e377d087057a18060c",
 }
 
 

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from modinv import core
+from modinv import core, nimrep
 
 
 def test_su2_k2_spin_one_dimension():
@@ -86,6 +86,119 @@ def _associative_by_einsum(N):
     lambda L: hnp.arrays(np.int64, (L, L, L), elements=st.integers(0, 2))))
 def test_represents_agrees_with_einsum_associativity(N):
     assert core.represents(N, N) == _associative_by_einsum(N)
+
+
+def _represents_int64(N, G):
+    # reference: the int64 check one label a at a time, all b at once
+    N = np.asarray(N, dtype=np.int64)
+    G = np.asarray(G, dtype=np.int64)
+    flat = G.reshape(len(G), -1)
+    return all(np.array_equal(G @ G[a], (N[a] @ flat).reshape(G.shape))
+               for a in range(len(G)))
+
+
+def _changed(T):
+    T = np.array(T)
+    T[-1, 0, -1] += 1
+    return T
+
+
+@pytest.mark.parametrize("n,k", [(2, k) for k in range(1, 41)]
+                         + [(3, k) for k in range(1, 6)] + [(4, k) for k in range(1, 4)])
+def test_represents_matches_int64_loop_on_rings(n, k):
+    if n == 2:
+        N = core.su2_fusion_closed_form(k).N
+    else:
+        N = core.verlinde_fusion(core.sun_modular_data(n, k)).N
+    assert core.represents(N, N) is _represents_int64(N, N) is True
+    assert core.represents(N, _changed(N)) is _represents_int64(N, _changed(N)) is False
+
+
+@pytest.mark.parametrize("name", [f"A{n}" for n in range(2, 50)]
+                         + [f"D{n}" for n in range(4, 27)] + ["E6", "E7", "E8"])
+def test_represents_matches_int64_loop_on_fused_families(name):
+    family = nimrep.fused_adjacencies(nimrep.ade_graph(name))
+    N = core.su2_fusion_closed_form(family.level).N
+    G = np.array(family.G)
+    assert core.represents(N, G) is _represents_int64(N, G) is True
+    G[-1, 0, -1] += 1
+    assert core.represents(N, G) is _represents_int64(N, G) is False
+
+
+def _a49():
+    family = nimrep.fused_adjacencies(nimrep.ade_graph("A49"))
+    return core.su2_fusion_closed_form(family.level).N, np.array(family.G)
+
+
+def test_represents_rejects_changed_a49_entry():
+    N, G = _a49()
+    G[2, 10, 11] += 1
+    assert not core.represents(N, G)
+
+
+def test_represents_peak_memory_on_a49():
+    # the float64 copy of G is 8 L V^2 bytes; the eight blocks of b add under a third
+    N, G = _a49()
+    L, V = G.shape[:2]
+    tracemalloc.start()
+    try:
+        assert core.represents(N, G)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * 8 * L * V ** 2
+
+
+def _represents_by_einsum(N, G):
+    # reference: (G_b G_a)_{ik} and sum_c N_abc (G_c)_{ik} as full L^2 V^2 tensors
+    lhs = np.einsum("bij,ajk->abik", G, G)
+    rhs = np.einsum("abc,cik->abik", N, G)
+    return bool(np.array_equal(lhs, rhs))
+
+
+@settings(derandomize=True, max_examples=200)
+@given(st.tuples(st.integers(1, 4), st.integers(1, 6)).flatmap(
+    lambda lv: st.tuples(hnp.arrays(np.int64, (lv[0],) * 3, elements=st.integers(0, 2)),
+                         hnp.arrays(np.int64, (lv[0], lv[1], lv[1]), elements=st.integers(0, 1)))))
+def test_represents_agrees_with_einsum_on_other_dimensions(NG):
+    N, G = NG
+    assert core.represents(N, G) == _represents_by_einsum(N, G)
+
+
+@pytest.mark.parametrize("k", [3, 8])
+def test_represents_accepts_sums_of_regular_representations(k):
+    # G_a = N_a (+) N_a (+) N_a is a representation on V = 3L labels
+    N = core.su2_fusion_closed_form(k).N
+    L = len(N)
+    G = np.zeros((L, 3 * L, 3 * L), dtype=np.int64)
+    for i in range(3):
+        G[:, i * L:(i + 1) * L, i * L:(i + 1) * L] = N
+    assert core.represents(N, G) and _represents_by_einsum(N, G)
+    assert not core.represents(N, _changed(G))
+
+
+def test_represents_is_exact_near_the_bound():
+    # a 1 x 1 representation with G_1 = x, x^2 = x G_1 near 2^50: float32 or
+    # a lossy float64 sum would miss a change of one in the product
+    x = 2 ** 25 + 1
+    N = np.zeros((2, 2, 2), dtype=np.int64)
+    N[0] = N[:, 0] = np.eye(2, dtype=np.int64)
+    N[1, 1, 1] = x
+    G = np.array([[[1]], [[x]]], dtype=np.int64)
+    assert core.represents(N, G)
+    N[1, 1, 0] = 1
+    assert not core.represents(N, G)
+
+
+@pytest.mark.parametrize("g, n", [(2 ** 27, 1), (1, 2 ** 52)])
+def test_represents_refuses_beyond_the_exact_float_range(g, n):
+    # V max|G|^2 = 2^54 on the left side, or L max|N| max|G| = 2^53 on the right
+    N = np.zeros((2, 2, 2), dtype=np.int64)
+    N[0] = N[:, 0] = np.eye(2, dtype=np.int64)
+    N[1, 1, 1] = n
+    G = np.array([[[1]], [[g]]], dtype=np.int64)
+    with pytest.raises(ValueError, match="exact float64 range"):
+        core.represents(N, G)
 
 
 def test_validate_rejects_non_associative_ring():

@@ -1,3 +1,6 @@
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -12,6 +15,45 @@ def test_commutant_su2_level4():
     for X in basis.E / basis.denominator:
         assert np.max(np.abs(md.S @ X - X @ md.S)) < 1e-8
         assert np.max(np.abs(md.T @ X - X @ md.T)) < 1e-8
+
+
+def _commutant_basis_on_all_columns(md):
+    # reference: the echelon form and the rational reconstruction run over all
+    # L^2 columns, with the T support entered by one scatter before them
+    L = md.size
+    I, J = search._t_support(md)
+    m = len(I)
+    S = md.S
+    cols = np.arange(m)
+    line = np.arange(L)[:, None]
+    A = np.zeros((L * L, m), dtype=complex)
+    A[line * L + J, cols] += S[:, I]
+    A[I * L + line, cols] -= S[J, :].T
+    _, sv, vt = np.linalg.svd(np.vstack([A.real, A.imag]), full_matrices=False)
+    rank = int(np.sum(sv > core.SVD_TOL * max(1.0, sv[0])))
+    dim = m - rank
+    B = np.zeros((dim, L * L))
+    B[:, I * L + J] = vt[rank:]
+    pivots = []
+    r = 0
+    for col in range(L * L):
+        if r >= dim:
+            break
+        piv = int(np.argmax(np.abs(B[r:, col]))) + r
+        if abs(B[piv, col]) < core.PIVOT_TOL:
+            continue
+        B[[r, piv]] = B[[piv, r]]
+        B[r] /= B[r, col]
+        for rr in range(dim):
+            if rr != r:
+                B[rr] -= B[rr, col] * B[r]
+        pivots.append(col)
+        r += 1
+    rats = [Fraction(x).limit_denominator(core.MAX_DENOMINATOR) for x in B.ravel().tolist()]
+    D = math.lcm(*(f.denominator for f in rats))
+    E = np.array([f.numerator * (D // f.denominator) for f in rats],
+                 dtype=np.int64).reshape(dim, L, L)
+    return E, D, tuple(pivots)
 
 
 def _in_integer_span(basis, Z) -> bool:
@@ -32,6 +74,17 @@ def _modular_data(family, k):
     if family == "su2":
         return core.su2_modular_data(k)
     return core.sun_modular_data(int(family[2:]), k)
+
+
+@pytest.mark.parametrize("family,k", [("su2", k) for k in (*range(1, 17), 24, 32)]
+                         + [("su3", k) for k in range(1, 6)]
+                         + [("su4", k) for k in range(1, 4)] + [("ising", 0)])
+def test_support_columns_give_the_full_echelon_basis(family, k):
+    md = _modular_data(family, k)
+    basis = search.commutant_basis(md)
+    E, D, pivots = _commutant_basis_on_all_columns(md)
+    assert np.array_equal(basis.E, E)
+    assert (basis.denominator, basis.pivots) == (D, pivots)
 
 
 @pytest.mark.parametrize("family,k", [("su2", k) for k in range(1, 29)]
