@@ -4,7 +4,8 @@ A mass matrix is an integer matrix Z >= 0 with Z[0,0] = 1 commuting with S
 and T.  The commutant of {S, T} is computed as a rational matrix space in
 reduced echelon form, stored as integer matrices over one common
 denominator; lattice points inside it are enumerated by a bounded
-depth-first search over the echelon coordinates, with an exact integer test
+depth-first search over the echelon coordinates that skips every subtree
+whose largest possible leaf has a negative entry, with an exact integer test
 at every leaf.
 """
 
@@ -181,10 +182,20 @@ def enumerate_invariants(md: ModularData, budget: int = DEFAULT_NODE_BUDGET) -> 
 
     Enumeration runs over integer coordinates of the echelon basis, most
     constrained pivot first; each pivot coordinate equals the Z entry at the
-    pivot position, bounded by d_a * d_b there.  The bound is a consequence of
-    commutation with S evaluated against the Perron-Frobenius row; it is used
-    for pruning and re-verified a posteriori on every result.  Exceeding the
-    node budget yields a truthfully flagged incomplete result.
+    pivot position, so it lies in [lb_j, ub_j] with lb_j = 0 and ub_j = d_a
+    * d_b there (lb_j = ub_j = 1 at the vacuum pivot (0,0)).  The upper bound
+    is a consequence of commutation with S evaluated against the
+    Perron-Frobenius row; it is re-verified a posteriori on every result.
+
+    Pruning theorem.  Let P = sum of c_j E_j over the coordinates fixed above
+    a node and U[idx] = sum over j >= idx of max(lb_j E_j, ub_j E_j), taken
+    entrywise over the search order.  Every leaf below the child c at depth
+    idx has D Z = P + c E_idx + sum_{j > idx} c_j E_j with c_j in [lb_j,
+    ub_j], and c_j E_j[p] <= max(lb_j E_j[p], ub_j E_j[p]), so D Z[p] <=
+    P[p] + c E_idx[p] + U[idx + 1][p].  An invariant has D Z >= 0, so the
+    child is skipped when any entry of that bound is negative: no invariant
+    lies below it.  Every child tried counts as one node, pruned or not;
+    exceeding the node budget yields a truthfully flagged incomplete result.
     """
     basis = commutant_basis(md)
     L = md.size
@@ -193,48 +204,45 @@ def enumerate_invariants(md: ModularData, budget: int = DEFAULT_NODE_BUDGET) -> 
     bound = np.outer(d, d).reshape(-1)
     # most-constrained pivot first, ties by row-major position
     order = sorted(range(dim), key=lambda i: (bound[basis.pivots[i]], basis.pivots[i]))
-    E = basis.E.reshape(dim, L * L)
+    pivots = [basis.pivots[i] for i in order]
+    E = basis.E.reshape(dim, L * L)[order]
     D = basis.denominator
-    # a leaf sums dim terms c_i E_i with 0 <= c_i <= bound; int64 must hold them exactly
+    # a leaf sums dim terms c_i E_i with 0 <= c_i <= bound; int64 must hold
+    # them exactly, and so every partial sum and every suffix bound U
     if dim * (int(bound.max()) + 1) * int(np.abs(E).max()) >= 2 ** 63:
         raise RationalReconstructionError("integer echelon basis too large for an int64 search")
+    # vacuum normalization pins the (0,0) pivot; the entry bound there is
+    # exactly 1, so this is also the fallback root bound
+    hi = [1 if p == 0 else int(math.floor(bound[p] + ROUND_TOL)) for p in pivots]
+    lo = [1 if p == 0 else 0 for p in pivots]
+    U = np.zeros((dim + 1, L * L), dtype=np.int64)
+    for idx in range(dim - 1, -1, -1):
+        U[idx] = U[idx + 1] + np.maximum(lo[idx] * E[idx], hi[idx] * E[idx])
     results = []
     nodes = 0
     complete = True
-    coeffs = np.zeros(dim, dtype=np.int64)
 
-    def leaf():
-        # D Z = coeffs @ E exactly; Z is an integer matrix iff D divides every entry
-        Z = coeffs @ E
-        if Z[0] != D or Z.min() < 0 or (Z % D).any():
-            return
-        results.append(MassMatrix((Z // D).reshape(L, L)))
-
-    def dfs(idx):
+    def dfs(idx, P):
+        # P = sum of c_j E_j over the coordinates fixed so far
         nonlocal nodes, complete
-        if not complete:
-            return
         if idx == dim:
-            leaf()
+            # Z is an integer matrix iff D divides every entry
+            if P[0] == D and P.min() >= 0 and not (P % D).any():
+                results.append(MassMatrix((P // D).reshape(L, L)))
             return
-        i = order[idx]
-        p = basis.pivots[i]
-        hi = int(math.floor(bound[p] + ROUND_TOL))
-        lo = 0
-        if p == 0:
-            # vacuum normalization pins the (0,0) pivot; the entry bound
-            # there is exactly 1, so this is also the fallback root bound
-            lo = hi = 1
-        for c in range(lo, hi + 1):
+        for c in range(lo[idx], hi[idx] + 1):
             nodes += 1
             if nodes > budget:
                 complete = False
                 return
-            coeffs[i] = c
-            dfs(idx + 1)
-        coeffs[i] = 0
+            child = P + c * E[idx]
+            if (child + U[idx + 1]).min() < 0:
+                continue
+            dfs(idx + 1, child)
+            if not complete:
+                return
 
-    dfs(0)
+    dfs(0, np.zeros(L * L, dtype=np.int64))
     uniq = sorted({Z.key(): Z for Z in results}.values(), key=MassMatrix.key)
     out = InvariantList(uniq, complete=complete, nodes=nodes)
     for Z in out:

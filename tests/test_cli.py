@@ -259,6 +259,14 @@ def test_golden_stdout(capsys, argv):
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_STDOUT[argv]
 
 
+def test_su3_level7_budget_10000_matches_unbudgeted_stdout(capsys):
+    code, out, err = run(capsys, "invariants", "--family", "su3", "--level", "7",
+                         "--budget", "10000", "--json")
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        GOLDEN_STDOUT[("invariants", "--family", "su3", "--level", "7", "--json")]
+
+
 @pytest.mark.parametrize("argv", [
     ("catalog", "--level", "65"),
     ("catalog", "--level", "0"),

@@ -167,6 +167,8 @@ def test_enumerate_ising_trivial():
 def test_enumerate_budget_flag():
     found = search.enumerate_invariants(core.su2_modular_data(10), budget=2)
     assert not found.complete
+    # the search stops at the first node past the budget
+    assert found.nodes == 3
 
 
 def test_mass_matrix_guards():
@@ -323,3 +325,101 @@ def test_su3_invariants_verify_and_enumerate(slot):
     found = search.enumerate_invariants(md)
     assert found.complete
     assert any(F == Z for F in found)
+
+
+def _enumerate_unpruned(md):
+    # reference: the search before the non-negativity prune, which walks the
+    # whole product of pivot ranges and tests Z >= 0 only at the leaves
+    basis = search.commutant_basis(md)
+    L = md.size
+    dim = basis.dim
+    bound = np.outer(md.dims, md.dims).reshape(-1)
+    order = sorted(range(dim), key=lambda i: (bound[basis.pivots[i]], basis.pivots[i]))
+    E = basis.E.reshape(dim, L * L)
+    D = basis.denominator
+    results = []
+    nodes = 0
+    complete = True
+    coeffs = np.zeros(dim, dtype=np.int64)
+
+    def leaf():
+        Z = coeffs @ E
+        if Z[0] != D or Z.min() < 0 or (Z % D).any():
+            return
+        results.append(search.MassMatrix((Z // D).reshape(L, L)))
+
+    def dfs(idx):
+        nonlocal nodes, complete
+        if not complete:
+            return
+        if idx == dim:
+            leaf()
+            return
+        i = order[idx]
+        p = basis.pivots[i]
+        hi = int(math.floor(bound[p] + core.ROUND_TOL))
+        lo = 0
+        if p == 0:
+            lo = hi = 1
+        for c in range(lo, hi + 1):
+            nodes += 1
+            if nodes > search.DEFAULT_NODE_BUDGET:
+                complete = False
+                return
+            coeffs[i] = c
+            dfs(idx + 1)
+        coeffs[i] = 0
+
+    dfs(0)
+    uniq = sorted({Z.key(): Z for Z in results}.values(), key=search.MassMatrix.key)
+    return search.InvariantList(uniq, complete=complete, nodes=nodes)
+
+
+# node ceilings of the pruned search; the unpruned one needs 17,107, 53,451
+# and 13,204 nodes here, so a prune that is quietly switched off fails
+PRUNED_NODE_CEILING = {("su3", 5): 150, ("su3", 7): 200, ("su4", 4): 200}
+
+
+@pytest.mark.parametrize("family,k", [("su2", k) for k in range(1, 29)]
+                         + [("su3", k) for k in range(1, 8)]
+                         + [("su4", k) for k in range(1, 5)] + [("ising", 0)])
+def test_pruned_search_matches_unpruned(family, k):
+    md = _modular_data(family, k)
+    expected = _enumerate_unpruned(md)
+    found = search.enumerate_invariants(md)
+    assert expected.complete
+    assert [Z.key() for Z in found] == [Z.key() for Z in expected]
+    assert found.complete == expected.complete
+    assert found.nodes <= expected.nodes
+    assert found.nodes <= PRUNED_NODE_CEILING.get((family, k), expected.nodes)
+
+
+def test_su3_level7_completes_within_the_former_failing_budget():
+    md = core.sun_modular_data(3, 7)
+    found = search.enumerate_invariants(md, budget=10000)
+    assert found.complete
+    assert [Z.key() for Z in found] == [Z.key() for Z in search.enumerate_invariants(md)]
+
+
+def _charge_conjugation(md):
+    C = np.rint((md.S @ md.S).real).astype(np.int64)
+    assert np.allclose(md.S @ md.S, C, atol=1e-9)
+    return C
+
+
+@pytest.mark.parametrize("n,k", [(3, 8), (3, 9), (4, 5)])
+def test_frontier_levels_complete_with_closed_result_sets(n, k):
+    # structural checks only: the identity and C = S^2 are invariants, and
+    # the set is closed under Z -> Z^t and Z -> C Z
+    md = core.sun_modular_data(n, k)
+    found = search.enumerate_invariants(md)
+    assert found.complete
+    for Z in found:
+        assert search.verify_invariant(md, Z).ok
+    keys = {Z.key() for Z in found}
+    C = _charge_conjugation(md)
+    assert search.MassMatrix(np.eye(md.size, dtype=np.int64)).key() in keys
+    assert search.MassMatrix(C).key() in keys
+    for Z in found:
+        assert search.MassMatrix(Z.Z.T.copy()).key() in keys
+        assert search.MassMatrix(C @ Z.Z).key() in keys
