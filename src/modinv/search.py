@@ -1,9 +1,12 @@
 """Exact commutant search for non-negative integer modular invariants.
 
 A mass matrix is an integer matrix Z >= 0 with Z[0,0] = 1 commuting with S
-and T.  The commutant of {S, T} is computed as a rational matrix space in
-reduced echelon form, stored as integer matrices over one common
-denominator; lattice points inside it are enumerated by a bounded
+and T.  The commutant of {S, T} is the eigenvalue-1 eigenspace of one real
+symmetric matrix on the T-support (the Gram matrix of the commutation map is
+2 (I - M)); it is brought to reduced echelon form, rationalized entry by
+entry (rint where the nearest integer is provably the closest small
+fraction) and stored as integer matrices over one common denominator;
+lattice points inside it are enumerated by a bounded
 depth-first search over the echelon coordinates that skips every subtree
 whose largest possible leaf has a negative entry, with an exact integer test
 at every leaf.
@@ -17,9 +20,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from .core import (COMMUTE_TOL, MAX_DENOMINATOR, PHASE_TOL, PIVOT_TOL, ROUND_TOL, SVD_TOL,
-                   VACUUM_ROW_TOL, DegenerateDataError, FusionRing, ModularData,
-                   sun_label_index, sun_modular_data)
+from .core import (COMMUTE_TOL, FIXED_SPACE_TOL, MAX_DENOMINATOR, PHASE_TOL, PIVOT_TOL,
+                   ROUND_TOL, VACUUM_ROW_TOL, DegenerateDataError, FusionRing, ModularData,
+                   UsageError, sun_label_index, sun_modular_data)
 
 DEFAULT_NODE_BUDGET = 10 ** 8
 
@@ -100,16 +103,59 @@ def _t_support(md: ModularData) -> tuple[np.ndarray, np.ndarray]:
     return np.nonzero(np.abs(t[:, None] - t[None, :]) < PHASE_TOL)
 
 
+def _fixed_space_matrix(md: ModularData, I: np.ndarray, J: np.ndarray) -> np.ndarray:
+    """The m x m matrix M whose eigenvalue-1 eigenspace is the commutant on the T-support.
+
+    Let A be the real stacked 2L^2 x m matrix of X -> SX - XS on the unit
+    matrices at the support positions (I, J), and K = Re(S[I,I] o conj
+    S[J,J]) with o the entrywise product.  For a unitary S, A^t A = 2 (I - M)
+    with M = (K + K^t) / 2, so A v = 0 iff M v = v; a symmetric S has M = K.
+    """
+    K = (md.S[np.ix_(I, I)] * md.S[np.ix_(J, J)].conj()).real
+    return (K + K.T) / 2
+
+
+def _rationalize(x: np.ndarray) -> tuple[np.ndarray, int]:
+    """Integers N and one denominator D, N / D the closest fraction to each entry of x.
+
+    Closest among the fractions with denominator <= MAX_DENOMINATOR.  An
+    entry within 1/(2 MAX_DENOMINATOR) of the integer n has n as that
+    fraction: any other p/q with q <= MAX_DENOMINATOR lies at least 1/q >=
+    1/MAX_DENOMINATOR from n, so farther from the entry.  Only the other
+    entries go through Fraction.limit_denominator, which returns that
+    fraction; each must lie within ROUND_TOL of the entry.
+    """
+    n = np.rint(x)
+    # x - n is exact (Sterbenz), and rounding the product is monotone, so this
+    # tests |x - n| < 1/(2 MAX_DENOMINATOR) exactly
+    far = np.flatnonzero(np.abs(x - n) * (2 * MAX_DENOMINATOR) >= 1)
+    rats = []
+    for v in x.flat[far].tolist():
+        f = Fraction(v).limit_denominator(MAX_DENOMINATOR)
+        if abs(float(f) - v) > ROUND_TOL:
+            raise RationalReconstructionError(
+                f"no rational with denominator <= {MAX_DENOMINATOR} near {v!r}")
+        rats.append(f)
+    D = math.lcm(1, *(f.denominator for f in rats))
+    if D * (np.abs(x).max(initial=0.0) + 1) >= 2 ** 63:
+        raise RationalReconstructionError("rational basis too large for int64 numerators")
+    N = n.astype(np.int64) * D
+    N.flat[far] = [f.numerator * (D // f.denominator) for f in rats]
+    return N, D
+
+
 def commutant_basis(md: ModularData) -> CommutantBasis:
     """Solve [S,X] = [T,X] = 0 over the reals and return an integer echelon basis.
 
-    T is diagonal, so X vanishes outside pairs with equal T phases; on that
-    support the S commutation is solved by a thin-SVD nullspace, followed by
-    reduced row echelon form over the support columns in row-major order,
-    rational reconstruction with denominators <= MAX_DENOMINATOR and scaling
-    by their common denominator.  The reduced echelon form of a subspace is
-    unique, so the result does not depend on the nullspace basis the SVD
-    returns.
+    T is diagonal, so X vanishes outside the m pairs with equal T phases.
+    On that support the S commutation is the eigenvalue-1 eigenspace of the
+    real symmetric m x m matrix M of _fixed_space_matrix (the Gram matrix of
+    the 2L^2 x m commutation map is 2 (I - M)); eigenvalues with 1 - lambda
+    <= FIXED_SPACE_TOL span it.  The space is brought to reduced row echelon
+    form over the support columns in row-major order, rationalized with
+    denominators <= MAX_DENOMINATOR by _rationalize and scaled by their
+    common denominator.  The reduced echelon form of a subspace is unique,
+    so the result does not depend on the eigenbasis eigh returns.
     """
     if md.degenerate:
         raise DegenerateDataError(
@@ -118,23 +164,15 @@ def commutant_basis(md: ModularData) -> CommutantBasis:
     L = md.size
     I, J = _t_support(md)
     m = len(I)
-    # rows: entries of SX - XS as X ranges over the unit matrices on the support
-    S = md.S
-    cols = np.arange(m)
-    line = np.arange(L)[:, None]
-    A = np.zeros((L * L, m), dtype=complex)
-    A[line * L + J, cols] += S[:, I]
-    A[I * L + line, cols] -= S[J, :].T
-    # m <= L^2 < 2 L^2, so the thin factor vt is the whole right factor
-    _, sv, vt = np.linalg.svd(np.vstack([A.real, A.imag]), full_matrices=False)
-    rank = int(np.sum(sv > SVD_TOL * max(1.0, sv[0] if sv.size else 0.0)))
-    dim = m - rank
+    lam, vecs = np.linalg.eigh(_fixed_space_matrix(md, I, J))
+    # eigenvalues ascend, so the fixed space is spanned by the last dim vectors
+    dim = int(np.count_nonzero(1.0 - lam <= FIXED_SPACE_TOL))
     if dim == 0:
         raise ValueError("empty commutant (no identity found); S/T data inconsistent")
 
     # reduced row echelon over floats on the support columns, which are in
     # row-major order; every entry off the support is exactly zero
-    B = vt[rank:]
+    B = vecs[:, m - dim:].T.copy()
     pivots = []
     r = 0
     for col in range(m):
@@ -145,23 +183,16 @@ def commutant_basis(md: ModularData) -> CommutantBasis:
             continue
         B[[r, piv]] = B[[piv, r]]
         B[r] /= B[r, col]
-        for rr in range(dim):
-            if rr != r:
-                B[rr] -= B[rr, col] * B[r]
+        f = B[:, col].copy()
+        f[r] = 0.0
+        B -= np.outer(f, B[r])
         pivots.append(int(I[col] * L + J[col]))
         r += 1
 
-    rats = []
-    for x in B.ravel().tolist():
-        f = Fraction(x).limit_denominator(MAX_DENOMINATOR)
-        if abs(float(f) - x) > ROUND_TOL:
-            raise RationalReconstructionError(
-                f"no rational with denominator <= {MAX_DENOMINATOR} near {x!r}")
-        rats.append(f)
-    D = math.lcm(*(f.denominator for f in rats))
+    N, D = _rationalize(B)
     E = np.zeros((dim, L, L), dtype=np.int64)
-    E[:, I, J] = np.array([f.numerator * (D // f.denominator) for f in rats],
-                          dtype=np.int64).reshape(dim, m)
+    E[:, I, J] = N
+    S = md.S
     for X in E / D:
         if max(np.max(np.abs(S @ X - X @ S)), np.max(np.abs(md.T @ X - X @ md.T))) > COMMUTE_TOL:
             raise RationalReconstructionError("rationalized basis element fails to commute")
@@ -195,8 +226,11 @@ def enumerate_invariants(md: ModularData, budget: int = DEFAULT_NODE_BUDGET) -> 
     P[p] + c E_idx[p] + U[idx + 1][p].  An invariant has D Z >= 0, so the
     child is skipped when any entry of that bound is negative: no invariant
     lies below it.  Every child tried counts as one node, pruned or not;
-    exceeding the node budget yields a truthfully flagged incomplete result.
+    exceeding the node budget yields a truthfully flagged incomplete result,
+    and a budget below 1 is a UsageError.
     """
+    if budget < 1:
+        raise UsageError(f"node budget must be positive: {budget}")
     basis = commutant_basis(md)
     L = md.size
     dim = basis.dim

@@ -280,6 +280,10 @@ def test_su3_level7_budget_10000_matches_unbudgeted_stdout(capsys):
     ("nimrep", "--graph", "F4"),
     ("graph-algebra", "--graph", "Q5"),
     ("emit-graph", "--case", "F4", "--out", "unused.dot"),
+    ("invariants", "--family", "su2", "--level", "4", "--budget", "0"),
+    ("invariants", "--family", "su2", "--level", "4", "--budget", "-5"),
+    ("catalog", "--level", "4", "--budget", "0"),
+    ("catalog", "--level", "4", "--budget", "-5"),
 ])
 def test_out_of_range_input_is_usage_error(capsys, argv):
     code, out, err = run(capsys, *argv)

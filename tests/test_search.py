@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from modinv import core, search
 
@@ -17,9 +19,10 @@ def test_commutant_su2_level4():
         assert np.max(np.abs(md.T @ X - X @ md.T)) < 1e-8
 
 
-def _commutant_basis_on_all_columns(md):
-    # reference: the echelon form and the rational reconstruction run over all
-    # L^2 columns, with the T support entered by one scatter before them
+def _svd_nullspace(md):
+    # reference: the real 2L^2 x m matrix A of X -> SX - XS on the T-support
+    # unit matrices, and its nullspace from a thin SVD cut at 1e-8 relative
+    # to the largest singular value
     L = md.size
     I, J = search._t_support(md)
     m = len(I)
@@ -29,14 +32,27 @@ def _commutant_basis_on_all_columns(md):
     A = np.zeros((L * L, m), dtype=complex)
     A[line * L + J, cols] += S[:, I]
     A[I * L + line, cols] -= S[J, :].T
-    _, sv, vt = np.linalg.svd(np.vstack([A.real, A.imag]), full_matrices=False)
-    rank = int(np.sum(sv > core.SVD_TOL * max(1.0, sv[0])))
-    dim = m - rank
-    B = np.zeros((dim, L * L))
-    B[:, I * L + J] = vt[rank:]
+    A = np.vstack([A.real, A.imag])
+    _, sv, vt = np.linalg.svd(A, full_matrices=False)
+    rank = int(np.sum(sv > 1e-8 * max(1.0, sv[0])))
+    return A, I, J, vt[rank:]
+
+
+def _commutant_basis_by_svd(md, columns=None):
+    # reference: the SVD nullspace, the row-by-row echelon loop and the
+    # Fraction reconstruction of every entry, over the given row-major flat
+    # columns (default: the T support), with E scattered into place
+    _, I, J, null = _svd_nullspace(md)
+    L = md.size
+    support = I * L + J
+    columns = support if columns is None else columns
+    B = np.zeros((len(null), L * L))
+    B[:, support] = null
+    B = B[:, columns]
+    dim = len(B)
     pivots = []
     r = 0
-    for col in range(L * L):
+    for col in range(len(columns)):
         if r >= dim:
             break
         piv = int(np.argmax(np.abs(B[r:, col]))) + r
@@ -47,13 +63,20 @@ def _commutant_basis_on_all_columns(md):
         for rr in range(dim):
             if rr != r:
                 B[rr] -= B[rr, col] * B[r]
-        pivots.append(col)
+        pivots.append(int(columns[col]))
         r += 1
     rats = [Fraction(x).limit_denominator(core.MAX_DENOMINATOR) for x in B.ravel().tolist()]
     D = math.lcm(*(f.denominator for f in rats))
-    E = np.array([f.numerator * (D // f.denominator) for f in rats],
-                 dtype=np.int64).reshape(dim, L, L)
-    return E, D, tuple(pivots)
+    E = np.zeros((dim, L * L), dtype=np.int64)
+    E[:, columns] = np.array([f.numerator * (D // f.denominator) for f in rats],
+                             dtype=np.int64).reshape(dim, len(columns))
+    return E.reshape(dim, L, L), D, tuple(pivots)
+
+
+def _commutant_basis_on_all_columns(md):
+    # reference: the echelon form and the rational reconstruction run over all
+    # L^2 columns, with the T support entered by one scatter before them
+    return _commutant_basis_by_svd(md, np.arange(md.size ** 2))
 
 
 def _in_integer_span(basis, Z) -> bool:
@@ -85,6 +108,89 @@ def test_support_columns_give_the_full_echelon_basis(family, k):
     E, D, pivots = _commutant_basis_on_all_columns(md)
     assert np.array_equal(basis.E, E)
     assert (basis.denominator, basis.pivots) == (D, pivots)
+
+
+# SU(2) k <= SU2_LEVEL_MAX, SU(3) k <= 12, SU(4) k <= 6 and Ising: 83 cases
+FIXED_SPACE_CASES = ([("su2", k) for k in range(1, core.SU2_LEVEL_MAX + 1)]
+                     + [("su3", k) for k in range(1, 13)]
+                     + [("su4", k) for k in range(1, 7)] + [("ising", 0)])
+
+
+@pytest.mark.parametrize("family,k", FIXED_SPACE_CASES)
+def test_eigenspace_basis_equals_svd_reference(family, k):
+    md = _modular_data(family, k)
+    basis = search.commutant_basis(md)
+    E, D, pivots = _commutant_basis_by_svd(md)
+    assert np.array_equal(basis.E, E)
+    assert (basis.denominator, basis.pivots) == (D, pivots)
+
+
+@pytest.mark.parametrize("family,k", FIXED_SPACE_CASES)
+def test_fixed_space_margin(family, k):
+    # the commutant eigenvalues sit far inside FIXED_SPACE_TOL, the rest far outside
+    md = _modular_data(family, k)
+    I, J = search._t_support(md)
+    gap = 1.0 - np.linalg.eigh(search._fixed_space_matrix(md, I, J))[0]
+    dim = search.commutant_basis(md).dim
+    assert np.max(np.abs(gap[len(gap) - dim:])) <= 1e-13
+    assert gap[:len(gap) - dim].min(initial=1.0) >= 0.5
+
+
+@pytest.mark.parametrize("family,k", [("su2", k) for k in range(1, 17)]
+                         + [("su3", k) for k in range(1, 6)]
+                         + [("su4", k) for k in range(1, 4)] + [("ising", 0)])
+def test_gram_of_the_commutation_map_is_two_i_minus_m(family, k):
+    md = _modular_data(family, k)
+    A, I, J, _ = _svd_nullspace(md)
+    M = search._fixed_space_matrix(md, I, J)
+    assert np.max(np.abs(A.T @ A - 2 * (np.eye(len(I)) - M))) < 1e-12
+
+
+def test_rationalize_rounds_near_integers_and_keeps_small_fractions():
+    x = np.array([[3 + 4e-7, 3 - 4e-7, -2 + 4e-7, 4e-7], [-4e-7, 7.0, 1 / 3 + 1e-12, -0.5]])
+    N, D = search._rationalize(x)
+    assert D == 6
+    assert N.tolist() == [[18, 18, -12, 0], [0, 42, 2, -3]]
+    N, D = search._rationalize(x[:, :2])
+    assert (N.tolist(), D) == ([[3, 3], [0, 7]], 1)
+    # 6e-7 off an integer, 3 + 1/10^6 is closer than 3
+    N, D = search._rationalize(np.array([3 + 6e-7]))
+    assert (N.tolist(), D) == ([3000001], 10 ** 6)
+
+
+# integers, integers within 4e-7, and fractions with small denominators,
+# exact or within 1e-12, so that one common denominator stays small
+_SMALL_RATIONALS = st.one_of(
+    st.integers(-10 ** 6, 10 ** 6).map(float),
+    st.builds(lambda n, e: n + e, st.integers(-1000, 1000), st.floats(-4e-7, 4e-7)),
+    st.builds(lambda f, e: float(f) + e,
+              st.fractions(-100, 100, max_denominator=12), st.floats(-1e-12, 1e-12)))
+
+
+@settings(derandomize=True, max_examples=300)
+@given(st.lists(_SMALL_RATIONALS, min_size=1, max_size=12),
+       st.one_of(st.floats(-1e3, 1e3), st.builds(lambda n, e: n + e, st.integers(-1000, 1000),
+                                                 st.floats(-2e-6, 2e-6))))
+def test_rationalize_agrees_with_limit_denominator(xs, y):
+    N, D = search._rationalize(np.array(xs))
+    for n, x in zip(N.tolist(), xs):
+        assert Fraction(n, D) == Fraction(x).limit_denominator(core.MAX_DENOMINATOR)
+    # any float alone: its closest fraction is within 1/MAX_DENOMINATOR by Dirichlet
+    N, D = search._rationalize(np.array([y]))
+    assert Fraction(int(N[0]), D) == Fraction(y).limit_denominator(core.MAX_DENOMINATOR)
+
+
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(st.sampled_from([(2, k) for k in range(1, 45)] + [(3, k) for k in range(1, 10)]
+                       + [(4, k) for k in range(1, 6)]))
+def test_json_round_trip_keeps_the_commutant_basis(nk):
+    # imported data carries 12 significant digits; FIXED_SPACE_TOL is sized for it
+    md = core.sun_modular_data(*nk)
+    back = core.modular_data_from_json(core.modular_data_to_json(md))
+    assert core.check_modular(back).passed
+    a, b = search.commutant_basis(md), search.commutant_basis(back)
+    assert np.array_equal(a.E, b.E)
+    assert (a.denominator, a.pivots) == (b.denominator, b.pivots)
 
 
 @pytest.mark.parametrize("family,k", [("su2", k) for k in range(1, 29)]
