@@ -22,6 +22,7 @@ from .core import (
     modular_data_from_json,
 )
 from .search import (
+    BranchingData,
     MassMatrix,
     CommutantBasis,
     commutant_basis,
@@ -29,6 +30,7 @@ from .search import (
     verify_invariant,
     permutation_criterion,
     su2_ade_catalog,
+    su2_branching,
     su2_invariant_matrix,
     su3_named_invariants,
 )
@@ -49,11 +51,9 @@ from .graph_algebra import (
     positivity_report,
 )
 from .chiral import (
-    BranchingData,
     SectorDecomposition,
     gram_matrix,
     decompose_gram,
-    branching_data,
     verify_factorization,
     chiral_indices,
     sector_counts,

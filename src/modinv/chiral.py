@@ -6,9 +6,13 @@ block-diagonal (type I) SU(2) cases b+ = b-; the permutation invariants at
 levels 2 mod 4 and the level-16 exceptional case are genuinely twisted.
 The branching pairs come from the table in ``search``, which derives every
 closed-form SU(2) invariant from them; ``chiral_table`` checks each pair
-against the enumerated Z.  The module also factorizes M = F^t F Gram
-matrices of sector systems by integer backtracking and reproduces the
-summary table of the SU(2) classification.
+against the enumerated Z.  The chiral branching coefficients are the
+dimensions of the irreducible representations of the chiral fusion rule
+algebra, so b+ fixes the chiral fusion graph Gamma01 (the diagram with
+exponent diagonal sum_t b+[t, l]^2), and the chiral system of every case is
+read off the fused adjacencies of that graph.  The module also factorizes
+M = F^t F Gram matrices of sector systems by integer backtracking and
+reproduces the summary table of the SU(2) classification.
 """
 
 from __future__ import annotations
@@ -29,15 +33,16 @@ from .core import (
     su2_modular_data,
 )
 from .search import (
-    SU2_E_LEVELS,
+    BranchingData,
     BranchingError,
     MassMatrix,
-    case_of_invariant,
+    diagram_case,
     su2_ade_catalog,
     su2_branching,
+    su2_diagram_with_diagonal,
     su2_invariant_matrix,
 )
-from .nimrep import identify_ade
+from .nimrep import ade_graph, fused_adjacencies, identify_ade
 
 GRAM_NODE_BUDGET = 10 ** 6
 
@@ -174,56 +179,28 @@ def theta_vector(k: int, spins) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Branching matrices for the six SU(2) families
+# Branching factorization and the chiral fusion graph
 
-@dataclass(frozen=True)
-class BranchingData:
-    """Ambichiral labels with the two branching matrices (rows: ambichiral)."""
-
-    case: str
-    level: int
-    ambi_labels: tuple[str, ...]
-    b_plus: np.ndarray
-    b_minus: np.ndarray
-
-    @property
-    def num_ambichiral(self) -> int:
-        return len(self.ambi_labels)
-
-    @property
-    def type_one(self) -> bool:
-        return bool(np.array_equal(self.b_plus, self.b_minus))
-
-    def product(self) -> np.ndarray:
-        return self.b_plus.T @ self.b_minus
-
-
-def branching_data(case: str, k: int) -> BranchingData:
-    """Branching matrices b+ and b- for a named SU(2)_k invariant.
-
-    case is one of A, D_even, D_odd, E6, E7, E8; see ``search.su2_branching``.
-    """
-    return BranchingData(case, k, *su2_branching(case, k))
-
-
-@dataclass(frozen=True)
-class FactorizationReport:
-    forward_exact: bool   # b+^t b- = Z
-    backward_exact: bool  # b-^t b+ = Z^t
-
-    @property
-    def ok(self) -> bool:
-        return self.forward_exact and self.backward_exact
-
-
-def verify_factorization(Z: MassMatrix, b: BranchingData) -> FactorizationReport:
-    """Exact integer check of Z = b+^t b- and its transpose."""
+def verify_factorization(Z: MassMatrix, b: BranchingData) -> bool:
+    """Exact integer check of Z = b+^t b- (its transpose is b-^t b+ = Z^t)."""
     if b.b_plus.shape[1] != Z.size:
         raise ValueError("branching width does not match Z")
-    return FactorizationReport(
-        forward_exact=bool(np.array_equal(b.product(), Z.Z)),
-        backward_exact=bool(np.array_equal(b.b_minus.T @ b.b_plus, Z.Z.T)),
-    )
+    return bool(np.array_equal(b.product(), Z.Z))
+
+
+def gamma01_name(k: int, b: BranchingData) -> str:
+    """Gamma01, the fusion graph of the chiral generator, named from b+.
+
+    The chiral branching coefficients b+[t, l] are the dimensions of the
+    irreducible representations of the chiral fusion rule algebra, so
+    chi_l appears sum_t b+[t, l]^2 times in the spectrum of the chiral
+    system: Gamma01 is the level-k diagram with that exponent diagonal.
+    """
+    squares = tuple((b.b_plus ** 2).sum(axis=0).tolist())
+    name = su2_diagram_with_diagonal(k, squares)
+    if name is None:
+        raise BranchingError(f"level {k}: chiral multiplicities {squares} match no diagram")
+    return name
 
 
 # ---------------------------------------------------------------------------
@@ -281,31 +258,23 @@ class ChiralRow:
     chiral: int
     ambi: int
     gamma01: str  # fusion graph of the chiral generators
-
-
-def _gamma01_name(case: str, name: str, k: int) -> str:
-    if case == "D_odd":
-        return f"A{k + 1}"
-    if case == "E7":
-        return "D10"
-    return name  # chiral locality: the N-M graph and the chiral graph agree
+    Z: MassMatrix
+    branching: BranchingData
 
 
 def chiral_table(kmax: int) -> list[ChiralRow]:
     """One row per (level, invariant) for all levels up to kmax.
 
     Every row is built from the enumerated invariant and its branching data;
-    counts are recomputed, never copied from a table.
+    counts and Gamma01 are recomputed, never copied from a table.
     """
     if not 1 <= kmax <= CHIRAL_TABLE_LEVEL_MAX:
         raise UsageError(f"kmax outside 1..{CHIRAL_TABLE_LEVEL_MAX}: {kmax}")
     rows = []
     for k in range(1, kmax + 1):
         for named in su2_ade_catalog(k):
-            case = case_of_invariant(named.name, k)
-            b = branching_data(case, k)
-            rep = verify_factorization(named.Z, b)
-            if not rep.ok:
+            b = su2_branching(diagram_case(named.name)[0], k)
+            if not verify_factorization(named.Z, b):
                 raise BranchingError(f"{named.name} at level {k}: factorization failed")
             counts = sector_counts(named.Z, b)
             rows.append(ChiralRow(
@@ -315,7 +284,9 @@ def chiral_table(kmax: int) -> list[ChiralRow]:
                 mn=counts.mn,
                 chiral=counts.chiral,
                 ambi=counts.ambi,
-                gamma01=_gamma01_name(case, named.name, k),
+                gamma01=gamma01_name(k, b),
+                Z=named.Z,
+                branching=b,
             ))
     return rows
 
@@ -324,37 +295,22 @@ def chiral_table(kmax: int) -> list[ChiralRow]:
 # Chiral system data for the Perron-Frobenius identity
 
 def chiral_system(case: str, k: int):
-    """(B, dims_chiral) for the full chiral system of the case.
+    """(B, dims_chiral) for the full chiral system of an SU(2)_k case.
 
-    B[beta, l] counts the appearances of chiral sector beta in the l-th
-    induced morphism; dims_chiral are the sector dimensions.  For D_odd all
-    induced sectors stay irreducible (B = identity); for D_even and E7 the
-    sectors merge in mirror pairs and the middle one splits in two halves.
+    B[beta, l] counts the appearances of chiral sector beta in the induced
+    morphism alpha_l; dims_chiral are the sector dimensions.  Theorem used:
+    alpha-induction is a representation of the SU(2)_k fusion rules on the
+    chiral system whose generator alpha_1 has the fusion graph Gamma01
+    (``gamma01_name``), with the identity sector at vertex 0.  So alpha_l
+    acts as the fused adjacency G_l of Gamma01, B[beta, l] = G_l[0, beta],
+    and the dimensions are the positive eigenvector of alpha_1, the
+    Perron-Frobenius vector of Gamma01 normalised to 1 at vertex 0.
     """
-    d = su2_modular_data(k).dims
-    if case == "D_odd":
-        return np.eye(k + 1, dtype=int), d.copy()
-    if case in ("D_even", "E7"):
-        if case == "E7" and k != SU2_E_LEVELS["E7"]:
-            raise BranchingError(f"E7 requires level {SU2_E_LEVELS['E7']}")
-        if case == "D_even" and k % 4 != 0:
-            raise BranchingError("D_even requires level 0 mod 4")
-        half = k // 2
-        rows = []
-        dims = []
-        for i in range(half):
-            sup = np.zeros(k + 1, dtype=int)
-            sup[i] += 1
-            sup[k - i] += 1
-            rows.append(sup)
-            dims.append(d[i])
-        for _ in range(2):
-            sup = np.zeros(k + 1, dtype=int)
-            sup[half] = 1
-            rows.append(sup)
-            dims.append(d[half] / 2.0)
-        return np.array(rows, dtype=int), np.array(dims)
-    raise BranchingError(f"no chiral system data for case {case!r}")
+    graph = ade_graph(gamma01_name(k, su2_branching(case, k)))
+    B = np.array([G[0] for G in fused_adjacencies(graph).G]).T
+    _, vecs = np.linalg.eigh(graph.adjacency.astype(float))
+    pf = vecs[:, -1]  # the largest eigenvalue of a connected graph is simple
+    return B, pf / pf[0]
 
 
 def chiral_pf_residual(case: str, k: int) -> float:
@@ -387,11 +343,9 @@ def full_system_dodd(k: int) -> FullSystemReport:
     Gamma[nu, rho] = N_nu N_{pi(rho)} must have eigenvalue
     chi_l(nu) chi_m(rho) with multiplicity Z[l, m]^2 for every pair.
     """
-    if k % 4 != 2:
-        raise ValueError("full system model applies at levels 2 mod 4")
+    Z = su2_invariant_matrix("D_odd", k)  # raises BranchingError off levels 2 mod 4
     md = su2_modular_data(k)
     ring = su2_fusion_closed_form(k)
-    Z = su2_invariant_matrix("D", k)
     pi = [int(np.argmax(Z.Z[:, mu])) for mu in range(k + 1)]
     chars = (md.S / md.S[:, [0]]).real  # chars[l, nu] = chi_l(nu)
     worst = 0.0
@@ -421,21 +375,18 @@ def full_system_dodd(k: int) -> FullSystemReport:
 # ---------------------------------------------------------------------------
 # Serialization helpers
 
-def dossier(name: str, k: int, Z: MassMatrix, b: BranchingData,
-            md: ModularData) -> dict:
-    idx = chiral_indices(md, Z)
-    counts = sector_counts(Z, b)
+def dossier(row: ChiralRow, md: ModularData) -> dict:
+    idx = chiral_indices(md, row.Z)
     return {
-        "name": name,
-        "level": k,
-        "Z": Z.Z.tolist(),
-        "bPlus": b.b_plus.tolist(),
-        "bMinus": b.b_minus.tolist(),
+        "name": row.name,
+        "level": row.level,
+        "Z": row.Z.Z.tolist(),
+        "bPlus": row.branching.b_plus.tolist(),
+        "bMinus": row.branching.b_minus.tolist(),
         "w": float(f"{idx.w:.12g}"),
         "wPlus": float(f"{idx.w_plus:.12g}"),
         "w0": float(f"{idx.w_zero:.12g}"),
-        "counts": {"mm": counts.mm, "mn": counts.mn,
-                   "chiral": counts.chiral, "ambi": counts.ambi},
+        "counts": {"mm": row.mm, "mn": row.mn, "chiral": row.chiral, "ambi": row.ambi},
     }
 
 

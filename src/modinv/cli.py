@@ -8,6 +8,7 @@ byte-stable across runs.
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import sys
 
@@ -104,7 +105,8 @@ def cmd_invariants(args) -> int:
         if not report.ok:
             status = EXIT_VERIFY
         entries.append({
-            "name": search.name_su2_invariant(md.level, Z) if md.family == "su2" else None,
+            "name": (search.su2_diagram_with_diagonal(md.level, Z.diagonal)
+                     if md.family == "su2" else None),
             "Z": Z.Z.tolist(),
             "diag": list(Z.diagonal),
             "sumsq": Z.sum_of_squares,
@@ -143,21 +145,36 @@ def cmd_catalog(args) -> int:
     return EXIT_OK
 
 
+def _load_invariant(path: str, k: int) -> search.MassMatrix:
+    """The level-k mass matrix in a JSON file {"Z": [[...], ...]}; a bad file is a UsageError."""
+    try:
+        with open(path) as fh:
+            Z = np.array(json.load(fh)["Z"])
+    except (OSError, ValueError) as exc:
+        raise core.UsageError(f"cannot read {path}: {exc}") from None
+    except (KeyError, TypeError):
+        raise core.UsageError(f'{path}: no "Z" matrix') from None
+    if Z.shape != (k + 1, k + 1) or Z.dtype.kind != "i":
+        raise core.UsageError(f"{path}: Z must be a {k + 1} x {k + 1} integer matrix")
+    try:
+        return search.MassMatrix(Z)
+    except ValueError as exc:
+        raise core.UsageError(f"{path}: {exc}") from None
+
+
 def cmd_nimrep(args) -> int:
     graph = nimrep.ade_graph(args.graph)
     k = graph.level
     family = nimrep.fused_adjacencies(graph)
     md = core.su2_modular_data(k)
     if args.invariant:
-        import json as _json
-        with open(args.invariant) as fh:
-            Z = search.MassMatrix(np.array(_json.load(fh)["Z"], dtype=int))
+        Z = _load_invariant(args.invariant, k)
     else:
-        Z = search.su2_invariant_matrix(search.case_of_invariant(args.graph, k), k)
+        Z = search.su2_invariant_matrix(graph.case, k)
     report = nimrep.spectrum_vs_diagonal(family, md, Z)
     if args.csv:
         print("graph,nu,eigenvalue,multiplicity,matched_spin")
-        for row in nimrep.spectrum_csv_rows(family, md, Z):
+        for row in nimrep.spectrum_csv_rows(report, md):
             print(f"{row[0]},{row[1]},{_fmt(row[2])},{row[3]},{row[4]}")
     else:
         print(f"{args.graph}: level {k}, vertices {graph.num_vertices}, "
@@ -193,14 +210,9 @@ def cmd_graph_algebra(args) -> int:
 def cmd_chiral_table(args) -> int:
     rows = chiral.chiral_table(args.max_level)
     if args.json:
-        dossiers = []
-        for r in rows:
-            md = core.su2_modular_data(r.level)
-            case = chiral.case_of_invariant(r.name, r.level)
-            dossiers.append(chiral.dossier(r.name, r.level,
-                                           search.su2_invariant_matrix(case, r.level),
-                                           chiral.branching_data(case, r.level), md))
-        print(core.dumps_deterministic({"rows": dossiers}))
+        mds = {k: core.su2_modular_data(k) for k in range(1, args.max_level + 1)}
+        print(core.dumps_deterministic({"rows": [chiral.dossier(r, mds[r.level])
+                                                 for r in rows]}))
         return EXIT_OK
     if args.csv:
         print("name,level,mm,mn,chiral,ambi,gamma01")
@@ -249,7 +261,7 @@ def _case_document(name: str) -> dot.GraphDocument:
     if name == "trivial":
         return dot.trivial_document()
     graph = nimrep.ade_graph(name)
-    if name.startswith("D") and graph.num_vertices % 2 == 1:
+    if graph.case == "D_odd":
         return dot.dodd_fusion_document(graph.level)
     return dot.ade_document(graph)
 
@@ -260,8 +272,11 @@ def cmd_emit_graph(args) -> int:
     outdir = os.environ.get("MODINV_OUTDIR")
     if outdir and not os.path.isabs(out):
         out = os.path.join(outdir, out)
-    with open(out, "w") as fh:
-        fh.write(text)
+    try:
+        with open(out, "w") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise core.UsageError(f"cannot write {out}: {exc}") from None
     print(f"wrote {out}")
     return EXIT_OK
 

@@ -268,10 +268,11 @@ def sun_modular_data(n: int, k: int) -> ModularData:
         raise UsageError(f"unsupported rank: SU({n})")
     if k < 1:
         raise UsageError(f"level must be positive: {k}")
-    parts = _sun_partitions(n, k)
-    L = len(parts)
+    # the labels are the (n-1)-element multisets of {0, ..., k}
+    L = math.comb(k + n - 1, n - 1)
     if L > SUN_LABEL_MAX:
         raise UsageError(f"SU({n})_{k} has {L} labels, beyond the desk bound")
+    parts = _sun_partitions(n, k)
     kappa = k + n
     # shifted weights in traceless orthogonal coordinates
     xi = np.array([_traceless(np.array(list(a) + [0], dtype=float)
@@ -358,6 +359,8 @@ def cyclic_group_modular_data(n: int) -> ModularData:
     """Degenerate data of a Z_n group dual: all twists 1, S = d d^t / #G (rank one)."""
     if n < 2:
         raise UsageError("group order must be at least 2")
+    if n > SUN_LABEL_MAX:
+        raise UsageError(f"group order {n} exceeds {SUN_LABEL_MAX} labels")
     dims = np.ones(n)
     S = np.full((n, n), 1.0 / n, dtype=complex)
     twists = np.ones(n, dtype=complex)

@@ -56,7 +56,7 @@ def _base_vertex(graph: AdeGraph) -> int:
     # D_odd: the exponent (h/2 - 1) eigenvector vanishes on the whole spine,
     # so the distinguished vertex must be a fork tip there; everywhere else
     # the canonical end vertex 0 works.
-    if graph.kind == "D" and graph.num_vertices % 2 == 1:
+    if graph.case == "D_odd":
         return graph.num_vertices - 1
     return 0
 
@@ -100,7 +100,7 @@ def eigen_gauge(graph: AdeGraph) -> EigenGauge:
             if entry < 0:
                 v = -v
             cols.append((ms[0], v))
-        elif len(block) == 2 and graph.kind == "D":
+        elif len(block) == 2 and graph.case == "D_even":
             cols.extend(zip(ms, _deven_degenerate_pair(graph, vecs[:, block])))
         else:
             raise GaugeError(f"{graph.name}: unexpected eigenvalue multiplicity {len(block)}")

@@ -30,9 +30,11 @@ class AdeGraph:
 
     Exponents use spin labelling: value m stands for the adjacency eigenvalue
     2 cos(pi (m+1) / h), i.e. m is one less than the Coxeter exponent.
+    ``case`` is the SU(2) branching case of the diagram (``search.diagram_case``).
     """
 
     name: str
+    case: str
     adjacency: np.ndarray
     coxeter: int
     exponents: tuple[int, ...]
@@ -40,10 +42,6 @@ class AdeGraph:
     @property
     def num_vertices(self) -> int:
         return self.adjacency.shape[0]
-
-    @property
-    def kind(self) -> str:
-        return self.name[0]
 
     @property
     def level(self) -> int:
@@ -65,7 +63,7 @@ class AdeGraph:
 def ade_graph(name: str) -> AdeGraph:
     """Build the named diagram ("A7", "D5", "E6", ...) in canonical vertex order."""
     try:
-        _, k = diagram_case(name)
+        case, k = diagram_case(name)
     except ValueError as exc:
         raise UnknownDiagramError(str(exc)) from None
     kind, num = name[0], int(name[1:])
@@ -81,7 +79,7 @@ def ade_graph(name: str) -> AdeGraph:
         A = _grow(_path(spine), num)
         tail_at = {6: 2, 7: 3, 8: 4}[num]
         A[tail_at, num - 1] = A[num - 1, tail_at] = 1
-    g = AdeGraph(name=name, adjacency=A, coxeter=k + 2,
+    g = AdeGraph(name=name, case=case, adjacency=A, coxeter=k + 2,
                  exponents=ade_exponent_multiset(name))
     g.validate()
     return g
@@ -222,9 +220,8 @@ def spectrum_vs_diagonal(family: NimRepFamily, md: ModularData, Z: MassMatrix,
     return SpectrumReport(graph=family.graph.name, entries=tuple(entries))
 
 
-def spectrum_csv_rows(family: NimRepFamily, md: ModularData, Z: MassMatrix):
-    """Rows (graph, nu, eigenvalue, multiplicity, matched spin) for CSV output."""
-    report = spectrum_vs_diagonal(family, md, Z)
+def spectrum_csv_rows(report: SpectrumReport, md: ModularData):
+    """Rows (graph, nu, eigenvalue, multiplicity, matched spin) of a spectrum report."""
     rows = []
     for entry in report.entries:
         # group matched pairs by expected character value
@@ -234,7 +231,7 @@ def spectrum_csv_rows(family: NimRepFamily, md: ModularData, Z: MassMatrix):
         chars = {round(float((md.S[lam, entry.nu] / md.S[lam, 0]).real), 9): lam
                  for lam in range(md.size)}
         for expval, vals in sorted(seen.items()):
-            rows.append((family.graph.name, entry.nu, vals[0], len(vals),
+            rows.append((report.graph, entry.nu, vals[0], len(vals),
                          chars.get(expval, -1)))
     return rows
 
@@ -287,15 +284,10 @@ def identify_ade(A: np.ndarray) -> str | None:
     """Name of the A-D-E diagram isomorphic to the given adjacency, if any."""
     A = np.asarray(A)
     n = A.shape[0]
-    candidates = [f"A{n}"]
-    if n >= 4:
-        candidates.append(f"D{n}")
-    if n in (6, 7, 8):
-        candidates.append(f"E{n}")
-    for name in candidates:
+    for name in (f"A{n}", f"D{n}", f"E{n}"):
         try:
             g = ade_graph(name)
-        except NimRepError:
+        except UnknownDiagramError:
             continue
         if graphs_isomorphic(A, g.adjacency):
             return name

@@ -277,8 +277,10 @@ def enumerate_invariants(md: ModularData, budget: int = DEFAULT_NODE_BUDGET) -> 
                 return
 
     dfs(0, np.zeros(L * L, dtype=np.int64))
-    uniq = sorted({Z.key(): Z for Z in results}.values(), key=MassMatrix.key)
-    out = InvariantList(uniq, complete=complete, nodes=nodes)
+    # no duplicates: in reduced echelon form Z[pivot_j] = c_j, so two leaves,
+    # which differ in some coordinate c_j, differ in Z; the sort by key makes
+    # the order byte-stable
+    out = InvariantList(sorted(results, key=MassMatrix.key), complete=complete, nodes=nodes)
     for Z in out:
         if not verify_invariant(md, Z).ok:
             raise AssertionError("enumerated matrix fails invariant verification")
@@ -383,7 +385,27 @@ SU2_E_ROWS = {
 }
 
 
-def su2_branching(case: str, k: int) -> tuple[tuple[str, ...], np.ndarray, np.ndarray]:
+@dataclass(frozen=True)
+class BranchingData:
+    """Ambichiral labels with the two branching matrices (rows: ambichiral)."""
+
+    labels: tuple[str, ...]
+    b_plus: np.ndarray
+    b_minus: np.ndarray
+
+    @property
+    def num_ambichiral(self) -> int:
+        return len(self.labels)
+
+    @property
+    def type_one(self) -> bool:
+        return bool(np.array_equal(self.b_plus, self.b_minus))
+
+    def product(self) -> np.ndarray:
+        return self.b_plus.T @ self.b_minus
+
+
+def su2_branching(case: str, k: int) -> BranchingData:
     """Ambichiral labels and branching matrices (b+, b-) of an SU(2)_k case.
 
     case is one of A, D_even, D_odd, E6, E7, E8; rows are ambichiral
@@ -394,13 +416,15 @@ def su2_branching(case: str, k: int) -> tuple[tuple[str, ...], np.ndarray, np.nd
     """
     L = k + 1
     if case == "A":
-        return tuple(f"a{j}" for j in range(L)), np.eye(L, dtype=int), np.eye(L, dtype=int)
+        return BranchingData(tuple(f"a{j}" for j in range(L)),
+                             np.eye(L, dtype=int), np.eye(L, dtype=int))
     if case == "D_odd":
         if k % 4 != 2:
             raise BranchingError("D_odd requires level 2 mod 4")
         # the even spins and the middle odd spin k/2 stay, the rest mirror to k - j
         pi = [j if j % 2 == 0 or 2 * j == k else k - j for j in range(L)]
-        return tuple(f"a{j}" for j in range(L)), np.eye(L, dtype=int), np.eye(L, dtype=int)[pi]
+        return BranchingData(tuple(f"a{j}" for j in range(L)),
+                             np.eye(L, dtype=int), np.eye(L, dtype=int)[pi])
     if case == "D_even":
         if k % 4 != 0:
             raise BranchingError("D_even requires level 0 mod 4")
@@ -417,7 +441,7 @@ def su2_branching(case: str, k: int) -> tuple[tuple[str, ...], np.ndarray, np.nd
     for t, row in enumerate(rows):
         b[0, t, list(row[1])] = 1
         b[1, t, list(row[-1])] = 1
-    return tuple(row[0] for row in rows), b[0], b[1]
+    return BranchingData(tuple(row[0] for row in rows), b[0], b[1])
 
 
 def su2_diagrams(k: int) -> list[tuple[str, str]]:
@@ -438,32 +462,19 @@ def diagram_case(name: str) -> tuple[str, int]:
     return cases[name], k
 
 
-def case_of_invariant(name: str, k: int) -> str:
-    """Map a catalog name (A17, D10, E7, ...) at level k to its branching case."""
-    cases = dict(su2_diagrams(k))
-    if name not in cases:
-        raise BranchingError(f"no invariant {name!r} at level {k}")
-    return cases[name]
-
-
 def _diagonal(case: str, k: int) -> np.ndarray:
     # diag(b+^t b-)[j] = sum_t b+[t, j] b-[t, j], without the L x L product
-    _, b_plus, b_minus = su2_branching(case, k)
-    return (b_plus * b_minus).sum(axis=0)
+    b = su2_branching(case, k)
+    return (b.b_plus * b.b_minus).sum(axis=0)
 
 
 def su2_invariant_matrix(case: str, k: int) -> MassMatrix:
     """The SU(2)_k mass matrix Z = b+^t b- of a branching case.
 
-    "D" picks D_even at levels 0 mod 4 and D_odd at levels 2 mod 4; the E
-    cases live at their exceptional levels SU2_E_LEVELS.
+    The D cases live at even levels (D_even at 0 mod 4, D_odd at 2 mod 4),
+    the E cases at their exceptional levels SU2_E_LEVELS.
     """
-    if case == "D":
-        if k % 2:
-            raise BranchingError("D invariants exist at even levels only")
-        case = "D_even" if k % 4 == 0 else "D_odd"
-    _, b_plus, b_minus = su2_branching(case, k)
-    return MassMatrix(b_plus.T @ b_minus)
+    return MassMatrix(su2_branching(case, k).product())
 
 
 def ade_exponent_multiset(name: str) -> tuple[int, ...]:
@@ -482,10 +493,10 @@ class NamedInvariant:
     Z: MassMatrix
 
 
-def name_su2_invariant(k: int, Z: MassMatrix) -> str | None:
-    """Diagram name whose exponent multiset matches the invariant's diagonal."""
+def su2_diagram_with_diagonal(k: int, diag: tuple[int, ...]) -> str | None:
+    """The level-k diagram with spin j as an exponent diag[j] times, if any."""
     for name, case in su2_diagrams(k):
-        if tuple(_diagonal(case, k).tolist()) == Z.diagonal:
+        if tuple(_diagonal(case, k).tolist()) == diag:
             return name
     return None
 
@@ -504,7 +515,7 @@ def su2_ade_catalog(k: int, budget: int = DEFAULT_NODE_BUDGET) -> list[NamedInva
         raise RuntimeError(f"enumeration exceeded node budget at level {k}")
     out = []
     for Z in found:
-        name = name_su2_invariant(k, Z)
+        name = su2_diagram_with_diagonal(k, Z.diagonal)
         if name is None:
             raise UnmatchedDiagonalError(
                 f"level {k}: diagonal {Z.diagonal} matches no A-D-E diagram with h={k + 2}")

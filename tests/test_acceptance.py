@@ -166,10 +166,9 @@ def test_criterion_09_branching_factorizations():
             cases.append("E8")
         expected_rows = _expected_table_rows()
         for case in cases:
-            name = {"A": "A", "D_even": "D", "D_odd": "D"}.get(case, case)
-            Z = search.su2_invariant_matrix(name, k)
-            b = chiral.branching_data(case, k)
-            assert chiral.verify_factorization(Z, b).ok, f"{case} at k={k}"
+            Z = search.su2_invariant_matrix(case, k)
+            b = search.su2_branching(case, k)
+            assert chiral.verify_factorization(Z, b), f"{case} at k={k}"
             counts = chiral.sector_counts(Z, b)
             table_name = {"A": f"A{k+1}", "D_even": f"D{k//2+2}",
                           "D_odd": f"D{k//2+2}"}.get(case, case)

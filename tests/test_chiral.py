@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from modinv import chiral, core, search
+from modinv import chiral, core, nimrep, search
 
 
 def test_gram_matrix_e7_theta():
@@ -81,29 +81,28 @@ CASES_AT = [("A", 7), ("D_even", 8), ("D_odd", 10), ("E6", 10), ("E7", 16), ("E8
 
 @pytest.mark.parametrize("case,k", CASES_AT)
 def test_branching_factorizes(case, k):
-    b = chiral.branching_data(case, k)
-    name = {"A": "A", "D_even": "D", "D_odd": "D"}.get(case, case)
-    Z = search.su2_invariant_matrix(name, k)
-    assert chiral.verify_factorization(Z, b).ok
+    b = search.su2_branching(case, k)
+    Z = search.su2_invariant_matrix(case, k)
+    assert chiral.verify_factorization(Z, b)
 
 
 def test_branching_type_flags():
-    assert chiral.branching_data("A", 5).type_one
-    assert chiral.branching_data("D_even", 8).type_one
-    assert chiral.branching_data("E6", 10).type_one
-    assert not chiral.branching_data("D_odd", 6).type_one
-    assert not chiral.branching_data("E7", 16).type_one
+    assert search.su2_branching("A", 5).type_one
+    assert search.su2_branching("D_even", 8).type_one
+    assert search.su2_branching("E6", 10).type_one
+    assert not search.su2_branching("D_odd", 6).type_one
+    assert not search.su2_branching("E7", 16).type_one
 
 
 def test_branching_wrong_level():
-    with pytest.raises(chiral.BranchingError):
-        chiral.branching_data("D_even", 6)
-    with pytest.raises(chiral.BranchingError):
-        chiral.branching_data("E7", 10)
+    with pytest.raises(search.BranchingError):
+        search.su2_branching("D_even", 6)
+    with pytest.raises(search.BranchingError):
+        search.su2_branching("E7", 10)
 
 
 def test_e7_cross_terms_from_single_rows():
-    b = chiral.branching_data("E7", 16)
+    b = search.su2_branching("E7", 16)
     Z = b.product()
     # Z[2, 8] receives its unit from the a2+ row alone
     contrib = [b.b_plus[t, 2] * b.b_minus[t, 8] for t in range(6)]
@@ -114,15 +113,15 @@ def test_e7_cross_terms_from_single_rows():
 
 
 def test_e6_row_supports():
-    b = chiral.branching_data("E6", 10)
+    b = search.su2_branching("E6", 10)
     supports = [tuple(np.nonzero(row)[0]) for row in b.b_plus]
     assert supports == [(0, 6), (3, 7), (4, 10)]
 
 
 def test_dodd_branching_is_permutation_pattern():
-    b = chiral.branching_data("D_odd", 6)
+    b = search.su2_branching("D_odd", 6)
     assert np.array_equal(b.b_plus, np.eye(7, dtype=int))
-    Z = search.su2_invariant_matrix("D", 6)
+    Z = search.su2_invariant_matrix("D_odd", 6)
     assert np.array_equal(b.b_minus, Z.Z)
 
 
@@ -152,15 +151,15 @@ def test_chiral_indices_su3_orbifold():
 
 def test_sector_counts_e7():
     Z = search.su2_invariant_matrix("E7", 16)
-    counts = chiral.sector_counts(Z, chiral.branching_data("E7", 16))
+    counts = chiral.sector_counts(Z, search.su2_branching("E7", 16))
     assert (counts.mm, counts.mn, counts.chiral, counts.ambi) == (17, 7, 10, 6)
 
 
 @pytest.mark.parametrize("ell", [2, 3, 4])
 def test_sector_counts_deven(ell):
     k = 4 * ell - 4
-    counts = chiral.sector_counts(search.su2_invariant_matrix("D", k),
-                                  chiral.branching_data("D_even", k))
+    counts = chiral.sector_counts(search.su2_invariant_matrix("D_even", k),
+                                  search.su2_branching("D_even", k))
     assert (counts.mm, counts.mn, counts.chiral, counts.ambi) == \
         (4 * ell, 2 * ell, 2 * ell, ell + 1)
 
@@ -168,22 +167,71 @@ def test_sector_counts_deven(ell):
 @pytest.mark.parametrize("k", [1, 4, 9])
 def test_sector_counts_diagonal(k):
     counts = chiral.sector_counts(search.su2_invariant_matrix("A", k),
-                                  chiral.branching_data("A", k))
+                                  search.su2_branching("A", k))
     L = k + 1
     assert (counts.mm, counts.mn, counts.chiral, counts.ambi) == (L, L, L, L)
 
 
 def test_branching_squares_match_chiral_graph_exponents():
     # sum_t b+[t, l]^2 counts the eigenvalue chi_l in the chiral fusion
-    # graph, so it must reproduce the diagonal of that graph's own invariant
+    # graph, so every fused adjacency of Gamma01 must have the characters
+    # chi_l(nu) with exactly those multiplicities
     for r in chiral.chiral_table(28):
-        case = chiral.case_of_invariant(r.name, r.level)
-        b = chiral.branching_data(case, r.level)
-        col_squares = tuple(int(x) for x in (b.b_plus ** 2).sum(axis=0))
-        gamma_case = chiral.case_of_invariant(r.gamma01, r.level)
-        name = {"A": "A", "D_even": "D", "D_odd": "D"}.get(gamma_case, gamma_case)
-        gamma_Z = search.su2_invariant_matrix(name, r.level)
-        assert col_squares == gamma_Z.diagonal, (r.name, r.level)
+        md = core.su2_modular_data(r.level)
+        family = nimrep.fused_adjacencies(nimrep.ade_graph(r.gamma01))
+        squares = search.MassMatrix(np.diag((r.branching.b_plus ** 2).sum(axis=0)))
+        assert nimrep.spectrum_vs_diagonal(family, md, squares).matched, (r.name, r.level)
+
+
+def _reference_gamma01(case, name, k):
+    # the hand-written rule that Gamma01 is now derived from b+ against
+    if case == "D_odd":
+        return f"A{k + 1}"
+    if case == "E7":
+        return "D10"
+    return name
+
+
+def _reference_chiral_system(case, k):
+    # the hand-written chiral systems: for D_odd every induced sector stays
+    # irreducible; for D_even and E7 the sectors merge in mirror pairs and
+    # the middle one splits in two halves
+    d = core.su2_modular_data(k).dims
+    if case == "D_odd":
+        return np.eye(k + 1, dtype=int), d.copy()
+    half = k // 2
+    rows, dims = [], []
+    for i in range(half):
+        sup = np.zeros(k + 1, dtype=int)
+        sup[i] += 1
+        sup[k - i] += 1
+        rows.append(sup)
+        dims.append(d[i])
+    for _ in range(2):
+        sup = np.zeros(k + 1, dtype=int)
+        sup[half] = 1
+        rows.append(sup)
+        dims.append(d[half] / 2.0)
+    return np.array(rows, dtype=int), np.array(dims)
+
+
+def test_gamma01_matches_hand_written_rule():
+    for k in range(1, core.SU2_LEVEL_MAX + 1):
+        for name, case in search.su2_diagrams(k):
+            b = search.su2_branching(case, k)
+            assert chiral.gamma01_name(k, b) == _reference_gamma01(case, name, k), (name, k)
+            # b- describes the other chiral system, with the same multiplicities
+            assert np.array_equal((b.b_minus ** 2).sum(axis=0), (b.b_plus ** 2).sum(axis=0))
+
+
+@pytest.mark.parametrize("case,k", [("D_odd", k) for k in range(6, core.SU2_LEVEL_MAX + 1, 4)]
+                         + [("D_even", k) for k in range(4, core.SU2_LEVEL_MAX + 1, 4)]
+                         + [("E7", 16)])
+def test_chiral_system_matches_hand_written(case, k):
+    B, dims = chiral.chiral_system(case, k)
+    B_ref, dims_ref = _reference_chiral_system(case, k)
+    assert np.array_equal(B, B_ref)
+    assert np.max(np.abs(dims - dims_ref)) < 1e-10
 
 
 def test_count_monotonicity_and_permutation_collapse():
@@ -214,7 +262,7 @@ def test_full_system_dodd_k6():
 def test_full_system_dodd_identity_pair():
     # nu = rho = 0 gives the identity matrix: dimension counts sum Z^2
     k = 6
-    Z = search.su2_invariant_matrix("D", k)
+    Z = search.su2_invariant_matrix("D_odd", k)
     assert Z.sum_of_squares == k + 1
 
 
@@ -224,7 +272,8 @@ def test_full_system_rejects_wrong_level():
 
 
 @pytest.mark.parametrize("case,k", [("D_odd", 6), ("D_odd", 10), ("D_even", 4),
-                                    ("D_even", 8), ("D_even", 16), ("E7", 16)])
+                                    ("D_even", 8), ("D_even", 16), ("E7", 16),
+                                    ("A", 1), ("A", 12), ("E6", 10), ("E8", 28)])
 def test_chiral_pf_identity(case, k):
     assert chiral.chiral_pf_residual(case, k) < 1e-8
 
@@ -239,8 +288,8 @@ def test_e7_vacuum_coupling_counts():
 
 def test_dossier_structure():
     md = core.su2_modular_data(16)
-    Z = search.su2_invariant_matrix("E7", 16)
-    doc = chiral.dossier("E7", 16, Z, chiral.branching_data("E7", 16), md)
+    row = next(r for r in chiral.chiral_table(16) if r.name == "E7")
+    doc = chiral.dossier(row, md)
     assert doc["counts"] == {"mm": 17, "mn": 7, "chiral": 10, "ambi": 6}
     assert doc["wPlus"] == pytest.approx(doc["w"] / 2)
     assert np.array_equal(np.array(doc["bPlus"]).T @ np.array(doc["bMinus"]),

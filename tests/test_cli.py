@@ -111,7 +111,7 @@ def test_nimrep_csv(capsys):
 
 def test_nimrep_invariant_file(tmp_path, capsys):
     from modinv import search
-    Z = search.su2_invariant_matrix("D", 10)
+    Z = search.su2_invariant_matrix("D_odd", 10)
     path = tmp_path / "z.json"
     path.write_text(json.dumps({"Z": Z.Z.tolist()}))
     code, out, _ = run(capsys, "nimrep", "--graph", "D7", "--invariant", str(path))
@@ -203,7 +203,7 @@ def test_dodd_dotted_graph_isomorphic_to_path():
     # the mirror relabeling maps dotted edges onto the solid path exactly
     from modinv import search
     pi = search.permutation_criterion(
-        core.su2_fusion_closed_form(k), search.su2_invariant_matrix("D", k)).permutation
+        core.su2_fusion_closed_form(k), search.su2_invariant_matrix("D_odd", k)).permutation
     P = np.zeros((k + 1, k + 1), dtype=int)
     for mu, target in enumerate(pi):
         P[target, mu] = 1
@@ -234,6 +234,11 @@ GOLDEN_STDOUT = {
         "05c830cc7968c93178b05f0659daa0f6c8e56c7407a7edef4c0264f48bf22894",
     ("chiral-table", "--max-level", "28", "--csv"):
         "034688eec7400a6423095d86469afab021d455b28a49e4fb67e18a8f4830f6b3",
+    # recorded before Gamma01 and the chiral rows were derived from b+
+    ("chiral-table", "--max-level", "32"):
+        "2278fb002f359861eb71172d46f5313f1119b3faba60ebd01581396000dd6891",
+    ("chiral-table", "--max-level", "32", "--json"):
+        "b5dbe568c2453e10777391b1cc07248dfcfe1c66a139f39a5c41c039522d7398",
     ("invariants", "--family", "su3", "--level", "5", "--json"):
         "4046e1235d2411cad29c7c77d46fe2d91fe85c0d8a9dd44cd88a50a453c5683e",
     ("invariants", "--family", "su3", "--level", "7", "--json"):
@@ -284,9 +289,43 @@ def test_su3_level7_budget_10000_matches_unbudgeted_stdout(capsys):
     ("invariants", "--family", "su2", "--level", "4", "--budget", "-5"),
     ("catalog", "--level", "4", "--budget", "0"),
     ("catalog", "--level", "4", "--budget", "-5"),
+    ("nimrep", "--graph", "A3", "--invariant", "{tmp}/missing.json"),
+    ("nimrep", "--graph", "A3", "--invariant", "{tmp}/no_z.json"),
+    ("nimrep", "--graph", "A3", "--invariant", "{tmp}/list.json"),
+    ("nimrep", "--graph", "A3", "--invariant", "{tmp}/invalid.json"),
+    ("nimrep", "--graph", "A3", "--invariant", "{tmp}/ragged.json"),
+    ("nimrep", "--graph", "A3", "--invariant", "{tmp}/not_square.json"),
+    ("nimrep", "--graph", "A3", "--invariant", "{tmp}/fractional.json"),
+    ("nimrep", "--graph", "A3", "--invariant", "{tmp}/wrong_size.json"),
+    ("nimrep", "--graph", "A3", "--invariant", "{tmp}/negative.json"),
+    ("emit-graph", "--case", "A3", "--out", "{tmp}/missing/dir/x.dot"),
+    ("show", "--family", "group", "--level", str(core.SUN_LABEL_MAX + 1)),
+    ("invariants", "--family", "group", "--level", str(core.SUN_LABEL_MAX + 1)),
 ])
-def test_out_of_range_input_is_usage_error(capsys, argv):
-    code, out, err = run(capsys, *argv)
+def test_out_of_range_input_is_usage_error(capsys, tmp_path, argv):
+    files = {
+        "no_z.json": '{"W": [[1]]}',
+        "list.json": "[[1, 0, 0], [0, 1, 0], [0, 0, 1]]",
+        "invalid.json": '{"Z": [[1, 0, 0],',
+        "ragged.json": '{"Z": [[1, 0, 0], [0, 1], [0, 0, 1]]}',
+        "not_square.json": '{"Z": [[1, 0, 0], [0, 1, 0]]}',
+        "fractional.json": '{"Z": [[1, 0, 0], [0, 0.5, 0], [0, 0, 1]]}',
+        "wrong_size.json": '{"Z": [[1, 0], [0, 1]]}',
+        "negative.json": '{"Z": [[1, 0, 0], [0, -1, 0], [0, 0, 1]]}',
+    }
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    code, out, err = run(capsys, *(a.format(tmp=tmp_path) for a in argv))
+    assert code == 2
+    assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("n, k", [(3, 27), (3, 1000), (4, 120), (4, 1000)])
+def test_large_sun_refused_before_enumerating_labels(capsys, monkeypatch, n, k):
+    def enumerate_labels(n, k):
+        raise AssertionError("labels enumerated before the label bound was checked")
+    monkeypatch.setattr(core, "_sun_partitions", enumerate_labels)
+    code, out, err = run(capsys, "show", "--family", f"su{n}", "--level", str(k))
     assert code == 2
     assert out == "" and err.startswith("error: ")
 

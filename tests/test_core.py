@@ -264,6 +264,16 @@ def test_sun_rank_two_matches_su2(k):
     assert np.max(np.abs(a.twists - b.twists)) < 1e-12
 
 
+def test_sun_label_count_is_the_multiset_count():
+    # the label bound is checked on C(k+n-1, n-1) before the labels exist
+    for n in (2, 3, 4):
+        for k in range(1, 13):
+            assert len(core._sun_partitions(n, k)) == math.comb(k + n - 1, n - 1)
+    assert core.sun_modular_data(3, 26).size == 378 <= core.SUN_LABEL_MAX
+    with pytest.raises(core.UsageError, match="406 labels"):
+        core.sun_modular_data(3, 27)
+
+
 def test_sun_rejects_bad_rank():
     with pytest.raises(ValueError):
         core.sun_modular_data(5, 2)

@@ -296,7 +296,7 @@ def test_verify_enumerated(k):
 
 def test_permutation_dodd_level10():
     ring = core.su2_fusion_closed_form(10)
-    Z = search.su2_invariant_matrix("D", 10)
+    Z = search.su2_invariant_matrix("D_odd", 10)
     verdict = search.permutation_criterion(ring, Z)
     assert verdict.is_permutation
     assert verdict.is_fusion_automorphism
@@ -360,7 +360,7 @@ def test_closed_form_invariants_match_enumeration():
 
 
 def test_deven_closed_form_block_structure():
-    Z = search.su2_invariant_matrix("D", 12).Z
+    Z = search.su2_invariant_matrix("D_even", 12).Z
     assert Z[6, 6] == 2
     assert Z[4, 8] == 1 and Z[8, 4] == 1 and Z[4, 4] == 1
     assert Z[2, 2] == 1 and Z[2, 10] == 1
@@ -386,7 +386,7 @@ def test_trace_identities_under_dodd_relabeling():
     k = 6
     ring = core.su2_fusion_closed_form(k)
     pi = search.permutation_criterion(
-        ring, search.su2_invariant_matrix("D", k)).permutation
+        ring, search.su2_invariant_matrix("D_odd", k)).permutation
     P = np.zeros((k + 1, k + 1), dtype=int)
     for mu, target in enumerate(pi):
         P[target, mu] = 1
