@@ -260,19 +260,22 @@ class ChiralRow:
     gamma01: str  # fusion graph of the chiral generators
     Z: MassMatrix
     branching: BranchingData
+    indices: ChiralIndices
 
 
 def chiral_table(kmax: int) -> list[ChiralRow]:
     """One row per (level, invariant) for all levels up to kmax.
 
     Every row is built from the enumerated invariant and its branching data;
-    counts and Gamma01 are recomputed, never copied from a table.
+    counts, chiral indices and Gamma01 are recomputed, never copied from a
+    table.  The modular data is built once per level.
     """
     if not 1 <= kmax <= CHIRAL_TABLE_LEVEL_MAX:
         raise UsageError(f"kmax outside 1..{CHIRAL_TABLE_LEVEL_MAX}: {kmax}")
     rows = []
     for k in range(1, kmax + 1):
-        for named in su2_ade_catalog(k):
+        md = su2_modular_data(k)
+        for named in su2_ade_catalog(k, md=md):
             b = su2_branching(diagram_case(named.name)[0], k)
             if not verify_factorization(named.Z, b):
                 raise BranchingError(f"{named.name} at level {k}: factorization failed")
@@ -287,6 +290,7 @@ def chiral_table(kmax: int) -> list[ChiralRow]:
                 gamma01=gamma01_name(k, b),
                 Z=named.Z,
                 branching=b,
+                indices=chiral_indices(md, named.Z),
             ))
     return rows
 
@@ -375,8 +379,8 @@ def full_system_dodd(k: int) -> FullSystemReport:
 # ---------------------------------------------------------------------------
 # Serialization helpers
 
-def dossier(row: ChiralRow, md: ModularData) -> dict:
-    idx = chiral_indices(md, row.Z)
+def dossier(row: ChiralRow) -> dict:
+    idx = row.indices
     return {
         "name": row.name,
         "level": row.level,

@@ -210,9 +210,7 @@ def cmd_graph_algebra(args) -> int:
 def cmd_chiral_table(args) -> int:
     rows = chiral.chiral_table(args.max_level)
     if args.json:
-        mds = {k: core.su2_modular_data(k) for k in range(1, args.max_level + 1)}
-        print(core.dumps_deterministic({"rows": [chiral.dossier(r, mds[r.level])
-                                                 for r in rows]}))
+        print(core.dumps_deterministic({"rows": [chiral.dossier(r) for r in rows]}))
         return EXIT_OK
     if args.csv:
         print("name,level,mm,mn,chiral,ambi,gamma01")

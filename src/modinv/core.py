@@ -78,7 +78,11 @@ class FusionRing:
         return len(self.labels)
 
     def validate(self) -> None:
-        """Assert the ring axioms exactly on the integer tensor."""
+        """Assert the ring axioms exactly on the integer tensor.
+
+        Associativity is checked on ``generating_labels`` only, after the
+        unit and commutativity the generator lemma needs.
+        """
         L = self.size
         if self.N.shape != (L, L, L):
             raise ValueError("fusion tensor shape mismatch")
@@ -92,7 +96,7 @@ class FusionRing:
         conj[np.arange(L), self.dual] = 1
         if not np.array_equal(self.N[:, :, 0], conj):
             raise ValueError("duality map inconsistent with vacuum couplings")
-        if not represents(self.N, self.N):
+        if not represents(self.N, self.N, generating_labels(self.N)):
             raise ValueError("fusion tensor not associative")
 
     def perron_dims(self) -> np.ndarray:
@@ -108,10 +112,16 @@ class FusionRing:
         return bool(np.max(np.abs(np.outer(d, d) - prod)) < ASSERT_TOL * max(1.0, d.max() ** 2))
 
 
-def represents(N: np.ndarray, G) -> bool:
+def represents(N: np.ndarray, G, labels=None) -> bool:
     """Whether G_b G_a == sum_c N[a, b, c] G_c exactly, for a stack G of L matrices.
 
     G = N checks ring associativity; fused adjacencies, the nimrep identity.
+    The identity is checked for every label b and for a in ``labels``
+    (default: every label).  By the generator lemma (see
+    :func:`generating_labels`) the labels that function returns give the
+    same verdict as all of them: for G = N when N is commutative with unit
+    u, and for any other G when N is also associative and G_u = I.
+
     Both sides are float64 BLAS products, one label a and one block of labels
     b at a time, in O(L V^2) memory for V x V matrices.  Every partial sum of
     either side is an integer of magnitude at most max(V max|G|^2,
@@ -130,11 +140,87 @@ def represents(N: np.ndarray, G) -> bool:
     step = -(-L // 8)  # eight blocks of b keep the temporaries near a quarter of G
     blocks = [slice(b, b + step) for b in range(0, L, step)]
     return all(np.array_equal(G[s] @ G[a], (N[a, s].astype(np.float64) @ flat).reshape(-1, V, V))
-               for a in range(L) for s in blocks)
+               for a in (range(L) if labels is None else labels) for s in blocks)
+
+
+GENERATOR_PRIME = 2 ** 27 - 39  # the largest prime below 2^27: L p^2 < 2^63 for L < 512
+
+
+def generating_labels(N: np.ndarray, unit: int = 0) -> tuple[int, ...]:
+    """Labels whose right-nested products g_1 (g_2 (... (g_n e_unit))) span the ring.
+
+    Generator lemma.  Let R be a commutative algebra with unit 1 = e_unit and
+    products e_a e_b = sum_c N[a, b, c] e_c.  The set A = {a : (a y) x =
+    a (y x) for all x, y} is a subspace, contains 1, and is closed under
+    products: for a, b in A, ((ab) y) x = (a (by)) x = a ((by) x) =
+    a (b (yx)) = (ab)(yx).  ``represents(N, N, [a])`` tests exactly
+    a (b i) = (ab) i for all basis b, i, that is a in A.  A subalgebra that
+    holds every returned label holds every right-nested product of them, so
+    if those span R, A = R and N is associative.  Likewise, for associative
+    N and G_unit = I, {a : G_b G_a = G_(ab) for all b} is a subalgebra with
+    1, so the representation identity on these labels implies it on all.
+
+    The span is computed in int64 modulo the prime p = GENERATOR_PRIME.  The
+    products have integer coordinates, and rank L modulo p means an L x L
+    minor nonzero modulo p, hence nonzero over Z: the products span Q^L.
+    Labels are taken greedily in index order, each one whose basis vector
+    is not yet in the span.  If N[unit] != I or N is not commutative,
+    exactly, every label is returned, so the check stays the full one; so
+    it does when a sum of L products of residues or entries of N,
+    L p max(p, max|N|), could overflow int64.
+    """
+    N = np.asarray(N)
+    L = len(N)
+    p = GENERATOR_PRIME
+    if (not np.array_equal(N[unit], np.eye(L, dtype=int))
+            or not np.array_equal(N, N.transpose(1, 0, 2))
+            or L * p * max(p, int(N.max()), -int(N.min())) >= 2 ** 63):
+        return tuple(range(L))
+    N = N.astype(np.int64, copy=False)
+    eye = np.eye(L, dtype=np.int64)
+    rows = np.empty((L, L), dtype=np.int64)  # rows[:len(pivots)]: reduced echelon basis mod p
+    pivots: list[int] = []
+
+    def extend(cands):
+        # reduce the candidates by the basis, add what is left; return the new rows
+        start = len(pivots)
+        cands = (cands - cands[:, pivots] @ rows[:start]) % p
+        while len(cands := cands[cands.any(axis=1)]):
+            j = int(np.flatnonzero(cands[0])[0])
+            v = cands[0] * pow(int(cands[0, j]), -1, p) % p
+            r = len(pivots)
+            rows[:r] = (rows[:r] - np.outer(rows[:r, j], v)) % p
+            rows[r] = v
+            pivots.append(j)
+            cands = (cands[1:] - np.outer(cands[1:, j], v)) % p
+        return rows[start:len(pivots)]
+
+    gens: list[int] = []
+    extend(eye[[unit]])
+    for a in range(L):
+        if len(pivots) == L:
+            break
+        new = extend(eye[[a]])
+        if not len(new):
+            continue
+        gens.append(a)
+        # close the span under every generator: old rows times a, new rows times all
+        todo = np.vstack([rows[:len(pivots) - 1] @ N[a]] + [new @ N[g] for g in gens]) % p
+        while len(new := extend(todo)):
+            todo = np.vstack([new @ N[g] for g in gens]) % p
+    return tuple(gens)
 
 
 def verlinde_sum(U: np.ndarray, base: int) -> np.ndarray:
-    """X[a,b,c] = sum_m U[a,m] / U[base,m] * U[b,m] * conj(U[c,m]); Verlinde's at U = S^t."""
+    """X[a,b,c] = sum_m U[a,m] / U[base,m] * U[b,m] * conj(U[c,m]); Verlinde's at U = S^t.
+
+    One einsum over the full L^3 complex tensor.  verlinde_fusion forms the
+    same sum at base 0 as blockwise GEMM instead; it only rounds the values,
+    but a GEMM sums in another order, which moves the last bits of each
+    float.  graph_structure_constants keeps this einsum because
+    ``graph-algebra --json`` prints its integrality gap, whose bytes the
+    summation order decides.
+    """
     return np.einsum("am,bm,cm->abc", U / U[base], U, U.conj())
 
 
@@ -426,22 +512,35 @@ def verlinde_fusion(md: ModularData) -> FusionRing:
     """Fusion tensor N[a,b,c] = sum_r S[r,a] S[r,b] S*[r,c] / S[r,0], rounded.
 
     Requires non-degenerate S; every pre-rounding value must sit within
-    ROUND_TOL of a non-negative integer.
+    ROUND_TOL of a non-negative integer.  With U = S^t, N_a = U diag(U[a] /
+    U[0]) U^H, formed as one complex GEMM per block of labels a and rounded
+    into the int64 tensor block by block, so the peak is that tensor plus
+    one complex block.  This is verlinde_sum at base 0 summed in another
+    order: the rounded integers agree, the floats before rounding may not
+    to the last bit.
     """
     if md.degenerate:
         raise DegenerateDataError(
             f"S is degenerate (unitarity residual {md.unitarity_residual:.2e}); "
             "the Verlinde formula needs a unitary S")
-    N = verlinde_sum(md.S.T, 0)
-    Nr = np.round(N.real)
-    residual = float(np.max(np.abs(N - Nr)))
+    L = md.size
+    U = md.S.T
+    W, Uh = U / U[0], U.conj().T
+    N = np.empty((L, L, L), dtype=np.int64)
+    residual, low = 0.0, 0.0
+    step = -(-L // 16)  # sixteen blocks of a: each complex block is about L^3 bytes
+    for a in range(0, L, step):
+        X = (W[a:a + step, None, :] * U).reshape(-1, L) @ Uh
+        Nr = np.round(X.real)
+        X -= Nr
+        residual = max(residual, float(np.abs(X).max()))
+        low = min(low, float(Nr.min()))
+        N[a:a + step] = Nr.reshape(-1, L, L)
     if residual > ROUND_TOL:
         raise RoundingError(f"Verlinde coefficients not integral (residual {residual:.2e})")
-    if Nr.min() < 0:
+    if low < 0:
         raise RoundingError("Verlinde formula produced a negative coefficient")
-    Nint = Nr.astype(int)
-    dual = np.array([int(np.argmax(Nint[a, :, 0])) for a in range(md.size)])
-    ring = FusionRing(labels=md.labels, N=Nint, dual=dual)
+    ring = FusionRing(labels=md.labels, N=N, dual=np.argmax(N[:, :, 0], axis=1))
     ring.validate()
     return ring
 

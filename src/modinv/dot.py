@@ -13,6 +13,7 @@ import numpy as np
 
 from .core import su2_fusion_closed_form
 from .nimrep import AdeGraph, _bipartition
+from .search import su2_branching
 
 
 @dataclass(frozen=True)
@@ -66,13 +67,12 @@ def dodd_fusion_document(k: int) -> GraphDocument:
     (a path) and dotted edges the N_{k-1} adjacency.  All vertices are
     ambichiral for these permutation invariants.
     """
-    if k % 4 != 2:
-        raise ValueError("the simultaneous document is built at levels 2 mod 4")
+    branching = su2_branching("D_odd", k)  # raises BranchingError off levels 2 mod 4
     ring = su2_fusion_closed_form(k)
     vertices = tuple(
-        GraphVertex(id=j, label="id" if j == 0 else f"a{j}+",
+        GraphVertex(id=j, label="id" if j == 0 else f"{name}+",
                     even=(j % 2 == 0), ambichiral=True)
-        for j in range(k + 1))
+        for j, name in enumerate(branching.labels))
     return GraphDocument(
         vertices=vertices,
         solid_edges=_edges_from_adjacency(ring.N[1]),

@@ -15,7 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ASSERT_TOL, EIGEN_TOL, NEG_TOL, ROUND_TOL, represents, verlinde_sum
+from .core import (ASSERT_TOL, EIGEN_TOL, NEG_TOL, ROUND_TOL, generating_labels, represents,
+                   verlinde_sum)
 from .nimrep import AdeGraph, NimRepFamily, ade_graph
 
 
@@ -148,7 +149,9 @@ class GraphFusion:
     integrality_gap: float
 
     def associative(self) -> bool:
-        return represents(self.rounded, self.rounded)
+        """Exact associativity, checked on the generators of the base vertex."""
+        labels = generating_labels(self.rounded, unit=self.base)
+        return represents(self.rounded, self.rounded, labels)
 
     def unit_residual(self) -> float:
         V = self.rounded.shape[0]
@@ -160,7 +163,9 @@ def graph_structure_constants(gauge: EigenGauge) -> GraphFusion:
 
     Entries must be near-integers (positive case) or carry a clear negative
     value; anything else (e.g. an entry near 1/2) means the gauge is wrong
-    and raises.
+    and raises.  The sum is ``core.verlinde_sum``'s einsum, not the blockwise
+    GEMM of ``core.verlinde_fusion``: ``graph-algebra --json`` prints the
+    integrality gap, and another summation order changes its bytes.
     """
     N = verlinde_sum(gauge.psi, gauge.base)
     real = N.real

@@ -11,8 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (ASSERT_TOL, ROUND_TOL, SPECTRUM_TOL, ModularData, UsageError, represents,
-                   su2_fusion_closed_form)
+from .core import (ASSERT_TOL, ROUND_TOL, SPECTRUM_TOL, ModularData, UsageError,
+                   generating_labels, represents, su2_fusion_closed_form)
 from .search import MassMatrix, ade_exponent_multiset, diagram_case
 
 
@@ -143,9 +143,13 @@ class NimRepFamily:
 def fused_adjacencies(graph: AdeGraph) -> NimRepFamily:
     """Fused adjacency matrices by the three-term recursion G_{j+1} = G_1 G_j - G_{j-1}.
 
-    The full representation identity G_a G_b = sum_c N[a,b,c] G_c is verified
-    exactly against the SU(2) fusion tensor at level h - 2; a negative entry
-    anywhere signals a wrong graph/level pairing and raises.
+    The representation identity G_a G_b = sum_c N[a,b,c] G_c is verified
+    exactly against the SU(2) fusion tensor at level h - 2 on its generators
+    (``core.generating_labels``, label 1 at every level).  By the generator
+    lemma that decides the identity for every label: the closed-form ring is
+    commutative and associative (a test pins it to the Verlinde ring at
+    every level) and G_0 = I by construction.  A negative entry anywhere
+    signals a wrong graph/level pairing and raises.
     """
     k = graph.coxeter - 2
     V = graph.num_vertices
@@ -155,7 +159,8 @@ def fused_adjacencies(graph: AdeGraph) -> NimRepFamily:
         if nxt.min() < 0:
             raise NimRepError(f"{graph.name}: negative entry in fused adjacency")
         G.append(nxt)
-    if not represents(su2_fusion_closed_form(k).N, np.array(G)):
+    N = su2_fusion_closed_form(k).N
+    if not represents(N, np.array(G), generating_labels(N)):
         raise NimRepError(f"{graph.name}: nimrep identity fails")
     return NimRepFamily(graph=graph, G=tuple(G))
 

@@ -22,7 +22,7 @@ import numpy as np
 
 from .core import (COMMUTE_TOL, FIXED_SPACE_TOL, MAX_DENOMINATOR, PHASE_TOL, PIVOT_TOL,
                    ROUND_TOL, VACUUM_ROW_TOL, DegenerateDataError, FusionRing, ModularData,
-                   UsageError, sun_label_index, sun_modular_data)
+                   UsageError, su2_modular_data, sun_label_index, sun_modular_data)
 
 DEFAULT_NODE_BUDGET = 10 ** 8
 
@@ -501,15 +501,16 @@ def su2_diagram_with_diagonal(k: int, diag: tuple[int, ...]) -> str | None:
     return None
 
 
-def su2_ade_catalog(k: int, budget: int = DEFAULT_NODE_BUDGET) -> list[NamedInvariant]:
+def su2_ade_catalog(k: int, budget: int = DEFAULT_NODE_BUDGET,
+                    md: ModularData | None = None) -> list[NamedInvariant]:
     """Enumerate SU(2)_k invariants and name each by its diagonal exponent multiset.
 
     The diagonal of an invariant is the eigenvalue-multiplicity vector of the
     A-D-E diagram with Coxeter number k + 2; an unmatched diagonal raises.
+    ``md`` is the SU(2)_k modular data when the caller has built it already.
     """
-    from .core import su2_modular_data
-
-    md = su2_modular_data(k)
+    if md is None:
+        md = su2_modular_data(k)
     found = enumerate_invariants(md, budget=budget)
     if not found.complete:
         raise RuntimeError(f"enumeration exceeded node budget at level {k}")

@@ -287,9 +287,8 @@ def test_e7_vacuum_coupling_counts():
 
 
 def test_dossier_structure():
-    md = core.su2_modular_data(16)
     row = next(r for r in chiral.chiral_table(16) if r.name == "E7")
-    doc = chiral.dossier(row, md)
+    doc = chiral.dossier(row)
     assert doc["counts"] == {"mm": 17, "mn": 7, "chiral": 10, "ambi": 6}
     assert doc["wPlus"] == pytest.approx(doc["w"] / 2)
     assert np.array_equal(np.array(doc["bPlus"]).T @ np.array(doc["bMinus"]),

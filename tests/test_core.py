@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -197,6 +198,75 @@ def test_represents_refuses_beyond_the_exact_float_range(g, n):
         core.represents(N, G)
 
 
+def _commutative_with_unit(T):
+    # the upper triangle a <= b of T mirrored, with label 0 made the unit
+    L = len(T)
+    a, b = np.triu_indices(L)
+    N = np.zeros_like(T)
+    N[a, b] = N[b, a] = T[a, b]
+    N[0] = N[:, 0] = np.eye(L, dtype=T.dtype)
+    return N
+
+
+@settings(derandomize=True, max_examples=300)
+@given(st.integers(1, 5).flatmap(
+    lambda L: hnp.arrays(np.int64, (L, L, L), elements=st.integers(0, 2))))
+def test_generator_verdict_agrees_with_einsum_associativity(T):
+    N = _commutative_with_unit(T)
+    assert core.represents(N, N, core.generating_labels(N)) == _associative_by_einsum(N)
+
+
+def test_generating_labels_are_every_label_outside_the_lemma():
+    N = core.su2_fusion_closed_form(4).N
+    assert core.generating_labels(N) == (1,)
+    assert core.generating_labels(N, unit=1) == tuple(range(5))  # N[1] is no unit
+    M = np.array(N)
+    M[1, 2, 3] += 1  # no longer commutative
+    assert core.generating_labels(M) == tuple(range(5))
+
+
+def _ring_tensor(family, k):
+    if family == "su2":
+        return core.su2_fusion_closed_form(k).N
+    if family in ("su3", "su4"):
+        return core.verlinde_fusion(core.sun_modular_data(int(family[2]), k)).N
+    if family == "ising":
+        return core.ising_fusion_ring().N
+    return core.cyclic_group_fusion_ring(k).N
+
+
+@pytest.mark.parametrize("family,k", [("su2", k) for k in range(1, core.SU2_LEVEL_MAX + 1)]
+                         + [("su3", k) for k in range(1, 13)] + [("su4", k) for k in range(1, 7)]
+                         + [("ising", 0)] + [("group", n) for n in range(2, 9)])
+def test_generator_verdict_equals_full_verdict_on_rings(family, k):
+    N = _ring_tensor(family, k)
+    L = len(N)
+    assert core.represents(N, N, core.generating_labels(N)) is core.represents(N, N) is True
+    # a symmetric one-entry change keeps the unit and commutativity; every
+    # commutative two-label ring with unit is associative, no larger one here
+    M = np.array(N)
+    M[1, L - 1, 1] += 1
+    M[L - 1, 1, 1] = M[1, L - 1, 1]
+    gens = core.generating_labels(M)
+    assert len(gens) < L
+    assert core.represents(M, M, gens) is core.represents(M, M) is (L == 2)
+
+
+@pytest.mark.parametrize("name", [f"A{n}" for n in range(2, 50)]
+                         + [f"D{n}" for n in range(4, 27)] + ["E6", "E7", "E8"])
+def test_generator_check_rejects_fused_families_changed_off_the_generators(name):
+    family = nimrep.fused_adjacencies(nimrep.ade_graph(name))
+    N = core.su2_fusion_closed_form(family.level).N
+    gens = core.generating_labels(N)
+    assert gens == (1,)
+    # label 0 too, though the lemma assumes G_0 = I: at a = 1, b = 0 the
+    # check reads G_0 G_1 = G_1, and G_1 (a connected graph) has no zero row
+    for c in set(range(len(N))) - set(gens):
+        G = np.array(family.G)
+        G[c, 0, -1] += 1
+        assert not core.represents(N, G, gens), c
+
+
 def test_validate_rejects_non_associative_ring():
     # unit, commutative, self-dual, but (1 x 1) x 2 = 2 while 1 x (1 x 2) = 0
     N = np.zeros((3, 3, 3), dtype=int)
@@ -228,6 +298,45 @@ def test_verlinde_equals_closed_form(k):
     Nr = np.round(N.real)
     assert np.max(np.abs(N - Nr)) < core.ROUND_TOL
     assert np.array_equal(Nr.astype(int), core.su2_fusion_closed_form(k).N)
+
+
+def _verlinde_cases():
+    yield from (core.sun_modular_data(3, k) for k in range(1, 13))
+    yield from (core.sun_modular_data(4, k) for k in range(1, 7))
+    yield core.ising_modular_data()
+
+
+def test_blockwise_verlinde_equals_rounded_einsum():
+    for md in _verlinde_cases():
+        want = np.round(core.verlinde_sum(md.S.T, 0).real).astype(np.int64)
+        assert np.array_equal(core.verlinde_fusion(md).N, want), (md.family, md.level)
+
+
+def test_verlinde_rejects_non_integral_unitary_s():
+    # S of SU(2)_6 conjugated by a small rotation of labels 1 and 2 stays
+    # symmetric and unitary, but its Verlinde sum is no longer integral
+    md = core.su2_modular_data(6)
+    R = np.eye(md.size)
+    c, s = math.cos(0.1), math.sin(0.1)
+    R[1:3, 1:3] = [[c, -s], [s, c]]
+    rotated = dataclasses.replace(md, S=R @ md.S @ R.T)
+    assert not rotated.degenerate
+    with pytest.raises(core.RoundingError, match="not integral"):
+        core.verlinde_fusion(rotated)
+
+
+def test_verlinde_fusion_peak_memory_at_su3_12():
+    # the int64 tensor (8 L^3 bytes), the float64 copy validate checks
+    # (8 L^3) and one complex block; one complex L^3 tensor alone is 16 L^3
+    md = core.sun_modular_data(3, 12)
+    L = md.size
+    tracemalloc.start()
+    try:
+        core.verlinde_fusion(md)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 24 * L ** 3
 
 
 @pytest.mark.parametrize("k", [1, 2, 5, 10, 16])

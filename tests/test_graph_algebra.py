@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -53,6 +55,22 @@ def test_a_series_equals_verlinde():
             graph_algebra.eigen_gauge(nimrep.ade_graph(name)))
         assert fusion.positive
         assert np.array_equal(fusion.rounded, core.su2_fusion_closed_form(k).N)
+
+
+@pytest.mark.parametrize("name", POSITIVE)
+def test_associative_on_generators_equals_full_check(name):
+    fusion = graph_algebra.graph_structure_constants(
+        graph_algebra.eigen_gauge(nimrep.ade_graph(name)))
+    R = fusion.rounded
+    V = len(R)
+    assert len(core.generating_labels(R, unit=fusion.base)) < V
+    assert fusion.associative() is core.represents(R, R) is True
+    # a symmetric change off the base vertex; two-vertex unital rings stay associative
+    M = np.array(R)
+    M[1, V - 1, 1] += 1
+    M[V - 1, 1, 1] = M[1, V - 1, 1]
+    changed = dataclasses.replace(fusion, rounded=M)
+    assert changed.associative() is core.represents(M, M) is (V == 2)
 
 
 @pytest.mark.parametrize("name", POSITIVE)
