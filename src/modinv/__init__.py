@@ -40,7 +40,6 @@ from .nimrep import (
     ade_graph,
     fused_adjacencies,
     spectrum_vs_diagonal,
-    graphs_isomorphic,
     identify_ade,
 )
 from .graph_algebra import (

@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from itertools import permutations
+from itertools import combinations_with_replacement, permutations
 
 import numpy as np
 
@@ -310,16 +310,7 @@ def su2_fusion_closed_form(k: int) -> FusionRing:
 
 def _sun_partitions(n: int, k: int) -> list[tuple[int, ...]]:
     """Weakly decreasing tuples (a_1 >= ... >= a_{n-1} >= 0) with a_1 <= k."""
-
-    def rec(prefix, depth):
-        if depth == n - 1:
-            yield tuple(prefix)
-            return
-        hi = prefix[-1] if prefix else k
-        for v in range(hi + 1):
-            yield from rec(prefix + [v], depth + 1)
-
-    return sorted(rec([], 0))
+    return sorted(tuple(reversed(c)) for c in combinations_with_replacement(range(k + 1), n - 1))
 
 
 def _perm_parity(p) -> int:

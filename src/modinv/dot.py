@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import su2_fusion_closed_form
-from .nimrep import AdeGraph, _bipartition
+from .nimrep import AdeGraph, _depths
 from .search import su2_branching
 
 
@@ -51,9 +51,9 @@ def _edges_from_adjacency(A: np.ndarray):
 
 def ade_document(graph: AdeGraph) -> GraphDocument:
     """The plain Dynkin diagram, solid edges only, parity flags from bipartition."""
-    color = _bipartition(graph.adjacency) or [0] * graph.num_vertices
+    depth = _depths(graph.adjacency)
     vertices = tuple(
-        GraphVertex(id=i, label=str(i), even=(color[i] == 0))
+        GraphVertex(id=i, label=str(i), even=(depth[i] % 2 == 0))
         for i in range(graph.num_vertices))
     return GraphDocument(vertices=vertices,
                          solid_edges=_edges_from_adjacency(graph.adjacency),

@@ -11,8 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (ASSERT_TOL, ROUND_TOL, SPECTRUM_TOL, ModularData, UsageError,
-                   generating_labels, represents, su2_fusion_closed_form)
+from .core import (ASSERT_TOL, ROUND_TOL, SPECTRUM_TOL, SU2_LEVEL_MAX, ModularData,
+                   UsageError)
 from .search import MassMatrix, ade_exponent_multiset, diagram_case
 
 
@@ -54,30 +54,30 @@ class AdeGraph:
         norm = np.linalg.eigvalsh(A.astype(float)).max()
         if abs(norm - 2.0 * np.cos(np.pi / self.coxeter)) > ASSERT_TOL:
             raise NimRepError(f"{self.name}: |A| != 2 cos(pi/{self.coxeter})")
-        if not _connected(A):
+        depth = _depths(A)
+        if depth.min() < 0:
             raise NimRepError(f"{self.name}: not connected")
-        if _bipartition(A) is None:
+        parity = depth % 2
+        if A[parity[:, None] == parity].any():
             raise NimRepError(f"{self.name}: not bipartite")
 
 
 def ade_graph(name: str) -> AdeGraph:
-    """Build the named diagram ("A7", "D5", "E6", ...) in canonical vertex order."""
+    """Build the named diagram ("A7", "D5", "E6", ...) in canonical vertex order.
+
+    A_n is a path on n vertices.  D_n and E_n are a path on n - 1 vertices
+    with one tail vertex attached at spine vertex n - 3 (D_n) or n - 4 (E_n).
+    """
     try:
         case, k = diagram_case(name)
     except ValueError as exc:
         raise UnknownDiagramError(str(exc)) from None
     kind, num = name[0], int(name[1:])
-    if kind == "A":
-        A = _path(num)
-    elif kind == "D":
-        A = _path(num - 2)
-        A = _grow(A, num)
-        A[num - 3, num - 2] = A[num - 2, num - 3] = 1
-        A[num - 3, num - 1] = A[num - 1, num - 3] = 1
-    else:
-        spine = num - 1
-        A = _grow(_path(spine), num)
-        tail_at = {6: 2, 7: 3, 8: 4}[num]
+    spine = np.arange(num if kind == "A" else num - 1)
+    A = np.zeros((num, num), dtype=int)
+    A[spine[:-1], spine[1:]] = A[spine[1:], spine[:-1]] = 1
+    if kind != "A":
+        tail_at = num - 3 if kind == "D" else num - 4
         A[tail_at, num - 1] = A[num - 1, tail_at] = 1
     g = AdeGraph(name=name, case=case, adjacency=A, coxeter=k + 2,
                  exponents=ade_exponent_multiset(name))
@@ -85,47 +85,15 @@ def ade_graph(name: str) -> AdeGraph:
     return g
 
 
-def _path(n: int) -> np.ndarray:
-    A = np.zeros((n, n), dtype=int)
-    for i in range(n - 1):
-        A[i, i + 1] = A[i + 1, i] = 1
-    return A
-
-
-def _grow(A: np.ndarray, n: int) -> np.ndarray:
-    out = np.zeros((n, n), dtype=int)
-    out[: A.shape[0], : A.shape[1]] = A
-    return out
-
-
-def _connected(A: np.ndarray) -> bool:
-    n = A.shape[0]
-    seen = {0}
-    frontier = [0]
-    while frontier:
-        v = frontier.pop()
-        for u in np.nonzero(A[v])[0]:
-            if int(u) not in seen:
-                seen.add(int(u))
-                frontier.append(int(u))
-    return len(seen) == n
-
-
-def _bipartition(A: np.ndarray):
-    n = A.shape[0]
-    color = [-1] * n
-    color[0] = 0
-    stack = [0]
-    while stack:
-        v = stack.pop()
-        for u in np.nonzero(A[v])[0]:
-            u = int(u)
-            if color[u] == -1:
-                color[u] = 1 - color[v]
-                stack.append(u)
-            elif color[u] == color[v]:
-                return None
-    return color
+def _depths(A: np.ndarray, root: int = 0) -> np.ndarray:
+    """Breadth-first distance of every vertex from ``root``; -1 where unreached."""
+    depth = np.full(len(A), -1)
+    depth[root] = 0
+    frontier = depth == 0
+    while frontier.any():
+        frontier = (A[frontier] != 0).any(axis=0) & (depth < 0)
+        depth[frontier] = depth.max() + 1
+    return depth
 
 
 @dataclass(frozen=True)
@@ -143,13 +111,14 @@ class NimRepFamily:
 def fused_adjacencies(graph: AdeGraph) -> NimRepFamily:
     """Fused adjacency matrices by the three-term recursion G_{j+1} = G_1 G_j - G_{j-1}.
 
-    The representation identity G_a G_b = sum_c N[a,b,c] G_c is verified
-    exactly against the SU(2) fusion tensor at level h - 2 on its generators
-    (``core.generating_labels``, label 1 at every level).  By the generator
-    lemma that decides the identity for every label: the closed-form ring is
-    commutative and associative (a test pins it to the Verlinde ring at
-    every level) and G_0 = I by construction.  A negative entry anywhere
-    signals a wrong graph/level pairing and raises.
+    The recursion is run one step past the level k = h - 2 and G_{k+1} must
+    vanish.  That is the nimrep identity G_b G_a = sum_c N[a, b, c] G_c of the
+    SU(2)_k fusion ring on its generator a = 1, which decides it for every
+    label (generator lemma, ``core.generating_labels``): for b < k the row
+    G_b G_1 = G_{b-1} + G_{b+1} holds by construction, because G_b is a
+    polynomial in G_1, and for b = k the row G_k G_1 = G_{k-1} is G_{k+1} = 0.
+    A negative entry in G_2 .. G_k signals a wrong graph/level pairing and
+    raises.
     """
     k = graph.coxeter - 2
     V = graph.num_vertices
@@ -159,8 +128,9 @@ def fused_adjacencies(graph: AdeGraph) -> NimRepFamily:
         if nxt.min() < 0:
             raise NimRepError(f"{graph.name}: negative entry in fused adjacency")
         G.append(nxt)
-    N = su2_fusion_closed_form(k).N
-    if not represents(N, np.array(G), generating_labels(N)):
+    if not 1 <= k <= SU2_LEVEL_MAX:
+        raise UsageError(f"su2 level out of range: {k}")
+    if (G[1] @ G[k] - G[k - 1]).any():
         raise NimRepError(f"{graph.name}: nimrep identity fails")
     return NimRepFamily(graph=graph, G=tuple(G))
 
@@ -199,13 +169,12 @@ class SpectrumReport:
         return max(e.worst_gap for e in self.entries)
 
 
-def spectrum_vs_diagonal(family: NimRepFamily, md: ModularData, Z: MassMatrix,
-                         tol: float = SPECTRUM_TOL) -> SpectrumReport:
+def spectrum_vs_diagonal(family: NimRepFamily, md: ModularData, Z: MassMatrix) -> SpectrumReport:
     """Check that eigenvalues of every G_nu are the characters chi_l(nu), each
     with multiplicity Z[l, l].
 
     chi_l(nu) = S[l, nu] / S[l, 0].  The two sorted multisets are paired in
-    order; each pair must agree within ``tol``, the summed gaps within ROUND_TOL V.
+    order; each pair must agree within SPECTRUM_TOL, the summed gaps within ROUND_TOL V.
     """
     k = family.level
     if md.size != k + 1 or Z.size != k + 1:
@@ -219,7 +188,7 @@ def spectrum_vs_diagonal(family: NimRepFamily, md: ModularData, Z: MassMatrix,
         for lam in range(k + 1):
             expected.extend([float((md.S[lam, nu] / md.S[lam, 0]).real)] * diag[lam])
         pairs, (worst, gap) = _match_multisets(eig.tolist(), expected)
-        ok = pairs is not None and worst < tol and gap < ROUND_TOL * V
+        ok = pairs is not None and worst < SPECTRUM_TOL and gap < ROUND_TOL * V
         entries.append(SpectrumEntry(nu=nu, matched=bool(ok), worst_gap=float(worst),
                                      pairs=tuple(pairs or ())))
     return SpectrumReport(graph=family.graph.name, entries=tuple(entries))
@@ -241,59 +210,30 @@ def spectrum_csv_rows(report: SpectrumReport, md: ModularData):
     return rows
 
 
-# ---------------------------------------------------------------------------
-# Graph isomorphism on small graphs (backtracking with degree pruning)
-
-def graphs_isomorphic(A: np.ndarray, B: np.ndarray) -> bool:
-    """Backtracking isomorphism test for small undirected multiplicity graphs."""
-    A = np.asarray(A)
-    B = np.asarray(B)
-    n = A.shape[0]
-    if B.shape[0] != n:
-        return False
-    degA = sorted(A.sum(axis=0).tolist())
-    degB = sorted(B.sum(axis=0).tolist())
-    if degA != degB:
-        return False
-    ordering = sorted(range(n), key=lambda v: -A.sum(axis=0)[v])
-    mapping = [-1] * n
-    used = [False] * n
-    degB_vec = B.sum(axis=0)
-    degA_vec = A.sum(axis=0)
-
-    def extend(idx):
-        if idx == n:
-            return True
-        u = ordering[idx]
-        for v in range(n):
-            if used[v] or degA_vec[u] != degB_vec[v]:
-                continue
-            ok = True
-            for w in ordering[:idx]:
-                if A[u, w] != B[v, mapping[w]]:
-                    ok = False
-                    break
-            if ok:
-                mapping[u] = v
-                used[v] = True
-                if extend(idx + 1):
-                    return True
-                used[v] = False
-                mapping[u] = -1
-        return False
-
-    return extend(0)
-
-
 def identify_ade(A: np.ndarray) -> str | None:
-    """Name of the A-D-E diagram isomorphic to the given adjacency, if any."""
+    """Name of the A-D-E diagram isomorphic to the given adjacency, if any.
+
+    The inverse of ``ade_graph``'s rule.  A symmetric 0/1 matrix with zero
+    diagonal that is a tree (connected, n - 1 edges) is A_n if it is a path.
+    Otherwise it needs exactly three leaves, i.e. one vertex of degree 3, and
+    is named by its arm lengths (the leaves' distances from that vertex):
+    (1, 1, r) is D_{r+3}, and (1, 2, r) for r = 2, 3, 4 is E_{r+4}.
+    """
     A = np.asarray(A)
-    n = A.shape[0]
-    for name in (f"A{n}", f"D{n}", f"E{n}"):
-        try:
-            g = ade_graph(name)
-        except UnknownDiagramError:
-            continue
-        if graphs_isomorphic(A, g.adjacency):
-            return name
+    n = len(A)
+    # entries summing to 2(n - 1) with a loop leave fewer than n - 1 edges,
+    # too few to connect n vertices, so a tree has zero diagonal
+    if (not np.array_equal(A, A.T) or not np.isin(A, (0, 1)).all()
+            or A.sum() != 2 * (n - 1) or _depths(A).min() < 0):
+        return None
+    deg = A.sum(axis=0)
+    if deg.max() <= 2:
+        return f"A{n}"
+    if (deg == 1).sum() != 3:
+        return None
+    a, b, c = sorted(_depths(A, int(deg.argmax()))[deg == 1])
+    if (a, b) == (1, 1):
+        return f"D{c + 3}"
+    if (a, b) == (1, 2) and c <= 4:
+        return f"E{c + 4}"
     return None

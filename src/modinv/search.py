@@ -528,11 +528,20 @@ def su2_ade_catalog(k: int, budget: int = DEFAULT_NODE_BUDGET,
 # ---------------------------------------------------------------------------
 # The two printed SU(3) conformal-inclusion invariants
 
-SU3_D6_BLOCKS = ([[(0, 0), (3, 0), (3, 3)]], [(2, 1)])
+SU3_D6_BLOCKS = [[(0, 0), (3, 0), (3, 3)]]  # and the entry 3 on (2, 1)
 SU3_E8_BLOCKS = [
     [(0, 0), (4, 2)], [(2, 0), (5, 3)], [(2, 2), (5, 2)],
     [(3, 0), (3, 3)], [(3, 1), (5, 5)], [(3, 2), (5, 0)],
 ]
+
+
+def _block_invariant(md: ModularData, blocks) -> np.ndarray:
+    """Z with Z[a, b] = 1 for every pair of labels a, b in one block."""
+    Z = np.zeros((md.size, md.size), dtype=int)
+    for block in blocks:
+        idx = [sun_label_index(md, p) for p in block]
+        Z[np.ix_(idx, idx)] = 1
+    return Z
 
 
 def su3_named_invariants() -> list[tuple[int, MassMatrix, str]]:
@@ -542,22 +551,8 @@ def su3_named_invariants() -> list[tuple[int, MassMatrix, str]]:
     3 matrix carries the entry 3 on the self-conjugate label (2, 1).
     """
     md3 = sun_modular_data(3, 3)
-    L3 = md3.size
-    Z3 = np.zeros((L3, L3), dtype=int)
-    for block in SU3_D6_BLOCKS[0]:
-        idx = [sun_label_index(md3, p) for p in block]
-        for a in idx:
-            for b in idx:
-                Z3[a, b] = 1
+    Z3 = _block_invariant(md3, SU3_D6_BLOCKS)
     a21 = sun_label_index(md3, (2, 1))
     Z3[a21, a21] = 3
-
-    md5 = sun_modular_data(3, 5)
-    L5 = md5.size
-    Z5 = np.zeros((L5, L5), dtype=int)
-    for block in SU3_E8_BLOCKS:
-        idx = [sun_label_index(md5, p) for p in block]
-        for a in idx:
-            for b in idx:
-                Z5[a, b] = 1
+    Z5 = _block_invariant(sun_modular_data(3, 5), SU3_E8_BLOCKS)
     return [(3, MassMatrix(Z3), "D(6)"), (5, MassMatrix(Z5), "E(8)")]

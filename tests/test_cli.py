@@ -186,6 +186,26 @@ def test_emit_graph_e7_dynkin(tmp_path, capsys):
     assert "dashed" not in text
 
 
+# sha256 of the DOT file, recorded before the diagrams were built by one
+# spine-and-tail rule; the D_odd D5 draws its fusion graph, the rest their
+# Dynkin diagram with the bipartition shading
+GOLDEN_DOT = {
+    "D5": "d761719bdb8481c64fbdb7fe231d65d112cd37dcad4286134f29e640ff169a99",
+    "D8": "11168901cae944b921980a07d6b2fba4d85b75046062b687edc4b52b611cf599",
+    "E6": "785aa3f55259966f564bcf5167fccabd3c3da7dad7bba0f63ed80128b2507938",
+    "E7": "f33fe87001aac62e3b9dd9773d81030696279d373026c799f2db7e65d6b8c444",
+    "E8": "599826e0cd127c58ffd13c75ed81603670464d0abca33a23986af6eaa4d1d70b",
+}
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN_DOT))
+def test_emit_graph_golden_dot(tmp_path, capsys, case):
+    out_path = tmp_path / f"{case}.dot"
+    code, _, _ = run(capsys, "emit-graph", "--case", case, "--out", str(out_path))
+    assert code == 0
+    assert hashlib.sha256(out_path.read_bytes()).hexdigest() == GOLDEN_DOT[case]
+
+
 def test_emit_graph_outdir_env(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("MODINV_OUTDIR", str(tmp_path))
     code, _, _ = run(capsys, "emit-graph", "--case", "trivial", "--out", "t.dot")
@@ -199,7 +219,7 @@ def test_dodd_dotted_graph_isomorphic_to_path():
     A = np.zeros((k + 1, k + 1), dtype=int)
     for a, b, mult in doc.dotted_edges:
         A[a, b] = A[b, a] = mult
-    assert nimrep.graphs_isomorphic(A, nimrep.ade_graph("A7").adjacency)
+    assert nimrep.identify_ade(A) == "A7"
     # the mirror relabeling maps dotted edges onto the solid path exactly
     from modinv import search
     pi = search.permutation_criterion(
@@ -254,6 +274,18 @@ GOLDEN_STDOUT = {
         "f6b554a5824e822c2572f52b59ab4394d7e49b545c612818a351a89024570a84",
     ("gram", "--level", "38", "--theta", "id+l38"):
         "020b915d8c38eaec80f591650855fc5902fac0a7b5a0c0e377d087057a18060c",
+    # recorded before fused adjacencies were checked by truncation and the
+    # A-D-E diagrams named by their arm lengths
+    ("gram", "--level", "16", "--theta", "id+l8+l16"):
+        "64542ea4e3d5123d2c6848683e85c69a59c8fb7aef58131ec6029e9045a9c413",
+    ("gram", "--level", "10", "--theta", "id+l6"):
+        "d9f13923257e9ba1c9ac3f8375d56f0636d790dd2513600f2c51eb3bc483025f",
+    ("gram", "--level", "28", "--theta", "id+l10+l18+l28"):
+        "6119d0a22e7f89a9fd66e2e029f0460be2ae70d9e8acadead2cfd2366f644336",
+    ("gram", "--level", "26", "--theta", "id+l2"):
+        "dd6903e50e11c15343f856e10f4b8e0f68f165e9cc64da1a2e0fa5f0bc23ca63",
+    ("nimrep", "--graph", "E7"):
+        "32988703597cfd6ccfe49aa87109273600b8b88b55738230eeb26b0c88038d12",
 }
 
 

@@ -2,6 +2,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from modinv import core, nimrep, search
 
@@ -140,14 +142,68 @@ def test_spectra_for_all_catalog_pairs_up_to_level30():
             assert nimrep.spectrum_vs_diagonal(fam, md, ni.Z).matched, (k, ni.name)
 
 
-def test_graphs_isomorphic_basics():
+def _isomorphic_by_backtracking(A, B):
+    """Backtracking isomorphism test, the reference for ``identify_ade``.
+
+    It orders A's vertices by degree and compares A[u, w] with B only for
+    vertices w placed before u, so it reads one triangle of A.  It is
+    exponential on relabelled paths, so it runs on small graphs here.
+    """
+    n = A.shape[0]
+    if B.shape[0] != n:
+        return False
+    degA_vec = A.sum(axis=0)
+    degB_vec = B.sum(axis=0)
+    if sorted(degA_vec.tolist()) != sorted(degB_vec.tolist()):
+        return False
+    ordering = sorted(range(n), key=lambda v: -degA_vec[v])
+    mapping = [-1] * n
+    used = [False] * n
+
+    def extend(idx):
+        if idx == n:
+            return True
+        u = ordering[idx]
+        for v in range(n):
+            if used[v] or degA_vec[u] != degB_vec[v]:
+                continue
+            if all(A[u, w] == B[v, mapping[w]] for w in ordering[:idx]):
+                mapping[u] = v
+                used[v] = True
+                if extend(idx + 1):
+                    return True
+                used[v] = False
+                mapping[u] = -1
+        return False
+
+    return extend(0)
+
+
+def _identify_by_isomorphism(A):
+    """The diagram among A_n, D_n, E_n (n = size of A) isomorphic to A, if any."""
+    A = np.asarray(A)
+    n = A.shape[0]
+    for name in (f"A{n}", f"D{n}", f"E{n}"):
+        try:
+            g = nimrep.ade_graph(name)
+        except nimrep.UnknownDiagramError:
+            continue
+        if _isomorphic_by_backtracking(A, g.adjacency):
+            return name
+    return None
+
+
+def _relabelled(A, perm):
+    return A[np.ix_(perm, perm)]
+
+
+def test_identify_ade_relabelled():
     a = nimrep.ade_graph("D5").adjacency
-    perm = [3, 1, 0, 2, 4]
-    P = np.zeros((5, 5), dtype=int)
-    for i, j in enumerate(perm):
-        P[i, j] = 1
-    assert nimrep.graphs_isomorphic(a, P @ a @ P.T)
-    assert not nimrep.graphs_isomorphic(a, nimrep.ade_graph("A5").adjacency)
+    b = _relabelled(a, [3, 1, 0, 2, 4])
+    assert not np.array_equal(a, b)
+    assert nimrep.identify_ade(b) == "D5"
+    assert nimrep.identify_ade(_relabelled(nimrep.ade_graph("A5").adjacency,
+                                           [2, 4, 0, 1, 3])) == "A5"
 
 
 @pytest.mark.parametrize("name", ["A7", "D6", "E8", "D15", "A17"])
@@ -160,3 +216,140 @@ def test_identify_rejects_cycle():
     for i in range(5):
         cycle[i, (i + 1) % 5] = cycle[(i + 1) % 5, i] = 1
     assert nimrep.identify_ade(cycle) is None
+
+
+def test_identify_rejects_asymmetric_matrix():
+    # the backtracking test read only one triangle and named this "A3"
+    assert nimrep.identify_ade(np.array([[0, 1, 1], [1, 0, 0], [0, 1, 0]])) is None
+
+
+@pytest.mark.parametrize("A", [np.zeros((0, 0), dtype=int), np.array([[1]]),
+                               np.array([[0, 2], [2, 0]]), np.array([[1, 1], [1, 0]]),
+                               np.zeros((2, 2), dtype=int)],
+                         ids=["empty", "loop", "double-edge", "edge-and-loop", "two-points"])
+def test_identify_rejects_loops_multi_edges_and_forests(A):
+    assert nimrep.identify_ade(A) is None
+
+
+def _star(arms):
+    """A tree: one centre (vertex 0) with a path of each given length hanging off it."""
+    n = 1 + sum(arms)
+    A = np.zeros((n, n), dtype=int)
+    v = 1
+    for arm in arms:
+        prev = 0
+        for _ in range(arm):
+            A[prev, v] = A[v, prev] = 1
+            prev, v = v, v + 1
+    return A
+
+
+@pytest.mark.parametrize("arms, name", [
+    ((1, 1, 1), "D4"), ((1, 1, 9), "D12"), ((2, 2, 1), "E6"), ((3, 1, 2), "E7"),
+    ((1, 4, 2), "E8"), ((2, 2, 2), None), ((1, 3, 3), None), ((1, 2, 5), None),
+    ((1, 1, 1, 1), None), ((2, 3, 3), None)])
+def test_identify_ade_by_arm_lengths(arms, name):
+    # the star trees past E8 are the affine E diagrams and their relatives
+    A = _star(arms)
+    assert nimrep.identify_ade(A) == name == _identify_by_isomorphism(A)
+
+
+def test_identify_ade_rejects_two_forks():
+    # the affine D6 diagram: the path 2-3-4 with two leaves at each end
+    A = np.zeros((7, 7), dtype=int)
+    for u, v in [(0, 2), (1, 2), (2, 3), (3, 4), (4, 5), (4, 6)]:
+        A[u, v] = A[v, u] = 1
+    assert nimrep.identify_ade(A) is None is _identify_by_isomorphism(A)
+
+
+def test_identify_ade_on_every_relabelled_diagram():
+    """Every diagram up to 65 vertices under three random relabellings.
+
+    The backtracking reference is an isomorphism test on symmetric input,
+    so its name for a relabelled diagram is its name for the diagram; it
+    is called on the relabelled matrix itself up to 10 vertices, where it
+    stays fast, and on the diagram above that.
+    """
+    rng = np.random.default_rng(11)
+    for name in ([f"A{n}" for n in range(1, 66)] + [f"D{n}" for n in range(4, 66)]
+                 + ["E6", "E7", "E8"]):
+        A = nimrep.ade_graph(name).adjacency
+        ref = _identify_by_isomorphism(A)
+        assert ref == name
+        for _ in range(3):
+            B = _relabelled(A, rng.permutation(len(A)))
+            if len(A) <= 10:
+                ref = _identify_by_isomorphism(B)
+            assert nimrep.identify_ade(B) == ref, name
+
+
+@st.composite
+def _symmetric_graphs(draw):
+    """Symmetric 0/1 matrices on at most 8 vertices: a random tree, then
+    random extra edges and loops, so trees, cycles and forests all occur."""
+    n = draw(st.integers(1, 8))
+    A = np.zeros((n, n), dtype=int)
+    if draw(st.booleans()):
+        for v in range(1, n):
+            u = draw(st.integers(0, v - 1))
+            A[u, v] = A[v, u] = 1
+    for u, v in draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                              max_size=4)):
+        A[u, v] = A[v, u] = 1 - A[u, v]
+    return A
+
+
+@settings(derandomize=True, max_examples=500, deadline=None)
+@given(_symmetric_graphs())
+def test_identify_ade_agrees_with_backtracking(A):
+    assert nimrep.identify_ade(A) == _identify_by_isomorphism(A)
+
+
+def _verdict_by_generator_check(graph):
+    """What fused_adjacencies decided before the truncation rule: negative
+    entries on G_2..G_k, then the level range, then the nimrep identity on
+    the generator label 1 against the closed-form fusion tensor."""
+    k = graph.coxeter - 2
+    G = [np.eye(graph.num_vertices, dtype=int), graph.adjacency]
+    for _ in range(2, k + 1):
+        G.append(G[1] @ G[-1] - G[-2])
+        if G[-1].min() < 0:
+            return nimrep.NimRepError, f"{graph.name}: negative entry in fused adjacency"
+    try:
+        N = core.su2_fusion_closed_form(k).N
+    except core.UsageError as exc:
+        return core.UsageError, str(exc)
+    if core.represents(N, np.array(G), core.generating_labels(N)):
+        return "ok", tuple(G)
+    return nimrep.NimRepError, f"{graph.name}: nimrep identity fails"
+
+
+def _verdict(graph):
+    try:
+        return "ok", nimrep.fused_adjacencies(graph).G
+    except nimrep.NimRepError as exc:
+        return nimrep.NimRepError, str(exc)
+    except core.UsageError as exc:
+        return core.UsageError, str(exc)
+
+
+def test_truncation_verdict_agrees_with_generator_check():
+    """Every diagram of levels 1..64, with its own Coxeter number and shifted
+    by -1, +1 and +2 while the level stays at most 64."""
+    checked = {"ok": 0, nimrep.NimRepError: 0, core.UsageError: 0}
+    for k in range(1, core.SU2_LEVEL_MAX + 1):
+        for name, _ in search.su2_diagrams(k):
+            g = nimrep.ade_graph(name)
+            for shift in (0, -1, 1, 2):
+                if k + shift > core.SU2_LEVEL_MAX:
+                    continue
+                graph = dataclasses.replace(g, coxeter=g.coxeter + shift)
+                kind, got = _verdict(graph)
+                want_kind, want = _verdict_by_generator_check(graph)
+                assert kind is want_kind, (name, shift)
+                if kind == "ok":
+                    assert all(np.array_equal(a, b) for a, b in zip(got, want, strict=True))
+                else:
+                    assert got == want, (name, shift)
+                checked[kind] += 1
+    assert checked["ok"] == 98 and checked[core.UsageError] == 1
