@@ -42,7 +42,7 @@ from .search import (
     su2_diagram_with_diagonal,
     su2_invariant_matrix,
 )
-from .nimrep import ade_graph, fused_adjacencies, identify_ade
+from .nimrep import _match_multisets, ade_graph, fused_adjacencies, identify_ade
 
 GRAM_NODE_BUDGET = 10 ** 6
 
@@ -351,29 +351,16 @@ def full_system_dodd(k: int) -> FullSystemReport:
     md = su2_modular_data(k)
     ring = su2_fusion_closed_form(k)
     pi = [int(np.argmax(Z.Z[:, mu])) for mu in range(k + 1)]
-    chars = (md.S / md.S[:, [0]]).real  # chars[l, nu] = chi_l(nu)
+    chars = (md.S / md.S[:, [0]]).real.tolist()  # chars[l][nu] = chi_l(nu)
+    mults = [(lam, mu, int(Z.Z[lam, mu]) ** 2) for lam in range(k + 1) for mu in range(k + 1)]
     worst = 0.0
-    pairs = 0
-    ok = True
     for nu in range(k + 1):
         for rho in range(k + 1):
-            gamma = ring.N[nu] @ ring.N[pi[rho]]
-            eig = np.sort(np.linalg.eigvalsh(gamma.astype(float)))
-            expected = []
-            for lam in range(k + 1):
-                for mu in range(k + 1):
-                    mult = int(Z.Z[lam, mu]) ** 2
-                    expected.extend([chars[lam, nu] * chars[mu, rho]] * mult)
-            expected = np.sort(np.array(expected))
-            pairs += 1
-            if expected.shape != eig.shape:
-                ok = False
-                continue
-            gap = float(np.max(np.abs(eig - expected)))
-            worst = max(worst, gap)
-            if gap > SPECTRUM_TOL:
-                ok = False
-    return FullSystemReport(level=k, pairs_checked=pairs, matched=ok, worst_gap=worst)
+            eig = np.linalg.eigvalsh((ring.N[nu] @ ring.N[pi[rho]]).astype(float))
+            expected = [chars[lam][nu] * chars[mu][rho] for lam, mu, m in mults for _ in range(m)]
+            worst = max(worst, _match_multisets(eig.tolist(), expected)[1])
+    return FullSystemReport(level=k, pairs_checked=(k + 1) ** 2, matched=worst <= SPECTRUM_TOL,
+                            worst_gap=worst)
 
 
 # ---------------------------------------------------------------------------

@@ -88,6 +88,13 @@ def cmd_fusion(args) -> int:
     return EXIT_OK
 
 
+def _invariant_record(name, Z: search.MassMatrix, ring: core.FusionRing) -> dict:
+    """The JSON record of one invariant, as ``invariants`` and ``catalog`` print it."""
+    return {"name": name, "Z": Z.Z.tolist(), "diag": list(Z.diagonal),
+            "sumsq": Z.sum_of_squares,
+            "permutation": search.permutation_criterion(ring, Z).is_permutation}
+
+
 def cmd_invariants(args) -> int:
     level = _require_level(args)
     md = _load_family(args.family, level)
@@ -98,14 +105,8 @@ def cmd_invariants(args) -> int:
         return EXIT_VERIFY
     ring = core.verlinde_fusion(md)
     # enumerate_invariants has verified every result a posteriori
-    entries = [{
-        "name": (search.su2_diagram_with_diagonal(md.level, Z.diagonal)
-                 if md.family == "su2" else None),
-        "Z": Z.Z.tolist(),
-        "diag": list(Z.diagonal),
-        "sumsq": Z.sum_of_squares,
-        "permutation": search.permutation_criterion(ring, Z).is_permutation,
-    } for Z in found]
+    entries = [_invariant_record(search.su2_diagram_with_diagonal(md.level, Z.diagonal)
+                                 if md.family == "su2" else None, Z, ring) for Z in found]
     status = EXIT_OK if found.complete else EXIT_VERIFY
     if not found.complete:
         print("warning: search incomplete (node budget exhausted)", file=sys.stderr)
@@ -126,12 +127,7 @@ def cmd_catalog(args) -> int:
     ring = core.su2_fusion_closed_form(args.level)
     if args.json:
         doc = {"family": "su2", "level": args.level,
-               "invariants": [{"name": ni.name, "Z": ni.Z.Z.tolist(),
-                               "diag": list(ni.Z.diagonal),
-                               "sumsq": ni.Z.sum_of_squares,
-                               "permutation": search.permutation_criterion(
-                                   ring, ni.Z).is_permutation}
-                              for ni in named]}
+               "invariants": [_invariant_record(ni.name, ni.Z, ring) for ni in named]}
         print(core.dumps_deterministic(doc))
         return EXIT_OK
     for ni in named:

@@ -80,23 +80,21 @@ class FusionRing:
     def validate(self) -> None:
         """Assert the ring axioms exactly on the integer tensor.
 
-        Associativity is checked on ``generating_labels`` only, after the
-        unit and commutativity the generator lemma needs.
+        ``associative`` checks the unit and commutativity before it checks
+        associativity on the generators.
         """
         L = self.size
         if self.N.shape != (L, L, L):
             raise ValueError("fusion tensor shape mismatch")
         if self.N.dtype.kind not in "iu" or self.N.min() < 0:
             raise ValueError("fusion coefficients must be non-negative integers")
-        if not np.array_equal(self.N[0], np.eye(L, dtype=int)):
-            raise ValueError("label 0 is not a unit")
-        if not np.array_equal(self.N, self.N.transpose(1, 0, 2)):
-            raise ValueError("fusion tensor not commutative")
         conj = np.zeros((L, L), dtype=int)
         conj[np.arange(L), self.dual] = 1
-        if not np.array_equal(self.N[:, :, 0], conj):
+        dual_ok = np.array_equal(self.N[:, :, 0], conj)
+        assoc = associative(self.N)  # raises on no unit or no commutativity, checked first
+        if not dual_ok:
             raise ValueError("duality map inconsistent with vacuum couplings")
-        if not represents(self.N, self.N, generating_labels(self.N)):
+        if not assoc:
             raise ValueError("fusion tensor not associative")
 
     def perron_dims(self) -> np.ndarray:
@@ -112,35 +110,44 @@ class FusionRing:
         return bool(np.max(np.abs(np.outer(d, d) - prod)) < ASSERT_TOL * max(1.0, d.max() ** 2))
 
 
-def represents(N: np.ndarray, G, labels=None) -> bool:
-    """Whether G_b G_a == sum_c N[a, b, c] G_c exactly, for a stack G of L matrices.
+def associative(N: np.ndarray, unit: int = 0) -> bool:
+    """Whether the commutative fusion tensor N with unit ``unit`` is associative.
 
-    G = N checks ring associativity; fused adjacencies, the nimrep identity.
-    The identity is checked for every label b and for a in ``labels``
-    (default: every label).  By the generator lemma (see
-    :func:`generating_labels`) the labels that function returns give the
-    same verdict as all of them: for G = N when N is commutative with unit
-    u, and for any other G when N is also associative and G_u = I.
+    Theorem.  Let N be commutative, N[p, q, r] = N[q, p, r], and write N_x
+    for the matrix N[x].  For a label a, the identities (e_a e_b) e_i =
+    e_a (e_b e_i) over all labels b, i read, at e_j, sum_c N[a, b, c]
+    N[c, i, j] = sum_y N[b, i, y] N[a, y, j].  By commutativity the left
+    side is (N_a N_i)[b, j] and the right side (N_i N_a)[b, j], so they
+    hold iff N_a commutes with every N_x.  By the generator lemma (see
+    :func:`generating_labels`) N is associative iff every label that
+    function returns does.
 
-    Both sides are float64 BLAS products, one label a and one block of labels
-    b at a time, in O(L V^2) memory for V x V matrices.  Every partial sum of
-    either side is an integer of magnitude at most max(V max|G|^2,
-    L max|N| max|G|).  Below FLOAT_EXACT_MAX float64 holds each of them
-    exactly, in any summation order, so the comparison is an exact integer
-    test; integer inputs beyond that bound raise ValueError.
+    N[unit] = I and commutativity are checked exactly first; a tensor that
+    fails either raises ValueError, since the theorem needs both.  The
+    products are float64 BLAS products of N_a with one block of labels at a
+    time, and only N_a and the block are converted.  Every partial sum is
+    an integer of magnitude at most L max|N|^2.  Below FLOAT_EXACT_MAX
+    float64 holds each of them exactly, in any summation order, so the
+    comparison is an exact integer test; integer inputs beyond that bound
+    raise ValueError.
     """
     N = np.asarray(N)
-    G = np.asarray(G)
-    L, V = len(G), G.shape[-1]
-    g = max(int(G.max()), -int(G.min()))
-    if max(V * g * g, L * max(int(N.max()), -int(N.min())) * g) >= FLOAT_EXACT_MAX:
-        raise ValueError("representation check beyond the exact float64 range")
-    G = G.astype(np.float64)
-    flat = G.reshape(L, -1)
-    step = -(-L // 8)  # eight blocks of b keep the temporaries near a quarter of G
-    blocks = [slice(b, b + step) for b in range(0, L, step)]
-    return all(np.array_equal(G[s] @ G[a], (N[a, s].astype(np.float64) @ flat).reshape(-1, V, V))
-               for a in (range(L) if labels is None else labels) for s in blocks)
+    L = len(N)
+    if not np.array_equal(N[unit], np.eye(L, dtype=int)):
+        raise ValueError(f"label {unit} is not a unit")
+    if not np.array_equal(N, N.transpose(1, 0, 2)):
+        raise ValueError("fusion tensor not commutative")
+    n = max(int(N.max()), -int(N.min()))
+    if L * n * n >= FLOAT_EXACT_MAX:
+        raise ValueError("associativity check beyond the exact float64 range")
+    step = -(-L // 8)  # eight blocks of labels keep the temporaries near three L^3 bytes
+    for a in generating_labels(N, unit):
+        Na = N[a].astype(np.float64)
+        for s in range(0, L, step):
+            block = N[s:s + step].astype(np.float64)
+            if not np.array_equal(block @ Na, Na @ block):
+                return False
+    return True
 
 
 GENERATOR_PRIME = 2 ** 27 - 39  # the largest prime below 2^27: L p^2 < 2^63 for L < 512
@@ -153,28 +160,23 @@ def generating_labels(N: np.ndarray, unit: int = 0) -> tuple[int, ...]:
     products e_a e_b = sum_c N[a, b, c] e_c.  The set A = {a : (a y) x =
     a (y x) for all x, y} is a subspace, contains 1, and is closed under
     products: for a, b in A, ((ab) y) x = (a (by)) x = a ((by) x) =
-    a (b (yx)) = (ab)(yx).  ``represents(N, N, [a])`` tests exactly
-    a (b i) = (ab) i for all basis b, i, that is a in A.  A subalgebra that
-    holds every returned label holds every right-nested product of them, so
-    if those span R, A = R and N is associative.  Likewise, for associative
-    N and G_unit = I, {a : G_b G_a = G_(ab) for all b} is a subalgebra with
-    1, so the representation identity on these labels implies it on all.
+    a (b (yx)) = (ab)(yx).  A subalgebra that holds every returned label
+    holds every right-nested product of them, so if those span R, A = R and
+    N is associative.  ``associative`` tests a in A for each returned label.
 
     The span is computed in int64 modulo the prime p = GENERATOR_PRIME.  The
     products have integer coordinates, and rank L modulo p means an L x L
     minor nonzero modulo p, hence nonzero over Z: the products span Q^L.
     Labels are taken greedily in index order, each one whose basis vector
-    is not yet in the span.  If N[unit] != I or N is not commutative,
-    exactly, every label is returned, so the check stays the full one; so
-    it does when a sum of L products of residues or entries of N,
+    is not yet in the span.  N must have the unit and be commutative, which
+    ``associative`` checks first.  Every label is returned, so the check is
+    the full one, when a sum of L products of residues or entries of N,
     L p max(p, max|N|), could overflow int64.
     """
     N = np.asarray(N)
     L = len(N)
     p = GENERATOR_PRIME
-    if (not np.array_equal(N[unit], np.eye(L, dtype=int))
-            or not np.array_equal(N, N.transpose(1, 0, 2))
-            or L * p * max(p, int(N.max()), -int(N.min())) >= 2 ** 63):
+    if L * p * max(p, int(N.max()), -int(N.min())) >= 2 ** 63:
         return tuple(range(L))
     N = N.astype(np.int64, copy=False)
     eye = np.eye(L, dtype=np.int64)

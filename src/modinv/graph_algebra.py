@@ -15,8 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (ASSERT_TOL, EIGEN_TOL, NEG_TOL, ROUND_TOL, generating_labels, represents,
-                   verlinde_sum)
+from .core import ASSERT_TOL, EIGEN_TOL, NEG_TOL, ROUND_TOL, associative, verlinde_sum
 from .nimrep import AdeGraph, NimRepFamily, ade_graph
 
 
@@ -150,8 +149,7 @@ class GraphFusion:
 
     def associative(self) -> bool:
         """Exact associativity, checked on the generators of the base vertex."""
-        labels = generating_labels(self.rounded, unit=self.base)
-        return represents(self.rounded, self.rounded, labels)
+        return associative(self.rounded, self.base)
 
     def unit_residual(self) -> float:
         V = self.rounded.shape[0]

@@ -11,8 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (ASSERT_TOL, ROUND_TOL, SPECTRUM_TOL, SU2_LEVEL_MAX, ModularData,
-                   UsageError)
+from .core import ASSERT_TOL, SPECTRUM_TOL, SU2_LEVEL_MAX, ModularData, UsageError
 from .search import MassMatrix, ade_exponent_multiset, diagram_case
 
 
@@ -70,6 +69,8 @@ def ade_graph(name: str) -> AdeGraph:
     """
     try:
         case, k = diagram_case(name)
+    except UsageError:
+        raise
     except ValueError as exc:
         raise UnknownDiagramError(str(exc)) from None
     kind, num = name[0], int(name[1:])
@@ -113,10 +114,10 @@ def fused_adjacencies(graph: AdeGraph) -> NimRepFamily:
 
     The recursion is run one step past the level k = h - 2 and G_{k+1} must
     vanish.  That is the nimrep identity G_b G_a = sum_c N[a, b, c] G_c of the
-    SU(2)_k fusion ring on its generator a = 1, which decides it for every
-    label (generator lemma, ``core.generating_labels``): for b < k the row
-    G_b G_1 = G_{b-1} + G_{b+1} holds by construction, because G_b is a
-    polynomial in G_1, and for b = k the row G_k G_1 = G_{k-1} is G_{k+1} = 0.
+    SU(2)_k fusion ring on every label: the ring is Z[x] / (U_{k+1}(x)) with
+    e_j = U_j(x) for the polynomials U_{j+1} = x U_j - U_{j-1}, U_0 = 1,
+    U_1 = x, and G_j = U_j(G_1), so e_j -> G_j is a ring map iff
+    U_{k+1}(G_1) = G_{k+1} = 0.
     A negative entry in G_2 .. G_k signals a wrong graph/level pairing and
     raises.
     """
@@ -136,15 +137,15 @@ def fused_adjacencies(graph: AdeGraph) -> NimRepFamily:
 
 
 def _match_multisets(values, expected):
-    """Pair two real multisets in sorted order: (pairs, (worst gap, summed gap)).
+    """Pair two real multisets in sorted order: (pairs, worst gap).
 
-    pairs[i] = (value, matched expected); pairs is None if the sizes differ.
+    pairs[i] = (value, matched expected); pairs is None, and the gap
+    infinite, if the sizes differ.
     """
     if len(values) != len(expected):
-        return None, (float("inf"), float("inf"))
+        return None, float("inf")
     pairs = list(zip(sorted(values), sorted(expected)))
-    gaps = [abs(a - b) for a, b in pairs]
-    return pairs, (max(gaps, default=0.0), sum(gaps))
+    return pairs, max((abs(a - b) for a, b in pairs), default=0.0)
 
 
 @dataclass(frozen=True)
@@ -174,12 +175,11 @@ def spectrum_vs_diagonal(family: NimRepFamily, md: ModularData, Z: MassMatrix) -
     with multiplicity Z[l, l].
 
     chi_l(nu) = S[l, nu] / S[l, 0].  The two sorted multisets are paired in
-    order; each pair must agree within SPECTRUM_TOL, the summed gaps within ROUND_TOL V.
+    order; each pair must agree within SPECTRUM_TOL.
     """
     k = family.level
     if md.size != k + 1 or Z.size != k + 1:
         raise ValueError("level mismatch between family, modular data and Z")
-    V = family.graph.num_vertices
     entries = []
     diag = Z.diagonal
     for nu in range(k + 1):
@@ -187,9 +187,8 @@ def spectrum_vs_diagonal(family: NimRepFamily, md: ModularData, Z: MassMatrix) -
         expected = []
         for lam in range(k + 1):
             expected.extend([float((md.S[lam, nu] / md.S[lam, 0]).real)] * diag[lam])
-        pairs, (worst, gap) = _match_multisets(eig.tolist(), expected)
-        ok = pairs is not None and worst < SPECTRUM_TOL and gap < ROUND_TOL * V
-        entries.append(SpectrumEntry(nu=nu, matched=bool(ok), worst_gap=float(worst),
+        pairs, worst = _match_multisets(eig.tolist(), expected)
+        entries.append(SpectrumEntry(nu=nu, matched=worst < SPECTRUM_TOL, worst_gap=float(worst),
                                      pairs=tuple(pairs or ())))
     return SpectrumReport(graph=family.graph.name, entries=tuple(entries))
 

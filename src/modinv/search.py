@@ -21,8 +21,8 @@ from fractions import Fraction
 import numpy as np
 
 from .core import (COMMUTE_TOL, FIXED_SPACE_TOL, MAX_DENOMINATOR, PHASE_TOL, PIVOT_TOL,
-                   ROUND_TOL, VACUUM_ROW_TOL, DegenerateDataError, FusionRing, ModularData,
-                   UsageError, su2_modular_data, sun_label_index, sun_modular_data)
+                   ROUND_TOL, SU2_LEVEL_MAX, VACUUM_ROW_TOL, DegenerateDataError, FusionRing,
+                   ModularData, UsageError, su2_modular_data, sun_label_index, sun_modular_data)
 
 DEFAULT_NODE_BUDGET = 10 ** 8
 
@@ -453,12 +453,18 @@ def su2_diagrams(k: int) -> list[tuple[str, str]]:
 
 
 def diagram_case(name: str) -> tuple[str, int]:
-    """(branching case, level k) of an A-D-E diagram; its Coxeter number is k + 2."""
+    """(branching case, level k) of an A-D-E diagram; its Coxeter number is k + 2.
+
+    An unknown name raises ValueError, a known one whose level is outside
+    1..SU2_LEVEL_MAX UsageError.
+    """
     num = int(name[1:]) if name[1:].isdigit() else 0
     k = SU2_E_LEVELS.get(name, {"A": num - 1, "D": 2 * num - 4}.get(name[:1], -1))
     cases = dict(su2_diagrams(k)) if k >= 0 else {}
     if name not in cases:
         raise ValueError(f"unknown diagram name {name!r}")
+    if not 1 <= k <= SU2_LEVEL_MAX:
+        raise UsageError(f"su2 level out of range: {k}")
     return cases[name], k
 
 

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -350,6 +351,28 @@ def test_out_of_range_input_is_usage_error(capsys, tmp_path, argv):
     code, out, err = run(capsys, *(a.format(tmp=tmp_path) for a in argv))
     assert code == 2
     assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv, k", [
+    (("graph-algebra", "--graph", "A66", "--json"), 65),
+    (("graph-algebra", "--graph", "D40", "--json"), 76),
+    (("graph-algebra", "--graph", "D200", "--json"), 396),
+    (("graph-algebra", "--graph", "A1", "--json"), 0),
+    (("emit-graph", "--case", "A66", "--out", "{tmp}/a66.dot"), 65),
+    (("nimrep", "--graph", "A66"), 65),
+    (("nimrep", "--graph", "A1"), 0),
+])
+def test_diagram_level_outside_the_limit_is_usage_error(capsys, tmp_path, argv, k):
+    # refused before the diagram is built: D200 alone would take a 200^3 complex tensor
+    tracemalloc.start()
+    try:
+        code, out, err = run(capsys, *(a.format(tmp=tmp_path) for a in argv))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (code, out, err) == (2, "", f"error: su2 level out of range: {k}\n")
+    assert peak < 10 ** 6
+    assert not list(tmp_path.iterdir())
 
 
 @pytest.mark.parametrize("n, k", [(3, 27), (3, 1000), (4, 120), (4, 1000)])

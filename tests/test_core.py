@@ -78,20 +78,45 @@ def _associative_by_einsum(N):
     return bool(np.array_equal(lhs, rhs))
 
 
+def _unital_and_commutative(N):
+    return (np.array_equal(N[0], np.eye(len(N), dtype=N.dtype))
+            and np.array_equal(N, N.transpose(1, 0, 2)))
+
+
 @settings(derandomize=True, max_examples=300)
 @given(st.integers(1, 5).flatmap(
     lambda L: hnp.arrays(np.int64, (L, L, L), elements=st.integers(0, 2))))
 def test_represents_agrees_with_einsum_associativity(N):
-    assert core.represents(N, N) == _associative_by_einsum(N)
+    # N represents itself (G = N) iff it is associative; outside the
+    # theorem's hypotheses associative refuses
+    if _unital_and_commutative(N):
+        assert core.associative(N) == _associative_by_einsum(N)
+    else:
+        with pytest.raises(ValueError):
+            core.associative(N)
 
 
 def _represents_int64(N, G):
-    # reference: the int64 check one label a at a time, all b at once
+    # reference: the int64 check of G_b G_a == sum_c N[a, b, c] G_c, one
+    # label a at a time, all b at once
     N = np.asarray(N, dtype=np.int64)
     G = np.asarray(G, dtype=np.int64)
     flat = G.reshape(len(G), -1)
     return all(np.array_equal(G @ G[a], (N[a] @ flat).reshape(G.shape))
                for a in range(len(G)))
+
+
+def _represents_float64(N, G, labels=None):
+    # reference: the same check as float64 BLAS products, exact while every
+    # partial sum, at most max(V max|G|^2, L max|N| max|G|), is below 2^53;
+    # one label a at a time (default: every label)
+    L, V = len(G), G.shape[-1]
+    g, n = int(np.abs(G).max()), int(np.abs(N).max())
+    assert max(V * g * g, L * n * g) < core.FLOAT_EXACT_MAX
+    G = np.asarray(G, dtype=np.float64)
+    flat = G.reshape(L, -1)
+    return all(np.array_equal(G @ G[a], (N[a] @ flat).reshape(G.shape))
+               for a in (range(L) if labels is None else labels))
 
 
 def _changed(T):
@@ -100,102 +125,73 @@ def _changed(T):
     return T
 
 
+def _changed_symmetric(N, p, q, r):
+    # one more e_r in e_p e_q = e_q e_p: the unit and commutativity stay
+    M = np.array(N)
+    M[p, q, r] += 1
+    M[q, p, r] = M[p, q, r]
+    return M
+
+
 @pytest.mark.parametrize("n,k", [(2, k) for k in range(1, 41)]
                          + [(3, k) for k in range(1, 6)] + [(4, k) for k in range(1, 4)])
 def test_represents_matches_int64_loop_on_rings(n, k):
+    # G = N: associative against the full int64 identity on every label
     if n == 2:
         N = core.su2_fusion_closed_form(k).N
     else:
         N = core.verlinde_fusion(core.sun_modular_data(n, k)).N
-    assert core.represents(N, N) is _represents_int64(N, N) is True
-    assert core.represents(N, _changed(N)) is _represents_int64(N, _changed(N)) is False
+    assert core.associative(N) is _represents_int64(N, N) is True
+    M = _changed_symmetric(N, 1, len(N) - 1, 1)
+    assert core.associative(M) is _represents_int64(M, M) is (len(N) == 2)
 
 
 @pytest.mark.parametrize("name", [f"A{n}" for n in range(2, 50)]
                          + [f"D{n}" for n in range(4, 27)] + ["E6", "E7", "E8"])
 def test_represents_matches_int64_loop_on_fused_families(name):
-    family = nimrep.fused_adjacencies(nimrep.ade_graph(name))
-    N = core.su2_fusion_closed_form(family.level).N
-    G = np.array(family.G)
-    assert core.represents(N, G) is _represents_int64(N, G) is True
-    G[-1, 0, -1] += 1
-    assert core.represents(N, G) is _represents_int64(N, G) is False
-
-
-def _a49():
-    family = nimrep.fused_adjacencies(nimrep.ade_graph("A49"))
-    return core.su2_fusion_closed_form(family.level).N, np.array(family.G)
-
-
-def test_represents_rejects_changed_a49_entry():
-    N, G = _a49()
-    G[2, 10, 11] += 1
-    assert not core.represents(N, G)
-
-
-def test_represents_peak_memory_on_a49():
-    # the float64 copy of G is 8 L V^2 bytes; the eight blocks of b add under a third
-    N, G = _a49()
-    L, V = G.shape[:2]
-    tracemalloc.start()
-    try:
-        assert core.represents(N, G)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 1.5 * 8 * L * V ** 2
-
-
-def _represents_by_einsum(N, G):
-    # reference: (G_b G_a)_{ik} and sum_c N_abc (G_c)_{ik} as full L^2 V^2 tensors
-    lhs = np.einsum("bij,ajk->abik", G, G)
-    rhs = np.einsum("abc,cik->abik", N, G)
-    return bool(np.array_equal(lhs, rhs))
-
-
-@settings(derandomize=True, max_examples=200)
-@given(st.tuples(st.integers(1, 4), st.integers(1, 6)).flatmap(
-    lambda lv: st.tuples(hnp.arrays(np.int64, (lv[0],) * 3, elements=st.integers(0, 2)),
-                         hnp.arrays(np.int64, (lv[0], lv[1], lv[1]), elements=st.integers(0, 1)))))
-def test_represents_agrees_with_einsum_on_other_dimensions(NG):
-    N, G = NG
-    assert core.represents(N, G) == _represents_by_einsum(N, G)
-
-
-@pytest.mark.parametrize("k", [3, 8])
-def test_represents_accepts_sums_of_regular_representations(k):
-    # G_a = N_a (+) N_a (+) N_a is a representation on V = 3L labels
-    N = core.su2_fusion_closed_form(k).N
-    L = len(N)
-    G = np.zeros((L, 3 * L, 3 * L), dtype=np.int64)
-    for i in range(3):
-        G[:, i * L:(i + 1) * L, i * L:(i + 1) * L] = N
-    assert core.represents(N, G) and _represents_by_einsum(N, G)
-    assert not core.represents(N, _changed(G))
+    """fused_adjacencies' truncation verdict against the full int64 nimrep
+    identity on every label: it accepts the diagram, and it rejects the
+    diagram with one edge doubled, whose recursion then breaks the identity."""
+    graph = nimrep.ade_graph(name)
+    N = core.su2_fusion_closed_form(graph.level).N
+    G = np.array(nimrep.fused_adjacencies(graph).G)
+    assert _represents_int64(N, G)
+    A = graph.adjacency.copy()
+    A[0, 1] = A[1, 0] = 2
+    G = [np.eye(len(A), dtype=np.int64), A]
+    for _ in range(graph.level - 1):
+        G.append(A @ G[-1] - G[-2])
+    assert not _represents_int64(N, np.array(G))
+    with pytest.raises(nimrep.NimRepError):
+        nimrep.fused_adjacencies(dataclasses.replace(graph, adjacency=A))
 
 
 def test_represents_is_exact_near_the_bound():
-    # a 1 x 1 representation with G_1 = x, x^2 = x G_1 near 2^50: float32 or
-    # a lossy float64 sum would miss a change of one in the product
+    # e1 e2 = x e1 and e2^2 = x e2 with x = 2^25 + 1, an associative ring;
+    # adding e0 to e2^2 moves commutator entries of size x^2 + 1 near 2^50
+    # by one, which float32 or a lossy float64 sum would miss
     x = 2 ** 25 + 1
-    N = np.zeros((2, 2, 2), dtype=np.int64)
-    N[0] = N[:, 0] = np.eye(2, dtype=np.int64)
-    N[1, 1, 1] = x
-    G = np.array([[[1]], [[x]]], dtype=np.int64)
-    assert core.represents(N, G)
-    N[1, 1, 0] = 1
-    assert not core.represents(N, G)
+    N = np.zeros((3, 3, 3), dtype=np.int64)
+    N[0] = N[:, 0] = np.eye(3, dtype=np.int64)
+    N[1, 2, 1] = N[2, 1, 1] = N[2, 2, 2] = x
+    assert core.associative(N) and _associative_by_einsum(N)
+    N[2, 2, 0] = 1
+    assert not core.associative(N) and not _associative_by_einsum(N)
 
 
-@pytest.mark.parametrize("g, n", [(2 ** 27, 1), (1, 2 ** 52)])
-def test_represents_refuses_beyond_the_exact_float_range(g, n):
-    # V max|G|^2 = 2^54 on the left side, or L max|N| max|G| = 2^53 on the right
-    N = np.zeros((2, 2, 2), dtype=np.int64)
-    N[0] = N[:, 0] = np.eye(2, dtype=np.int64)
-    N[1, 1, 1] = n
-    G = np.array([[[1]], [[g]]], dtype=np.int64)
+@pytest.mark.parametrize("L", [2, 5])
+def test_associative_refuses_beyond_the_exact_float_range(L):
+    # partial sums reach L max|N|^2: the largest n with L n^2 < 2^53 is
+    # checked, n + 1 is refused
+    n = math.isqrt((core.FLOAT_EXACT_MAX - 1) // L)
+    N = core.cyclic_group_fusion_ring(L).N.astype(np.int64)
+    M = np.array(N)
+    M[1, 1] *= n  # e1 e1 = n e2: only the two-label ring stays associative
+    assert core.associative(M) is (L == 2)
+    M = np.array(N)
+    M[1, 1] *= n + 1
     with pytest.raises(ValueError, match="exact float64 range"):
-        core.represents(N, G)
+        core.associative(M)
 
 
 def _commutative_with_unit(T):
@@ -213,16 +209,16 @@ def _commutative_with_unit(T):
     lambda L: hnp.arrays(np.int64, (L, L, L), elements=st.integers(0, 2))))
 def test_generator_verdict_agrees_with_einsum_associativity(T):
     N = _commutative_with_unit(T)
-    assert core.represents(N, N, core.generating_labels(N)) == _associative_by_einsum(N)
+    assert core.associative(N) == _associative_by_einsum(N)
 
 
-def test_generating_labels_are_every_label_outside_the_lemma():
+def test_associative_refuses_tensors_outside_the_lemma():
     N = core.su2_fusion_closed_form(4).N
-    assert core.generating_labels(N) == (1,)
-    assert core.generating_labels(N, unit=1) == tuple(range(5))  # N[1] is no unit
-    M = np.array(N)
-    M[1, 2, 3] += 1  # no longer commutative
-    assert core.generating_labels(M) == tuple(range(5))
+    assert core.associative(N)
+    with pytest.raises(ValueError, match="label 1 is not a unit"):
+        core.associative(N, unit=1)
+    with pytest.raises(ValueError, match="not commutative"):
+        core.associative(_changed(N))
 
 
 def _ring_tensor(family, k):
@@ -241,30 +237,29 @@ def _ring_tensor(family, k):
 def test_generator_verdict_equals_full_verdict_on_rings(family, k):
     N = _ring_tensor(family, k)
     L = len(N)
-    assert core.represents(N, N, core.generating_labels(N)) is core.represents(N, N) is True
-    # a symmetric one-entry change keeps the unit and commutativity; every
-    # commutative two-label ring with unit is associative, no larger one here
-    M = np.array(N)
-    M[1, L - 1, 1] += 1
-    M[L - 1, 1, 1] = M[1, L - 1, 1]
-    gens = core.generating_labels(M)
-    assert len(gens) < L
-    assert core.represents(M, M, gens) is core.represents(M, M) is (L == 2)
+    assert len(core.generating_labels(N)) < L
+    assert core.associative(N) is _represents_float64(N, N) is True
+    # every commutative two-label ring with unit is associative, no larger one here
+    M = _changed_symmetric(N, 1, L - 1, 1)
+    assert len(core.generating_labels(M)) < L
+    assert core.associative(M) is _represents_float64(M, M) is (L == 2)
 
 
 @pytest.mark.parametrize("name", [f"A{n}" for n in range(2, 50)]
                          + [f"D{n}" for n in range(4, 27)] + ["E6", "E7", "E8"])
 def test_generator_check_rejects_fused_families_changed_off_the_generators(name):
+    """The ring of each fused family's level, changed at a label c off its
+    one generator (e_c e_c gains e_0), is rejected by associative, which
+    commutes N_1 only; the family no longer represents the changed ring."""
     family = nimrep.fused_adjacencies(nimrep.ade_graph(name))
     N = core.su2_fusion_closed_form(family.level).N
-    gens = core.generating_labels(N)
-    assert gens == (1,)
-    # label 0 too, though the lemma assumes G_0 = I: at a = 1, b = 0 the
-    # check reads G_0 G_1 = G_1, and G_1 (a connected graph) has no zero row
-    for c in set(range(len(N))) - set(gens):
-        G = np.array(family.G)
-        G[c, 0, -1] += 1
-        assert not core.represents(N, G, gens), c
+    G = np.array(family.G)
+    assert core.generating_labels(N) == (1,)
+    assert _represents_float64(N, G)
+    for c in range(2, len(N)):
+        M = _changed_symmetric(N, c, c, 0)
+        assert not core.associative(M), c
+        assert not _represents_float64(M, G, [c]), c
 
 
 def test_validate_rejects_non_associative_ring():
@@ -278,16 +273,18 @@ def test_validate_rejects_non_associative_ring():
         ring.validate()
 
 
-def test_validate_peak_memory_is_cubic():
-    ring = core.su2_fusion_closed_form(44)
-    L = ring.size
+def _peak_bytes(f, *args):
     tracemalloc.start()
     try:
-        ring.validate()
-        peak = tracemalloc.get_traced_memory()[1]
+        f(*args)
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 32 * L ** 3
+
+
+def test_validate_peak_memory_is_cubic():
+    ring = core.su2_fusion_closed_form(44)
+    assert _peak_bytes(ring.validate) < 32 * ring.size ** 3
 
 
 @pytest.mark.parametrize("k", range(1, core.SU2_LEVEL_MAX + 1))
@@ -326,17 +323,23 @@ def test_verlinde_rejects_non_integral_unitary_s():
 
 
 def test_verlinde_fusion_peak_memory_at_su3_12():
-    # the int64 tensor (8 L^3 bytes), the float64 copy validate checks
-    # (8 L^3) and one complex block; one complex L^3 tensor alone is 16 L^3
+    # one complex L^3 tensor alone is 16 L^3 bytes
     md = core.sun_modular_data(3, 12)
-    L = md.size
-    tracemalloc.start()
-    try:
-        core.verlinde_fusion(md)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 24 * L ** 3
+    assert _peak_bytes(core.verlinde_fusion, md) < 24 * md.size ** 3
+
+
+def test_verlinde_fusion_keeps_no_float_copy_at_su3_12():
+    # the int64 tensor (8 L^3 bytes), one complex block of labels and the
+    # blocks validate converts; no float64 copy of the whole tensor (8 L^3)
+    md = core.sun_modular_data(3, 12)
+    assert _peak_bytes(core.verlinde_fusion, md) < 16 * md.size ** 3
+
+
+def test_validate_peak_memory_at_su3_12():
+    # the commutativity mask (L^3 bytes), then one float64 block of an
+    # eighth of the labels and its two products, each about L^3 bytes
+    ring = core.verlinde_fusion(core.sun_modular_data(3, 12))
+    assert _peak_bytes(ring.validate) < 5 * ring.size ** 3
 
 
 @pytest.mark.parametrize("k", [1, 2, 5, 10, 16])

@@ -64,13 +64,19 @@ def test_associative_on_generators_equals_full_check(name):
     R = fusion.rounded
     V = len(R)
     assert len(core.generating_labels(R, unit=fusion.base)) < V
-    assert fusion.associative() is core.represents(R, R) is True
+    assert fusion.associative() is _represents_int64(R) is True
     # a symmetric change off the base vertex; two-vertex unital rings stay associative
     M = np.array(R)
     M[1, V - 1, 1] += 1
     M[V - 1, 1, 1] = M[1, V - 1, 1]
     changed = dataclasses.replace(fusion, rounded=M)
-    assert changed.associative() is core.represents(M, M) is (V == 2)
+    assert changed.associative() is _represents_int64(M) is (V == 2)
+
+
+def _represents_int64(N):
+    # reference: the int64 check of N_b N_a == sum_c N[a, b, c] N_c for every a, all b at once
+    flat = N.reshape(len(N), -1)
+    return all(np.array_equal(N @ N[a], (N[a] @ flat).reshape(N.shape)) for a in range(len(N)))
 
 
 @pytest.mark.parametrize("name", POSITIVE)

@@ -24,15 +24,6 @@ def test_a5_adjacency_is_spin_one_fusion_matrix():
     assert np.array_equal(g.adjacency, ring.N[1])
 
 
-def test_represents_rejects_changed_fused_adjacency():
-    family = nimrep.fused_adjacencies(nimrep.ade_graph("D6"))
-    N = core.su2_fusion_closed_form(family.level).N
-    G = np.array(family.G)
-    assert core.represents(N, G)
-    G[2, 0, 0] += 1
-    assert not core.represents(N, G)
-
-
 def test_d5_exponents():
     assert sorted(nimrep.ade_graph("D5").exponents) == [0, 2, 3, 4, 6]
 
@@ -185,12 +176,35 @@ def _identify_by_isomorphism(A):
     n = A.shape[0]
     for name in (f"A{n}", f"D{n}", f"E{n}"):
         try:
-            g = nimrep.ade_graph(name)
-        except nimrep.UnknownDiagramError:
+            search.diagram_case(name)
+        except core.UsageError:  # a known name, its level outside 1..SU2_LEVEL_MAX
+            pass
+        except ValueError:
             continue
-        if _isomorphic_by_backtracking(A, g.adjacency):
+        if _isomorphic_by_backtracking(A, _diagram_adjacency(name)):
             return name
     return None
+
+
+def _diagram_adjacency(name):
+    """ade_graph's spine-and-tail rule without its level range: A_n is a path
+    on n vertices, D_n and E_n a path on n - 1 vertices with a tail vertex at
+    spine vertex n - 3 or n - 4."""
+    n = int(name[1:])
+    A = np.zeros((n, n), dtype=int)
+    spine = n if name[0] == "A" else n - 1
+    for v in range(spine - 1):
+        A[v, v + 1] = A[v + 1, v] = 1
+    if name[0] != "A":
+        tail_at = n - 3 if name[0] == "D" else n - 4
+        A[tail_at, n - 1] = A[n - 1, tail_at] = 1
+    return A
+
+
+def test_diagram_adjacency_is_ade_graphs_rule():
+    for k in range(1, core.SU2_LEVEL_MAX + 1):
+        for name, _ in search.su2_diagrams(k):
+            assert np.array_equal(_diagram_adjacency(name), nimrep.ade_graph(name).adjacency)
 
 
 def _relabelled(A, perm):
@@ -265,6 +279,9 @@ def test_identify_ade_rejects_two_forks():
 def test_identify_ade_on_every_relabelled_diagram():
     """Every diagram up to 65 vertices under three random relabellings.
 
+    The diagrams come from the spine-and-tail rule itself, because
+    ade_graph refuses D35 and beyond (levels above SU2_LEVEL_MAX).
+
     The backtracking reference is an isomorphism test on symmetric input,
     so its name for a relabelled diagram is its name for the diagram; it
     is called on the relabelled matrix itself up to 10 vertices, where it
@@ -273,7 +290,7 @@ def test_identify_ade_on_every_relabelled_diagram():
     rng = np.random.default_rng(11)
     for name in ([f"A{n}" for n in range(1, 66)] + [f"D{n}" for n in range(4, 66)]
                  + ["E6", "E7", "E8"]):
-        A = nimrep.ade_graph(name).adjacency
+        A = _diagram_adjacency(name)
         ref = _identify_by_isomorphism(A)
         assert ref == name
         for _ in range(3):
@@ -319,9 +336,15 @@ def _verdict_by_generator_check(graph):
         N = core.su2_fusion_closed_form(k).N
     except core.UsageError as exc:
         return core.UsageError, str(exc)
-    if core.represents(N, np.array(G), core.generating_labels(N)):
+    if _represents_int64(N, np.array(G), core.generating_labels(N)):
         return "ok", tuple(G)
     return nimrep.NimRepError, f"{graph.name}: nimrep identity fails"
+
+
+def _represents_int64(N, G, labels):
+    # the int64 check of G_b G_a == sum_c N[a, b, c] G_c for a in labels, all b at once
+    flat = G.reshape(len(G), -1)
+    return all(np.array_equal(G @ G[a], (N[a] @ flat).reshape(G.shape)) for a in labels)
 
 
 def _verdict(graph):
