@@ -269,74 +269,68 @@ def cmd_emit_graph(args) -> int:
     return EXIT_OK
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _arg(*flags, **kwargs) -> tuple:
+    return flags, kwargs
+
+
+_JSON = _arg("--json", action="store_true")
+_CSV = _arg("--csv", action="store_true")
+_BUDGET = _arg("--budget", type=int, default=search.DEFAULT_NODE_BUDGET)
+_FAMILY_OPTS = (_arg("--family", required=True, choices=["su2", "su3", "su4", "ising", "group"]),
+                _arg("--level", type=int, default=None), _JSON)
+
+# name -> (help, handler, arguments), in the order the top-level help lists them
+COMMANDS = {
+    "show": ("print modular data for a family", cmd_show, _FAMILY_OPTS),
+    "fusion": ("print Verlinde fusion rules", cmd_fusion, _FAMILY_OPTS),
+    "invariants": ("enumerate modular invariants", cmd_invariants, _FAMILY_OPTS + (_BUDGET,)),
+    "catalog": ("named SU(2) invariants at a level", cmd_catalog,
+                (_arg("--level", type=int, required=True), _BUDGET, _JSON)),
+    "nimrep": ("fused adjacencies and spectrum check", cmd_nimrep, (
+        _arg("--graph", required=True),
+        _arg("--invariant", default=None, metavar="FILE",
+             help="JSON file with a Z matrix (default: the matching named invariant)"),
+        _CSV)),
+    "graph-algebra": ("structure constants of a diagram", cmd_graph_algebra,
+                      (_arg("--graph", required=True), _CSV, _JSON)),
+    "chiral-table": ("classification summary table", cmd_chiral_table, (
+        _arg("--max-level", type=int, required=True), _CSV,
+        _arg("--json", action="store_true",
+             help="emit the per-case dossiers (Z, branching, indices)"))),
+    "gram": ("decompose a sector Gram matrix", cmd_gram, (
+        _arg("--level", type=int, required=True),
+        _arg("--theta", required=True, metavar="SPEC",
+             help="multiplicity vector like id+l8+l16"))),
+    "emit-graph": ("write a DOT fusion graph", cmd_emit_graph,
+                   (_arg("--case", required=True), _arg("--out", required=True))),
+}
+
+
+def build_parser(command=None) -> argparse.ArgumentParser:
+    """The parser with the subparser of `command` only, or with all of them
+    when `command` names none (no argv, a leading option, an unknown name)."""
     parser = argparse.ArgumentParser(prog="modinv",
                                      description=__doc__.splitlines()[0])
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def family_opts(p, budget=False):
-        p.add_argument("--family", required=True,
-                       choices=["su2", "su3", "su4", "ising", "group"])
-        p.add_argument("--level", type=int, default=None)
-        p.add_argument("--json", action="store_true")
-        if budget:
-            p.add_argument("--budget", type=int, default=search.DEFAULT_NODE_BUDGET)
-
-    p = sub.add_parser("show", help="print modular data for a family")
-    family_opts(p)
-    p.set_defaults(func=cmd_show)
-
-    p = sub.add_parser("fusion", help="print Verlinde fusion rules")
-    family_opts(p)
-    p.set_defaults(func=cmd_fusion)
-
-    p = sub.add_parser("invariants", help="enumerate modular invariants")
-    family_opts(p, budget=True)
-    p.set_defaults(func=cmd_invariants)
-
-    p = sub.add_parser("catalog", help="named SU(2) invariants at a level")
-    p.add_argument("--level", type=int, required=True)
-    p.add_argument("--budget", type=int, default=search.DEFAULT_NODE_BUDGET)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_catalog)
-
-    p = sub.add_parser("nimrep", help="fused adjacencies and spectrum check")
-    p.add_argument("--graph", required=True)
-    p.add_argument("--invariant", default=None, metavar="FILE",
-                   help="JSON file with a Z matrix (default: the matching named invariant)")
-    p.add_argument("--csv", action="store_true")
-    p.set_defaults(func=cmd_nimrep)
-
-    p = sub.add_parser("graph-algebra", help="structure constants of a diagram")
-    p.add_argument("--graph", required=True)
-    p.add_argument("--csv", action="store_true")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_graph_algebra)
-
-    p = sub.add_parser("chiral-table", help="classification summary table")
-    p.add_argument("--max-level", type=int, required=True)
-    p.add_argument("--csv", action="store_true")
-    p.add_argument("--json", action="store_true",
-                   help="emit the per-case dossiers (Z, branching, indices)")
-    p.set_defaults(func=cmd_chiral_table)
-
-    p = sub.add_parser("gram", help="decompose a sector Gram matrix")
-    p.add_argument("--level", type=int, required=True)
-    p.add_argument("--theta", required=True, metavar="SPEC",
-                   help="multiplicity vector like id+l8+l16")
-    p.set_defaults(func=cmd_gram)
-
-    p = sub.add_parser("emit-graph", help="write a DOT fusion graph")
-    p.add_argument("--case", required=True)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_emit_graph)
-
+    if command in COMMANDS:
+        # the top-level usage that an "unrecognized arguments" error prints
+        # still lists every command
+        names, metavar = [command], "{%s}" % ",".join(COMMANDS)
+    else:
+        names, metavar = list(COMMANDS), None
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in names:
+        help_text, func, arguments = COMMANDS[name]
+        p = sub.add_parser(name, help=help_text)
+        for flags, kwargs in arguments:
+            p.add_argument(*flags, **kwargs)
+        p.set_defaults(func=func)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = build_parser(argv[0] if argv else None).parse_args(argv)
     try:
         return args.func(args)
     except core.UsageError as exc:

@@ -61,14 +61,14 @@ class MassMatrix:
 
     @property
     def diagonal(self) -> tuple[int, ...]:
-        return tuple(int(x) for x in np.diag(self.Z))
+        return tuple(np.diag(self.Z).tolist())
 
     @property
     def sum_of_squares(self) -> int:
         return int((self.Z.astype(np.int64) ** 2).sum())
 
     def key(self) -> tuple:
-        return tuple(int(x) for x in self.Z.reshape(-1))
+        return tuple(self.Z.ravel().tolist())
 
     def __eq__(self, other):
         return isinstance(other, MassMatrix) and np.array_equal(self.Z, other.Z)
@@ -347,7 +347,7 @@ def permutation_criterion(ring: FusionRing, Z: MassMatrix) -> PermutationVerdict
     if np.array_equal(np.sort(M.sum(axis=0)), np.ones(L, dtype=M.dtype)) and \
        np.array_equal(np.sort(M.sum(axis=1)), np.ones(L, dtype=M.dtype)):
         # Z[l, m] = delta(l, pi(m))
-        pi = tuple(int(np.argmax(M[:, mu])) for mu in range(L))
+        pi = tuple(np.argmax(M, axis=0).tolist())
         c3 = pi[0] == 0
         if c3:
             perm = pi

@@ -1,5 +1,7 @@
+import argparse
 import hashlib
 import json
+import sys
 import tracemalloc
 
 import numpy as np
@@ -391,3 +393,76 @@ def test_document_validation():
         solid_edges=((0, 1, 1),), dotted_edges=())
     with pytest.raises(ValueError):
         dot.emit_dot(bad)
+
+
+COMMAND_NAMES = ["show", "fusion", "invariants", "catalog", "nimrep", "graph-algebra",
+                 "chiral-table", "gram", "emit-graph"]
+
+# (exit code, sha256 of stdout + "\0" + stderr) at 80 columns, recorded while
+# every call still built the parser of every command
+GOLDEN_USAGE = {
+    (): (2, "2113a7ff4a0dde0f1651c0f8c173008f65c8890712f5db752f6e93c8d13d4779"),
+    ("-h",): (0, "000db83b0f2ef3c0b850b646d69d35d8d4fe304be128fb8ad55098f77d4beceb"),
+    ("bogus",): (2, "d6b756ada5b10495034116c658a6550a8ed4859882b26612741c5b80cad4c368"),
+    ("catalog",): (2, "71ca6a8103b85d86167bb9e0187027104d44448d12e99e352c6702ae3ecbf82b"),
+    ("catalog", "--levle", "4"):
+        (2, "71ca6a8103b85d86167bb9e0187027104d44448d12e99e352c6702ae3ecbf82b"),
+    ("show", "--family", "su2", "--level", "x"):
+        (2, "50a47e43d9599fc3c9b5475dad4818a0481609339e5f0a0417dda79c59ae8f17"),
+    ("invariants", "--family", "su9", "--level", "2"):
+        (2, "3b5277ccd50e2eb01fb0b6d9b41e546d26f177b9d62912fe4c631d2794dab126"),
+    # the top-level parser reports this one, with the top-level usage
+    ("show", "--family", "ising", "extra"):
+        (2, "b1598383229b32cd4117518bf4143c4b4c9045117428426dd5229b813c9da14a"),
+    ("show", "-h"): (0, "74de79d515bafddb396a604ca3ad1113a1f6df43793b7be4633e17b40e3d9e55"),
+    ("fusion", "-h"): (0, "9b65ad01df6639ea39a7a266fe97ce9d29e64184c57ebeaf86c573879c8c18dc"),
+    ("invariants", "-h"): (0, "1af7eb7b0db2b837e13c3829d3c9ab3eeeb5377a744cc9c707d53f9f4b81fec4"),
+    ("catalog", "-h"): (0, "4c55efec8aa698421a6c809b2b82bb68f8720cd853946c9076d5753a48766bea"),
+    ("nimrep", "-h"): (0, "ef87d8bfc6054e2c5b4066deda7eb13eb24478a78c5fbcba81fb791994ef27fa"),
+    ("graph-algebra", "-h"):
+        (0, "088848f43f4cdf8e650b4c9c21e1eb2cee72c20c2032ff01039755ca444bb901"),
+    ("chiral-table", "-h"):
+        (0, "fad3ce0da342c08ddb8e94d2051364001fc3d11c937cea11f8284c2088155896"),
+    ("gram", "-h"): (0, "ea3965b51aa5a226f0c21103112d41bef5a10a2e3ffb512324577a52b80da5b7"),
+    ("emit-graph", "-h"): (0, "04953a1c43918e4aee426614c2b56f1c80c250a3ef454c82496bd3db25647d6b"),
+}
+
+
+@pytest.mark.parametrize("argv", list(GOLDEN_USAGE), ids=" ".join)
+def test_golden_usage(capsys, monkeypatch, argv):
+    # argparse wraps help and usage to the terminal width
+    monkeypatch.setenv("COLUMNS", "80")
+    try:
+        code = cli.main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    digest = hashlib.sha256((captured.out + "\0" + captured.err).encode()).hexdigest()
+    assert (code, digest) == GOLDEN_USAGE[argv]
+
+
+def _subparsers(parser):
+    [action] = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return action.choices
+
+
+def test_full_parser_registers_every_command():
+    assert list(_subparsers(cli.build_parser())) == COMMAND_NAMES
+
+
+@pytest.mark.parametrize("name", COMMAND_NAMES)
+def test_named_parser_registers_only_its_command(monkeypatch, name):
+    monkeypatch.setenv("COLUMNS", "80")
+    one = _subparsers(cli.build_parser(name))
+    assert list(one) == [name]
+    assert one[name].format_help() == _subparsers(cli.build_parser())[name].format_help()
+
+
+def test_console_script_reads_sys_argv(capsys, monkeypatch):
+    argv = ["catalog", "--level", "4", "--json"]
+    expected = run(capsys, *argv)
+    monkeypatch.setattr(sys, "argv", ["modinv", *argv])
+    code = cli.main()
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == expected
+    assert expected[0] == 0 and expected[1]
