@@ -6,7 +6,6 @@ S/T matrices by tolerance-checked rounding.
 """
 
 from .core import (
-    Label,
     FusionRing,
     ModularData,
     su2_modular_data,

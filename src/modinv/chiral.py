@@ -18,7 +18,7 @@ reproduces the summary table of the SU(2) classification.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, astuple, dataclass
 
 import numpy as np
 
@@ -86,15 +86,15 @@ class SectorDecomposition:
         return identify_ade(self.G1)
 
 
-def decompose_gram(M: np.ndarray, ring: FusionRing,
-                   budget: int = GRAM_NODE_BUDGET) -> SectorDecomposition:
+def decompose_gram(M: np.ndarray, ring: FusionRing) -> SectorDecomposition:
     """Find non-negative integer F with F^t F = M by column-wise peeling.
 
     Columns are processed in label order; each column chooses entries on the
     sectors discovered so far consistent with all earlier inner products, and
     the leftover diagonal weight spawns new sector rows (multiplicities
     enumerated as decreasing square decompositions).  G1 solves G1 F = F N_1
-    exactly; fractional or negative G1 signals an inconsistent theta.
+    exactly; fractional or negative G1 signals an inconsistent theta.  The
+    search gives up after GRAM_NODE_BUDGET nodes.
     """
     M = np.asarray(M)
     L = M.shape[0]
@@ -120,8 +120,8 @@ def decompose_gram(M: np.ndarray, ring: FusionRing,
         # entry i of the column on existing row i, keeping inner products >= 0
         nonlocal nodes
         nodes += 1
-        if nodes > budget:
-            raise GramDecompositionError(f"no factorization within {budget} nodes")
+        if nodes > GRAM_NODE_BUDGET:
+            raise GramDecompositionError(f"no factorization within {GRAM_NODE_BUDGET} nodes")
         if i == len(rows):
             if not any(dotrem):
                 yield spawn(col, rows, entry, rem, math.isqrt(rem), [])
@@ -253,10 +253,7 @@ def sector_counts(Z: MassMatrix, b: BranchingData) -> SectorCounts:
 class ChiralRow:
     name: str
     level: int
-    mm: int
-    mn: int
-    chiral: int
-    ambi: int
+    counts: SectorCounts
     gamma01: str  # fusion graph of the chiral generators
     Z: MassMatrix
     branching: BranchingData
@@ -279,14 +276,10 @@ def chiral_table(kmax: int) -> list[ChiralRow]:
             b = su2_branching(diagram_case(named.name)[0], k)
             if not verify_factorization(named.Z, b):
                 raise BranchingError(f"{named.name} at level {k}: factorization failed")
-            counts = sector_counts(named.Z, b)
             rows.append(ChiralRow(
                 name=named.name,
                 level=k,
-                mm=counts.mm,
-                mn=counts.mn,
-                chiral=counts.chiral,
-                ambi=counts.ambi,
+                counts=sector_counts(named.Z, b),
                 gamma01=gamma01_name(k, b),
                 Z=named.Z,
                 branching=b,
@@ -377,9 +370,9 @@ def dossier(row: ChiralRow) -> dict:
         "w": float(f"{idx.w:.12g}"),
         "wPlus": float(f"{idx.w_plus:.12g}"),
         "w0": float(f"{idx.w_zero:.12g}"),
-        "counts": {"mm": row.mm, "mn": row.mn, "chiral": row.chiral, "ambi": row.ambi},
+        "counts": asdict(row.counts),
     }
 
 
 def table_csv_rows(rows):
-    return [(r.name, r.level, r.mm, r.mn, r.chiral, r.ambi, r.gamma01) for r in rows]
+    return [(r.name, r.level, *astuple(r.counts), r.gamma01) for r in rows]

@@ -1,6 +1,8 @@
 """Command-line front end.
 
-Exit codes: 0 success, 1 verification failure, 2 usage error.  All numeric
+Exit codes: 0 success, 1 verification failure, 2 usage error.  A handler
+returns 0 or 1 for its result and raises on an error; main alone maps the
+error to its code, 2 for a UsageError and 1 otherwise.  All numeric
 output is printed with 12 significant digits and JSON/CSV output is
 byte-stable across runs.
 """
@@ -25,39 +27,35 @@ def _fmt(x: float) -> str:
     return f"{float(x):.12g}"
 
 
-def _load_family(family: str, level: int) -> core.ModularData:
-    if family == "su2":
-        return core.su2_modular_data(level)
-    if family == "su3":
-        return core.sun_modular_data(3, level)
-    if family == "su4":
-        return core.sun_modular_data(4, level)
-    if family == "ising":
-        return core.ising_modular_data()
-    if family == "group":
-        return core.cyclic_group_modular_data(level)
-    raise ValueError(f"unknown family {family!r}")
+# --family name -> modular data at a level; every family but ising needs one.
+# The lambdas look the builders up in core at call time, so a wrapper put in
+# core's namespace after import, such as a profiler's span, is the one called.
+FAMILIES = {
+    "su2": lambda k: core.su2_modular_data(k),
+    "su3": lambda k: core.sun_modular_data(3, k),
+    "su4": lambda k: core.sun_modular_data(4, k),
+    "ising": lambda k: core.ising_modular_data(),
+    "group": lambda k: core.cyclic_group_modular_data(k),
+}
 
 
-def _require_level(args) -> int:
-    if args.family in ("su2", "su3", "su4", "group") and args.level is None:
-        print(f"error: --level is required for family {args.family}", file=sys.stderr)
-        raise SystemExit(EXIT_USAGE)
-    return args.level if args.level is not None else 0
+def _load_family(args) -> core.ModularData:
+    if args.level is None and args.family != "ising":
+        raise core.UsageError(f"--level is required for family {args.family}")
+    return FAMILIES[args.family](args.level)
 
 
 def cmd_show(args) -> int:
-    level = _require_level(args)
-    md = _load_family(args.family, level)
+    md = _load_family(args)
     if args.json:
         print(core.dumps_deterministic(core.modular_data_to_json(md)))
         return EXIT_OK
     print(f"family={md.family} level={md.level} labels={md.size}")
     print(f"w={_fmt(md.global_index)} c={_fmt(md.central_charge)} "
           f"degenerate={md.degenerate}")
-    for lab in md.labels:
-        tw = md.twists[lab.index]
-        print(f"  {lab.display}: d={_fmt(md.dims[lab.index])} "
+    for i, lab in enumerate(md.labels):
+        tw = md.twists[i]
+        print(f"  {lab}: d={_fmt(md.dims[i])} "
               f"twist=({_fmt(tw.real)},{_fmt(tw.imag)})")
     checks = core.check_modular(md)
     print("modular checks:", checks.summary())
@@ -65,26 +63,19 @@ def cmd_show(args) -> int:
 
 
 def cmd_fusion(args) -> int:
-    level = _require_level(args)
-    md = _load_family(args.family, level)
-    try:
-        ring = core.verlinde_fusion(md)
-    except core.DegenerateDataError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VERIFY
-    triples = [(a, b, c, int(ring.N[a, b, c]))
-               for a in range(ring.size) for b in range(ring.size)
-               for c in range(ring.size) if ring.N[a, b, c]]
+    md = _load_family(args)
+    ring = core.verlinde_fusion(md)
+    # [a, b, c, N[a, b, c]] for every nonzero entry, in row-major order
+    nonzero = ring.N != 0
+    triples = np.column_stack([np.argwhere(nonzero), ring.N[nonzero]]).tolist()
     if args.json:
-        doc = {"family": md.family, "level": md.level,
-               "labels": [l.display for l in md.labels],
-               "N": [[a, b, c, m] for a, b, c, m in triples]}
+        doc = {"family": md.family, "level": md.level, "labels": list(md.labels),
+               "N": triples}
         print(core.dumps_deterministic(doc))
         return EXIT_OK
     for a, b, c, m in triples:
-        names = [md.labels[i].display for i in (a, b, c)]
         mult = "" if m == 1 else f" x{m}"
-        print(f"  {names[0]} . {names[1]} -> {names[2]}{mult}")
+        print(f"  {md.labels[a]} . {md.labels[b]} -> {md.labels[c]}{mult}")
     return EXIT_OK
 
 
@@ -96,13 +87,8 @@ def _invariant_record(name, Z: search.MassMatrix, ring: core.FusionRing) -> dict
 
 
 def cmd_invariants(args) -> int:
-    level = _require_level(args)
-    md = _load_family(args.family, level)
-    try:
-        found = search.enumerate_invariants(md, budget=args.budget)
-    except core.DegenerateDataError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VERIFY
+    md = _load_family(args)
+    found = search.enumerate_invariants(md, budget=args.budget)
     ring = core.verlinde_fusion(md)
     # enumerate_invariants has verified every result a posteriori
     entries = [_invariant_record(search.su2_diagram_with_diagonal(md.level, Z.diagonal)
@@ -209,8 +195,9 @@ def cmd_chiral_table(args) -> int:
         return EXIT_OK
     print(f"{'name':>6} {'k':>3} {'#MM':>4} {'#MN':>4} {'#chi':>4} {'#amb':>4}  gamma01")
     for r in rows:
-        print(f"{r.name:>6} {r.level:>3} {r.mm:>4} {r.mn:>4} "
-              f"{r.chiral:>4} {r.ambi:>4}  {r.gamma01}")
+        c = r.counts
+        print(f"{r.name:>6} {r.level:>3} {c.mm:>4} {c.mn:>4} "
+              f"{c.chiral:>4} {c.ambi:>4}  {r.gamma01}")
     return EXIT_OK
 
 
@@ -232,12 +219,7 @@ def _parse_theta(spec: str, k: int) -> np.ndarray:
 def cmd_gram(args) -> int:
     theta = _parse_theta(args.theta, args.level)
     ring = core.su2_fusion_closed_form(args.level)
-    M = chiral.gram_matrix(ring, theta)
-    try:
-        dec = chiral.decompose_gram(M, ring)
-    except chiral.GramDecompositionError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VERIFY
+    dec = chiral.decompose_gram(chiral.gram_matrix(ring, theta), ring)
     print(f"level {args.level} theta {args.theta}: {dec.num_sectors} sectors, "
           f"G1 graph {dec.graph_name or 'unrecognized'}")
     for row in dec.G1.tolist():
@@ -276,7 +258,7 @@ def _arg(*flags, **kwargs) -> tuple:
 _JSON = _arg("--json", action="store_true")
 _CSV = _arg("--csv", action="store_true")
 _BUDGET = _arg("--budget", type=int, default=search.DEFAULT_NODE_BUDGET)
-_FAMILY_OPTS = (_arg("--family", required=True, choices=["su2", "su3", "su4", "ising", "group"]),
+_FAMILY_OPTS = (_arg("--family", required=True, choices=list(FAMILIES)),
                 _arg("--level", type=int, default=None), _JSON)
 
 # name -> (help, handler, arguments), in the order the top-level help lists them

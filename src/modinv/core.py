@@ -25,7 +25,6 @@ PIVOT_TOL = 1e-7  # an echelon pivot candidate below this is zero in exact arith
 COMMUTE_TOL = 1e-8  # a commutant element commutes with S and T to this
 EIGEN_TOL = 1e-8  # eigenvector residual; eigenvalues this close are one degenerate value
 SPECTRUM_TOL = 1e-7  # a computed eigenvalue matches its character value to this
-NEG_TOL = -1e-6  # a structure constant below this is negative, not rounding noise
 MAX_DENOMINATOR = 10 ** 6  # largest denominator tried in rational reconstruction
 FLOAT_EXACT_MAX = 2 ** 53  # float64 sums of integers are exact while every partial sum is below this
 
@@ -47,31 +46,18 @@ class RoundingError(ValueError):
 
 
 @dataclass(frozen=True)
-class Label:
-    """A sector label: contiguous index with 0 reserved for the vacuum."""
-
-    index: int
-    display: str
-
-    def __str__(self):
-        return self.display
-
-
-@dataclass(frozen=True)
 class FusionRing:
-    """Label set with duality map and non-negative integer fusion tensor.
+    """The label names and the non-negative integer fusion tensor.
 
-    ``N[a, b, c]`` is the multiplicity of label c in the product a x b and
-    ``dual[a]`` the index of the conjugate label.
+    ``N[a, b, c]`` is the multiplicity of label c in the product a x b.  The
+    conjugate of a is the one label b with N[a, b, 0] = 1.
     """
 
-    labels: tuple[Label, ...]
+    labels: tuple[str, ...]
     N: np.ndarray
-    dual: np.ndarray
 
     def __post_init__(self):
         self.N.setflags(write=False)
-        self.dual.setflags(write=False)
 
     @property
     def size(self) -> int:
@@ -81,16 +67,16 @@ class FusionRing:
         """Assert the ring axioms exactly on the integer tensor.
 
         ``associative`` checks the unit and commutativity before it checks
-        associativity on the generators.
+        associativity on the generators.  Every row of N[:, :, 0] summing to
+        1 gives each label exactly one conjugate, since the entries are
+        non-negative integers; commutativity makes the pairing symmetric.
         """
         L = self.size
         if self.N.shape != (L, L, L):
             raise ValueError("fusion tensor shape mismatch")
         if self.N.dtype.kind not in "iu" or self.N.min() < 0:
             raise ValueError("fusion coefficients must be non-negative integers")
-        conj = np.zeros((L, L), dtype=int)
-        conj[np.arange(L), self.dual] = 1
-        dual_ok = np.array_equal(self.N[:, :, 0], conj)
+        dual_ok = bool((self.N[:, :, 0].sum(axis=1) == 1).all())
         assoc = associative(self.N)  # raises on no unit or no commutativity, checked first
         if not dual_ok:
             raise ValueError("duality map inconsistent with vacuum couplings")
@@ -237,7 +223,7 @@ class ModularData:
 
     family: str
     level: int
-    labels: tuple[Label, ...]
+    labels: tuple[str, ...]
     S: np.ndarray
     T: np.ndarray
     twists: np.ndarray
@@ -269,16 +255,22 @@ def _central_charge_from_twists(twists, dims) -> float:
     return float((4.0 * np.angle(total) / np.pi) % 8.0)
 
 
-def su2_modular_data(k: int) -> ModularData:
-    """Kac-Peterson S and T for SU(2) at level k (labels are spins 0..k)."""
+def su2_level(k: int) -> int:
+    """k, if it is an SU(2) level in 1..SU2_LEVEL_MAX; otherwise a UsageError."""
     if not 1 <= k <= SU2_LEVEL_MAX:
         raise UsageError(f"su2 level out of range: {k}")
+    return k
+
+
+def su2_modular_data(k: int) -> ModularData:
+    """Kac-Peterson S and T for SU(2) at level k (labels are spins 0..k)."""
+    su2_level(k)
     j = np.arange(k + 1)
     S = np.sqrt(2.0 / (k + 2)) * np.sin(np.pi * np.outer(j + 1, j + 1) / (k + 2))
     T = np.diag(np.exp(1j * np.pi * (j + 1) ** 2 / (2 * k + 4) - 1j * np.pi / 4))
     twists = np.exp(2j * np.pi * j * (j + 2) / (4 * k + 8))
     dims = S[:, 0] / S[0, 0]
-    labels = tuple(Label(int(i), str(int(i))) for i in j)
+    labels = tuple(map(str, range(k + 1)))
     return ModularData(
         family="su2",
         level=k,
@@ -300,14 +292,11 @@ def su2_fusion_closed_form(k: int) -> FusionRing:
     diagonalises every N_a by the one unitary S, so the ring axioms hold and
     are not re-validated on every call.
     """
-    if not 1 <= k <= SU2_LEVEL_MAX:
-        raise UsageError(f"su2 level out of range: {k}")
-    L = k + 1
+    L = su2_level(k) + 1
     a, b, c = np.ogrid[:L, :L, :L]
     N = ((abs(a - b) <= c) & (c <= np.minimum(a + b, 2 * k - a - b))
          & ((a + b + c) % 2 == 0)).astype(int)
-    labels = tuple(Label(i, str(i)) for i in range(L))
-    return FusionRing(labels=labels, N=N, dual=np.arange(L))
+    return FusionRing(labels=tuple(map(str, range(L))), N=N)
 
 
 def _sun_partitions(n: int, k: int) -> list[tuple[int, ...]]:
@@ -372,7 +361,7 @@ def sun_modular_data(n: int, k: int) -> ModularData:
     h = (np.einsum("ij,ij->i", weight, weight) + 2.0 * weight @ rho) / (2.0 * kappa)
     twists = np.exp(2j * np.pi * h)
     dims = (S[:, 0] / S[0, 0]).real
-    labels = tuple(Label(i, "(" + ",".join(map(str, a)) + ")") for i, a in enumerate(parts))
+    labels = tuple("(" + ",".join(map(str, a)) + ")" for a in parts)
     return ModularData(
         family=f"su{n}",
         level=k,
@@ -389,10 +378,9 @@ def sun_modular_data(n: int, k: int) -> ModularData:
 def sun_label_index(md: ModularData, part) -> int:
     """Index of the partition label ``part`` (e.g. (3, 0)) in SU(n) data."""
     disp = "(" + ",".join(map(str, part)) + ")"
-    for lab in md.labels:
-        if lab.display == disp:
-            return lab.index
-    raise KeyError(f"label {disp} not in {md.family}_{md.level}")
+    if disp not in md.labels:
+        raise KeyError(f"label {disp} not in {md.family}_{md.level}")
+    return md.labels.index(disp)
 
 
 ISING_LABELS = ("id", "eta", "sigma")
@@ -405,8 +393,7 @@ def ising_fusion_ring() -> FusionRing:
     N[1, 1, 0] = N[1, 0, 1] = N[0, 1, 1] = 1
     N[1, 2, 2] = N[2, 1, 2] = N[2, 2, 1] = 1
     N[2, 0, 2] = N[0, 2, 2] = N[2, 2, 0] = 1
-    labels = tuple(Label(i, s) for i, s in enumerate(ISING_LABELS))
-    ring = FusionRing(labels=labels, N=N, dual=np.arange(3))
+    ring = FusionRing(labels=ISING_LABELS, N=N)
     ring.validate()
     return ring
 
@@ -420,11 +407,10 @@ def ising_modular_data() -> ModularData:
     dims = np.array([1.0, 1.0, r2])
     c = 0.5
     T = np.diag(np.exp(-1j * np.pi * c / 12.0) * twists)
-    labels = tuple(Label(i, s) for i, s in enumerate(ISING_LABELS))
     return ModularData(
         family="ising",
         level=0,
-        labels=labels,
+        labels=ISING_LABELS,
         S=S,
         T=T,
         twists=twists,
@@ -443,11 +429,10 @@ def cyclic_group_modular_data(n: int) -> ModularData:
     dims = np.ones(n)
     S = np.full((n, n), 1.0 / n, dtype=complex)
     twists = np.ones(n, dtype=complex)
-    labels = tuple(Label(i, f"g{i}") for i in range(n))
     return ModularData(
         family="group",
         level=n,
-        labels=labels,
+        labels=tuple(f"g{i}" for i in range(n)),
         S=S,
         T=np.eye(n, dtype=complex),
         twists=twists,
@@ -458,13 +443,12 @@ def cyclic_group_modular_data(n: int) -> ModularData:
 
 
 def cyclic_group_fusion_ring(n: int) -> FusionRing:
-    """Fusion ring of Z_n: group multiplication, dual = inverse."""
+    """Fusion ring of Z_n: group multiplication, conjugate = inverse."""
     N = np.zeros((n, n, n), dtype=int)
     for a in range(n):
         for b in range(n):
             N[a, b, (a + b) % n] = 1
-    labels = tuple(Label(i, f"g{i}") for i in range(n))
-    ring = FusionRing(labels=labels, N=N, dual=np.array([(-a) % n for a in range(n)]))
+    ring = FusionRing(labels=tuple(f"g{i}" for i in range(n)), N=N)
     ring.validate()
     return ring
 
@@ -533,7 +517,7 @@ def verlinde_fusion(md: ModularData) -> FusionRing:
         raise RoundingError(f"Verlinde coefficients not integral (residual {residual:.2e})")
     if low < 0:
         raise RoundingError("Verlinde formula produced a negative coefficient")
-    ring = FusionRing(labels=md.labels, N=N, dual=np.argmax(N[:, :, 0], axis=1))
+    ring = FusionRing(labels=md.labels, N=N)
     ring.validate()
     return ring
 
@@ -603,7 +587,7 @@ def modular_data_to_json(md: ModularData) -> dict:
     return {
         "family": md.family,
         "level": md.level,
-        "labels": [lab.display for lab in md.labels],
+        "labels": list(md.labels),
         "S": [[_complex_entry(z) for z in row] for row in md.S],
         "T_phases": [_complex_entry(md.T[i, i]) for i in range(md.size)],
         "dims": [_sig12(d) for d in md.dims],
@@ -614,7 +598,6 @@ def modular_data_to_json(md: ModularData) -> dict:
 
 def modular_data_from_json(doc: dict) -> ModularData:
     """Rebuild ModularData from its JSON document and re-validate invariants."""
-    labels = tuple(Label(i, s) for i, s in enumerate(doc["labels"]))
     S = np.array([[e["re"] + 1j * e["im"] for e in row] for row in doc["S"]])
     tphases = np.array([e["re"] + 1j * e["im"] for e in doc["T_phases"]])
     dims = np.array([float(d) for d in doc["dims"]])
@@ -624,7 +607,7 @@ def modular_data_from_json(doc: dict) -> ModularData:
     md = ModularData(
         family=doc["family"],
         level=int(doc["level"]),
-        labels=labels,
+        labels=tuple(doc["labels"]),
         S=S,
         T=np.diag(tphases),
         twists=twists,

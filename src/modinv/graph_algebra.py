@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ASSERT_TOL, EIGEN_TOL, NEG_TOL, ROUND_TOL, associative, verlinde_sum
+from .core import ASSERT_TOL, EIGEN_TOL, ROUND_TOL, associative, verlinde_sum
 from .nimrep import AdeGraph, NimRepFamily, ade_graph
 
 
@@ -173,7 +173,7 @@ def graph_structure_constants(gauge: EigenGauge) -> GraphFusion:
     rounded = np.round(real)
     gap = float(np.max(np.abs(real - rounded)))
     worst_neg = float(real.min())
-    if gap > ROUND_TOL and worst_neg > NEG_TOL:
+    if gap > ROUND_TOL and worst_neg > -ROUND_TOL:
         raise GaugeError(f"{gauge.graph.name}: entries neither integral nor negative; "
                          f"worst residual {gap:.3g}")
     positive = bool(gap <= ROUND_TOL and rounded.min() >= 0)
@@ -231,6 +231,6 @@ def csv_rows(fusion: GraphFusion):
             for c in range(V):
                 val = float(fusion.Nhat[a, b, c].real)
                 rnd = int(fusion.rounded[a, b, c])
-                flag = "neg" if val < NEG_TOL else ("ok" if abs(val - rnd) < ROUND_TOL else "frac")
+                flag = "neg" if val < -ROUND_TOL else ("ok" if abs(val - rnd) < ROUND_TOL else "frac")
                 rows.append((fusion.graph, a, b, c, val, rnd, flag))
     return rows

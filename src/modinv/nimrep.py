@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ASSERT_TOL, SPECTRUM_TOL, SU2_LEVEL_MAX, ModularData, UsageError
+from .core import ASSERT_TOL, SPECTRUM_TOL, ModularData, UsageError, su2_level
 from .search import MassMatrix, ade_exponent_multiset, diagram_case
 
 
@@ -129,8 +129,7 @@ def fused_adjacencies(graph: AdeGraph) -> NimRepFamily:
         if nxt.min() < 0:
             raise NimRepError(f"{graph.name}: negative entry in fused adjacency")
         G.append(nxt)
-    if not 1 <= k <= SU2_LEVEL_MAX:
-        raise UsageError(f"su2 level out of range: {k}")
+    su2_level(k)
     if (G[1] @ G[k] - G[k - 1]).any():
         raise NimRepError(f"{graph.name}: nimrep identity fails")
     return NimRepFamily(graph=graph, G=tuple(G))

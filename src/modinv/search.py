@@ -21,8 +21,8 @@ from fractions import Fraction
 import numpy as np
 
 from .core import (COMMUTE_TOL, FIXED_SPACE_TOL, MAX_DENOMINATOR, PHASE_TOL, PIVOT_TOL,
-                   ROUND_TOL, SU2_LEVEL_MAX, VACUUM_ROW_TOL, DegenerateDataError, FusionRing,
-                   ModularData, UsageError, su2_modular_data, sun_label_index, sun_modular_data)
+                   ROUND_TOL, VACUUM_ROW_TOL, DegenerateDataError, FusionRing, ModularData,
+                   UsageError, su2_level, su2_modular_data, sun_label_index, sun_modular_data)
 
 DEFAULT_NODE_BUDGET = 10 ** 8
 
@@ -293,19 +293,20 @@ def enumerate_invariants(md: ModularData, budget: int = DEFAULT_NODE_BUDGET) -> 
 class InvariantReport:
     commutes_s: float
     commutes_t: float
-    non_negative: bool
-    vacuum_normalized: bool
     vacuum_row_residual: float  # | sum d Z[:,0] - sum Z[0,:] d |
 
     @property
     def ok(self) -> bool:
-        return (self.non_negative and self.vacuum_normalized
-                and max(self.commutes_s, self.commutes_t) < COMMUTE_TOL
+        return (max(self.commutes_s, self.commutes_t) < COMMUTE_TOL
                 and self.vacuum_row_residual < VACUUM_ROW_TOL)
 
 
 def verify_invariant(md: ModularData, Z: MassMatrix) -> InvariantReport:
-    """Commutation residuals, positivity, normalization and the vacuum-row identity."""
+    """Commutation residuals and the vacuum-row identity.
+
+    Positivity and Z[0, 0] = 1 are not checked here: MassMatrix refuses any
+    Z without them, and its array is read-only.
+    """
     M = Z.Z
     if M.shape[0] != md.size:
         raise ValueError("shape mismatch between Z and modular data")
@@ -313,8 +314,6 @@ def verify_invariant(md: ModularData, Z: MassMatrix) -> InvariantReport:
     return InvariantReport(
         commutes_s=float(np.max(np.abs(md.S @ M - M @ md.S))),
         commutes_t=float(np.max(np.abs(md.T @ M - M @ md.T))),
-        non_negative=bool(M.min() >= 0),
-        vacuum_normalized=bool(M[0, 0] == 1),
         vacuum_row_residual=float(abs(d @ M[:, 0] - M[0, :] @ d)),
     )
 
@@ -463,9 +462,7 @@ def diagram_case(name: str) -> tuple[str, int]:
     cases = dict(su2_diagrams(k)) if k >= 0 else {}
     if name not in cases:
         raise ValueError(f"unknown diagram name {name!r}")
-    if not 1 <= k <= SU2_LEVEL_MAX:
-        raise UsageError(f"su2 level out of range: {k}")
-    return cases[name], k
+    return cases[name], su2_level(k)
 
 
 def _diagonal(case: str, k: int) -> np.ndarray:

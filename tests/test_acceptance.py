@@ -121,7 +121,8 @@ def _expected_table_rows():
 def test_criterion_07_table_reproduction():
     t0 = time.perf_counter()
     rows = chiral.chiral_table(28)
-    got = {(r.name, r.level): (r.mm, r.mn, r.chiral, r.ambi, r.gamma01) for r in rows}
+    got = {(r.name, r.level): (r.counts.mm, r.counts.mn, r.counts.chiral, r.counts.ambi,
+                               r.gamma01) for r in rows}
     assert got == _expected_table_rows()
     elapsed = time.perf_counter() - t0
     assert elapsed < 10.0

@@ -69,11 +69,12 @@ def test_decompose_gram_rejects_negative_entries():
         chiral.decompose_gram(M, ring)
 
 
-def test_decompose_gram_budget():
+def test_decompose_gram_budget(monkeypatch):
+    monkeypatch.setattr(chiral, "GRAM_NODE_BUDGET", 5)
     ring = core.su2_fusion_closed_form(16)
     M = chiral.gram_matrix(ring, chiral.theta_vector(16, [0, 8, 16]))
-    with pytest.raises(chiral.GramDecompositionError):
-        chiral.decompose_gram(M, ring, budget=5)
+    with pytest.raises(chiral.GramDecompositionError, match="within 5 nodes"):
+        chiral.decompose_gram(M, ring)
 
 
 CASES_AT = [("A", 7), ("D_even", 8), ("D_odd", 10), ("E6", 10), ("E7", 16), ("E8", 28)]
@@ -237,19 +238,20 @@ def test_chiral_system_matches_hand_written(case, k):
 def test_count_monotonicity_and_permutation_collapse():
     # mm >= chiral >= ambi always; permutation invariants flatten to L
     for r in chiral.chiral_table(20):
-        assert r.mm >= r.chiral >= r.ambi
+        c = r.counts
+        assert c.mm >= c.chiral >= c.ambi
         if r.name.startswith("A") or (r.name.startswith("D") and r.level % 4 == 2):
-            assert r.mm == r.chiral == r.ambi == r.level + 1
+            assert c.mm == c.chiral == c.ambi == r.level + 1
 
 
 def test_chiral_table_selected_rows():
     rows = {(r.name, r.level): r for r in chiral.chiral_table(16)}
     e6 = rows[("E6", 10)]
-    assert (e6.mm, e6.mn, e6.chiral, e6.ambi, e6.gamma01) == (12, 6, 6, 3, "E6")
+    assert (e6.counts, e6.gamma01) == (chiral.SectorCounts(mm=12, mn=6, chiral=6, ambi=3), "E6")
     d7 = rows[("D7", 10)]
-    assert (d7.mm, d7.mn, d7.chiral, d7.ambi, d7.gamma01) == (11, 7, 11, 11, "A11")
+    assert (d7.counts, d7.gamma01) == (chiral.SectorCounts(mm=11, mn=7, chiral=11, ambi=11), "A11")
     e7 = rows[("E7", 16)]
-    assert (e7.mm, e7.mn, e7.chiral, e7.ambi, e7.gamma01) == (17, 7, 10, 6, "D10")
+    assert (e7.counts, e7.gamma01) == (chiral.SectorCounts(mm=17, mn=7, chiral=10, ambi=6), "D10")
 
 
 def test_full_system_dodd_k6():

@@ -69,9 +69,8 @@ def test_show_group_reports_failed_checks(capsys):
 
 
 def test_group_without_level_is_usage_error(capsys):
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["show", "--family", "group"])
-    assert exc.value.code == 2
+    assert run(capsys, "show", "--family", "group") == \
+        (2, "", "error: --level is required for family group\n")
 
 
 def test_invariants_budget_incomplete(capsys):
@@ -156,9 +155,14 @@ def test_gram_bad_theta_usage_error(capsys):
 
 
 def test_missing_level_usage_error(capsys):
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["show", "--family", "su2"])
-    assert exc.value.code == 2
+    assert run(capsys, "show", "--family", "su2") == \
+        (2, "", "error: --level is required for family su2\n")
+
+
+@pytest.mark.parametrize("command, family", [("fusion", "su3"), ("invariants", "su4")])
+def test_missing_level_usage_error_in_fusion_and_invariants(capsys, command, family):
+    assert run(capsys, command, "--family", family) == \
+        (2, "", f"error: --level is required for family {family}\n")
 
 
 def test_unknown_flag_usage_error(capsys):

@@ -267,9 +267,23 @@ def test_validate_rejects_non_associative_ring():
     N = np.zeros((3, 3, 3), dtype=int)
     N[0] = N[:, 0] = np.eye(3, dtype=int)
     N[1, 1, 0] = N[2, 2, 0] = 1
-    ring = core.FusionRing(labels=tuple(core.Label(i, str(i)) for i in range(3)),
-                           N=N, dual=np.arange(3))
+    ring = core.FusionRing(labels=tuple(map(str, range(3))), N=N)
     with pytest.raises(ValueError, match="not associative"):
+        ring.validate()
+
+
+@pytest.mark.parametrize("vacuum", [
+    [[1, 0, 0], [0, 1, 1], [0, 1, 0]],  # label 1 has two conjugates
+    [[1, 0, 0], [0, 0, 0], [0, 0, 1]],  # label 1 has none
+])
+def test_validate_rejects_bad_vacuum_couplings(vacuum):
+    # label 0 is the unit and the vacuum couplings are symmetric, so N passes
+    # the unit and commutativity checks and only the duality check fails
+    N = np.zeros((3, 3, 3), dtype=int)
+    N[0] = N[:, 0] = np.eye(3, dtype=int)
+    N[:, :, 0] = vacuum
+    ring = core.FusionRing(labels=tuple(map(str, range(3))), N=N)
+    with pytest.raises(ValueError, match="duality map inconsistent with vacuum couplings"):
         ring.validate()
 
 
@@ -452,9 +466,7 @@ def test_from_twists_reproduces_su2_s_matrix():
 
 def test_trivial_ring_from_twists():
     ring = core.cyclic_group_fusion_ring(2)
-    one = core.FusionRing(labels=ring.labels[:1],
-                          N=np.ones((1, 1, 1), dtype=int),
-                          dual=np.zeros(1, dtype=int))
+    one = core.FusionRing(labels=ring.labels[:1], N=np.ones((1, 1, 1), dtype=int))
     built = core.modular_data_from_twists(one, [1.0], [1.0])
     assert built.S[0, 0] == 1
     assert built.global_index == 1.0
@@ -510,8 +522,7 @@ def test_check_modular_su3_conjugation():
     checks = core.check_modular(md)
     assert checks.passed
     # conjugation swaps (m, 0) with (m, m)
-    displays = [lab.display for lab in md.labels]
-    i10, i11 = displays.index("(1,0)"), displays.index("(1,1)")
+    i10, i11 = md.labels.index("(1,0)"), md.labels.index("(1,1)")
     assert checks.dual[i10] == i11
 
 
@@ -536,7 +547,7 @@ def test_json_round_trip():
     back = core.modular_data_from_json(doc)
     assert np.max(np.abs(back.S - md.S)) < 1e-11
     assert core.modular_data_to_json(back) == doc
-    assert [l.display for l in back.labels] == [l.display for l in md.labels]
+    assert back.labels == md.labels
 
 
 def test_json_import_validates():
