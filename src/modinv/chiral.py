@@ -42,7 +42,7 @@ from .search import (
     su2_diagram_with_diagonal,
     su2_invariant_matrix,
 )
-from .nimrep import _match_multisets, ade_graph, fused_adjacencies, identify_ade
+from .nimrep import _match_rows, ade_graph, character_table, fused_adjacencies, identify_ade
 
 GRAM_NODE_BUDGET = 10 ** 6
 
@@ -86,15 +86,27 @@ class SectorDecomposition:
         return identify_ade(self.G1)
 
 
-def decompose_gram(M: np.ndarray, ring: FusionRing) -> SectorDecomposition:
-    """Find non-negative integer F with F^t F = M by column-wise peeling.
+def factor_gram(M: np.ndarray) -> tuple[np.ndarray, int]:
+    """A non-negative integer F with F^t F = M by column-wise peeling, and
+    the number of search nodes it took.
 
     Columns are processed in label order; each column chooses entries on the
     sectors discovered so far consistent with all earlier inner products, and
     the leftover diagonal weight spawns new sector rows (multiplicities
-    enumerated as decreasing square decompositions).  G1 solves G1 F = F N_1
-    exactly; fractional or negative G1 signals an inconsistent theta.  The
-    search gives up after GRAM_NODE_BUDGET nodes.
+    enumerated as decreasing square decompositions).  The search gives up
+    after GRAM_NODE_BUDGET nodes.
+
+    Row rule.  While column col is filled, a row i with F[i, mu] > M[col, mu]
+    for some earlier column mu can only take 0, and so can every row when
+    M[col, col] = 0.  Proof: F >= 0, so every remaining inner product
+    M[col, mu] - sum_i F[i, col] F[i, mu] and the remaining norm
+    M[col, col] - sum_i F[i, col]^2 only fall as entries are set, and each
+    must stay >= 0; a positive entry on such a row makes one of them
+    negative at once.  So the search branches only on the other rows and
+    sets the forced ones to 0 without a node.  It visits the same
+    non-forced assignments in the same order as a search over every row
+    and returns the same first F.  A node is one entry tried on a row that
+    can be positive, or the check that closes a column.
     """
     M = np.asarray(M)
     L = M.shape[0]
@@ -102,49 +114,66 @@ def decompose_gram(M: np.ndarray, ring: FusionRing) -> SectorDecomposition:
         raise GramDecompositionError("Gram matrix must be symmetric")
     if M.min() < 0:
         raise GramDecompositionError("Gram matrix of a non-negative F must be non-negative")
+    M = M.astype(np.int64)
+    rows_of = M.tolist()
+    F = np.zeros((L, L), dtype=np.int64)  # F[:r] holds the sectors found; grown as needed
     nodes = 0
     solution = None
 
     # Each search step is a generator that yields the steps below it.  An
     # explicit stack of suspended generators replaces recursion, so the
     # depth (one step per entry of F) is not bounded by the recursion limit.
-    def column(col, rows):
+    def column(col, r):
         nonlocal solution
         if col == L:
-            solution = rows
+            solution = F[:r].copy()
             return
-        entry = [0] * len(rows)
-        yield assign(col, rows, entry, 0, int(M[col, col]), [int(M[col, mu]) for mu in range(col)])
+        rem = rows_of[col][col]
+        cands = []  # each row that can be positive, with its nonzero earlier entries
+        if rem:
+            free = np.flatnonzero((F[:r, :col] <= M[col, :col]).all(axis=1))
+            cands = [(i, [(mu, f) for mu, f in enumerate(row) if f])
+                     for i, row in zip(free.tolist(), F[free, :col].tolist())]
+        yield assign(col, r, cands, 0, rem, rows_of[col][:col])
 
-    def assign(col, rows, entry, i, rem, dotrem):
-        # entry i of the column on existing row i, keeping inner products >= 0
+    def assign(col, r, cands, j, rem, dotrem):
+        # entry of the column on candidate j, keeping inner products >= 0
         nonlocal nodes
         nodes += 1
         if nodes > GRAM_NODE_BUDGET:
             raise GramDecompositionError(f"no factorization within {GRAM_NODE_BUDGET} nodes")
-        if i == len(rows):
+        if j == len(cands):
             if not any(dotrem):
-                yield spawn(col, rows, entry, rem, math.isqrt(rem), [])
+                yield spawn(col, r, rem, math.isqrt(rem), [])
             return
         # the row is non-negative, so each remaining inner product falls as v
         # grows; vmax is the largest v that keeps all of them >= 0
-        row = rows[i]
-        vmax = min([math.isqrt(rem)] + [d // r for d, r in zip(dotrem, row) if r])
-        for v in range(vmax + 1):
-            entry[i] = v
-            yield assign(col, rows, entry, i + 1, rem - v * v, [d - v * r for d, r in zip(dotrem, row)])
-        entry[i] = 0
+        i, support = cands[j]
+        vmax = min([math.isqrt(rem)] + [dotrem[mu] // f for mu, f in support])
+        yield assign(col, r, cands, j + 1, rem, dotrem)
+        for v in range(1, vmax + 1):
+            F[i, col] = v
+            left = dotrem.copy()
+            for mu, f in support:
+                left[mu] -= v * f
+            yield assign(col, r, cands, j + 1, rem - v * v, left)
+        F[i, col] = 0
 
-    def spawn(col, rows, entry, rem, cap, mults):
+    def spawn(col, r, rem, cap, mults):
         # leftover norm splits into squares of new-sector multiplicities
+        nonlocal F
         if rem == 0:
-            shaped = [row + [e] for row, e in zip(rows, entry)]
-            yield column(col + 1, shaped + [[0] * col + [m] for m in mults])
+            end = r + len(mults)
+            if end > len(F):
+                F = np.vstack([F, np.zeros((end, L), dtype=np.int64)])
+            F[r:end] = 0
+            F[r:end, col] = mults
+            yield column(col + 1, end)
             return
         for m in range(min(cap, math.isqrt(rem)), 0, -1):
-            yield spawn(col, rows, entry, rem - m * m, m, mults + [m])
+            yield spawn(col, r, rem - m * m, m, mults + [m])
 
-    stack = [column(0, [])]
+    stack = [column(0, 0)]
     while stack and solution is None:
         step = next(stack[-1], None)
         if step is None:
@@ -153,7 +182,18 @@ def decompose_gram(M: np.ndarray, ring: FusionRing) -> SectorDecomposition:
             stack.append(step)
     if solution is None:
         raise GramDecompositionError("no non-negative integer factorization found")
-    F = np.array(solution, dtype=int)  # every row has one entry per column
+    return solution, nodes
+
+
+def decompose_gram(M: np.ndarray, ring: FusionRing) -> SectorDecomposition:
+    """Factor M = F^t F and induce G1 from F.
+
+    F is the first factorization of ``factor_gram``, whose docstring states
+    and proves the row rule that its search branches by.  G1 solves
+    G1 F = F N_1 exactly; fractional or negative G1 signals an inconsistent
+    theta.
+    """
+    F, _ = factor_gram(M)
     if not np.array_equal(F.T @ F, M):
         raise GramDecompositionError("factorization check failed")
     N1 = ring.N[1]
@@ -338,20 +378,22 @@ def full_system_dodd(k: int) -> FullSystemReport:
     The full system is the spin fusion ring with the two chiralities acting
     as N_nu and N_{pi(rho)}; the simultaneous fusion matrix
     Gamma[nu, rho] = N_nu N_{pi(rho)} must have eigenvalue
-    chi_l(nu) chi_m(rho) with multiplicity Z[l, m]^2 for every pair.
+    chi_l(nu) chi_m(rho) with multiplicity Z[l, m]^2 for every pair.  The
+    products of the 0/1 fusion matrices are exact in float64; one eigvalsh
+    takes the k + 1 products of each nu.
     """
     Z = su2_invariant_matrix("D_odd", k)  # raises BranchingError off levels 2 mod 4
     md = su2_modular_data(k)
-    ring = su2_fusion_closed_form(k)
-    pi = [int(np.argmax(Z.Z[:, mu])) for mu in range(k + 1)]
-    chars = (md.S / md.S[:, [0]]).real.tolist()  # chars[l][nu] = chi_l(nu)
-    mults = [(lam, mu, int(Z.Z[lam, mu]) ** 2) for lam in range(k + 1) for mu in range(k + 1)]
+    N = su2_fusion_closed_form(k).N.astype(float)
+    N_pi = N[np.argmax(Z.Z, axis=0)]
+    chars = character_table(md)  # chars[l, nu] = chi_l(nu)
+    # (l, m) once per unit of Z[l, m]^2
+    lam, mu = np.divmod(np.repeat(np.arange((k + 1) ** 2), (Z.Z ** 2).ravel()), k + 1)
     worst = 0.0
     for nu in range(k + 1):
-        for rho in range(k + 1):
-            eig = np.linalg.eigvalsh((ring.N[nu] @ ring.N[pi[rho]]).astype(float))
-            expected = [chars[lam][nu] * chars[mu][rho] for lam, mu, m in mults for _ in range(m)]
-            worst = max(worst, _match_multisets(eig.tolist(), expected)[1])
+        eig = np.linalg.eigvalsh(N[nu] @ N_pi)
+        _, gaps = _match_rows(eig, chars[lam, nu] * chars[mu].T)
+        worst = max(worst, float(gaps.max()))
     return FullSystemReport(level=k, pairs_checked=(k + 1) ** 2, matched=worst <= SPECTRUM_TOL,
                             worst_gap=worst)
 

@@ -154,7 +154,11 @@ def generating_labels(N: np.ndarray, unit: int = 0) -> tuple[int, ...]:
     products have integer coordinates, and rank L modulo p means an L x L
     minor nonzero modulo p, hence nonzero over Z: the products span Q^L.
     Labels are taken greedily in index order, each one whose basis vector
-    is not yet in the span.  N must have the unit and be commutative, which
+    is not yet in the span.  The first is the first label a that is not the
+    unit, and the span it closes with e_unit is that of the rows
+    e_unit N_a^j, j < L.  When those have rank L modulo p, the greedy loop
+    returns (a,), so ``_krylov_full_rank`` decides that case first with
+    one elimination.  N must have the unit and be commutative, which
     ``associative`` checks first.  Every label is returned, so the check is
     the full one, when a sum of L products of residues or entries of N,
     L p max(p, max|N|), could overflow int64.
@@ -165,6 +169,9 @@ def generating_labels(N: np.ndarray, unit: int = 0) -> tuple[int, ...]:
     if L * p * max(p, int(N.max()), -int(N.min())) >= 2 ** 63:
         return tuple(range(L))
     N = N.astype(np.int64, copy=False)
+    first = int(unit == 0)
+    if L > 1 and _krylov_full_rank(N[first], unit, p):
+        return (first,)
     eye = np.eye(L, dtype=np.int64)
     rows = np.empty((L, L), dtype=np.int64)  # rows[:len(pivots)]: reduced echelon basis mod p
     pivots: list[int] = []
@@ -197,6 +204,27 @@ def generating_labels(N: np.ndarray, unit: int = 0) -> tuple[int, ...]:
         while len(new := extend(todo)):
             todo = np.vstack([new @ N[g] for g in gens]) % p
     return tuple(gens)
+
+
+def _krylov_full_rank(A: np.ndarray, unit: int, p: int) -> bool:
+    """Whether the rows e_unit A^j, j < len(A), have full rank modulo p, for
+    int64 A with len(A) p max(p, max|A|) < 2^63."""
+    L = len(A)
+    K = np.zeros((L, L), dtype=np.int64)
+    K[0, unit] = 1
+    for j in range(1, L):
+        K[j] = K[j - 1] @ A % p
+    for c in range(L):
+        nonzero = K[c:, c].nonzero()[0]
+        if not len(nonzero):
+            return False
+        if nonzero[0]:
+            i = c + int(nonzero[0])
+            K[[c, i]] = K[[i, c]]
+        below = K[c + 1:, c:]
+        below -= np.outer(below[:, 0] * pow(int(K[c, c]), -1, p) % p, K[c, c:])
+        below %= p
+    return True
 
 
 def verlinde_sum(U: np.ndarray, base: int) -> np.ndarray:

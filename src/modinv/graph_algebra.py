@@ -11,6 +11,7 @@ A, D_even, E6 and E8 diagrams and acquire negative entries for D_odd and E7.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -222,15 +223,13 @@ def diagonalization_residual(gauge: EigenGauge, family: NimRepFamily) -> float:
     return worst
 
 
+CSV_FLAGS = np.array(["ok", "frac", "neg"], dtype=object)
+
+
 def csv_rows(fusion: GraphFusion):
     """Rows (graph, a, b, c, value, rounded, flag) for every structure constant."""
-    V = fusion.rounded.shape[0]
-    rows = []
-    for a in range(V):
-        for b in range(V):
-            for c in range(V):
-                val = float(fusion.Nhat[a, b, c].real)
-                rnd = int(fusion.rounded[a, b, c])
-                flag = "neg" if val < -ROUND_TOL else ("ok" if abs(val - rnd) < ROUND_TOL else "frac")
-                rows.append((fusion.graph, a, b, c, val, rnd, flag))
-    return rows
+    val = fusion.Nhat.real
+    flag = np.where(val < -ROUND_TOL, 2, np.where(np.abs(val - fusion.rounded) < ROUND_TOL, 0, 1))
+    abc = np.indices(val.shape).reshape(3, -1).tolist()
+    return list(zip(itertools.repeat(fusion.graph), *abc, val.ravel().tolist(),
+                    fusion.rounded.ravel().tolist(), CSV_FLAGS[flag.ravel()].tolist()))

@@ -11,7 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ASSERT_TOL, SPECTRUM_TOL, ModularData, UsageError, su2_level
+from .core import (ASSERT_TOL, FLOAT_EXACT_MAX, SPECTRUM_TOL, ModularData, UsageError,
+                   su2_level)
 from .search import MassMatrix, ade_exponent_multiset, diagram_case
 
 
@@ -120,31 +121,33 @@ def fused_adjacencies(graph: AdeGraph) -> NimRepFamily:
     U_{k+1}(G_1) = G_{k+1} = 0.
     A negative entry in G_2 .. G_k signals a wrong graph/level pairing and
     raises.
+
+    The recursion runs in float64 BLAS products and is converted to int
+    once.  Every partial sum of G_1 G_j is an integer of magnitude at most
+    V max|G_1| max|G_j|, which float64 holds exactly below FLOAT_EXACT_MAX,
+    in any summation order.  The bound is checked on the computed
+    G_0 .. G_k: they are exact up to the first inexact step, and that step
+    either breaks the bound itself or leaves an entry of magnitude at least
+    FLOAT_EXACT_MAX.  So when the check passes, G_0 .. G_k are exact and
+    G_{k+1} is zero exactly when its computed value is; beyond the bound
+    ValueError is raised.
     """
     k = graph.coxeter - 2
     V = graph.num_vertices
-    G = [np.eye(V, dtype=int), graph.adjacency.copy()]
-    for _ in range(2, k + 1):
-        nxt = G[1] @ G[-1] - G[-2]
-        if nxt.min() < 0:
-            raise NimRepError(f"{graph.name}: negative entry in fused adjacency")
-        G.append(nxt)
+    G = np.empty((max(k, 0) + 2, V, V))
+    G[0] = np.eye(V)
+    G[1] = graph.adjacency
+    for j in range(1, k + 1):
+        np.matmul(G[1], G[j], out=G[j + 1])
+        G[j + 1] -= G[j - 1]
+    if not V * np.abs(G[1]).max() * np.abs(G[:k + 1]).max(initial=0) < FLOAT_EXACT_MAX:
+        raise ValueError(f"{graph.name}: fused adjacencies beyond the exact float64 range")
+    if (G[2:k + 1] < 0).any():
+        raise NimRepError(f"{graph.name}: negative entry in fused adjacency")
     su2_level(k)
-    if (G[1] @ G[k] - G[k - 1]).any():
+    if G[k + 1].any():
         raise NimRepError(f"{graph.name}: nimrep identity fails")
-    return NimRepFamily(graph=graph, G=tuple(G))
-
-
-def _match_multisets(values, expected):
-    """Pair two real multisets in sorted order: (pairs, worst gap).
-
-    pairs[i] = (value, matched expected); pairs is None, and the gap
-    infinite, if the sizes differ.
-    """
-    if len(values) != len(expected):
-        return None, float("inf")
-    pairs = list(zip(sorted(values), sorted(expected)))
-    return pairs, max((abs(a - b) for a, b in pairs), default=0.0)
+    return NimRepFamily(graph=graph, G=tuple(G[:k + 1].astype(int)))
 
 
 @dataclass(frozen=True)
@@ -169,42 +172,63 @@ class SpectrumReport:
         return max(e.worst_gap for e in self.entries)
 
 
+def character_table(md: ModularData) -> np.ndarray:
+    """chi[l, nu] = S[l, nu] / S[l, 0], the real part."""
+    return (md.S / md.S[:, [0]]).real
+
+
+def _match_rows(eig: np.ndarray, expected: np.ndarray):
+    """Pair each ascending row of ``eig`` with the same row of ``expected``
+    in sorted order: (expected sorted per row, worst gap per row), or
+    (None, an infinite gap per row) if the row sizes differ."""
+    if eig.shape != expected.shape:
+        return None, np.full(len(eig), np.inf)
+    expected = np.sort(expected, axis=1, kind="stable")
+    return expected, np.abs(eig - expected).max(axis=1)
+
+
 def spectrum_vs_diagonal(family: NimRepFamily, md: ModularData, Z: MassMatrix) -> SpectrumReport:
     """Check that eigenvalues of every G_nu are the characters chi_l(nu), each
     with multiplicity Z[l, l].
 
     chi_l(nu) = S[l, nu] / S[l, 0].  The two sorted multisets are paired in
-    order; each pair must agree within SPECTRUM_TOL.
+    order; each pair must agree within SPECTRUM_TOL.  The spectra come from
+    one eigvalsh over the stacked family, the expected multisets from the
+    character table with row l repeated Z[l, l] times.
     """
     k = family.level
     if md.size != k + 1 or Z.size != k + 1:
         raise ValueError("level mismatch between family, modular data and Z")
-    entries = []
-    diag = Z.diagonal
-    for nu in range(k + 1):
-        eig = np.linalg.eigvalsh(family.G[nu].astype(float))
-        expected = []
-        for lam in range(k + 1):
-            expected.extend([float((md.S[lam, nu] / md.S[lam, 0]).real)] * diag[lam])
-        pairs, worst = _match_multisets(eig.tolist(), expected)
-        entries.append(SpectrumEntry(nu=nu, matched=worst < SPECTRUM_TOL, worst_gap=float(worst),
-                                     pairs=tuple(pairs or ())))
-    return SpectrumReport(graph=family.graph.name, entries=tuple(entries))
+    eig = np.linalg.eigvalsh(np.array(family.G, dtype=float))
+    expected, gaps = _match_rows(eig, np.repeat(character_table(md), Z.diagonal, axis=0).T)
+    if expected is None:
+        pairs = [()] * (k + 1)
+    else:
+        pairs = [tuple(zip(v, w)) for v, w in zip(eig.tolist(), expected.tolist())]
+    return SpectrumReport(graph=family.graph.name, entries=tuple(
+        SpectrumEntry(nu=nu, matched=gap < SPECTRUM_TOL, worst_gap=gap, pairs=pairs[nu])
+        for nu, gap in enumerate(gaps.tolist())))
 
 
 def spectrum_csv_rows(report: SpectrumReport, md: ModularData):
-    """Rows (graph, nu, eigenvalue, multiplicity, matched spin) of a spectrum report."""
+    """Rows (graph, nu, eigenvalue, multiplicity, matched spin) of a spectrum report.
+
+    Pairs are grouped by their expected value rounded to 9 decimals; a
+    group's spin is the last label whose character rounds to that value.
+    """
+    table = character_table(md).T.tolist()  # table[nu][l] = chi_l(nu)
     rows = []
     for entry in report.entries:
-        # group matched pairs by expected character value
+        chars = table[entry.nu]
+        keys = [round(x, 9) for x in chars]
+        spin = dict(zip(keys, range(len(chars))))
+        key_of = dict(zip(chars, keys))  # expected values are characters
         seen = {}
         for val, exp in entry.pairs:
-            seen.setdefault(round(exp, 9), []).append(val)
-        chars = {round(float((md.S[lam, entry.nu] / md.S[lam, 0]).real), 9): lam
-                 for lam in range(md.size)}
-        for expval, vals in sorted(seen.items()):
-            rows.append((report.graph, entry.nu, vals[0], len(vals),
-                         chars.get(expval, -1)))
+            key = key_of[exp] if exp in key_of else round(exp, 9)
+            seen.setdefault(key, []).append(val)
+        for key, vals in sorted(seen.items()):
+            rows.append((report.graph, entry.nu, vals[0], len(vals), spin.get(key, -1)))
     return rows
 
 

@@ -1,5 +1,11 @@
+import math
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from modinv import chiral, core, nimrep, search
 
@@ -75,6 +81,138 @@ def test_decompose_gram_budget(monkeypatch):
     M = chiral.gram_matrix(ring, chiral.theta_vector(16, [0, 8, 16]))
     with pytest.raises(chiral.GramDecompositionError, match="within 5 nodes"):
         chiral.decompose_gram(M, ring)
+
+
+def _all_rows_gram_search(M):
+    """The Gram search that tries every existing row on every column, with
+    no budget: the reference for ``chiral.factor_gram``.  Returns (F, nodes,
+    forced), F None if no factorization exists, where forced counts the
+    nodes spent on a row that the row rule forces to 0 (some
+    F[i, mu] > M[col, mu], or M[col, col] = 0)."""
+    L = M.shape[0]
+    nodes = forced = 0
+    solution = None
+
+    def column(col, rows):
+        nonlocal solution
+        if col == L:
+            solution = rows
+            return
+        entry = [0] * len(rows)
+        yield assign(col, rows, entry, 0, int(M[col, col]), [int(M[col, mu]) for mu in range(col)])
+
+    def assign(col, rows, entry, i, rem, dotrem):
+        nonlocal nodes, forced
+        nodes += 1
+        if i == len(rows):
+            if not any(dotrem):
+                yield spawn(col, rows, entry, rem, math.isqrt(rem), [])
+            return
+        row = rows[i]
+        if M[col, col] == 0 or any(r > M[col, mu] for mu, r in enumerate(row)):
+            forced += 1
+        vmax = min([math.isqrt(rem)] + [d // r for d, r in zip(dotrem, row) if r])
+        for v in range(vmax + 1):
+            entry[i] = v
+            yield assign(col, rows, entry, i + 1, rem - v * v,
+                         [d - v * r for d, r in zip(dotrem, row)])
+        entry[i] = 0
+
+    def spawn(col, rows, entry, rem, cap, mults):
+        if rem == 0:
+            shaped = [row + [e] for row, e in zip(rows, entry)]
+            yield column(col + 1, shaped + [[0] * col + [m] for m in mults])
+            return
+        for m in range(min(cap, math.isqrt(rem)), 0, -1):
+            yield spawn(col, rows, entry, rem - m * m, m, mults + [m])
+
+    stack = [column(0, [])]
+    while stack and solution is None:
+        step = next(stack[-1], None)
+        if step is None:
+            stack.pop()
+        else:
+            stack.append(step)
+    F = None if solution is None else np.array(solution, dtype=int).reshape(-1, L)
+    return F, nodes, forced
+
+
+def _reference_g1(F, ring):
+    N1 = ring.N[1]
+    sol, *_ = np.linalg.lstsq(F.T.astype(float), (F @ N1).T.astype(float), rcond=None)
+    return np.round(sol.T).astype(int)
+
+
+def _assert_same_search(M):
+    """factor_gram returns the reference's F, or fails where it fails, after
+    exactly the reference's nodes less those on forced rows: it finishes
+    within that budget and runs out of one node less."""
+    want, nodes, forced = _all_rows_gram_search(M)
+    exact = nodes - forced
+    with mock.patch.object(chiral, "GRAM_NODE_BUDGET", exact):
+        if want is None:
+            with pytest.raises(chiral.GramDecompositionError, match="no non-negative integer"):
+                chiral.factor_gram(M)
+        else:
+            F, got = chiral.factor_gram(M)
+            assert F.dtype == want.dtype and np.array_equal(F, want)
+            assert got == exact
+    with mock.patch.object(chiral, "GRAM_NODE_BUDGET", exact - 1):
+        with pytest.raises(chiral.GramDecompositionError, match=f"within {exact - 1} nodes"):
+            chiral.factor_gram(M)
+    return want, nodes, exact
+
+
+# id+l{k} gives G1 = D_{k/2+2} at k = 2 mod 4, id+l2 gives A_{k+1}; together
+# with id+l8+l16 at k = 16 they hold every gram case the benchmark draws
+GRAM_CASES = ([(k, [0, k]) for k in range(2, 47)] + [(k, [0, 2]) for k in range(2, 41)]
+              + [(16, [0, 8, 16]), (28, [0, 10, 18, 28]), (10, [0, 6])])
+
+
+@pytest.mark.parametrize("k,spins", GRAM_CASES)
+def test_gram_search_equals_the_all_rows_search(k, spins):
+    ring = core.su2_fusion_closed_form(k)
+    M = chiral.gram_matrix(ring, chiral.theta_vector(k, spins))
+    F, _, _ = _assert_same_search(M)
+    dec = chiral.decompose_gram(M, ring)
+    assert np.array_equal(dec.F, F)
+    assert np.array_equal(dec.G1, _reference_g1(F, ring))
+
+
+def test_gram_search_nodes_on_the_dodd_series():
+    # the row rule leaves about a tenth of the nodes on id+l38 (G1 = D21)
+    ring = core.su2_fusion_closed_form(38)
+    _, nodes, got = _assert_same_search(chiral.gram_matrix(ring, chiral.theta_vector(38, [0, 38])))
+    assert (nodes, got) == (856, 77)
+
+
+@pytest.mark.parametrize("M", [[[1, 1], [1, 0]], [[2, 1, 1], [1, 1, 0], [1, 0, 0]],
+                               [[1, 1], [1, 1]], [[0, 0], [0, 0]]])
+def test_gram_search_on_zero_norm_columns(M):
+    # a column with M[col, col] = 0 forces every row, even where
+    # F[i, mu] <= M[col, mu]; the first two have no factorization
+    _assert_same_search(np.array(M))
+
+
+@st.composite
+def _gram_of_random_factor(draw):
+    """M = F^t F for a 0/1/2 matrix F of at most 4 x 5 with sum F^2 <= 16, or
+    the same with one off-diagonal pair changed, which often leaves no
+    factor.  The bound keeps the all-rows search small."""
+    F = draw(hnp.arrays(np.int64, (draw(st.integers(1, 4)), draw(st.integers(1, 5))),
+                        elements=st.integers(0, 2)))
+    M = F.T @ F
+    assume(np.trace(M) <= 16)
+    if draw(st.booleans()) and len(M) > 1:
+        a, b = draw(st.permutations(range(len(M))))[:2]
+        M[a, b] = M[b, a] = max(0, M[a, b] + draw(st.sampled_from([-1, 1])))
+    return M
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(_gram_of_random_factor())
+def test_gram_search_equals_the_all_rows_search_on_random_gram_matrices(M):
+    _assert_same_search(M)
 
 
 CASES_AT = [("A", 7), ("D_even", 8), ("D_odd", 10), ("E6", 10), ("E7", 16), ("E8", 28)]
@@ -266,6 +404,31 @@ def test_full_system_dodd_identity_pair():
     k = 6
     Z = search.su2_invariant_matrix("D_odd", k)
     assert Z.sum_of_squares == k + 1
+
+
+def _full_system_dodd_per_pair(k):
+    """One eigvalsh per (nu, rho) against its expected list: the reference
+    for ``chiral.full_system_dodd``."""
+    Z = search.su2_invariant_matrix("D_odd", k)
+    md = core.su2_modular_data(k)
+    ring = core.su2_fusion_closed_form(k)
+    pi = [int(np.argmax(Z.Z[:, mu])) for mu in range(k + 1)]
+    chars = (md.S / md.S[:, [0]]).real.tolist()
+    mults = [(lam, mu, int(Z.Z[lam, mu]) ** 2) for lam in range(k + 1) for mu in range(k + 1)]
+    worst = 0.0
+    for nu in range(k + 1):
+        for rho in range(k + 1):
+            eig = np.linalg.eigvalsh((ring.N[nu] @ ring.N[pi[rho]]).astype(float))
+            expected = sorted(chars[lam][nu] * chars[mu][rho]
+                              for lam, mu, m in mults for _ in range(m))
+            worst = max([worst] + [abs(a - b) for a, b in zip(sorted(eig.tolist()), expected)])
+    return chiral.FullSystemReport(level=k, pairs_checked=(k + 1) ** 2,
+                                   matched=worst <= core.SPECTRUM_TOL, worst_gap=worst)
+
+
+@pytest.mark.parametrize("k", range(6, 63, 4))
+def test_full_system_dodd_equals_the_per_pair_check(k):
+    assert chiral.full_system_dodd(k) == _full_system_dodd_per_pair(k)
 
 
 def test_full_system_rejects_wrong_level():

@@ -293,6 +293,22 @@ GOLDEN_STDOUT = {
         "dd6903e50e11c15343f856e10f4b8e0f68f165e9cc64da1a2e0fa5f0bc23ca63",
     ("nimrep", "--graph", "E7"):
         "32988703597cfd6ccfe49aa87109273600b8b88b55738230eeb26b0c88038d12",
+    # recorded before the spectra were matched in one stacked eigvalsh and
+    # the Gram search branched only on rows that can be positive
+    ("nimrep", "--graph", "D12", "--csv"):
+        "4b0f585f4d6fe514237e9d59550d9ad0b9e522561c77fb89e7e5cb6e95642830",
+    ("nimrep", "--graph", "E8", "--csv"):
+        "ada72b08785823ac5fa2ce1d11a8fe9365232c09e4cd6bb6e2192e8fa6ca373d",
+    ("nimrep", "--graph", "D21"):
+        "53f7834864e02cec5a984d950067910ebe25e1826340d962d80b25e7cebbf1b9",
+    ("graph-algebra", "--graph", "E6", "--csv"):
+        "05e990ad99553c5e93cb7fadcb1ba4d1321107f20973e3183cfe46df955d3fe9",
+    ("graph-algebra", "--graph", "D12", "--csv"):
+        "91fbabd5574555cd84ee3e2e312d7e03d90c6451ba6daa3efd9cf7abe75f44f1",
+    ("gram", "--level", "46", "--theta", "id+l46"):
+        "0cc330c4c203e62a42f0690ebb6217a11bec509d6af8402565199f5e59e9b4e9",
+    ("gram", "--level", "42", "--theta", "id+l42"):
+        "79a4c5c21be565de98f89c54aeb8b3d7a123c95ace15db857dac42bb23203fd9",
 }
 
 

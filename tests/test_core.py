@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from modinv import core, nimrep
+from modinv import core, graph_algebra, nimrep
 
 
 def test_su2_k2_spin_one_dimension():
@@ -243,6 +243,87 @@ def test_generator_verdict_equals_full_verdict_on_rings(family, k):
     M = _changed_symmetric(N, 1, L - 1, 1)
     assert len(core.generating_labels(M)) < L
     assert core.associative(M) is _represents_float64(M, M) is (L == 2)
+
+
+def _greedy_generating_labels(N, unit=0):
+    """The greedy loop alone, without the one-generator Krylov shortcut: the
+    reference for ``core.generating_labels``."""
+    L = len(N)
+    p = core.GENERATOR_PRIME
+    if L * p * max(p, int(N.max()), -int(N.min())) >= 2 ** 63:
+        return tuple(range(L))
+    N = N.astype(np.int64)
+    eye = np.eye(L, dtype=np.int64)
+    rows = np.empty((L, L), dtype=np.int64)
+    pivots = []
+
+    def extend(cands):
+        start = len(pivots)
+        cands = (cands - cands[:, pivots] @ rows[:start]) % p
+        while len(cands := cands[cands.any(axis=1)]):
+            j = int(np.flatnonzero(cands[0])[0])
+            v = cands[0] * pow(int(cands[0, j]), -1, p) % p
+            r = len(pivots)
+            rows[:r] = (rows[:r] - np.outer(rows[:r, j], v)) % p
+            rows[r] = v
+            pivots.append(j)
+            cands = (cands[1:] - np.outer(cands[1:, j], v)) % p
+        return rows[start:len(pivots)]
+
+    gens = []
+    extend(eye[[unit]])
+    for a in range(L):
+        if len(pivots) == L:
+            break
+        new = extend(eye[[a]])
+        if not len(new):
+            continue
+        gens.append(a)
+        todo = np.vstack([rows[:len(pivots) - 1] @ N[a]] + [new @ N[g] for g in gens]) % p
+        while len(new := extend(todo)):
+            todo = np.vstack([new @ N[g] for g in gens]) % p
+    return tuple(gens)
+
+
+def _relabelled(N, unit):
+    # the same ring with its unit moved from label 0 to label `unit`
+    perm = np.roll(np.arange(len(N)), unit)
+    inv = np.argsort(perm)
+    return N[np.ix_(inv, inv, inv)]
+
+
+@pytest.mark.parametrize("family,k", [("su2", k) for k in range(1, core.SU2_LEVEL_MAX + 1)]
+                         + [("su3", k) for k in range(1, 10)] + [("su4", k) for k in range(1, 6)]
+                         + [("ising", 0)] + [("group", n) for n in range(2, 13)])
+def test_generating_labels_equal_the_greedy_loop_on_rings(family, k):
+    N = _ring_tensor(family, k)
+    assert core.generating_labels(N) == _greedy_generating_labels(N)
+    unit = len(N) // 2
+    M = _relabelled(N, unit)
+    assert core.generating_labels(M, unit) == _greedy_generating_labels(M, unit)
+
+
+def test_generating_labels_equal_the_greedy_loop_on_graph_algebras():
+    names = ([f"A{n}" for n in range(2, 50)] + [f"D{n}" for n in range(4, 27, 2)]
+             + ["E6", "E8"])
+    single = 0
+    for name in names:
+        fusion = graph_algebra.graph_structure_constants(
+            graph_algebra.eigen_gauge(nimrep.ade_graph(name)))
+        N = fusion.rounded
+        got = core.generating_labels(N, fusion.base)
+        assert got == _greedy_generating_labels(N, fusion.base), name
+        single += len(got) == 1
+    # the shortcut decides the A and E cases; D_even needs a second label
+    assert single == len(names) - len(range(4, 27, 2))
+
+
+@settings(derandomize=True, max_examples=300)
+@given(st.integers(1, 6).flatmap(
+    lambda L: hnp.arrays(np.int64, (L, L, L), elements=st.integers(0, 2))))
+def test_generating_labels_equal_the_greedy_loop_on_random_tensors(T):
+    N = _commutative_with_unit(T)
+    assert core.generating_labels(N) == _greedy_generating_labels(N)
 
 
 @pytest.mark.parametrize("name", [f"A{n}" for n in range(2, 50)]

@@ -141,3 +141,29 @@ def test_csv_rows_shape():
     rows = graph_algebra.csv_rows(fusion)
     assert len(rows) == 27
     assert all(row[6] in ("ok", "neg", "frac") for row in rows)
+
+
+def _csv_rows_by_loop(fusion):
+    # one structure constant at a time: the reference for csv_rows
+    V = fusion.rounded.shape[0]
+    rows = []
+    for a in range(V):
+        for b in range(V):
+            for c in range(V):
+                val = float(fusion.Nhat[a, b, c].real)
+                rnd = int(fusion.rounded[a, b, c])
+                flag = ("neg" if val < -core.ROUND_TOL
+                        else ("ok" if abs(val - rnd) < core.ROUND_TOL else "frac"))
+                rows.append((fusion.graph, a, b, c, val, rnd, flag))
+    return rows
+
+
+@pytest.mark.parametrize("name", ["A2", "A11", "D4", "D5", "D7", "D12", "E6", "E7", "E8"])
+def test_csv_rows_equal_the_loop(name):
+    fusion = graph_algebra.graph_structure_constants(
+        graph_algebra.eigen_gauge(nimrep.ade_graph(name)))
+    rows = graph_algebra.csv_rows(fusion)
+    want = _csv_rows_by_loop(fusion)
+    assert rows == want
+    assert [tuple(map(type, r)) for r in rows] == [tuple(map(type, r)) for r in want]
+    assert {r[6] for r in rows} == ({"ok", "neg"} if name in ("D5", "D7", "E7") else {"ok"})

@@ -125,6 +125,80 @@ def test_csv_rows_cover_all_exponents():
     assert all(total == 6 for total in by_nu.values())
 
 
+def _spectrum_per_label(family, md, Z):
+    """One eigvalsh and one expected list per label: the reference for
+    ``nimrep.spectrum_vs_diagonal``."""
+    entries = []
+    for nu in range(family.level + 1):
+        eig = np.linalg.eigvalsh(family.G[nu].astype(float))
+        expected = []
+        for lam in range(family.level + 1):
+            expected.extend([float((md.S[lam, nu] / md.S[lam, 0]).real)] * Z.diagonal[lam])
+        if len(expected) == len(eig):
+            pairs = tuple(zip(sorted(eig.tolist()), sorted(expected)))
+            worst = max(abs(a - b) for a, b in pairs)
+        else:
+            pairs, worst = (), float("inf")
+        entries.append(nimrep.SpectrumEntry(nu=nu, matched=worst < core.SPECTRUM_TOL,
+                                            worst_gap=worst, pairs=pairs))
+    return nimrep.SpectrumReport(graph=family.graph.name, entries=tuple(entries))
+
+
+def _every_diagram():
+    for k in range(1, core.SU2_LEVEL_MAX + 1):
+        for name, case in search.su2_diagrams(k):
+            yield name, case, k
+
+
+def test_spectrum_equals_the_per_label_check_on_every_diagram():
+    seen = 0
+    for name, case, k in _every_diagram():
+        family = nimrep.fused_adjacencies(nimrep.ade_graph(name))
+        md = core.su2_modular_data(k)
+        Z = search.su2_invariant_matrix(case, k)
+        assert nimrep.spectrum_vs_diagonal(family, md, Z) == _spectrum_per_label(family, md, Z)
+        seen += 1
+    assert seen == 98
+
+
+def test_spectrum_size_mismatch_equals_the_per_label_check():
+    family = nimrep.fused_adjacencies(nimrep.ade_graph("D7"))
+    md = core.su2_modular_data(10)
+    Z = search.su2_invariant_matrix("A", 10)
+    report = nimrep.spectrum_vs_diagonal(family, md, Z)
+    assert report == _spectrum_per_label(family, md, Z)
+    assert all(e.pairs == () and e.worst_gap == float("inf") for e in report.entries)
+
+
+def test_stacked_eigvalsh_and_character_table_are_bitwise_per_label():
+    """The batched eigvalsh and the vectorised character table give the very
+    floats of one eigvalsh per matrix and one complex division per entry."""
+    for name, _, k in _every_diagram():
+        G = nimrep.fused_adjacencies(nimrep.ade_graph(name)).G
+        stacked = np.linalg.eigvalsh(np.array(G, dtype=float))
+        for nu, Gnu in enumerate(G):
+            assert stacked[nu].tobytes() == np.linalg.eigvalsh(Gnu.astype(float)).tobytes()
+    for k in range(1, core.SU2_LEVEL_MAX + 1):
+        md = core.su2_modular_data(k)
+        table = nimrep.character_table(md)
+        per_entry = [[float((md.S[lam, nu] / md.S[lam, 0]).real) for nu in range(k + 1)]
+                     for lam in range(k + 1)]
+        assert table.tobytes() == np.array(per_entry).tobytes()
+
+
+def test_fused_adjacencies_refuse_beyond_the_exact_float_range():
+    # one vertex with a loop of weight 2^30: G_2 = 2^60 - 1 needs 60 bits
+    g = nimrep.AdeGraph(name="X1", case="A", adjacency=np.array([[2 ** 30]]), coxeter=4,
+                        exponents=(0,))
+    with pytest.raises(ValueError, match="beyond the exact float64 range"):
+        nimrep.fused_adjacencies(g)
+    # 2^17 keeps V max|G_1| max|G_j| = 2^17 (2^34 - 1) below 2^53: exact, and
+    # the identity G_3 = 0 fails
+    g = dataclasses.replace(g, adjacency=np.array([[2 ** 17]]))
+    with pytest.raises(nimrep.NimRepError, match="nimrep identity fails"):
+        nimrep.fused_adjacencies(g)
+
+
 def test_spectra_for_all_catalog_pairs_up_to_level30():
     for k in range(1, 31):
         md = core.su2_modular_data(k)
