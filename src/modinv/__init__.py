@@ -46,7 +46,6 @@ from .graph_algebra import (
     GraphFusion,
     eigen_gauge,
     graph_structure_constants,
-    positivity_report,
 )
 from .chiral import (
     SectorDecomposition,

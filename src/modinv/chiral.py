@@ -9,8 +9,7 @@ closed-form SU(2) invariant from them; ``chiral_table`` checks each pair
 against the enumerated Z.  The chiral branching coefficients are the
 dimensions of the irreducible representations of the chiral fusion rule
 algebra, so b+ fixes the chiral fusion graph Gamma01 (the diagram with
-exponent diagonal sum_t b+[t, l]^2), and the chiral system of every case is
-read off the fused adjacencies of that graph.  The module also factorizes
+exponent diagonal sum_t b+[t, l]^2).  The module also factorizes
 M = F^t F Gram matrices of sector systems by integer backtracking and
 reproduces the summary table of the SU(2) classification.
 """
@@ -42,7 +41,7 @@ from .search import (
     su2_diagram_with_diagonal,
     su2_invariant_matrix,
 )
-from .nimrep import _match_rows, ade_graph, character_table, fused_adjacencies, identify_ade
+from .nimrep import _match_rows, character_table, identify_ade
 
 GRAM_NODE_BUDGET = 10 ** 6
 
@@ -326,39 +325,6 @@ def chiral_table(kmax: int) -> list[ChiralRow]:
                 indices=chiral_indices(md, named.Z),
             ))
     return rows
-
-
-# ---------------------------------------------------------------------------
-# Chiral system data for the Perron-Frobenius identity
-
-def chiral_system(case: str, k: int):
-    """(B, dims_chiral) for the full chiral system of an SU(2)_k case.
-
-    B[beta, l] counts the appearances of chiral sector beta in the induced
-    morphism alpha_l; dims_chiral are the sector dimensions.  Theorem used:
-    alpha-induction is a representation of the SU(2)_k fusion rules on the
-    chiral system whose generator alpha_1 has the fusion graph Gamma01
-    (``gamma01_name``), with the identity sector at vertex 0.  So alpha_l
-    acts as the fused adjacency G_l of Gamma01, B[beta, l] = G_l[0, beta],
-    and the dimensions are the positive eigenvector of alpha_1, the
-    Perron-Frobenius vector of Gamma01 normalised to 1 at vertex 0.
-    """
-    graph = ade_graph(gamma01_name(k, su2_branching(case, k)))
-    B = np.array([G[0] for G in fused_adjacencies(graph).G]).T
-    _, vecs = np.linalg.eigh(graph.adjacency.astype(float))
-    pf = vecs[:, -1]  # the largest eigenvalue of a connected graph is simple
-    return B, pf / pf[0]
-
-
-def chiral_pf_residual(case: str, k: int) -> float:
-    """Residual of sum_l d_l B[beta, l] = (w / w+) d_beta over the chiral system."""
-    md = su2_modular_data(k)
-    Z = su2_invariant_matrix(case, k)
-    idx = chiral_indices(md, Z)
-    B, dims_chiral = chiral_system(case, k)
-    lhs = B @ md.dims
-    rhs = (idx.w / idx.w_plus) * dims_chiral
-    return float(np.max(np.abs(lhs - rhs)))
 
 
 # ---------------------------------------------------------------------------

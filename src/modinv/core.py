@@ -83,13 +83,6 @@ class FusionRing:
         if not assoc:
             raise ValueError("fusion tensor not associative")
 
-    def perron_dims(self) -> np.ndarray:
-        """Perron-Frobenius dimension of every label (largest eigenvalue of N_a)."""
-        return np.array([np.linalg.eigvalsh((self.N[a] + self.N[a].T) / 2.0).max()
-                         if np.array_equal(self.N[a], self.N[a].T)
-                         else max(abs(np.linalg.eigvals(self.N[a])))
-                         for a in range(self.size)])
-
     def is_dimension_function(self, dims) -> bool:
         d = np.asarray(dims, dtype=float)
         prod = np.einsum("lmn,n->lm", self.N, d)
@@ -470,17 +463,6 @@ def cyclic_group_modular_data(n: int) -> ModularData:
     )
 
 
-def cyclic_group_fusion_ring(n: int) -> FusionRing:
-    """Fusion ring of Z_n: group multiplication, conjugate = inverse."""
-    N = np.zeros((n, n, n), dtype=int)
-    for a in range(n):
-        for b in range(n):
-            N[a, b, (a + b) % n] = 1
-    ring = FusionRing(labels=tuple(f"g{i}" for i in range(n)), N=N)
-    ring.validate()
-    return ring
-
-
 def modular_data_from_twists(ring: FusionRing, twists, dims,
                              family: str = "custom", level: int = 0) -> ModularData:
     """Build S = w^{-1/2} Y and T from a fusion ring, its twists and dimensions.
@@ -626,6 +608,10 @@ def modular_data_to_json(md: ModularData) -> dict:
 
 def modular_data_from_json(doc: dict) -> ModularData:
     """Rebuild ModularData from its JSON document and re-validate invariants."""
+    L = len(doc["labels"])
+    sizes = [len(doc["S"]), *map(len, doc["S"]), len(doc["T_phases"]), len(doc["dims"])]
+    if any(n != L for n in sizes):
+        raise ValueError(f"imported S, T_phases and dims do not all have {L} entries")
     S = np.array([[e["re"] + 1j * e["im"] for e in row] for row in doc["S"]])
     tphases = np.array([e["re"] + 1j * e["im"] for e in doc["T_phases"]])
     dims = np.array([float(d) for d in doc["dims"]])

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import ASSERT_TOL, EIGEN_TOL, ROUND_TOL, associative, verlinde_sum
-from .nimrep import AdeGraph, NimRepFamily, ade_graph
+from .nimrep import AdeGraph
 
 
 class GaugeError(ValueError):
@@ -152,10 +152,6 @@ class GraphFusion:
         """Exact associativity, checked on the generators of the base vertex."""
         return associative(self.rounded, self.base)
 
-    def unit_residual(self) -> float:
-        V = self.rounded.shape[0]
-        return float(np.max(np.abs(self.Nhat[self.base] - np.eye(V))))
-
 
 def graph_structure_constants(gauge: EigenGauge) -> GraphFusion:
     """Evaluate the Verlinde-type sum over the gauge columns and classify it.
@@ -187,40 +183,6 @@ def graph_structure_constants(gauge: EigenGauge) -> GraphFusion:
         worst_negative=worst_neg,
         integrality_gap=gap,
     )
-
-
-@dataclass(frozen=True)
-class PositivityVerdict:
-    graph: str
-    positive: bool
-    worst_negative: float
-    associative: bool | None  # exact check of the rounded tensor, positive cases only
-    integrality_gap: float
-
-
-def positivity_report(names) -> list[PositivityVerdict]:
-    """Per-graph verdicts of the positivity dichotomy."""
-    out = []
-    for name in names:
-        fusion = graph_structure_constants(eigen_gauge(ade_graph(name)))
-        out.append(PositivityVerdict(
-            graph=name,
-            positive=fusion.positive,
-            worst_negative=fusion.worst_negative,
-            associative=fusion.associative() if fusion.positive else None,
-            integrality_gap=fusion.integrality_gap,
-        ))
-    return out
-
-
-def diagonalization_residual(gauge: EigenGauge, family: NimRepFamily) -> float:
-    """Max off-diagonal magnitude of psi^dagger G_a psi over the fused family."""
-    worst = 0.0
-    for G in family.G:
-        D = gauge.psi.conj().T @ G @ gauge.psi
-        off = D - np.diag(np.diag(D))
-        worst = max(worst, float(np.max(np.abs(off))))
-    return worst
 
 
 CSV_FLAGS = np.array(["ok", "frac", "neg"], dtype=object)

@@ -88,14 +88,22 @@ def ade_graph(name: str) -> AdeGraph:
 
 
 def _depths(A: np.ndarray, root: int = 0) -> np.ndarray:
-    """Breadth-first distance of every vertex from ``root``; -1 where unreached."""
-    depth = np.full(len(A), -1)
+    """Breadth-first distance of every vertex from ``root``; -1 where unreached.
+
+    An edge runs from i to j where A[i, j] != 0.
+    """
+    rows, cols = np.nonzero(A)  # row-major, so each vertex's neighbours are one slice
+    start = np.searchsorted(rows, np.arange(len(A) + 1)).tolist()
+    cols = cols.tolist()
+    depth = [-1] * len(A)
     depth[root] = 0
-    frontier = depth == 0
-    while frontier.any():
-        frontier = (A[frontier] != 0).any(axis=0) & (depth < 0)
-        depth[frontier] = depth.max() + 1
-    return depth
+    queue = [root]
+    for i in queue:
+        for j in cols[start[i]:start[i + 1]]:
+            if depth[j] < 0:
+                depth[j] = depth[i] + 1
+                queue.append(j)
+    return np.array(depth)
 
 
 @dataclass(frozen=True)

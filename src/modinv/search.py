@@ -396,10 +396,6 @@ class BranchingData:
     def num_ambichiral(self) -> int:
         return len(self.labels)
 
-    @property
-    def type_one(self) -> bool:
-        return bool(np.array_equal(self.b_plus, self.b_minus))
-
     def product(self) -> np.ndarray:
         return self.b_plus.T @ self.b_minus
 

@@ -226,11 +226,11 @@ def test_branching_factorizes(case, k):
 
 
 def test_branching_type_flags():
-    assert search.su2_branching("A", 5).type_one
-    assert search.su2_branching("D_even", 8).type_one
-    assert search.su2_branching("E6", 10).type_one
-    assert not search.su2_branching("D_odd", 6).type_one
-    assert not search.su2_branching("E7", 16).type_one
+    # type I is b+ = b-
+    for case, k, type_one in [("A", 5, True), ("D_even", 8, True), ("E6", 10, True),
+                              ("D_odd", 6, False), ("E7", 16, False)]:
+        b = search.su2_branching(case, k)
+        assert np.array_equal(b.b_plus, b.b_minus) is type_one
 
 
 def test_branching_wrong_level():
@@ -331,6 +331,35 @@ def _reference_gamma01(case, name, k):
     return name
 
 
+def chiral_system(case, k):
+    """(B, dims_chiral) for the full chiral system of an SU(2)_k case, derived
+    from Gamma01.
+
+    B[beta, l] counts the appearances of chiral sector beta in the induced
+    morphism alpha_l; dims_chiral are the sector dimensions.  Theorem used:
+    alpha-induction is a representation of the SU(2)_k fusion rules on the
+    chiral system whose generator alpha_1 has the fusion graph Gamma01
+    (``chiral.gamma01_name``), with the identity sector at vertex 0.  So
+    alpha_l acts as the fused adjacency G_l of Gamma01, B[beta, l] =
+    G_l[0, beta], and the dimensions are the positive eigenvector of
+    alpha_1, the Perron-Frobenius vector of Gamma01 normalised to 1 at
+    vertex 0.
+    """
+    graph = nimrep.ade_graph(chiral.gamma01_name(k, search.su2_branching(case, k)))
+    B = np.array([G[0] for G in nimrep.fused_adjacencies(graph).G]).T
+    _, vecs = np.linalg.eigh(graph.adjacency.astype(float))
+    pf = vecs[:, -1]  # the largest eigenvalue of a connected graph is simple
+    return B, pf / pf[0]
+
+
+def chiral_pf_residual(case, k):
+    """Residual of sum_l d_l B[beta, l] = (w / w+) d_beta over the chiral system."""
+    md = core.su2_modular_data(k)
+    idx = chiral.chiral_indices(md, search.su2_invariant_matrix(case, k))
+    B, dims_chiral = chiral_system(case, k)
+    return np.abs(B @ md.dims - (idx.w / idx.w_plus) * dims_chiral).max()
+
+
 def _reference_chiral_system(case, k):
     # the hand-written chiral systems: for D_odd every induced sector stays
     # irreducible; for D_even and E7 the sectors merge in mirror pairs and
@@ -367,7 +396,7 @@ def test_gamma01_matches_hand_written_rule():
                          + [("D_even", k) for k in range(4, core.SU2_LEVEL_MAX + 1, 4)]
                          + [("E7", 16)])
 def test_chiral_system_matches_hand_written(case, k):
-    B, dims = chiral.chiral_system(case, k)
+    B, dims = chiral_system(case, k)
     B_ref, dims_ref = _reference_chiral_system(case, k)
     assert np.array_equal(B, B_ref)
     assert np.max(np.abs(dims - dims_ref)) < 1e-10
@@ -440,7 +469,7 @@ def test_full_system_rejects_wrong_level():
                                     ("D_even", 8), ("D_even", 16), ("E7", 16),
                                     ("A", 1), ("A", 12), ("E6", 10), ("E8", 28)])
 def test_chiral_pf_identity(case, k):
-    assert chiral.chiral_pf_residual(case, k) < 1e-8
+    assert chiral_pf_residual(case, k) < 1e-8
 
 
 def test_e7_vacuum_coupling_counts():

@@ -194,9 +194,13 @@ def test_emit_graph_e7_dynkin(tmp_path, capsys):
 
 
 # sha256 of the DOT file, recorded before the diagrams were built by one
-# spine-and-tail rule; the D_odd D5 draws its fusion graph, the rest their
-# Dynkin diagram with the bipartition shading
+# spine-and-tail rule (A33, A49 and D21, the benchmark's fixed diagrams,
+# before the queue search of nimrep._depths); the D_odd D5 and D21 draw their
+# fusion graph, the rest their Dynkin diagram with the bipartition shading
 GOLDEN_DOT = {
+    "A33": "46153125726d8e815410725312bdb8a7a173c49a53755bc32e9e01ee18fd8f36",
+    "A49": "8ac9fcac9436c8e2644b3c0a69e4fe6426eb1f04fb0c1069804d948e9cd43fc8",
+    "D21": "0cd6f2a8efa1ed98b71ce6213c23017c180d65e8902cdfd3aad3eea1ae77e0e0",
     "D5": "d761719bdb8481c64fbdb7fe231d65d112cd37dcad4286134f29e640ff169a99",
     "D8": "11168901cae944b921980a07d6b2fba4d85b75046062b687edc4b52b611cf599",
     "E6": "785aa3f55259966f564bcf5167fccabd3c3da7dad7bba0f63ed80128b2507938",

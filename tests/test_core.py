@@ -179,12 +179,22 @@ def test_represents_is_exact_near_the_bound():
     assert not core.associative(N) and not _associative_by_einsum(N)
 
 
+def _cyclic_group_ring(n):
+    # Z_n: group multiplication, conjugate = inverse
+    g = np.arange(n)
+    N = np.zeros((n, n, n), dtype=int)
+    N[g[:, None], g, (g[:, None] + g) % n] = 1
+    ring = core.FusionRing(labels=tuple(f"g{i}" for i in g), N=N)
+    ring.validate()
+    return ring
+
+
 @pytest.mark.parametrize("L", [2, 5])
 def test_associative_refuses_beyond_the_exact_float_range(L):
     # partial sums reach L max|N|^2: the largest n with L n^2 < 2^53 is
     # checked, n + 1 is refused
     n = math.isqrt((core.FLOAT_EXACT_MAX - 1) // L)
-    N = core.cyclic_group_fusion_ring(L).N.astype(np.int64)
+    N = _cyclic_group_ring(L).N.astype(np.int64)
     M = np.array(N)
     M[1, 1] *= n  # e1 e1 = n e2: only the two-label ring stays associative
     assert core.associative(M) is (L == 2)
@@ -228,7 +238,7 @@ def _ring_tensor(family, k):
         return core.verlinde_fusion(core.sun_modular_data(int(family[2]), k)).N
     if family == "ising":
         return core.ising_fusion_ring().N
-    return core.cyclic_group_fusion_ring(k).N
+    return _cyclic_group_ring(k).N
 
 
 @pytest.mark.parametrize("family,k", [("su2", k) for k in range(1, core.SU2_LEVEL_MAX + 1)]
@@ -521,12 +531,17 @@ def test_ising_verlinde_fusion():
     assert ring.N[1, 1, 0] == 1
 
 
+def _perron_dims(ring):
+    # the Perron-Frobenius dimension of a label is the spectral radius of N_a
+    return np.abs(np.linalg.eigvals(ring.N.astype(float))).max(axis=1)
+
+
 def test_perron_dims_match_s_matrix_dims():
     k = 6
     ring = core.su2_fusion_closed_form(k)
     md = core.su2_modular_data(k)
-    assert np.max(np.abs(ring.perron_dims() - md.dims)) < 1e-9
-    assert np.max(np.abs(core.cyclic_group_fusion_ring(4).perron_dims() - 1.0)) < 1e-12
+    assert np.max(np.abs(_perron_dims(ring) - md.dims)) < 1e-9
+    assert np.max(np.abs(_perron_dims(_cyclic_group_ring(4)) - 1.0)) < 1e-12
 
 
 def test_from_twists_rejects_bad_dims():
@@ -546,7 +561,7 @@ def test_from_twists_reproduces_su2_s_matrix():
 
 
 def test_trivial_ring_from_twists():
-    ring = core.cyclic_group_fusion_ring(2)
+    ring = _cyclic_group_ring(2)
     one = core.FusionRing(labels=ring.labels[:1], N=np.ones((1, 1, 1), dtype=int))
     built = core.modular_data_from_twists(one, [1.0], [1.0])
     assert built.S[0, 0] == 1
@@ -568,7 +583,7 @@ def test_group_dual_from_twists_degenerate_rank_one():
     # trivial twists collapse the monodromy matrix to d d^t; the normalized
     # S is rank one whichever scale convention is used
     n = 5
-    ring = core.cyclic_group_fusion_ring(n)
+    ring = _cyclic_group_ring(n)
     built = core.modular_data_from_twists(ring, np.ones(n), np.ones(n))
     assert built.degenerate
     assert np.linalg.matrix_rank(built.S) == 1
@@ -635,4 +650,18 @@ def test_json_import_validates():
     doc = core.modular_data_to_json(core.su2_modular_data(2))
     doc["dims"][1] = 3.0
     with pytest.raises(ValueError):
+        core.modular_data_from_json(doc)
+
+
+@pytest.mark.parametrize("cut", [
+    lambda doc: doc.update(labels=doc["labels"][:3]),
+    lambda doc: doc.update(T_phases=doc["T_phases"][:3]),
+    lambda doc: doc.update(dims=doc["dims"][:3]),
+    lambda doc: doc.update(S=doc["S"][:3]),
+    lambda doc: doc["S"][2].pop(),
+], ids=["labels", "T_phases", "dims", "S_rows", "S_row_2"])
+def test_json_import_rejects_mismatched_sizes(cut):
+    doc = core.modular_data_to_json(core.su2_modular_data(4))
+    cut(doc)
+    with pytest.raises(ValueError, match="do not all have"):
         core.modular_data_from_json(doc)

@@ -79,41 +79,43 @@ def _represents_int64(N):
     return all(np.array_equal(N @ N[a], (N[a] @ flat).reshape(N.shape)) for a in range(len(N)))
 
 
+def _unit_residual(fusion):
+    # Nhat[base] is the identity matrix: the base vertex is the unit
+    V = len(fusion.Nhat)
+    return np.abs(fusion.Nhat[fusion.base] - np.eye(V)).max()
+
+
+def _graph_fusion(name):
+    return graph_algebra.graph_structure_constants(
+        graph_algebra.eigen_gauge(nimrep.ade_graph(name)))
+
+
 @pytest.mark.parametrize("name", POSITIVE)
 def test_positive_cases(name):
-    fusion = graph_algebra.graph_structure_constants(
-        graph_algebra.eigen_gauge(nimrep.ade_graph(name)))
+    fusion = _graph_fusion(name)
     assert fusion.positive
     assert fusion.integrality_gap < 1e-6
     assert fusion.associative()
-    assert fusion.unit_residual() < 1e-9
+    assert _unit_residual(fusion) < 1e-9
 
 
 @pytest.mark.parametrize("name", NEGATIVE)
 def test_negative_cases(name):
-    fusion = graph_algebra.graph_structure_constants(
-        graph_algebra.eigen_gauge(nimrep.ade_graph(name)))
+    fusion = _graph_fusion(name)
     assert not fusion.positive
     assert fusion.worst_negative < -1e-3
     # the base vertex still acts as the unit even in the negative cases
-    assert fusion.unit_residual() < 1e-9
-
-
-def test_positivity_report_dichotomy():
-    verdicts = {v.graph: v for v in graph_algebra.positivity_report(POSITIVE + NEGATIVE)}
-    for name in POSITIVE:
-        assert verdicts[name].positive and verdicts[name].associative
-    for name in NEGATIVE:
-        assert not verdicts[name].positive
-        assert verdicts[name].worst_negative < -1e-3
+    assert _unit_residual(fusion) < 1e-9
 
 
 @pytest.mark.parametrize("name", ["A7", "D6", "E6", "E8"])
 def test_gauge_diagonalizes_fused_family(name):
+    # psi^dagger G_a psi is diagonal for every fused adjacency G_a
     g = nimrep.ade_graph(name)
-    gauge = graph_algebra.eigen_gauge(g)
-    family = nimrep.fused_adjacencies(g)
-    assert graph_algebra.diagonalization_residual(gauge, family) < 1e-8
+    psi = graph_algebra.eigen_gauge(g).psi
+    D = psi.conj().T @ np.array(nimrep.fused_adjacencies(g).G) @ psi
+    off = D - D * np.eye(len(psi))
+    assert np.abs(off).max() < 1e-8
 
 
 @pytest.mark.parametrize("name", ["A5", "D6", "E6", "E7"])

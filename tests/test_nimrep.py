@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from modinv import core, nimrep, search
 
@@ -394,6 +395,44 @@ def _symmetric_graphs(draw):
 @given(_symmetric_graphs())
 def test_identify_ade_agrees_with_backtracking(A):
     assert nimrep.identify_ade(A) == _identify_by_isomorphism(A)
+
+
+def _depths_by_level(A, root=0):
+    """One breadth-first level per numpy step: the reference for ``nimrep._depths``."""
+    depth = np.full(len(A), -1)
+    depth[root] = 0
+    frontier = depth == 0
+    while frontier.any():
+        frontier = (A[frontier] != 0).any(axis=0) & (depth < 0)
+        depth[frontier] = depth.max() + 1
+    return depth
+
+
+def _assert_same_depths(A, root):
+    got, want = nimrep._depths(A, root), _depths_by_level(A, root)
+    assert got.dtype == want.dtype and np.array_equal(got, want), (A, root)
+
+
+def test_depths_equal_the_level_by_level_search_on_every_diagram():
+    for name, _, _ in _every_diagram():
+        A = nimrep.ade_graph(name).adjacency
+        for root in range(len(A)):
+            _assert_same_depths(A, root)
+
+
+@st.composite
+def _directed_graphs(draw):
+    """Sparse integer matrices on at most 8 vertices, asymmetric and often
+    disconnected, with loops and negative entries, and a root."""
+    n = draw(st.integers(1, 8))
+    A = draw(hnp.arrays(np.int64, (n, n), elements=st.sampled_from((0, 0, 0, 0, 1, 2, -1))))
+    return A, draw(st.integers(0, n - 1))
+
+
+@settings(derandomize=True, max_examples=500, deadline=None)
+@given(_directed_graphs())
+def test_depths_equal_the_level_by_level_search_on_directed_graphs(graph):
+    _assert_same_depths(*graph)
 
 
 def _verdict_by_generator_check(graph):
