@@ -28,6 +28,7 @@ from .core import (
     FusionRing,
     ModularData,
     UsageError,
+    sig12,
     su2_fusion_closed_form,
     su2_modular_data,
 )
@@ -375,9 +376,9 @@ def dossier(row: ChiralRow) -> dict:
         "Z": row.Z.Z.tolist(),
         "bPlus": row.branching.b_plus.tolist(),
         "bMinus": row.branching.b_minus.tolist(),
-        "w": float(f"{idx.w:.12g}"),
-        "wPlus": float(f"{idx.w_plus:.12g}"),
-        "w0": float(f"{idx.w_zero:.12g}"),
+        "w": float(sig12(idx.w)),
+        "wPlus": float(sig12(idx.w_plus)),
+        "w0": float(sig12(idx.w_zero)),
         "counts": asdict(row.counts),
     }
 

@@ -23,8 +23,11 @@ EXIT_VERIFY = 1
 EXIT_USAGE = 2
 
 
-def _fmt(x: float) -> str:
-    return f"{float(x):.12g}"
+def _print_csv(header: str, rows) -> None:
+    """One print of a CSV table: floats by core.sig12, every other cell by str."""
+    lines = [header] + [",".join(core.sig12(x) if isinstance(x, float) else str(x) for x in row)
+                        for row in rows]
+    print("\n".join(lines))
 
 
 # --family name -> modular data at a level; every family but ising needs one.
@@ -51,12 +54,12 @@ def cmd_show(args) -> int:
         print(core.dumps_deterministic(core.modular_data_to_json(md)))
         return EXIT_OK
     print(f"family={md.family} level={md.level} labels={md.size}")
-    print(f"w={_fmt(md.global_index)} c={_fmt(md.central_charge)} "
+    print(f"w={core.sig12(md.global_index)} c={core.sig12(md.central_charge)} "
           f"degenerate={md.degenerate}")
     for i, lab in enumerate(md.labels):
         tw = md.twists[i]
-        print(f"  {lab}: d={_fmt(md.dims[i])} "
-              f"twist=({_fmt(tw.real)},{_fmt(tw.imag)})")
+        print(f"  {lab}: d={core.sig12(md.dims[i])} "
+              f"twist=({core.sig12(tw.real)},{core.sig12(tw.imag)})")
     checks = core.check_modular(md)
     print("modular checks:", checks.summary())
     return EXIT_OK if (checks.passed or md.degenerate) else EXIT_VERIFY
@@ -149,14 +152,13 @@ def cmd_nimrep(args) -> int:
         Z = search.su2_invariant_matrix(graph.case, k)
     report = nimrep.spectrum_vs_diagonal(family, md, Z)
     if args.csv:
-        print("graph,nu,eigenvalue,multiplicity,matched_spin")
-        for row in nimrep.spectrum_csv_rows(report, md):
-            print(f"{row[0]},{row[1]},{_fmt(row[2])},{row[3]},{row[4]}")
+        _print_csv("graph,nu,eigenvalue,multiplicity,matched_spin",
+                   nimrep.spectrum_csv_rows(report, md))
     else:
         print(f"{args.graph}: level {k}, vertices {graph.num_vertices}, "
-              f"matched={report.matched} worst_gap={_fmt(report.worst_gap)}")
+              f"matched={report.matched} worst_gap={core.sig12(report.worst_gap)}")
         for entry in report.entries:
-            print(f"  nu={entry.nu} matched={entry.matched} gap={_fmt(entry.worst_gap)}")
+            print(f"  nu={entry.nu} matched={entry.matched} gap={core.sig12(entry.worst_gap)}")
     return EXIT_OK if report.matched else EXIT_VERIFY
 
 
@@ -164,19 +166,17 @@ def cmd_graph_algebra(args) -> int:
     gauge = graph_algebra.eigen_gauge(nimrep.ade_graph(args.graph))
     fusion = graph_algebra.graph_structure_constants(gauge)
     if args.csv:
-        print("graph,a,b,c,value,rounded,flag")
-        for row in graph_algebra.csv_rows(fusion):
-            print(f"{row[0]},{row[1]},{row[2]},{row[3]},{_fmt(row[4])},{row[5]},{row[6]}")
+        _print_csv("graph,a,b,c,value,rounded,flag", graph_algebra.csv_rows(fusion))
         return EXIT_OK
     if args.json:
         doc = {"graph": fusion.graph, "positive": fusion.positive,
-               "worst_negative": float(_fmt(fusion.worst_negative)),
-               "integrality_gap": float(_fmt(fusion.integrality_gap)),
+               "worst_negative": float(core.sig12(fusion.worst_negative)),
+               "integrality_gap": float(core.sig12(fusion.integrality_gap)),
                "associative": fusion.associative() if fusion.positive else None}
         print(core.dumps_deterministic(doc))
         return EXIT_OK
     verdict = "positive fusion rules" if fusion.positive else "negative entries"
-    print(f"{fusion.graph}: {verdict}; worst entry {_fmt(fusion.worst_negative)}; "
+    print(f"{fusion.graph}: {verdict}; worst entry {core.sig12(fusion.worst_negative)}; "
           f"base vertex {gauge.base}")
     if fusion.positive:
         print(f"  associative: {fusion.associative()}")
@@ -189,9 +189,7 @@ def cmd_chiral_table(args) -> int:
         print(core.dumps_deterministic({"rows": [chiral.dossier(r) for r in rows]}))
         return EXIT_OK
     if args.csv:
-        print("name,level,mm,mn,chiral,ambi,gamma01")
-        for r in chiral.table_csv_rows(rows):
-            print(",".join(str(x) for x in r))
+        _print_csv("name,level,mm,mn,chiral,ambi,gamma01", chiral.table_csv_rows(rows))
         return EXIT_OK
     print(f"{'name':>6} {'k':>3} {'#MM':>4} {'#MN':>4} {'#chi':>4} {'#amb':>4}  gamma01")
     for r in rows:

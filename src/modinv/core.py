@@ -23,7 +23,7 @@ PHASE_TOL = 1e-12  # two T phases this close are equal; distinct phases are far 
 FIXED_SPACE_TOL = 1e-9  # commutant directions have 1 - eigenvalue <= 4.7e-12, the next >= 0.55
 PIVOT_TOL = 1e-7  # an echelon pivot candidate below this is zero in exact arithmetic
 COMMUTE_TOL = 1e-8  # a commutant element commutes with S and T to this
-EIGEN_TOL = 1e-8  # eigenvector residual; eigenvalues this close are one degenerate value
+EIGEN_TOL = 1e-8  # eigenvector residual
 SPECTRUM_TOL = 1e-7  # a computed eigenvalue matches its character value to this
 MAX_DENOMINATOR = 10 ** 6  # largest denominator tried in rational reconstruction
 FLOAT_EXACT_MAX = 2 ** 53  # float64 sums of integers are exact while every partial sum is below this
@@ -585,12 +585,13 @@ def check_modular(md: ModularData) -> ModularChecks:
 # ---------------------------------------------------------------------------
 # JSON export / import
 
-def _sig12(x: float) -> float:
-    return float(f"{float(x):.12g}")
+def sig12(x: float) -> str:
+    """x to 12 significant digits, the one number format of text, CSV and JSON output."""
+    return f"{float(x):.12g}"
 
 
 def _complex_entry(z) -> dict:
-    return {"re": _sig12(z.real), "im": _sig12(z.imag)}
+    return {"re": float(sig12(z.real)), "im": float(sig12(z.imag))}
 
 
 def modular_data_to_json(md: ModularData) -> dict:
@@ -600,9 +601,9 @@ def modular_data_to_json(md: ModularData) -> dict:
         "labels": list(md.labels),
         "S": [[_complex_entry(z) for z in row] for row in md.S],
         "T_phases": [_complex_entry(md.T[i, i]) for i in range(md.size)],
-        "dims": [_sig12(d) for d in md.dims],
-        "w": _sig12(md.global_index),
-        "c": _sig12(md.central_charge),
+        "dims": [float(sig12(d)) for d in md.dims],
+        "w": float(sig12(md.global_index)),
+        "c": float(sig12(md.central_charge)),
     }
 
 

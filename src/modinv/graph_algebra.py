@@ -26,15 +26,14 @@ class GaugeError(ValueError):
 
 @dataclass(frozen=True)
 class EigenGauge:
-    """Unitary eigenvector matrix of G_1 with columns indexed by exponents.
+    """Unitary eigenvector matrix of G_1, column i for exponent graph.exponents[i].
 
     ``base`` is the distinguished vertex whose psi row divides the structure
-    constant formula; psi[base, m] > 0 for every column m.
+    constant formula; psi[base, m] > ASSERT_TOL for every column m.
     """
 
     graph: AdeGraph
     psi: np.ndarray
-    exponent_of: tuple[int, ...]
     base: int
 
     def validate(self) -> None:
@@ -43,14 +42,14 @@ class EigenGauge:
             raise GaugeError("psi is not unitary")
         h = self.graph.coxeter
         A = self.graph.adjacency.astype(float)
-        for col, m in enumerate(self.exponent_of):
+        for col, m in enumerate(self.graph.exponents):
             v = self.psi[:, col]
             lam = 2.0 * np.cos(np.pi * (m + 1) / h)
             if np.max(np.abs(A @ v - lam * v)) > EIGEN_TOL:
                 raise GaugeError(f"column {col} is not an eigenvector for exponent {m}")
-            if not (self.psi[self.base, col].real > 0
+            if not (self.psi[self.base, col].real > ASSERT_TOL
                     and abs(self.psi[self.base, col].imag) < ASSERT_TOL):
-                raise GaugeError(f"psi[base, {col}] not positive")
+                raise GaugeError(f"psi[base, {col}] not positive; base vertex unusable")
 
 
 def _base_vertex(graph: AdeGraph) -> int:
@@ -65,53 +64,24 @@ def _base_vertex(graph: AdeGraph) -> int:
 def eigen_gauge(graph: AdeGraph) -> EigenGauge:
     """Diagonalize the adjacency with all gauge freedom fixed.
 
-    Multiplicity-one columns are fixed by the sign of the base-vertex entry.
-    The only degenerate case is the doubled middle exponent of D_even; there
-    the two columns are built from the fork-swap symmetric and antisymmetric
-    eigenvectors as (vsym +/- e^{i theta} vanti)/sqrt(2), with theta = pi/2
-    (a conjugate pair of columns) for D_{2l} with l even and theta = 0 for l
-    odd.  This is the rotation under which the structure constants come out
-    integral.
+    Column i of psi is for the exponent ``graph.exponents[i]``.  The
+    exponents ascend and the eigenvalue 2 cos(pi (m+1) / h) falls as m
+    rises, so the columns are those of ``eigh`` reversed, each signed
+    positive at the base vertex.  An exponent repeats only in D_even, whose
+    doubled middle exponent fills two columns built from the fork-swap
+    symmetric and antisymmetric eigenvectors as (vsym +/- e^{i theta}
+    vanti)/sqrt(2), with theta = pi/2 (a conjugate pair of columns) for
+    D_{2l} with l even and theta = 0 for l odd.  This is the rotation under
+    which the structure constants come out integral.
     """
-    A = graph.adjacency.astype(float)
-    V = graph.num_vertices
-    h = graph.coxeter
     base = _base_vertex(graph)
-    evals, vecs = np.linalg.eigh(A)
-    order = np.argsort(evals)
-    exps_sorted = sorted(graph.exponents, reverse=True)  # eigenvalue increases as m falls
-    psi = np.zeros((V, V), dtype=complex)
-    exponent_of = [0] * V
-
-    cols = []
-    i = 0
-    while i < V:
-        block = [order[i]]
-        j = i + 1
-        while j < V and abs(evals[order[j]] - evals[order[i]]) < EIGEN_TOL:
-            block.append(order[j])
-            j += 1
-        ms = exps_sorted[i:j]
-        if len(block) == 1:
-            v = vecs[:, block[0]].astype(complex)
-            entry = v[base].real
-            if abs(entry) < ASSERT_TOL:
-                raise GaugeError(
-                    f"{graph.name}: psi[{base}, m={ms[0]}] vanishes; base vertex unusable")
-            if entry < 0:
-                v = -v
-            cols.append((ms[0], v))
-        elif len(block) == 2 and graph.case == "D_even":
-            cols.extend(zip(ms, _deven_degenerate_pair(graph, vecs[:, block])))
-        else:
-            raise GaugeError(f"{graph.name}: unexpected eigenvalue multiplicity {len(block)}")
-        i = j
-
-    cols.sort(key=lambda t: t[0])
-    for col, (m, v) in enumerate(cols):
-        psi[:, col] = v
-        exponent_of[col] = m
-    gauge = EigenGauge(graph=graph, psi=psi, exponent_of=tuple(exponent_of), base=base)
+    vecs = np.linalg.eigh(graph.adjacency.astype(float))[1][:, ::-1]
+    psi = vecs.astype(complex)
+    flip = psi[base].real < 0
+    psi[:, flip] = -psi[:, flip]
+    for col in np.flatnonzero(np.diff(graph.exponents) == 0):
+        psi[:, col], psi[:, col + 1] = _deven_degenerate_pair(graph, vecs[:, col:col + 2])
+    gauge = EigenGauge(graph=graph, psi=psi, base=base)
     gauge.validate()
     return gauge
 

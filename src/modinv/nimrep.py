@@ -7,6 +7,7 @@ tips are the last two indices; for E diagrams the short tail is last.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -108,10 +109,14 @@ def _depths(A: np.ndarray, root: int = 0) -> np.ndarray:
 
 @dataclass(frozen=True)
 class NimRepFamily:
-    """Matrices G_0 .. G_k representing the SU(2)_k fusion ring on graph vertices."""
+    """Matrices G_0 .. G_k representing the SU(2)_k fusion ring on graph vertices,
+    stacked in one read-only int array of shape (k + 1, V, V)."""
 
     graph: AdeGraph
-    G: tuple[np.ndarray, ...]
+    G: np.ndarray
+
+    def __post_init__(self):
+        self.G.setflags(write=False)
 
     @property
     def level(self) -> int:
@@ -155,7 +160,7 @@ def fused_adjacencies(graph: AdeGraph) -> NimRepFamily:
     su2_level(k)
     if G[k + 1].any():
         raise NimRepError(f"{graph.name}: nimrep identity fails")
-    return NimRepFamily(graph=graph, G=tuple(G[:k + 1].astype(int)))
+    return NimRepFamily(graph=graph, G=G[:k + 1].astype(int))
 
 
 @dataclass(frozen=True)
@@ -163,13 +168,17 @@ class SpectrumEntry:
     nu: int
     matched: bool
     worst_gap: float
-    pairs: tuple
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SpectrumReport:
+    """Row nu of ``eig`` is the ascending spectrum of G_nu and row nu of
+    ``expected`` its sorted expected multiset, None if the sizes differ."""
+
     graph: str
     entries: tuple[SpectrumEntry, ...]
+    eig: np.ndarray
+    expected: np.ndarray | None
 
     @property
     def matched(self) -> bool:
@@ -207,36 +216,36 @@ def spectrum_vs_diagonal(family: NimRepFamily, md: ModularData, Z: MassMatrix) -
     k = family.level
     if md.size != k + 1 or Z.size != k + 1:
         raise ValueError("level mismatch between family, modular data and Z")
-    eig = np.linalg.eigvalsh(np.array(family.G, dtype=float))
+    eig = np.linalg.eigvalsh(family.G.astype(float))
     expected, gaps = _match_rows(eig, np.repeat(character_table(md), Z.diagonal, axis=0).T)
-    if expected is None:
-        pairs = [()] * (k + 1)
-    else:
-        pairs = [tuple(zip(v, w)) for v, w in zip(eig.tolist(), expected.tolist())]
-    return SpectrumReport(graph=family.graph.name, entries=tuple(
-        SpectrumEntry(nu=nu, matched=gap < SPECTRUM_TOL, worst_gap=gap, pairs=pairs[nu])
+    return SpectrumReport(graph=family.graph.name, eig=eig, expected=expected, entries=tuple(
+        SpectrumEntry(nu=nu, matched=gap < SPECTRUM_TOL, worst_gap=gap)
         for nu, gap in enumerate(gaps.tolist())))
 
 
 def spectrum_csv_rows(report: SpectrumReport, md: ModularData):
     """Rows (graph, nu, eigenvalue, multiplicity, matched spin) of a spectrum report.
 
-    Pairs are grouped by their expected value rounded to 9 decimals; a
-    group's spin is the last label whose character rounds to that value.
+    Each run of sorted expected values equal to 9 decimals is one row: its first
+    eigenvalue, and as spin the last label whose character rounds to that value.
+    Modular data other than the report's raises ValueError.
     """
-    table = character_table(md).T.tolist()  # table[nu][l] = chi_l(nu)
+    if report.expected is None:
+        return []
+    table = character_table(md).T.tolist()  # table[nu][l] = chi_l(nu); zip checks its length
     rows = []
-    for entry in report.entries:
-        chars = table[entry.nu]
+    for nu, (chars, eig, expected) in enumerate(
+            zip(table, report.eig.tolist(), report.expected.tolist(), strict=True)):
         keys = [round(x, 9) for x in chars]
         spin = dict(zip(keys, range(len(chars))))
-        key_of = dict(zip(chars, keys))  # expected values are characters
-        seen = {}
-        for val, exp in entry.pairs:
-            key = key_of[exp] if exp in key_of else round(exp, 9)
-            seen.setdefault(key, []).append(val)
-        for key, vals in sorted(seen.items()):
-            rows.append((report.graph, entry.nu, vals[0], len(vals), spin.get(key, -1)))
+        key_of = dict(zip(chars, keys))
+        if not key_of.keys() >= set(expected):
+            raise ValueError(f"{report.graph}: expected values at nu={nu} are no characters")
+        start = 0
+        for key, run in itertools.groupby(expected, key=key_of.__getitem__):
+            count = len(list(run))
+            rows.append((report.graph, nu, eig[start], count, spin[key]))
+            start += count
     return rows
 
 

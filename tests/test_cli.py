@@ -313,6 +313,25 @@ GOLDEN_STDOUT = {
         "0cc330c4c203e62a42f0690ebb6217a11bec509d6af8402565199f5e59e9b4e9",
     ("gram", "--level", "42", "--theta", "id+l42"):
         "79a4c5c21be565de98f89c54aeb8b3d7a123c95ace15db857dac42bb23203fd9",
+    # recorded before the gauge columns were read from the integer exponents
+    # and the nimrep spectra kept as arrays: the real D_even rotation (D10),
+    # the D_odd fork-tip base (D7), both exceptional negative/positive cases
+    ("graph-algebra", "--graph", "D10", "--csv"):
+        "73e81c37a30cb7c453dbfd91c603ac8efefccb16e9463f8d3dca703cc8d7b383",
+    ("graph-algebra", "--graph", "D7", "--csv"):
+        "503224868a617d9c3ed17357ffe3c4266e2871fd8cb206e8b277d5a345bc5684",
+    ("graph-algebra", "--graph", "E7", "--csv"):
+        "4891523b29eb9b40ebf1f378855a4f09aa85142a2c0ace3b95872340f15c02a1",
+    ("graph-algebra", "--graph", "E8", "--csv"):
+        "3b3487ca28ce2344978051803fc3622efdbf163806c35402c405cd2b69ea97be",
+    ("graph-algebra", "--graph", "D7", "--json"):
+        "407bd8cce5ddaf23f5c024520196144bb82db0f74e51ddd321f519ea921efc0b",
+    ("graph-algebra", "--graph", "D12", "--json"):
+        "29393e399d2f3feb8a3fb3fe88e197798b58e931105c707a67dce6288768bd29",
+    ("nimrep", "--graph", "A33", "--csv"):
+        "a28e267298a3acedd300f9081d13559b0e85b124a51f7d710cec1e0f01842fef",
+    ("nimrep", "--graph", "D10", "--csv"):
+        "c7a7c3edde1441c226ab8012e76a0d3df987aea23594816676b622d69cd1ee2d",
 }
 
 

@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from modinv import core, graph_algebra, nimrep
+from modinv import core, graph_algebra, nimrep, search
 
 POSITIVE = ["A2", "A9", "D4", "D6", "D8", "E6", "E8"]
 NEGATIVE = ["D5", "D7", "E7"]
@@ -13,23 +13,22 @@ def test_a_series_gauge_is_s_matrix():
     k = 4
     gauge = graph_algebra.eigen_gauge(nimrep.ade_graph("A5"))
     S = core.su2_modular_data(k).S.real
-    assert gauge.exponent_of == tuple(range(5))
+    assert gauge.graph.exponents == tuple(range(5))
     assert np.max(np.abs(gauge.psi.real - S)) < 1e-10
     assert np.max(np.abs(gauge.psi.imag)) < 1e-12
 
 
 def test_d4_has_doubled_middle_exponent():
     gauge = graph_algebra.eigen_gauge(nimrep.ade_graph("D4"))
-    assert sorted(gauge.exponent_of) == [0, 2, 2, 4]
+    assert gauge.graph.exponents == (0, 2, 2, 4)
     # the doubled columns are complex conjugates of each other
-    cols = [i for i, m in enumerate(gauge.exponent_of) if m == 2]
-    c1, c2 = gauge.psi[:, cols[0]], gauge.psi[:, cols[1]]
+    c1, c2 = gauge.psi[:, 1], gauge.psi[:, 2]
     assert np.max(np.abs(c1 - c2.conj())) < 1e-12
 
 
 def test_e7_gauge_no_multiplicity():
     gauge = graph_algebra.eigen_gauge(nimrep.ade_graph("E7"))
-    assert len(set(gauge.exponent_of)) == 7
+    assert len(set(gauge.graph.exponents)) == 7
     gauge.validate()
 
 
@@ -37,6 +36,14 @@ def test_dodd_base_vertex_is_fork():
     gauge = graph_algebra.eigen_gauge(nimrep.ade_graph("D5"))
     assert gauge.base == 4
     assert np.min(np.abs(gauge.psi[gauge.base])) > 1e-9
+
+
+def test_dodd_spine_end_is_refused_as_base():
+    # the exponent h/2 - 1 eigenvector of D_odd vanishes on the spine, so
+    # vertex 0, the base of every other case, cannot be the base there
+    graph = dataclasses.replace(nimrep.ade_graph("D7"), case="D_even")
+    with pytest.raises(graph_algebra.GaugeError, match="base vertex unusable"):
+        graph_algebra.eigen_gauge(graph)
 
 
 @pytest.mark.parametrize("name", POSITIVE + NEGATIVE)
@@ -113,7 +120,7 @@ def test_gauge_diagonalizes_fused_family(name):
     # psi^dagger G_a psi is diagonal for every fused adjacency G_a
     g = nimrep.ade_graph(name)
     psi = graph_algebra.eigen_gauge(g).psi
-    D = psi.conj().T @ np.array(nimrep.fused_adjacencies(g).G) @ psi
+    D = psi.conj().T @ nimrep.fused_adjacencies(g).G @ psi
     off = D - D * np.eye(len(psi))
     assert np.abs(off).max() < 1e-8
 
@@ -124,17 +131,61 @@ def test_sign_gauge_invariance(name):
     rng = np.random.default_rng(7)
     gauge = graph_algebra.eigen_gauge(nimrep.ade_graph(name))
     base_fusion = graph_algebra.graph_structure_constants(gauge)
-    exps = list(gauge.exponent_of)
+    exps = list(gauge.graph.exponents)
     signs = np.array([rng.choice([-1.0, 1.0]) if exps.count(m) == 1 else 1.0
                       for m in exps])
     flipped = graph_algebra.EigenGauge(
-        graph=gauge.graph, psi=gauge.psi * signs[None, :],
-        exponent_of=gauge.exponent_of, base=gauge.base)
+        graph=gauge.graph, psi=gauge.psi * signs[None, :], base=gauge.base)
     # the flipped frame is still an eigenbasis; compare tensors directly
     psi = flipped.psi
     ratio = psi / psi[flipped.base, :][None, :]
     N = np.einsum("am,bm,cm->abc", ratio, psi, psi.conj())
     assert np.max(np.abs(N - base_fusion.Nhat)) < 1e-9
+
+
+def _psi_by_grouping(graph):
+    """The gauge found by grouping the sorted float eigenvalues within
+    EIGEN_TOL and sorting the columns by exponent: the reference for
+    ``eigen_gauge``, which reads the multiplicities from the exponents."""
+    A = graph.adjacency.astype(float)
+    V = graph.num_vertices
+    base = graph_algebra._base_vertex(graph)
+    evals, vecs = np.linalg.eigh(A)
+    order = np.argsort(evals)
+    exps_sorted = sorted(graph.exponents, reverse=True)
+    cols = []
+    i = 0
+    while i < V:
+        block = [order[i]]
+        j = i + 1
+        while j < V and abs(evals[order[j]] - evals[order[i]]) < core.EIGEN_TOL:
+            block.append(order[j])
+            j += 1
+        ms = exps_sorted[i:j]
+        if len(block) == 1:
+            v = vecs[:, block[0]].astype(complex)
+            assert abs(v[base].real) >= core.ASSERT_TOL
+            cols.append((ms[0], -v if v[base].real < 0 else v))
+        else:
+            assert len(block) == 2 and graph.case == "D_even"
+            cols.extend(zip(ms, graph_algebra._deven_degenerate_pair(graph, vecs[:, block])))
+        i = j
+    cols.sort(key=lambda t: t[0])
+    psi = np.zeros((V, V), dtype=complex)
+    for col, (_, v) in enumerate(cols):
+        psi[:, col] = v
+    return psi
+
+
+def test_gauge_equals_the_grouping_reference_on_every_diagram():
+    seen = 0
+    for k in range(1, core.SU2_LEVEL_MAX + 1):
+        for name, _ in search.su2_diagrams(k):
+            graph = nimrep.ade_graph(name)
+            assert graph_algebra.eigen_gauge(graph).psi.tobytes() == \
+                _psi_by_grouping(graph).tobytes(), name
+            seen += 1
+    assert seen == 98
 
 
 def test_csv_rows_shape():

@@ -128,21 +128,47 @@ def test_csv_rows_cover_all_exponents():
 
 def _spectrum_per_label(family, md, Z):
     """One eigvalsh and one expected list per label: the reference for
-    ``nimrep.spectrum_vs_diagonal``."""
-    entries = []
+    ``nimrep.spectrum_vs_diagonal``, as (eig, expected or None, gaps)."""
+    eigs, expecteds = [], []
     for nu in range(family.level + 1):
-        eig = np.linalg.eigvalsh(family.G[nu].astype(float))
+        eigs.append(sorted(np.linalg.eigvalsh(family.G[nu].astype(float)).tolist()))
         expected = []
         for lam in range(family.level + 1):
             expected.extend([float((md.S[lam, nu] / md.S[lam, 0]).real)] * Z.diagonal[lam])
-        if len(expected) == len(eig):
-            pairs = tuple(zip(sorted(eig.tolist()), sorted(expected)))
-            worst = max(abs(a - b) for a, b in pairs)
-        else:
-            pairs, worst = (), float("inf")
-        entries.append(nimrep.SpectrumEntry(nu=nu, matched=worst < core.SPECTRUM_TOL,
-                                            worst_gap=worst, pairs=pairs))
-    return nimrep.SpectrumReport(graph=family.graph.name, entries=tuple(entries))
+        expecteds.append(sorted(expected))
+    if len(expecteds[0]) != len(eigs[0]):
+        return np.array(eigs), None, [float("inf")] * len(eigs)
+    gaps = [max(abs(a - b) for a, b in zip(e, x)) for e, x in zip(eigs, expecteds)]
+    return np.array(eigs), np.array(expecteds), gaps
+
+
+def _assert_report_is_the_per_label_check(report, family, md, Z):
+    eig, expected, gaps = _spectrum_per_label(family, md, Z)
+    assert report.graph == family.graph.name
+    assert report.eig.tobytes() == eig.tobytes()
+    if expected is None:
+        assert report.expected is None
+    else:
+        assert report.expected.tobytes() == expected.tobytes()
+    assert [e.nu for e in report.entries] == list(range(family.level + 1))
+    assert [e.worst_gap for e in report.entries] == gaps
+    assert [e.matched for e in report.entries] == [g < core.SPECTRUM_TOL for g in gaps]
+
+
+def _spectrum_csv_rows_by_dict(report, md):
+    """Rows grouped in a dict keyed by the expected value rounded to 9
+    decimals, then sorted: the reference for ``nimrep.spectrum_csv_rows``."""
+    rows = []
+    for entry, eig, expected in zip(report.entries, report.eig.tolist(),
+                                    report.expected.tolist()):
+        chars = nimrep.character_table(md)[:, entry.nu].tolist()
+        spin = {round(x, 9): lam for lam, x in enumerate(chars)}
+        seen = {}
+        for val, exp in zip(eig, expected):
+            seen.setdefault(round(exp, 9), []).append(val)
+        for key, vals in sorted(seen.items()):
+            rows.append((report.graph, entry.nu, vals[0], len(vals), spin[key]))
+    return rows
 
 
 def _every_diagram():
@@ -157,7 +183,12 @@ def test_spectrum_equals_the_per_label_check_on_every_diagram():
         family = nimrep.fused_adjacencies(nimrep.ade_graph(name))
         md = core.su2_modular_data(k)
         Z = search.su2_invariant_matrix(case, k)
-        assert nimrep.spectrum_vs_diagonal(family, md, Z) == _spectrum_per_label(family, md, Z)
+        report = nimrep.spectrum_vs_diagonal(family, md, Z)
+        _assert_report_is_the_per_label_check(report, family, md, Z)
+        rows = nimrep.spectrum_csv_rows(report, md)
+        want = _spectrum_csv_rows_by_dict(report, md)
+        assert rows == want
+        assert [tuple(map(type, r)) for r in rows] == [tuple(map(type, r)) for r in want]
         seen += 1
     assert seen == 98
 
@@ -167,8 +198,30 @@ def test_spectrum_size_mismatch_equals_the_per_label_check():
     md = core.su2_modular_data(10)
     Z = search.su2_invariant_matrix("A", 10)
     report = nimrep.spectrum_vs_diagonal(family, md, Z)
-    assert report == _spectrum_per_label(family, md, Z)
-    assert all(e.pairs == () and e.worst_gap == float("inf") for e in report.entries)
+    _assert_report_is_the_per_label_check(report, family, md, Z)
+    assert report.expected is None
+    assert all(e.worst_gap == float("inf") for e in report.entries)
+    assert nimrep.spectrum_csv_rows(report, md) == []
+
+
+def test_spectrum_csv_rows_refuse_other_modular_data():
+    family = nimrep.fused_adjacencies(nimrep.ade_graph("A5"))
+    md = core.su2_modular_data(4)
+    report = nimrep.spectrum_vs_diagonal(family, md, search.su2_invariant_matrix("A", 4))
+    for other in (core.su2_modular_data(3), core.su2_modular_data(5)):
+        with pytest.raises(ValueError):
+            nimrep.spectrum_csv_rows(report, other)
+    # the level matches, the characters of labels 1 and 2 are swapped
+    other = dataclasses.replace(md, S=md.S[:, [0, 2, 1, 3, 4]])
+    with pytest.raises(ValueError, match="no character"):
+        nimrep.spectrum_csv_rows(report, other)
+
+
+def test_fused_adjacencies_are_one_read_only_array():
+    G = nimrep.fused_adjacencies(nimrep.ade_graph("E6")).G
+    assert G.shape == (11, 6, 6) and G.dtype.kind == "i"
+    with pytest.raises(ValueError):
+        G[0, 0, 0] = 2
 
 
 def test_stacked_eigvalsh_and_character_table_are_bitwise_per_label():

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -327,6 +328,103 @@ def test_tri_equivalence_on_enumerated(k):
     ring = core.su2_fusion_closed_form(k)
     for Z in search.enumerate_invariants(core.su2_modular_data(k)):
         search.permutation_criterion(ring, Z)  # raises on inconsistency
+
+
+def _automorphism_by_full_copy(N, pi):
+    # one full L^3 copy of N: the reference for permutation_criterion's blockwise test
+    p = np.array(pi)
+    return bool(np.array_equal(N[np.ix_(p, p, p)], N))
+
+
+def _rings_and_invariants():
+    """(ring, Z) for SU(2) k <= 64 (the closed forms, which the enumeration
+    checks up to level 28), SU(3) k <= 9, SU(4) k <= 5 and Ising (enumerated)."""
+    for k in range(1, core.SU2_LEVEL_MAX + 1):
+        ring = core.su2_fusion_closed_form(k)
+        for _, case in search.su2_diagrams(k):
+            yield ring, search.su2_invariant_matrix(case, k)
+    mds = [core.sun_modular_data(3, k) for k in range(1, 10)]
+    mds += [core.sun_modular_data(4, k) for k in range(1, 6)]
+    mds.append(core.ising_modular_data())
+    for md in mds:
+        ring = core.verlinde_fusion(md)
+        for Z in search.enumerate_invariants(md):
+            yield ring, Z
+
+
+# 64 A and 15 D_odd (k = 6, 10, .., 62) of SU(2); 26 of SU(3) k <= 9,
+# 14 of SU(4) k <= 5 and 1 of Ising
+PERMUTATION_INVARIANTS = 64 + 15 + 26 + 14 + 1
+
+
+def test_blockwise_automorphism_equals_the_full_copy_on_every_permutation_invariant():
+    checked = 0
+    for ring, Z in _rings_and_invariants():
+        verdict = search.permutation_criterion(ring, Z)
+        if verdict.permutation is not None:
+            assert verdict.is_fusion_automorphism is True
+            assert _automorphism_by_full_copy(ring.N, verdict.permutation) is True
+            checked += 1
+    assert checked == PERMUTATION_INVARIANTS
+
+
+def _conjugation_invariant(ring):
+    L = ring.size
+    Z = np.zeros((L, L), dtype=int)
+    Z[ring.N[:, :, 0].argmax(axis=1), np.arange(L)] = 1
+    return search.MassMatrix(Z)
+
+
+def _altered_tensors(N):
+    """N relabelled by each transposition of two non-unit labels, then N
+    with one diagonal entry N[x, x, x] raised, for each label x != 0."""
+    L = len(N)
+    for a in range(1, L):
+        for b in range(a + 1, L):
+            q = np.arange(L)
+            q[[a, b]] = q[[b, a]]
+            yield N[q][:, q][:, :, q]
+    for x in range(1, L):
+        raised = N.copy()
+        raised[x, x, x] += 1
+        yield raised
+
+
+def test_altered_rings_fail_the_automorphism_as_the_full_copy_does():
+    """The conjugation invariant of SU(3)_4 against altered fusion tensors:
+    it stays an automorphism exactly when the full copy says so, and
+    otherwise the criterion reports the disagreement.  The raised entries
+    sit in every block of labels."""
+    ring = core.verlinde_fusion(core.sun_modular_data(3, 4))
+    Z = _conjugation_invariant(ring)
+    pi = search.permutation_criterion(ring, Z).permutation
+    outcomes = []
+    for N in _altered_tensors(ring.N):
+        altered = core.FusionRing(labels=ring.labels, N=N)
+        outcomes.append(_automorphism_by_full_copy(N, pi))
+        if outcomes[-1]:
+            assert search.permutation_criterion(altered, Z).is_fusion_automorphism
+        else:
+            with pytest.raises(search.CriterionInconsistencyError,
+                               match="row=True column=True matrix=False"):
+                search.permutation_criterion(altered, Z)
+    assert True in outcomes and False in outcomes
+
+
+def test_permutation_criterion_peak_memory():
+    # SU(3)_15 (L = 136) with its conjugation invariant: the full copy of
+    # N[p, p, p] alone would be 8 L^3 bytes
+    ring = core.verlinde_fusion(core.sun_modular_data(3, 15))
+    L = ring.size
+    Z = _conjugation_invariant(ring)
+    tracemalloc.start()
+    try:
+        verdict = search.permutation_criterion(ring, Z)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert verdict.is_fusion_automorphism
+    assert peak < 4 * L ** 3
 
 
 def test_catalog_level3_only_diagonal():
