@@ -82,20 +82,19 @@ def cmd_fusion(args) -> int:
     return EXIT_OK
 
 
-def _invariant_record(name, Z: search.MassMatrix, ring: core.FusionRing) -> dict:
+def _invariant_record(name, Z: search.MassMatrix, md: core.ModularData) -> dict:
     """The JSON record of one invariant, as ``invariants`` and ``catalog`` print it."""
     return {"name": name, "Z": Z.Z.tolist(), "diag": list(Z.diagonal),
             "sumsq": Z.sum_of_squares,
-            "permutation": search.permutation_criterion(ring, Z).is_permutation}
+            "permutation": search.permutation_criterion(md, Z).is_permutation}
 
 
 def cmd_invariants(args) -> int:
     md = _load_family(args)
     found = search.enumerate_invariants(md, budget=args.budget)
-    ring = core.verlinde_fusion(md)
     # enumerate_invariants has verified every result a posteriori
     entries = [_invariant_record(search.su2_diagram_with_diagonal(md.level, Z.diagonal)
-                                 if md.family == "su2" else None, Z, ring) for Z in found]
+                                 if md.family == "su2" else None, Z, md) for Z in found]
     status = EXIT_OK if found.complete else EXIT_VERIFY
     if not found.complete:
         print("warning: search incomplete (node budget exhausted)", file=sys.stderr)
@@ -112,11 +111,11 @@ def cmd_invariants(args) -> int:
 
 
 def cmd_catalog(args) -> int:
-    named = search.su2_ade_catalog(args.level, budget=args.budget)
-    ring = core.su2_fusion_closed_form(args.level)
+    md = core.su2_modular_data(args.level)
+    named = search.su2_ade_catalog(args.level, budget=args.budget, md=md)
     if args.json:
         doc = {"family": "su2", "level": args.level,
-               "invariants": [_invariant_record(ni.name, ni.Z, ring) for ni in named]}
+               "invariants": [_invariant_record(ni.name, ni.Z, md) for ni in named]}
         print(core.dumps_deterministic(doc))
         return EXIT_OK
     for ni in named:

@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import json
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations_with_replacement, permutations
 
 import numpy as np
@@ -120,7 +122,7 @@ def associative(N: np.ndarray, unit: int = 0) -> bool:
     if L * n * n >= FLOAT_EXACT_MAX:
         raise ValueError("associativity check beyond the exact float64 range")
     step = -(-L // 8)  # eight blocks of labels keep the temporaries near three L^3 bytes
-    for a in generating_labels(N, unit):
+    for a in generating_labels(N.__getitem__, L, unit):
         Na = N[a].astype(np.float64)
         for s in range(0, L, step):
             block = N[s:s + step].astype(np.float64)
@@ -132,8 +134,12 @@ def associative(N: np.ndarray, unit: int = 0) -> bool:
 GENERATOR_PRIME = 2 ** 27 - 39  # the largest prime below 2^27: L p^2 < 2^63 for L < 512
 
 
-def generating_labels(N: np.ndarray, unit: int = 0) -> tuple[int, ...]:
+def generating_labels(row: Callable[[int], np.ndarray], L: int,
+                      unit: int = 0) -> tuple[int, ...]:
     """Labels whose right-nested products g_1 (g_2 (... (g_n e_unit))) span the ring.
+
+    The ring has L labels, and row(a) is the matrix N_a[b, c] = N[a, b, c]
+    of its label a; only the rows of the returned labels are read.
 
     Generator lemma.  Let R be a commutative algebra with unit 1 = e_unit and
     products e_a e_b = sum_c N[a, b, c] e_c.  The set A = {a : (a y) x =
@@ -153,18 +159,24 @@ def generating_labels(N: np.ndarray, unit: int = 0) -> tuple[int, ...]:
     returns (a,), so ``_krylov_full_rank`` decides that case first with
     one elimination.  N must have the unit and be commutative, which
     ``associative`` checks first.  Every label is returned, so the check is
-    the full one, when a sum of L products of residues or entries of N,
-    L p max(p, max|N|), could overflow int64.
+    the full one, when a sum of L products of residues or entries of a row
+    read, L p max(p, max|N_a|), could overflow int64.
     """
-    N = np.asarray(N)
-    L = len(N)
     p = GENERATOR_PRIME
-    if L * p * max(p, int(N.max()), -int(N.min())) >= 2 ** 63:
-        return tuple(range(L))
-    N = N.astype(np.int64, copy=False)
+    rows_read: dict[int, np.ndarray] = {}
+
+    def fits(a: int) -> bool:
+        # read row a as int64; False when its sums of L products could overflow
+        Na = np.asarray(row(a))
+        rows_read[a] = Na.astype(np.int64, copy=False)
+        return L * p * max(p, int(Na.max()), -int(Na.min())) < 2 ** 63
+
     first = int(unit == 0)
-    if L > 1 and _krylov_full_rank(N[first], unit, p):
-        return (first,)
+    if L > 1:
+        if not fits(first):
+            return tuple(range(L))
+        if _krylov_full_rank(rows_read[first], unit, p):
+            return (first,)
     eye = np.eye(L, dtype=np.int64)
     rows = np.empty((L, L), dtype=np.int64)  # rows[:len(pivots)]: reduced echelon basis mod p
     pivots: list[int] = []
@@ -191,11 +203,15 @@ def generating_labels(N: np.ndarray, unit: int = 0) -> tuple[int, ...]:
         new = extend(eye[[a]])
         if not len(new):
             continue
+        if a not in rows_read and not fits(a):
+            return tuple(range(L))
         gens.append(a)
+        gen_rows = [rows_read[g] for g in gens]
         # close the span under every generator: old rows times a, new rows times all
-        todo = np.vstack([rows[:len(pivots) - 1] @ N[a]] + [new @ N[g] for g in gens]) % p
+        todo = np.vstack([rows[:len(pivots) - 1] @ gen_rows[-1]]
+                         + [new @ Na for Na in gen_rows]) % p
         while len(new := extend(todo)):
-            todo = np.vstack([new @ N[g] for g in gens]) % p
+            todo = np.vstack([new @ Na for Na in gen_rows]) % p
     return tuple(gens)
 
 
@@ -223,12 +239,14 @@ def _krylov_full_rank(A: np.ndarray, unit: int, p: int) -> bool:
 def verlinde_sum(U: np.ndarray, base: int) -> np.ndarray:
     """X[a,b,c] = sum_m U[a,m] / U[base,m] * U[b,m] * conj(U[c,m]); Verlinde's at U = S^t.
 
-    One einsum over the full L^3 complex tensor.  verlinde_fusion forms the
-    same sum at base 0 as blockwise GEMM instead; it only rounds the values,
-    but a GEMM sums in another order, which moves the last bits of each
-    float.  graph_structure_constants keeps this einsum because
-    ``graph-algebra --json`` prints its integrality gap, whose bytes the
-    summation order decides.
+    One einsum over the full L^3 complex tensor.  verlinde_fusion (the whole
+    ring, for ``fusion``) and verlinde_rows (single rows N_a, for the
+    automorphism check of ``invariants`` and ``catalog``) form the same sum
+    at base 0 as GEMMs instead; they only round the values, but a GEMM sums
+    in another order, which moves the last bits of each float.
+    graph_structure_constants keeps this einsum because ``graph-algebra
+    --json`` prints its integrality gap, whose bytes the summation order
+    decides.
     """
     return np.einsum("am,bm,cm->abc", U / U[base], U, U.conj())
 
@@ -268,6 +286,16 @@ class ModularData:
     @property
     def degenerate(self) -> bool:
         return self.unitarity_residual >= ASSERT_TOL
+
+    @cached_property
+    def verlinde_row(self) -> Callable[[int], np.ndarray]:
+        """a -> N_a of the Verlinde ring (see verlinde_rows), built once per ModularData."""
+        return verlinde_rows(self)
+
+    @cached_property
+    def fusion_generators(self) -> tuple[int, ...]:
+        """generating_labels of the Verlinde ring, read from verlinde_row."""
+        return generating_labels(self.verlinde_row, self.size)
 
 
 def _central_charge_from_twists(twists, dims) -> float:
@@ -495,9 +523,59 @@ def modular_data_from_twists(ring: FusionRing, twists, dims,
     )
 
 
+def _verlinde_u(md: ModularData) -> np.ndarray:
+    """U = S^t of the Verlinde formula; DegenerateDataError unless S is unitary."""
+    if md.degenerate:
+        raise DegenerateDataError(
+            f"S is degenerate (unitarity residual {md.unitarity_residual:.2e}); "
+            "the Verlinde formula needs a unitary S")
+    return md.S.T
+
+
+def _round_counts(X: np.ndarray) -> np.ndarray:
+    """The complex Verlinde sums X as int64 counts; X is overwritten.
+
+    The one rounding rule of the Verlinde coefficients: RoundingError unless
+    every entry lies within ROUND_TOL of its nearest integer and none of
+    those integers is negative.
+    """
+    R = np.round(X.real)
+    X -= R
+    residual = float(np.abs(X).max())
+    if residual > ROUND_TOL:
+        raise RoundingError(f"Verlinde coefficients not integral (residual {residual:.2e})")
+    if R.min() < 0:
+        raise RoundingError("Verlinde formula produced a negative coefficient")
+    return R.astype(np.int64)
+
+
+def verlinde_rows(md: ModularData) -> Callable[[int], np.ndarray]:
+    """a -> N_a, the read-only int64 matrix N_a[b, c] = N[a, b, c] of the Verlinde ring.
+
+    N_a = U diag(U[a] / U[0]) U^H with U = S^t is one L x L complex GEMM,
+    formed on the first call for a, rounded by the rule of verlinde_fusion
+    and kept; no L^3 array is formed.  S must be non-degenerate, which is
+    checked here, once.
+    """
+    U = _verlinde_u(md)
+    rows: dict[int, np.ndarray] = {}
+
+    def row(a: int) -> np.ndarray:
+        a = int(a)
+        if a not in rows:
+            rows[a] = _round_counts((U * (U[a] / U[0])) @ U.conj().T)
+            rows[a].setflags(write=False)
+        return rows[a]
+
+    return row
+
+
 def verlinde_fusion(md: ModularData) -> FusionRing:
     """Fusion tensor N[a,b,c] = sum_r S[r,a] S[r,b] S*[r,c] / S[r,0], rounded.
 
+    The one function that builds the whole validated ring, for ``fusion``
+    and the D_odd fusion graph; ``invariants`` and ``catalog`` read the few
+    rows they need from verlinde_rows.
     Requires non-degenerate S; every pre-rounding value must sit within
     ROUND_TOL of a non-negative integer.  With U = S^t, N_a = U diag(U[a] /
     U[0]) U^H, formed as one complex GEMM per block of labels a and rounded
@@ -506,27 +584,14 @@ def verlinde_fusion(md: ModularData) -> FusionRing:
     order: the rounded integers agree, the floats before rounding may not
     to the last bit.
     """
-    if md.degenerate:
-        raise DegenerateDataError(
-            f"S is degenerate (unitarity residual {md.unitarity_residual:.2e}); "
-            "the Verlinde formula needs a unitary S")
+    U = _verlinde_u(md)
     L = md.size
-    U = md.S.T
     W, Uh = U / U[0], U.conj().T
     N = np.empty((L, L, L), dtype=np.int64)
-    residual, low = 0.0, 0.0
     step = -(-L // 16)  # sixteen blocks of a: each complex block is about L^3 bytes
     for a in range(0, L, step):
         X = (W[a:a + step, None, :] * U).reshape(-1, L) @ Uh
-        Nr = np.round(X.real)
-        X -= Nr
-        residual = max(residual, float(np.abs(X).max()))
-        low = min(low, float(Nr.min()))
-        N[a:a + step] = Nr.reshape(-1, L, L)
-    if residual > ROUND_TOL:
-        raise RoundingError(f"Verlinde coefficients not integral (residual {residual:.2e})")
-    if low < 0:
-        raise RoundingError("Verlinde formula produced a negative coefficient")
+        N[a:a + step] = _round_counts(X).reshape(-1, L, L)
     ring = FusionRing(labels=md.labels, N=N)
     ring.validate()
     return ring

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import su2_fusion_closed_form
+from .core import su2_modular_data, verlinde_fusion
 from .nimrep import AdeGraph, _depths
 from .search import su2_branching
 
@@ -64,11 +64,12 @@ def dodd_fusion_document(k: int) -> GraphDocument:
     """Simultaneous fusion graph of the two chiral generators at level k = 2 mod 4.
 
     Vertices are the k+1 induced sectors; solid edges are the N_1 adjacency
-    (a path) and dotted edges the N_{k-1} adjacency.  All vertices are
+    (a path) and dotted edges the N_{k-1} adjacency, both read from the
+    validated Verlinde ring that ``fusion`` prints.  All vertices are
     ambichiral for these permutation invariants.
     """
     branching = su2_branching("D_odd", k)  # raises BranchingError off levels 2 mod 4
-    ring = su2_fusion_closed_form(k)
+    ring = verlinde_fusion(su2_modular_data(k))
     vertices = tuple(
         GraphVertex(id=j, label="id" if j == 0 else f"{name}+",
                     even=(j % 2 == 0), ambichiral=True)

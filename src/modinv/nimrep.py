@@ -223,6 +223,29 @@ def spectrum_vs_diagonal(family: NimRepFamily, md: ModularData, Z: MassMatrix) -
         for nu, gap in enumerate(gaps.tolist())))
 
 
+def _round9(x: np.ndarray) -> np.ndarray:
+    """round(v, 9) of every entry v of the float array x, as an array.
+
+    Python's round rounds the exact binary value of v to the nearest
+    multiple of 10^-9, ties to even, and returns the double nearest that
+    decimal.  Here y = fl(v 1e9) is within |v| 10^9 2^-53 of the exact
+    v 10^9, at most 2^-13 (1 + 2^-53) < 1e-3 while |y| < 2^40, and
+    y - rint(y) is exact.  So where y lies at least 1e-3 from every
+    half-integer, the exact v 10^9 rounds to the same integer n = rint(y),
+    with no tie; n and 1e9 are exact doubles and the quotient n / 1e9 is
+    correctly rounded, so it is the double nearest n / 10^9, which is
+    round(v, 9).  The entries within 1e-3 of a half-integer, and any with
+    |y| >= 2^40, go through round itself.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):  # |v| > 1.8e299: y = inf, v slow
+        y = x * 1e9
+        n = np.rint(y)
+        out = n / 1e9
+        slow = (np.abs(np.abs(y - n) - 0.5) < 1e-3) | (np.abs(y) >= 2.0 ** 40)
+    out[slow] = [round(v, 9) for v in x[slow].tolist()]
+    return out
+
+
 def spectrum_csv_rows(report: SpectrumReport, md: ModularData):
     """Rows (graph, nu, eigenvalue, multiplicity, matched spin) of a spectrum report.
 
@@ -232,11 +255,11 @@ def spectrum_csv_rows(report: SpectrumReport, md: ModularData):
     """
     if report.expected is None:
         return []
-    table = character_table(md).T.tolist()  # table[nu][l] = chi_l(nu); zip checks its length
+    table = character_table(md).T  # table[nu, l] = chi_l(nu); zip checks its length
     rows = []
-    for nu, (chars, eig, expected) in enumerate(
-            zip(table, report.eig.tolist(), report.expected.tolist(), strict=True)):
-        keys = [round(x, 9) for x in chars]
+    for nu, (chars, keys, eig, expected) in enumerate(
+            zip(table.tolist(), _round9(table).tolist(), report.eig.tolist(),
+                report.expected.tolist(), strict=True)):
         spin = dict(zip(keys, range(len(chars))))
         key_of = dict(zip(chars, keys))
         if not key_of.keys() >= set(expected):

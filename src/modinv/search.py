@@ -15,14 +15,15 @@ at every leaf.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from .core import (COMMUTE_TOL, FIXED_SPACE_TOL, MAX_DENOMINATOR, PHASE_TOL, PIVOT_TOL,
-                   ROUND_TOL, VACUUM_ROW_TOL, DegenerateDataError, FusionRing, ModularData,
-                   UsageError, su2_level, su2_modular_data, sun_label_index, sun_modular_data)
+                   ROUND_TOL, VACUUM_ROW_TOL, DegenerateDataError, ModularData, UsageError,
+                   su2_level, su2_modular_data, sun_label_index, sun_modular_data)
 
 DEFAULT_NODE_BUDGET = 10 ** 8
 
@@ -327,15 +328,46 @@ class PermutationVerdict:
     is_fusion_automorphism: bool | None
 
 
-def permutation_criterion(ring: FusionRing, Z: MassMatrix) -> PermutationVerdict:
+def fusion_automorphism(row: Callable[[int], np.ndarray], generators, perm) -> bool:
+    """Whether perm, a permutation of the labels with perm[0] = 0, is a fusion
+    automorphism, N[perm a, perm b, perm c] = N[a, b, c], of the ring whose
+    matrix N_a[b, c] = N[a, b, c] is row(a) and whose right-nested products of
+    ``generators`` span it (core.generating_labels).
+
+    Theorem (the generator lemma of core.associative).  Let the ring be
+    commutative and associative with unit e_0, and let P be the matrix of
+    perm, P[perm b, b] = 1.  perm is an automorphism iff N_{perm g} = P N_g
+    P^t for every generator g.  Write phi(e_a) = e_{perm a} and L_x for
+    multiplication by x, whose matrix at x = e_a is N_a.  The condition at a
+    reads phi L_{e_a} phi^-1 = L_{phi e_a}, and the set of x that satisfy
+    phi L_x phi^-1 = L_{phi x} is a subspace that holds e_0 (phi e_0 = e_0)
+    and is closed under products: for x, y in it, phi(xy) = phi L_x y =
+    L_{phi x} phi y = phi(x) phi(y), so phi L_{xy} phi^-1 = phi L_x phi^-1
+    phi L_y phi^-1 = L_{phi x} L_{phi y} = L_{phi(xy)}, using L_{xy} = L_x L_y
+    (associativity and commutativity).  It therefore holds every right-nested
+    product of the generators, hence the whole ring.  A Verlinde ring is
+    commutative and associative because one unitary S diagonalises every
+    N_a, so this decides its automorphisms from the rows of the generators
+    and of their images alone.
+    """
+    p = np.asarray(perm)
+    return all(np.array_equal(row(p[g])[np.ix_(p, p)], row(g)) for g in generators)
+
+
+def permutation_criterion(md: ModularData, Z: MassMatrix) -> PermutationVerdict:
     """Classify Z by the three equivalent permutation-invariant conditions.
 
     The conditions (trivial zero row, trivial zero column, Z a permutation
-    induced by a fusion automorphism fixing 0) must hold or fail together;
-    disagreement signals an implementation bug and raises.
+    induced by an automorphism of the Verlinde ring of md fixing 0) must hold
+    or fail together; disagreement signals an implementation bug and raises.
+    The identity fixes every N[a, b, c], so it needs no fusion row; any other
+    permutation is checked by fusion_automorphism on md's Verlinde rows of
+    the generators and their images, which md builds once and keeps.
     """
     M = Z.Z
     L = Z.size
+    if L != md.size:
+        raise ValueError("shape mismatch between Z and modular data")
     e0 = np.zeros(L, dtype=int)
     e0[0] = 1
     c1 = bool(np.array_equal(M[0, :], e0))
@@ -347,12 +379,8 @@ def permutation_criterion(ring: FusionRing, Z: MassMatrix) -> PermutationVerdict
        np.array_equal(np.sort(M.sum(axis=1)), np.ones(L, dtype=M.dtype)):
         # Z[l, m] = delta(l, pi(m)), and pi(0) = 0 since Z[0, 0] = 1
         perm = tuple(np.argmax(M, axis=0).tolist())
-        # N[p, p, p] == N in eight blocks of labels, as in core.associative; a
-        # block's chained takes hold about three L^3 bytes, not a full copy
-        p = np.array(perm)
-        step = -(-L // 8)
-        is_auto = all(np.array_equal(ring.N[p[s:s + step]][:, p][:, :, p], ring.N[s:s + step])
-                      for s in range(0, L, step))
+        is_auto = perm == tuple(range(L)) or fusion_automorphism(
+            md.verlinde_row, md.fusion_generators, perm)
         c3 = is_auto
     if not (c1 == c2 == c3):
         raise CriterionInconsistencyError(

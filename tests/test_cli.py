@@ -234,7 +234,7 @@ def test_dodd_dotted_graph_isomorphic_to_path():
     # the mirror relabeling maps dotted edges onto the solid path exactly
     from modinv import search
     pi = search.permutation_criterion(
-        core.su2_fusion_closed_form(k), search.su2_invariant_matrix("D_odd", k)).permutation
+        core.su2_modular_data(k), search.su2_invariant_matrix("D_odd", k)).permutation
     P = np.zeros((k + 1, k + 1), dtype=int)
     for mu, target in enumerate(pi):
         P[target, mu] = 1
@@ -332,6 +332,21 @@ GOLDEN_STDOUT = {
         "a28e267298a3acedd300f9081d13559b0e85b124a51f7d710cec1e0f01842fef",
     ("nimrep", "--graph", "D10", "--csv"):
         "c7a7c3edde1441c226ab8012e76a0d3df987aea23594816676b622d69cd1ee2d",
+    # recorded before the permutation flags were read from Verlinde rows:
+    # the two-generator ring (SU(4)_2), Ising, SU(2) with its D_odd, a large
+    # SU(3) level, and catalogs with a D_odd (k = 26) and a D_even (k = 44)
+    ("invariants", "--family", "su4", "--level", "2", "--json"):
+        "51181630a04747a328408dac92d3ac6388d172ef4b4919c7a24273da47e34940",
+    ("invariants", "--family", "ising", "--json"):
+        "a98e5e269a68d4eb9b1df6b949d6dcad9eb144b70853ebc201760a6a0773eabb",
+    ("invariants", "--family", "su2", "--level", "6", "--json"):
+        "61651e7a954950de95d179a1532d5481b733a332bb951b22b233dff1964d3087",
+    ("invariants", "--family", "su3", "--level", "12", "--json"):
+        "9320bf39327cde976692a198e318196ef525c5cd79747c7698dad1b7f5eaf86f",
+    ("catalog", "--level", "26", "--json"):
+        "35867c2e956996ac0381a18156107df8f19dbbe26b103f8d87024ce46a178e73",
+    ("catalog", "--level", "44", "--json"):
+        "6520d2318adb2b188b8127a101e73b39b82a71aa31e37e6bad87453a58a89d43",
 }
 
 
@@ -348,6 +363,29 @@ def test_su3_level7_budget_10000_matches_unbudgeted_stdout(capsys):
     assert (code, err) == (0, "")
     assert hashlib.sha256(out.encode()).hexdigest() == \
         GOLDEN_STDOUT[("invariants", "--family", "su3", "--level", "7", "--json")]
+
+
+@pytest.mark.parametrize("argv", [
+    ("invariants", "--family", "su3", "--level", "7", "--json"),
+    ("invariants", "--family", "su4", "--level", "4", "--json"),
+    ("invariants", "--family", "ising", "--json"),
+    ("catalog", "--level", "10", "--json"),
+])
+def test_invariants_and_catalog_build_no_fusion_tensor(capsys, monkeypatch, argv):
+    """Only ``fusion`` builds the whole ring: with each function that builds a
+    fusion tensor made to raise, in every module that binds it, the
+    permutation flags come from Verlinde rows and stdout is unchanged."""
+    def refuse(*args):
+        raise AssertionError("fusion tensor built")
+
+    for name in ("verlinde_fusion", "su2_fusion_closed_form"):
+        for module in list(sys.modules.values()):
+            if module.__name__.startswith("modinv") and hasattr(module, name):
+                monkeypatch.setattr(module, name, refuse)
+    monkeypatch.setattr(core.FusionRing, "validate", refuse)
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_STDOUT[argv]
 
 
 @pytest.mark.parametrize("argv", [

@@ -247,11 +247,11 @@ def _ring_tensor(family, k):
 def test_generator_verdict_equals_full_verdict_on_rings(family, k):
     N = _ring_tensor(family, k)
     L = len(N)
-    assert len(core.generating_labels(N)) < L
+    assert len(core.generating_labels(N.__getitem__, L)) < L
     assert core.associative(N) is _represents_float64(N, N) is True
     # every commutative two-label ring with unit is associative, no larger one here
     M = _changed_symmetric(N, 1, L - 1, 1)
-    assert len(core.generating_labels(M)) < L
+    assert len(core.generating_labels(M.__getitem__, L)) < L
     assert core.associative(M) is _represents_float64(M, M) is (L == 2)
 
 
@@ -307,10 +307,11 @@ def _relabelled(N, unit):
                          + [("ising", 0)] + [("group", n) for n in range(2, 13)])
 def test_generating_labels_equal_the_greedy_loop_on_rings(family, k):
     N = _ring_tensor(family, k)
-    assert core.generating_labels(N) == _greedy_generating_labels(N)
+    assert core.generating_labels(N.__getitem__, len(N)) == _greedy_generating_labels(N)
     unit = len(N) // 2
     M = _relabelled(N, unit)
-    assert core.generating_labels(M, unit) == _greedy_generating_labels(M, unit)
+    assert (core.generating_labels(M.__getitem__, len(M), unit)
+            == _greedy_generating_labels(M, unit))
 
 
 def test_generating_labels_equal_the_greedy_loop_on_graph_algebras():
@@ -321,7 +322,7 @@ def test_generating_labels_equal_the_greedy_loop_on_graph_algebras():
         fusion = graph_algebra.graph_structure_constants(
             graph_algebra.eigen_gauge(nimrep.ade_graph(name)))
         N = fusion.rounded
-        got = core.generating_labels(N, fusion.base)
+        got = core.generating_labels(N.__getitem__, len(N), fusion.base)
         assert got == _greedy_generating_labels(N, fusion.base), name
         single += len(got) == 1
     # the shortcut decides the A and E cases; D_even needs a second label
@@ -333,7 +334,33 @@ def test_generating_labels_equal_the_greedy_loop_on_graph_algebras():
     lambda L: hnp.arrays(np.int64, (L, L, L), elements=st.integers(0, 2))))
 def test_generating_labels_equal_the_greedy_loop_on_random_tensors(T):
     N = _commutative_with_unit(T)
-    assert core.generating_labels(N) == _greedy_generating_labels(N)
+    assert core.generating_labels(N.__getitem__, len(N)) == _greedy_generating_labels(N)
+
+
+def test_generating_labels_guard_only_the_rows_they_read():
+    """A row whose int64 sums could overflow makes every label a generator
+    when it is read, and changes nothing when it is not."""
+    reads = []
+
+    def rows_of(N):
+        def row(a):
+            reads.append(a)
+            return N[a]
+        return row
+
+    for N, gens in ((core.su2_fusion_closed_form(4).N, (1,)),
+                    (core.ising_fusion_ring().N, (1, 2))):
+        L = len(N)
+        huge = 2 ** 63 // (L * core.GENERATOR_PRIME) + 1
+        off = N.astype(np.int64)
+        off[0, L - 1, L - 1] = huge  # in the unit's row, which no generator needs
+        reads.clear()
+        assert core.generating_labels(rows_of(off), L) == gens
+        assert set(reads) == set(gens)
+        for g in gens:
+            on = N.astype(np.int64)
+            on[g, 0, 0] = huge
+            assert core.generating_labels(rows_of(on), L) == tuple(range(L))
 
 
 @pytest.mark.parametrize("name", [f"A{n}" for n in range(2, 50)]
@@ -345,7 +372,7 @@ def test_generator_check_rejects_fused_families_changed_off_the_generators(name)
     family = nimrep.fused_adjacencies(nimrep.ade_graph(name))
     N = core.su2_fusion_closed_form(family.level).N
     G = np.array(family.G)
-    assert core.generating_labels(N) == (1,)
+    assert core.generating_labels(N.__getitem__, len(N)) == (1,)
     assert _represents_float64(N, G)
     for c in range(2, len(N)):
         M = _changed_symmetric(N, c, c, 0)

@@ -70,7 +70,7 @@ def test_associative_on_generators_equals_full_check(name):
         graph_algebra.eigen_gauge(nimrep.ade_graph(name)))
     R = fusion.rounded
     V = len(R)
-    assert len(core.generating_labels(R, unit=fusion.base)) < V
+    assert len(core.generating_labels(R.__getitem__, V, fusion.base)) < V
     assert fusion.associative() is _represents_int64(R) is True
     # a symmetric change off the base vertex; two-vertex unital rings stay associative
     M = np.array(R)

@@ -217,6 +217,35 @@ def test_spectrum_csv_rows_refuse_other_modular_data():
         nimrep.spectrum_csv_rows(report, other)
 
 
+def _assert_round9_is_round(x):
+    x = np.asarray(x, dtype=np.float64)
+    want = np.array([round(v, 9) for v in x.ravel().tolist()]).reshape(x.shape)
+    assert nimrep._round9(x).tobytes() == want.tobytes()  # bitwise: signed zeros too
+
+
+def test_round9_equals_round_on_the_su2_character_tables():
+    for k in range(1, core.SU2_LEVEL_MAX + 1):
+        _assert_round9_is_round(nimrep.character_table(core.su2_modular_data(k)))
+
+
+def test_round9_breaks_exact_ties_to_even():
+    # 2^-10 = 0.0009765625 and 3 * 2^-10 = 0.0029296875 end in an exact 5
+    assert nimrep._round9(np.array([2.0 ** -10, 3 * 2.0 ** -10, -(2.0 ** -10)])).tolist() \
+        == [0.000976562, 0.002929688, -0.000976562]
+
+
+@settings(derandomize=True, max_examples=300)
+@given(st.lists(st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(-2e3, 2e3),
+    # m 2^-10 with m odd has an exact 5 in its tenth decimal: a tie
+    st.integers(-2 ** 40, 2 ** 40).map(lambda m: m * 2.0 ** -10),
+    # within a few ulps of a tie, on either side
+    st.integers(-10 ** 12, 10 ** 12).map(lambda n: (n + 0.5) / 1e9)), min_size=1))
+def test_round9_equals_round_on_floats_and_exact_halves(xs):
+    _assert_round9_is_round(xs)
+
+
 def test_fused_adjacencies_are_one_read_only_array():
     G = nimrep.fused_adjacencies(nimrep.ade_graph("E6")).G
     assert G.shape == (11, 6, 6) and G.dtype.kind == "i"
@@ -502,7 +531,7 @@ def _verdict_by_generator_check(graph):
         N = core.su2_fusion_closed_form(k).N
     except core.UsageError as exc:
         return core.UsageError, str(exc)
-    if _represents_int64(N, np.array(G), core.generating_labels(N)):
+    if _represents_int64(N, np.array(G), core.generating_labels(N.__getitem__, len(N))):
         return "ok", tuple(G)
     return nimrep.NimRepError, f"{graph.name}: nimrep identity fails"
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 from fractions import Fraction
@@ -296,9 +297,9 @@ def test_verify_enumerated(k):
 
 
 def test_permutation_dodd_level10():
-    ring = core.su2_fusion_closed_form(10)
+    md = core.su2_modular_data(10)
     Z = search.su2_invariant_matrix("D_odd", 10)
-    verdict = search.permutation_criterion(ring, Z)
+    verdict = search.permutation_criterion(md, Z)
     assert verdict.is_permutation
     assert verdict.is_fusion_automorphism
     pi = verdict.permutation
@@ -307,49 +308,89 @@ def test_permutation_dodd_level10():
 
 
 def test_permutation_e7_fails_all_three():
-    ring = core.su2_fusion_closed_form(16)
+    md = core.su2_modular_data(16)
     Z = search.su2_invariant_matrix("E7", 16)
     assert Z.Z[0, 16] == 1 and Z.Z[16, 0] == 1
-    verdict = search.permutation_criterion(ring, Z)
+    verdict = search.permutation_criterion(md, Z)
     assert not verdict.is_permutation
     assert not verdict.zero_row_trivial
     assert not verdict.zero_column_trivial
 
 
 def test_permutation_identity():
-    ring = core.su2_fusion_closed_form(5)
-    verdict = search.permutation_criterion(ring, search.su2_invariant_matrix("A", 5))
+    md = core.su2_modular_data(5)
+    verdict = search.permutation_criterion(md, search.su2_invariant_matrix("A", 5))
     assert verdict.is_permutation
     assert verdict.permutation == tuple(range(6))
+    # N[id, id, id] = N always holds, so no fusion row is built
+    assert "verlinde_row" not in vars(md)
 
 
 @pytest.mark.parametrize("k", [4, 6, 8, 10, 12])
 def test_tri_equivalence_on_enumerated(k):
-    ring = core.su2_fusion_closed_form(k)
-    for Z in search.enumerate_invariants(core.su2_modular_data(k)):
-        search.permutation_criterion(ring, Z)  # raises on inconsistency
+    md = core.su2_modular_data(k)
+    for Z in search.enumerate_invariants(md):
+        search.permutation_criterion(md, Z)  # raises on inconsistency
 
 
 def _automorphism_by_full_copy(N, pi):
-    # one full L^3 copy of N: the reference for permutation_criterion's blockwise test
+    # one full L^3 copy of N: the reference for both the blockwise and the row test
     p = np.array(pi)
     return bool(np.array_equal(N[np.ix_(p, p, p)], N))
 
 
-def _rings_and_invariants():
-    """(ring, Z) for SU(2) k <= 64 (the closed forms, which the enumeration
-    checks up to level 28), SU(3) k <= 9, SU(4) k <= 5 and Ising (enumerated)."""
+def _automorphism_blockwise(N, pi):
+    # N[p, p, p] == N in eight blocks of labels, the tensor test that
+    # permutation_criterion ran before it read Verlinde rows
+    L = len(N)
+    p = np.array(pi)
+    step = -(-L // 8)
+    return all(np.array_equal(N[p[s:s + step]][:, p][:, :, p], N[s:s + step])
+               for s in range(0, L, step))
+
+
+def _reference_permutation_criterion(ring, Z):
+    """permutation_criterion on the whole fusion tensor, as it was before it
+    read Verlinde rows: the reference for the row verdicts."""
+    M = Z.Z
+    L = Z.size
+    e0 = np.zeros(L, dtype=int)
+    e0[0] = 1
+    c1 = bool(np.array_equal(M[0, :], e0))
+    c2 = bool(np.array_equal(M[:, 0], e0))
+    perm = is_auto = None
+    c3 = False
+    if np.array_equal(np.sort(M.sum(axis=0)), np.ones(L)) and \
+       np.array_equal(np.sort(M.sum(axis=1)), np.ones(L)):
+        perm = tuple(np.argmax(M, axis=0).tolist())
+        is_auto = c3 = _automorphism_blockwise(ring.N, perm)
+    assert c1 == c2 == c3
+    return search.PermutationVerdict(c1, c2, c3, perm, is_auto)
+
+
+def _modular_data_and_rings():
+    """(md, ring) for SU(2) k <= 64 (the closed forms), SU(3) k <= 9, SU(4)
+    k <= 5 and Ising (the validated Verlinde rings)."""
     for k in range(1, core.SU2_LEVEL_MAX + 1):
-        ring = core.su2_fusion_closed_form(k)
-        for _, case in search.su2_diagrams(k):
-            yield ring, search.su2_invariant_matrix(case, k)
+        yield core.su2_modular_data(k), core.su2_fusion_closed_form(k)
     mds = [core.sun_modular_data(3, k) for k in range(1, 10)]
     mds += [core.sun_modular_data(4, k) for k in range(1, 6)]
     mds.append(core.ising_modular_data())
     for md in mds:
-        ring = core.verlinde_fusion(md)
-        for Z in search.enumerate_invariants(md):
-            yield ring, Z
+        yield md, core.verlinde_fusion(md)
+
+
+def _rings_and_invariants():
+    """(md, ring, Z): the SU(2) closed-form invariants (which the enumeration
+    checks up to level 28) and the enumerated SU(3), SU(4) and Ising ones."""
+    for md, ring in _modular_data_and_rings():
+        if md.family == "su2":
+            found = [search.su2_invariant_matrix(case, md.level)
+                     for _, case in search.su2_diagrams(md.level)]
+        else:
+            found = search.enumerate_invariants(md)
+        for Z in found:
+            yield md, ring, Z
 
 
 # 64 A and 15 D_odd (k = 6, 10, .., 62) of SU(2); 26 of SU(3) k <= 9,
@@ -358,9 +399,12 @@ PERMUTATION_INVARIANTS = 64 + 15 + 26 + 14 + 1
 
 
 def test_blockwise_automorphism_equals_the_full_copy_on_every_permutation_invariant():
+    """The row verdict of every invariant, permutation or not, equals the
+    blockwise tensor reference, and that reference equals the full copy."""
     checked = 0
-    for ring, Z in _rings_and_invariants():
-        verdict = search.permutation_criterion(ring, Z)
+    for md, ring, Z in _rings_and_invariants():
+        verdict = search.permutation_criterion(md, Z)
+        assert verdict == _reference_permutation_criterion(ring, Z)
         if verdict.permutation is not None:
             assert verdict.is_fusion_automorphism is True
             assert _automorphism_by_full_copy(ring.N, verdict.permutation) is True
@@ -368,63 +412,86 @@ def test_blockwise_automorphism_equals_the_full_copy_on_every_permutation_invari
     assert checked == PERMUTATION_INVARIANTS
 
 
-def _conjugation_invariant(ring):
-    L = ring.size
+def test_generating_labels_through_rows_equal_the_tensor_ones():
+    for md, ring in _modular_data_and_rings():
+        want = core.generating_labels(ring.N.__getitem__, ring.size)
+        assert md.fusion_generators == want, (md.family, md.level)
+        for g in want:
+            assert np.array_equal(md.verlinde_row(g), ring.N[g])
+
+
+def _conjugation_invariant(md):
+    L = md.size
     Z = np.zeros((L, L), dtype=int)
-    Z[ring.N[:, :, 0].argmax(axis=1), np.arange(L)] = 1
+    Z[list(core.check_modular(md).dual), np.arange(L)] = 1
     return search.MassMatrix(Z)
 
 
-def _altered_tensors(N):
-    """N relabelled by each transposition of two non-unit labels, then N
-    with one diagonal entry N[x, x, x] raised, for each label x != 0."""
+def _relabelled_tensors(N):
+    """N relabelled by each transposition of two non-unit labels: each is
+    again a commutative, associative ring with unit 0."""
     L = len(N)
     for a in range(1, L):
         for b in range(a + 1, L):
             q = np.arange(L)
             q[[a, b]] = q[[b, a]]
             yield N[q][:, q][:, :, q]
-    for x in range(1, L):
-        raised = N.copy()
-        raised[x, x, x] += 1
-        yield raised
 
 
 def test_altered_rings_fail_the_automorphism_as_the_full_copy_does():
-    """The conjugation invariant of SU(3)_4 against altered fusion tensors:
-    it stays an automorphism exactly when the full copy says so, and
-    otherwise the criterion reports the disagreement.  The raised entries
-    sit in every block of labels."""
-    ring = core.verlinde_fusion(core.sun_modular_data(3, 4))
-    Z = _conjugation_invariant(ring)
-    pi = search.permutation_criterion(ring, Z).permutation
+    """The conjugation invariant of SU(3)_4 on altered fusion tensors, through
+    the row-level check.  On every relabelled ring the verdict is the full
+    copy's.  One entry raised anywhere in the row of a generator or of its
+    image gives the full copy's verdict too, False unless perm fixes the
+    entry, and permutation_criterion reports the disagreement."""
+    md = core.sun_modular_data(3, 4)
+    ring = core.verlinde_fusion(md)
+    Z = _conjugation_invariant(md)
+    pi = search.permutation_criterion(md, Z).permutation
     outcomes = []
-    for N in _altered_tensors(ring.N):
-        altered = core.FusionRing(labels=ring.labels, N=N)
+    for N in _relabelled_tensors(ring.N):
+        row = N.__getitem__
+        got = search.fusion_automorphism(row, core.generating_labels(row, len(N)), pi)
         outcomes.append(_automorphism_by_full_copy(N, pi))
-        if outcomes[-1]:
-            assert search.permutation_criterion(altered, Z).is_fusion_automorphism
-        else:
-            with pytest.raises(search.CriterionInconsistencyError,
-                               match="row=True column=True matrix=False"):
-                search.permutation_criterion(altered, Z)
+        assert got is outcomes[-1]
     assert True in outcomes and False in outcomes
+
+    gens = md.fusion_generators
+    L = ring.size
+    caught = 0
+    for a in sorted({*gens, *(pi[g] for g in gens)}):
+        for b in range(L):
+            for c in range(L):
+                raised = ring.N.copy()
+                raised[a, b, c] += 1
+                got = search.fusion_automorphism(raised.__getitem__, gens, pi)
+                assert got is _automorphism_by_full_copy(raised, pi), (a, b, c)
+                caught += not got
+    assert caught > len(gens) * L * L // 2
+    # the raised row in place of md's rows: the three conditions disagree
+    raised = ring.N.copy()
+    raised[gens[0], 0, 1] += 1
+    altered = dataclasses.replace(md)
+    vars(altered)["verlinde_row"] = raised.__getitem__
+    with pytest.raises(search.CriterionInconsistencyError,
+                       match="row=True column=True matrix=False"):
+        search.permutation_criterion(altered, Z)
 
 
 def test_permutation_criterion_peak_memory():
-    # SU(3)_15 (L = 136) with its conjugation invariant: the full copy of
-    # N[p, p, p] alone would be 8 L^3 bytes
-    ring = core.verlinde_fusion(core.sun_modular_data(3, 15))
-    L = ring.size
-    Z = _conjugation_invariant(ring)
+    # SU(3)_15 (L = 136) with its conjugation invariant, rows built from a
+    # fresh md: a few L x L arrays; the fusion tensor alone is 8 L^3 bytes
+    md = core.sun_modular_data(3, 15)
+    L = md.size
+    Z = _conjugation_invariant(md)
     tracemalloc.start()
     try:
-        verdict = search.permutation_criterion(ring, Z)
+        verdict = search.permutation_criterion(md, Z)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert verdict.is_fusion_automorphism
-    assert peak < 4 * L ** 3
+    assert verdict.is_fusion_automorphism and verdict.permutation != tuple(range(L))
+    assert peak < 128 * L ** 2
 
 
 def test_catalog_level3_only_diagonal():
@@ -482,9 +549,8 @@ def test_entry_bound_holds_a_posteriori():
 
 def test_trace_identities_under_dodd_relabeling():
     k = 6
-    ring = core.su2_fusion_closed_form(k)
     pi = search.permutation_criterion(
-        ring, search.su2_invariant_matrix("D_odd", k)).permutation
+        core.su2_modular_data(k), search.su2_invariant_matrix("D_odd", k)).permutation
     P = np.zeros((k + 1, k + 1), dtype=int)
     for mu, target in enumerate(pi):
         P[target, mu] = 1
@@ -499,10 +565,9 @@ def test_full_range_tri_equivalence_and_entry_bound():
     # permutation tri-equivalence and the d_a d_b entry bound
     for k in range(1, 33):
         md = core.su2_modular_data(k)
-        ring = core.su2_fusion_closed_form(k)
         bound = np.outer(md.dims, md.dims)
         for Z in search.enumerate_invariants(md):
-            search.permutation_criterion(ring, Z)
+            search.permutation_criterion(md, Z)
             assert np.max(Z.Z - bound) < 1e-6
 
 
