@@ -312,7 +312,7 @@ def chiral_table(kmax: int) -> list[ChiralRow]:
     rows = []
     for k in range(1, kmax + 1):
         md = su2_modular_data(k)
-        for named in su2_ade_catalog(k, md=md):
+        for named in su2_ade_catalog(md):
             b = su2_branching(diagram_case(named.name)[0], k)
             if not verify_factorization(named.Z, b):
                 raise BranchingError(f"{named.name} at level {k}: factorization failed")

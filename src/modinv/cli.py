@@ -112,7 +112,7 @@ def cmd_invariants(args) -> int:
 
 def cmd_catalog(args) -> int:
     md = core.su2_modular_data(args.level)
-    named = search.su2_ade_catalog(args.level, budget=args.budget, md=md)
+    named = search.su2_ade_catalog(md, budget=args.budget)
     if args.json:
         doc = {"family": "su2", "level": args.level,
                "invariants": [_invariant_record(ni.name, ni.Z, md) for ni in named]}

@@ -239,14 +239,10 @@ def _krylov_full_rank(A: np.ndarray, unit: int, p: int) -> bool:
 def verlinde_sum(U: np.ndarray, base: int) -> np.ndarray:
     """X[a,b,c] = sum_m U[a,m] / U[base,m] * U[b,m] * conj(U[c,m]); Verlinde's at U = S^t.
 
-    One einsum over the full L^3 complex tensor.  verlinde_fusion (the whole
-    ring, for ``fusion``) and verlinde_rows (single rows N_a, for the
-    automorphism check of ``invariants`` and ``catalog``) form the same sum
-    at base 0 as GEMMs instead; they only round the values, but a GEMM sums
-    in another order, which moves the last bits of each float.
-    graph_structure_constants keeps this einsum because ``graph-algebra
-    --json`` prints its integrality gap, whose bytes the summation order
-    decides.
+    One einsum over the full L^3 complex tensor, for
+    graph_structure_constants, whose integrality gap ``graph-algebra
+    --json`` prints to the bytes this summation order gives.  The Verlinde
+    ring itself is read through _verlinde_row, one GEMM per row N_a.
     """
     return np.einsum("am,bm,cm->abc", U / U[base], U, U.conj())
 
@@ -278,10 +274,10 @@ class ModularData:
     def size(self) -> int:
         return len(self.labels)
 
-    @property
+    @cached_property
     def unitarity_residual(self) -> float:
-        L = self.size
-        return float(np.max(np.abs(self.S @ self.S.conj().T - np.eye(L))))
+        """max |S S^H - 1|, formed once per ModularData."""
+        return float(np.max(np.abs(self.S @ self.S.conj().T - np.eye(self.size))))
 
     @property
     def degenerate(self) -> bool:
@@ -411,16 +407,17 @@ def sun_modular_data(n: int, k: int) -> ModularData:
     twists = np.exp(2j * np.pi * h)
     dims = (S[:, 0] / S[0, 0]).real
     labels = tuple("(" + ",".join(map(str, a)) + ")" for a in parts)
+    c = _central_charge_from_twists(twists, dims)
     return ModularData(
         family=f"su{n}",
         level=k,
         labels=labels,
         S=S,
-        T=np.diag(np.exp(-1j * np.pi * _central_charge_from_twists(twists, dims) / 12.0) * twists),
+        T=np.diag(np.exp(-1j * np.pi * c / 12.0) * twists),
         twists=twists,
         dims=dims,
         global_index=float(dims @ dims),
-        central_charge=_central_charge_from_twists(twists, dims),
+        central_charge=c,
     )
 
 
@@ -523,13 +520,12 @@ def modular_data_from_twists(ring: FusionRing, twists, dims,
     )
 
 
-def _verlinde_u(md: ModularData) -> np.ndarray:
-    """U = S^t of the Verlinde formula; DegenerateDataError unless S is unitary."""
+def _require_unitary(md: ModularData) -> None:
+    """DegenerateDataError unless S is unitary, as Verlinde and the commutant need."""
     if md.degenerate:
         raise DegenerateDataError(
             f"S is degenerate (unitarity residual {md.unitarity_residual:.2e}); "
-            "the Verlinde formula needs a unitary S")
-    return md.S.T
+            "the Verlinde formula and the commutant search need a unitary S")
 
 
 def _round_counts(X: np.ndarray) -> np.ndarray:
@@ -549,21 +545,29 @@ def _round_counts(X: np.ndarray) -> np.ndarray:
     return R.astype(np.int64)
 
 
+def _verlinde_row(U: np.ndarray, a: int) -> np.ndarray:
+    """N_a[b, c] = N[a, b, c] of the Verlinde ring, U = S^t of a unitary S.
+
+    The one Verlinde formula of the ring: N_a = U diag(U[a] / U[0]) U^H,
+    one L x L complex GEMM, rounded by _round_counts.
+    """
+    return _round_counts((U * (U[a] / U[0])) @ U.conj().T)
+
+
 def verlinde_rows(md: ModularData) -> Callable[[int], np.ndarray]:
     """a -> N_a, the read-only int64 matrix N_a[b, c] = N[a, b, c] of the Verlinde ring.
 
-    N_a = U diag(U[a] / U[0]) U^H with U = S^t is one L x L complex GEMM,
-    formed on the first call for a, rounded by the rule of verlinde_fusion
-    and kept; no L^3 array is formed.  S must be non-degenerate, which is
-    checked here, once.
+    Each row is _verlinde_row, formed on the first call for a and kept; no
+    L^3 array is formed.  S must be unitary, which is checked here, once.
     """
-    U = _verlinde_u(md)
+    _require_unitary(md)
+    U = md.S.T
     rows: dict[int, np.ndarray] = {}
 
     def row(a: int) -> np.ndarray:
         a = int(a)
         if a not in rows:
-            rows[a] = _round_counts((U * (U[a] / U[0])) @ U.conj().T)
+            rows[a] = _verlinde_row(U, a)
             rows[a].setflags(write=False)
         return rows[a]
 
@@ -575,23 +579,15 @@ def verlinde_fusion(md: ModularData) -> FusionRing:
 
     The one function that builds the whole validated ring, for ``fusion``
     and the D_odd fusion graph; ``invariants`` and ``catalog`` read the few
-    rows they need from verlinde_rows.
-    Requires non-degenerate S; every pre-rounding value must sit within
-    ROUND_TOL of a non-negative integer.  With U = S^t, N_a = U diag(U[a] /
-    U[0]) U^H, formed as one complex GEMM per block of labels a and rounded
-    into the int64 tensor block by block, so the peak is that tensor plus
-    one complex block.  This is verlinde_sum at base 0 summed in another
-    order: the rounded integers agree, the floats before rounding may not
-    to the last bit.
+    rows they need from verlinde_rows.  S must be unitary.  N[a] is filled
+    with _verlinde_row for each label a in turn, so the peak before
+    validation is the int64 tensor plus one complex L x L row.
     """
-    U = _verlinde_u(md)
-    L = md.size
-    W, Uh = U / U[0], U.conj().T
+    _require_unitary(md)
+    U, L = md.S.T, md.size
     N = np.empty((L, L, L), dtype=np.int64)
-    step = -(-L // 16)  # sixteen blocks of a: each complex block is about L^3 bytes
-    for a in range(0, L, step):
-        X = (W[a:a + step, None, :] * U).reshape(-1, L) @ Uh
-        N[a:a + step] = _round_counts(X).reshape(-1, L, L)
+    for a in range(L):
+        N[a] = _verlinde_row(U, a)
     ring = FusionRing(labels=md.labels, N=N)
     ring.validate()
     return ring

@@ -128,11 +128,10 @@ def graph_structure_constants(gauge: EigenGauge) -> GraphFusion:
 
     Entries must be near-integers (positive case) or carry a clear negative
     value; anything else (e.g. an entry near 1/2) means the gauge is wrong
-    and raises.  The sum is ``core.verlinde_sum``'s einsum, not the GEMMs of
-    ``core.verlinde_fusion`` (the whole ring, which ``fusion`` prints) or
-    ``core.verlinde_rows`` (the rows the automorphism check reads):
-    ``graph-algebra --json`` prints the integrality gap, and another
-    summation order changes its bytes.
+    and raises.  The sum is ``core.verlinde_sum``'s einsum, not the one
+    GEMM per row N_a that builds the Verlinde ring: ``graph-algebra --json``
+    prints the integrality gap, and another summation order changes its
+    bytes.
     """
     N = verlinde_sum(gauge.psi, gauge.base)
     real = N.real

@@ -22,8 +22,8 @@ from fractions import Fraction
 import numpy as np
 
 from .core import (COMMUTE_TOL, FIXED_SPACE_TOL, MAX_DENOMINATOR, PHASE_TOL, PIVOT_TOL,
-                   ROUND_TOL, VACUUM_ROW_TOL, DegenerateDataError, ModularData, UsageError,
-                   su2_level, su2_modular_data, sun_label_index, sun_modular_data)
+                   ROUND_TOL, VACUUM_ROW_TOL, ModularData, UsageError, _require_unitary,
+                   su2_level, sun_label_index, sun_modular_data)
 
 DEFAULT_NODE_BUDGET = 10 ** 8
 
@@ -48,13 +48,14 @@ class MassMatrix:
 
     def __post_init__(self):
         Z = np.asarray(self.Z)
+        object.__setattr__(self, "Z", Z)  # a nested list is checked and kept as its array
         if Z.ndim != 2 or Z.shape[0] != Z.shape[1]:
             raise ValueError("Z must be square")
         if Z.dtype.kind not in "iu":
             raise ValueError("Z must be an integer matrix")
         if Z.min() < 0 or Z[0, 0] != 1:
             raise ValueError("Z must be non-negative with Z[0,0] = 1")
-        self.Z.setflags(write=False)
+        Z.setflags(write=False)
 
     @property
     def size(self) -> int:
@@ -96,6 +97,13 @@ class CommutantBasis:
     @property
     def dim(self) -> int:
         return len(self.pivots)
+
+
+def _commutator_residuals(md: ModularData, X: np.ndarray) -> tuple[float, float]:
+    """max |SX - XS| and max |TX - XT|; T is diagonal, so TX - XT = (t_i - t_j) X_ij."""
+    t = np.diag(md.T)
+    return (float(np.max(np.abs(md.S @ X - X @ md.S))),
+            float(np.max(np.abs((t[:, None] - t[None, :]) * X))))
 
 
 def _t_support(md: ModularData) -> tuple[np.ndarray, np.ndarray]:
@@ -158,10 +166,7 @@ def commutant_basis(md: ModularData) -> CommutantBasis:
     common denominator.  The reduced echelon form of a subspace is unique,
     so the result does not depend on the eigenbasis eigh returns.
     """
-    if md.degenerate:
-        raise DegenerateDataError(
-            f"braiding is degenerate (unitarity residual {md.unitarity_residual:.2e}); "
-            "modular invariant search requires a non-degenerate S")
+    _require_unitary(md)
     L = md.size
     I, J = _t_support(md)
     m = len(I)
@@ -193,9 +198,8 @@ def commutant_basis(md: ModularData) -> CommutantBasis:
     N, D = _rationalize(B)
     E = np.zeros((dim, L, L), dtype=np.int64)
     E[:, I, J] = N
-    S = md.S
     for X in E / D:
-        if max(np.max(np.abs(S @ X - X @ S)), np.max(np.abs(md.T @ X - X @ md.T))) > COMMUTE_TOL:
+        if max(_commutator_residuals(md, X)) > COMMUTE_TOL:
             raise RationalReconstructionError("rationalized basis element fails to commute")
     return CommutantBasis(E=E, denominator=D, pivots=tuple(pivots))
 
@@ -312,11 +316,8 @@ def verify_invariant(md: ModularData, Z: MassMatrix) -> InvariantReport:
     if M.shape[0] != md.size:
         raise ValueError("shape mismatch between Z and modular data")
     d = md.dims
-    return InvariantReport(
-        commutes_s=float(np.max(np.abs(md.S @ M - M @ md.S))),
-        commutes_t=float(np.max(np.abs(md.T @ M - M @ md.T))),
-        vacuum_row_residual=float(abs(d @ M[:, 0] - M[0, :] @ d)),
-    )
+    return InvariantReport(*_commutator_residuals(md, M),
+                           vacuum_row_residual=float(abs(d @ M[:, 0] - M[0, :] @ d)))
 
 
 @dataclass(frozen=True)
@@ -529,16 +530,13 @@ def su2_diagram_with_diagonal(k: int, diag: tuple[int, ...]) -> str | None:
     return None
 
 
-def su2_ade_catalog(k: int, budget: int = DEFAULT_NODE_BUDGET,
-                    md: ModularData | None = None) -> list[NamedInvariant]:
-    """Enumerate SU(2)_k invariants and name each by its diagonal exponent multiset.
+def su2_ade_catalog(md: ModularData, budget: int = DEFAULT_NODE_BUDGET) -> list[NamedInvariant]:
+    """Enumerate the invariants of SU(2)_k data md; name each by its diagonal exponents.
 
     The diagonal of an invariant is the eigenvalue-multiplicity vector of the
     A-D-E diagram with Coxeter number k + 2; an unmatched diagonal raises.
-    ``md`` is the SU(2)_k modular data when the caller has built it already.
     """
-    if md is None:
-        md = su2_modular_data(k)
+    k = md.level
     found = enumerate_invariants(md, budget=budget)
     if not found.complete:
         raise RuntimeError(f"enumeration exceeded node budget at level {k}")

@@ -52,7 +52,7 @@ EXPECTED_SETS = {4: {"A5", "D4"}, 10: {"A11", "D7", "E6"},
 def test_criterion_03_ade_enumeration():
     t0 = time.perf_counter()
     for k, expected in EXPECTED_SETS.items():
-        named = search.su2_ade_catalog(k)
+        named = search.su2_ade_catalog(core.su2_modular_data(k))
         assert {ni.name for ni in named} == expected
         assert len(named) == len(expected)
     elapsed = time.perf_counter() - t0
@@ -74,7 +74,7 @@ def test_criterion_05_spectra_match_diagonals():
     t0 = time.perf_counter()
     for k, names in EXPECTED_SETS.items():
         md = core.su2_modular_data(k)
-        for ni in search.su2_ade_catalog(k):
+        for ni in search.su2_ade_catalog(md):
             family = nimrep.fused_adjacencies(nimrep.ade_graph(ni.name))
             report = nimrep.spectrum_vs_diagonal(family, md, ni.Z)
             assert report.matched, f"{ni.name}: worst gap {report.worst_gap}"

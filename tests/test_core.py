@@ -435,10 +435,25 @@ def _verlinde_cases():
     yield core.ising_modular_data()
 
 
-def test_blockwise_verlinde_equals_rounded_einsum():
+def test_verlinde_fusion_equals_rounded_einsum():
     for md in _verlinde_cases():
         want = np.round(core.verlinde_sum(md.S.T, 0).real).astype(np.int64)
         assert np.array_equal(core.verlinde_fusion(md).N, want), (md.family, md.level)
+
+
+def _row_cases():
+    yield from (core.su2_modular_data(k) for k in range(1, core.SU2_LEVEL_MAX + 1))
+    yield from (core.sun_modular_data(3, k) for k in range(1, 10))
+    yield from (core.sun_modular_data(4, k) for k in range(1, 6))
+    yield core.ising_modular_data()
+
+
+def test_verlinde_fusion_rows_are_verlinde_rows():
+    # the whole ring and the single rows come from one row formula
+    for md in _row_cases():
+        N = core.verlinde_fusion(md).N
+        for a in range(md.size):
+            assert np.array_equal(N[a], md.verlinde_row(a)), (md.family, md.level, a)
 
 
 def test_verlinde_rejects_non_integral_unitary_s():
@@ -654,8 +669,16 @@ def test_check_modular_ising():
 
 
 def test_verlinde_rejects_degenerate():
-    with pytest.raises(core.DegenerateDataError):
-        core.verlinde_fusion(core.cyclic_group_modular_data(3))
+    for build in (core.verlinde_fusion, core.verlinde_rows):
+        with pytest.raises(core.DegenerateDataError, match="unitarity residual"):
+            build(core.cyclic_group_modular_data(3))
+
+
+def test_unitarity_residual_is_formed_once():
+    md = core.su2_modular_data(6)
+    assert "unitarity_residual" not in vars(md)
+    assert not md.degenerate
+    assert vars(md)["unitarity_residual"] == md.unitarity_residual < 1e-9
 
 
 def test_degeneracy_threshold_consistency():

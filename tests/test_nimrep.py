@@ -285,7 +285,7 @@ def test_fused_adjacencies_refuse_beyond_the_exact_float_range():
 def test_spectra_for_all_catalog_pairs_up_to_level30():
     for k in range(1, 31):
         md = core.su2_modular_data(k)
-        for ni in search.su2_ade_catalog(k):
+        for ni in search.su2_ade_catalog(md):
             fam = nimrep.fused_adjacencies(nimrep.ade_graph(ni.name))
             assert nimrep.spectrum_vs_diagonal(fam, md, ni.Z).matched, (k, ni.name)
 

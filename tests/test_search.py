@@ -254,8 +254,15 @@ def test_enumeration_rejects_leaves_off_the_lattice(monkeypatch, family, k):
 
 
 def test_commutant_rejects_degenerate():
-    with pytest.raises(core.DegenerateDataError):
-        search.commutant_basis(core.cyclic_group_modular_data(3))
+    # one unitarity verdict, formed once, refuses the commutant and the
+    # Verlinde ring with one message
+    md = core.cyclic_group_modular_data(3)
+    with pytest.raises(core.DegenerateDataError) as commutant:
+        search.commutant_basis(md)
+    assert "unitarity_residual" in vars(md)
+    with pytest.raises(core.DegenerateDataError) as verlinde:
+        core.verlinde_fusion(md)
+    assert str(verlinde.value) == str(commutant.value)
 
 
 def test_enumerate_su2_level4():
@@ -284,6 +291,39 @@ def test_mass_matrix_guards():
         search.MassMatrix(np.zeros((3, 3), dtype=int))
     with pytest.raises(ValueError):
         search.MassMatrix(np.eye(3) * 1.0)
+
+
+def test_mass_matrix_from_nested_list():
+    Z = search.MassMatrix([[1, 0], [0, 1]])
+    assert isinstance(Z.Z, np.ndarray) and not Z.Z.flags.writeable
+    assert Z == search.MassMatrix(np.eye(2, dtype=int))
+    for bad in ([[1.0, 0.0], [0.0, 1.0]], [[1, 0], [0, -1]], [[0, 1], [1, 0]], [[1, 0]]):
+        with pytest.raises(ValueError):
+            search.MassMatrix(bad)
+
+
+def test_verify_invariant_t_half():
+    # labels 0 and 1 of SU(2)_4 have different T phases, so Z[0, 1] = 1
+    # breaks [T, Z] = 0 by |t_0 - t_1|
+    md = core.su2_modular_data(4)
+    Z = np.eye(md.size, dtype=int)
+    Z[0, 1] = 1
+    report = search.verify_invariant(md, search.MassMatrix(Z))
+    t = np.diag(md.T)
+    assert report.commutes_t > core.COMMUTE_TOL
+    assert report.commutes_t == pytest.approx(abs(t[0] - t[1]))
+    assert not report.ok
+
+
+def test_commutator_equals_gemm_form_on_enumerated_invariants():
+    cases = [core.su2_modular_data(k) for k in range(1, core.SU2_LEVEL_MAX + 1)]
+    cases += [core.sun_modular_data(3, k) for k in range(1, 10)]
+    for md in cases:
+        for Z in search.enumerate_invariants(md):
+            X = Z.Z
+            got = search._commutator_residuals(md, X)
+            want = (np.max(np.abs(md.S @ X - X @ md.S)), np.max(np.abs(md.T @ X - X @ md.T)))
+            assert np.allclose(got, want, rtol=0, atol=1e-12), (md.family, md.level)
 
 
 @pytest.mark.parametrize("k", [4, 6, 10])
@@ -494,22 +534,25 @@ def test_permutation_criterion_peak_memory():
     assert peak < 128 * L ** 2
 
 
+def _catalog_names(k):
+    return [ni.name for ni in search.su2_ade_catalog(core.su2_modular_data(k))]
+
+
 def test_catalog_level3_only_diagonal():
-    named = search.su2_ade_catalog(3)
-    assert [ni.name for ni in named] == ["A4"]
+    assert _catalog_names(3) == ["A4"]
 
 
 def test_catalog_level10():
-    assert [ni.name for ni in search.su2_ade_catalog(10)] == ["A11", "D7", "E6"]
+    assert _catalog_names(10) == ["A11", "D7", "E6"]
 
 
 def test_catalog_level2_names_a3():
-    assert [ni.name for ni in search.su2_ade_catalog(2)] == ["A3"]
+    assert _catalog_names(2) == ["A3"]
 
 
 def test_catalog_level16_no_naming_ambiguity():
     # D10 and E7 share the level but not the diagonal
-    named = {ni.name: ni.Z for ni in search.su2_ade_catalog(16)}
+    named = {ni.name: ni.Z for ni in search.su2_ade_catalog(core.su2_modular_data(16))}
     assert set(named) == {"A17", "D10", "E7"}
     assert named["D10"].diagonal != named["E7"].diagonal
 
