@@ -208,6 +208,8 @@ def _parse_theta(spec: str, k: int) -> np.ndarray:
             spins.append(int(token[1:]))
         else:
             raise core.UsageError(f"bad theta token {token!r}")
+    if 0 not in spins:
+        raise core.UsageError(f"theta {spec!r} is missing id")
     if any(j > k for j in spins):
         raise core.UsageError("theta spin beyond level")
     return chiral.theta_vector(k, spins)

@@ -13,7 +13,7 @@ import math
 from collections.abc import Callable
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations_with_replacement, permutations
+from itertools import combinations, combinations_with_replacement, permutations
 
 import numpy as np
 
@@ -349,26 +349,6 @@ def _sun_partitions(n: int, k: int) -> list[tuple[int, ...]]:
     return sorted(tuple(reversed(c)) for c in combinations_with_replacement(range(k + 1), n - 1))
 
 
-def _perm_parity(p) -> int:
-    seen = [False] * len(p)
-    sgn = 1
-    for i in range(len(p)):
-        if seen[i]:
-            continue
-        j, cyc = i, 0
-        while not seen[j]:
-            seen[j] = True
-            j = p[j]
-            cyc += 1
-        if cyc % 2 == 0:
-            sgn = -sgn
-    return sgn
-
-
-def _traceless(vec: np.ndarray) -> np.ndarray:
-    return vec - vec.mean()
-
-
 def sun_modular_data(n: int, k: int) -> ModularData:
     """Kac-Peterson data for SU(n)_k via the Weyl alternating sum.
 
@@ -376,6 +356,11 @@ def sun_modular_data(n: int, k: int) -> ModularData:
     sorted lexicographically so the vacuum (0,...,0) has index 0.  The SU(3)
     display convention "(m,n)" corresponds to Dynkin labels (m-n, n).  For
     n = 2 this agrees entrywise with :func:`su2_modular_data`.
+
+    The weights a (a_n = 0) and a + rho = a + (n-1, ..., 0) are two L x n
+    arrays, each made traceless by one row-mean subtraction; rho is the
+    vacuum row of the second.  The Weyl sign of a permutation is its
+    inversion parity.
     """
     if n not in (2, 3, 4):
         raise UsageError(f"unsupported rank: SU({n})")
@@ -387,26 +372,23 @@ def sun_modular_data(n: int, k: int) -> ModularData:
         raise UsageError(f"SU({n})_{k} has {L} labels, beyond the desk bound")
     parts = _sun_partitions(n, k)
     kappa = k + n
-    # shifted weights in traceless orthogonal coordinates
-    xi = np.array([_traceless(np.array(list(a) + [0], dtype=float)
-                              + np.arange(n - 1, -1, -1)) for a in parts])
-    perms = list(permutations(range(n)))
-    sgns = np.array([_perm_parity(p) for p in perms], dtype=float)
+    a = np.zeros((L, n))
+    a[:, :-1] = parts
+    # weights and shifted weights in traceless orthogonal coordinates
+    weight, xi = (x - x.mean(axis=1, keepdims=True) for x in (a, a + np.arange(n - 1, -1, -1)))
+    rho = xi[0]
     pref = (1j) ** (n * (n - 1) // 2) / (math.sqrt(n) * kappa ** ((n - 1) / 2))
     # S_{ab} = pref * sum_w sgn(w) exp(-2 pi i <w(xi_a), xi_b> / kappa)
     S = np.zeros((L, L), dtype=complex)
-    for p, sg in zip(perms, sgns):
-        phase = np.exp(-2j * np.pi * (xi[:, list(p)] @ xi.T) / kappa)
-        S += sg * phase
+    for p in permutations(range(n)):
+        sg = (-1) ** sum(p[i] > p[j] for i, j in combinations(range(n), 2))
+        S += sg * np.exp(-2j * np.pi * (xi[:, list(p)] @ xi.T) / kappa)
     S *= pref
     S = (S + S.T) / 2.0
-
-    weight = np.array([_traceless(np.array(list(a) + [0], dtype=float)) for a in parts])
-    rho = _traceless(np.arange(n - 1, -1, -1).astype(float))
     h = (np.einsum("ij,ij->i", weight, weight) + 2.0 * weight @ rho) / (2.0 * kappa)
     twists = np.exp(2j * np.pi * h)
     dims = (S[:, 0] / S[0, 0]).real
-    labels = tuple("(" + ",".join(map(str, a)) + ")" for a in parts)
+    labels = tuple("(" + ",".join(map(str, part)) + ")" for part in parts)
     c = _central_charge_from_twists(twists, dims)
     return ModularData(
         family=f"su{n}",
@@ -626,10 +608,8 @@ def check_modular(md: ModularData) -> ModularChecks:
     S, T = md.S, md.T
     L = md.size
     S2 = S @ S
-    dual = tuple(int(np.argmax(np.abs(S2[a]))) for a in range(L))
-    C = np.zeros((L, L))
-    for a, b in enumerate(dual):
-        C[a, b] = 1.0
+    dual = np.abs(S2).argmax(axis=1)
+    C = np.eye(L)[dual]
     ST = S @ T
     row0 = S[0].real
     return ModularChecks(
@@ -639,7 +619,7 @@ def check_modular(md: ModularData) -> ModularChecks:
         s_squared_conjugation=float(np.max(np.abs(S2 - C))),
         s_fourth=float(np.max(np.abs(S2 @ S2 - np.eye(L)))),
         first_row_positive=bool(row0.min() > 0 and abs(S[0, 0].imag) < ASSERT_TOL),
-        dual=dual,
+        dual=tuple(dual.tolist()),
     )
 
 

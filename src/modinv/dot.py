@@ -40,13 +40,7 @@ class GraphDocument:
 
 
 def _edges_from_adjacency(A: np.ndarray):
-    edges = []
-    n = A.shape[0]
-    for a in range(n):
-        for b in range(a, n):
-            if A[a, b]:
-                edges.append((a, b, int(A[a, b])))
-    return tuple(edges)
+    return tuple((a, b, int(A[a, b])) for a, b in np.argwhere(np.triu(A)).tolist())
 
 
 def ade_document(graph: AdeGraph) -> GraphDocument:

@@ -394,6 +394,7 @@ def test_invariants_and_catalog_build_no_fusion_tensor(capsys, monkeypatch, argv
     ("show", "--family", "su2", "--level", "0"),
     ("invariants", "--family", "su2", "--level", "65"),
     ("gram", "--level", "0", "--theta", "id"),
+    ("gram", "--level", "10", "--theta", "l2"),
     ("fusion", "--family", "su3", "--level", "0"),
     ("chiral-table", "--max-level", "33"),
     ("chiral-table", "--max-level", "0"),

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 import tracemalloc
 
@@ -666,6 +667,90 @@ def test_check_modular_su3_conjugation():
 
 def test_check_modular_ising():
     assert core.check_modular(core.ising_modular_data()).passed
+
+
+def _perm_parity(p):
+    seen = [False] * len(p)
+    sgn = 1
+    for i in range(len(p)):
+        if seen[i]:
+            continue
+        j, cyc = i, 0
+        while not seen[j]:
+            seen[j] = True
+            j = p[j]
+            cyc += 1
+        if cyc % 2 == 0:
+            sgn = -sgn
+    return sgn
+
+
+def _traceless(vec):
+    return vec - vec.mean()
+
+
+def _reference_sun_modular_data(n, k):
+    # the per-label builder: one traceless weight per label, signs from a cycle walk
+    parts = core._sun_partitions(n, k)
+    L, kappa = len(parts), k + n
+    xi = np.array([_traceless(np.array(list(a) + [0], dtype=float)
+                              + np.arange(n - 1, -1, -1)) for a in parts])
+    perms = list(itertools.permutations(range(n)))
+    sgns = np.array([_perm_parity(p) for p in perms], dtype=float)
+    pref = (1j) ** (n * (n - 1) // 2) / (math.sqrt(n) * kappa ** ((n - 1) / 2))
+    S = np.zeros((L, L), dtype=complex)
+    for p, sg in zip(perms, sgns):
+        phase = np.exp(-2j * np.pi * (xi[:, list(p)] @ xi.T) / kappa)
+        S += sg * phase
+    S *= pref
+    S = (S + S.T) / 2.0
+    weight = np.array([_traceless(np.array(list(a) + [0], dtype=float)) for a in parts])
+    rho = _traceless(np.arange(n - 1, -1, -1).astype(float))
+    h = (np.einsum("ij,ij->i", weight, weight) + 2.0 * weight @ rho) / (2.0 * kappa)
+    twists = np.exp(2j * np.pi * h)
+    dims = (S[:, 0] / S[0, 0]).real
+    labels = tuple("(" + ",".join(map(str, a)) + ")" for a in parts)
+    c = core._central_charge_from_twists(twists, dims)
+    T = np.diag(np.exp(-1j * np.pi * c / 12.0) * twists)
+    return S, T, twists, dims, float(dims @ dims), c, labels
+
+
+def _assert_checks_match_reference(md):
+    # the per-label reading of the duality map and the conjugation matrix
+    L = md.size
+    S2 = md.S @ md.S
+    dual = tuple(int(np.argmax(np.abs(S2[a]))) for a in range(L))
+    C = np.zeros((L, L))
+    for a, b in enumerate(dual):
+        C[a, b] = 1.0
+    checks = core.check_modular(md)
+    want = dataclasses.replace(checks, dual=dual,
+                               s_squared_conjugation=float(np.max(np.abs(S2 - C))))
+    assert checks.dual == want.dual
+    assert checks.summary() == want.summary()
+    assert checks == want
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_sun_modular_data_is_bitwise_the_per_label_builder(n):
+    # every level within SUN_LABEL_MAX: SU(2) k <= 399, SU(3) k <= 26, SU(4) k <= 11
+    for k in itertools.takewhile(
+            lambda k: math.comb(k + n - 1, n - 1) <= core.SUN_LABEL_MAX, itertools.count(1)):
+        md = core.sun_modular_data(n, k)
+        S, T, twists, dims, w, c, labels = _reference_sun_modular_data(n, k)
+        for got, want in ((md.S, S), (md.T, T), (md.twists, twists), (md.dims, dims)):
+            assert np.array_equal(got, want), (n, k)
+        assert (md.global_index, md.central_charge, md.labels) == (w, c, labels), (n, k)
+        _assert_checks_match_reference(md)
+
+
+@pytest.mark.parametrize("md", [
+    *(core.su2_modular_data(k) for k in range(1, core.SU2_LEVEL_MAX + 1)),
+    core.ising_modular_data(),
+    *(core.cyclic_group_modular_data(n) for n in range(2, 13)),
+], ids=lambda md: f"{md.family}{md.level}")
+def test_check_modular_matches_the_per_label_loops(md):
+    _assert_checks_match_reference(md)
 
 
 def test_verlinde_rejects_degenerate():
