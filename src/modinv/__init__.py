@@ -12,9 +12,7 @@ from .core import (
     su2_fusion_closed_form,
     sun_modular_data,
     ising_modular_data,
-    ising_fusion_ring,
     cyclic_group_modular_data,
-    modular_data_from_twists,
     verlinde_fusion,
     check_modular,
     modular_data_to_json,
@@ -31,7 +29,6 @@ from .search import (
     su2_ade_catalog,
     su2_branching,
     su2_invariant_matrix,
-    su3_named_invariants,
 )
 from .nimrep import (
     AdeGraph,
@@ -55,7 +52,6 @@ from .chiral import (
     chiral_indices,
     sector_counts,
     chiral_table,
-    full_system_dodd,
 )
 from .dot import GraphDocument, GraphVertex, emit_dot
 

@@ -24,12 +24,10 @@ import numpy as np
 from .core import (
     ASSERT_TOL,
     CHIRAL_TABLE_LEVEL_MAX,
-    SPECTRUM_TOL,
     FusionRing,
     ModularData,
     UsageError,
     sig12,
-    su2_fusion_closed_form,
     su2_modular_data,
 )
 from .search import (
@@ -40,9 +38,8 @@ from .search import (
     su2_ade_catalog,
     su2_branching,
     su2_diagram_with_diagonal,
-    su2_invariant_matrix,
 )
-from .nimrep import _match_rows, character_table, identify_ade
+from .nimrep import identify_ade
 
 GRAM_NODE_BUDGET = 10 ** 6
 
@@ -326,43 +323,6 @@ def chiral_table(kmax: int) -> list[ChiralRow]:
                 indices=chiral_indices(md, named.Z),
             ))
     return rows
-
-
-# ---------------------------------------------------------------------------
-# Full-system spectra for the permutation invariants at levels 2 mod 4
-
-@dataclass(frozen=True)
-class FullSystemReport:
-    level: int
-    pairs_checked: int
-    matched: bool
-    worst_gap: float
-
-
-def full_system_dodd(k: int) -> FullSystemReport:
-    """Model the full system at level k = 2 mod 4 and check its spectra.
-
-    The full system is the spin fusion ring with the two chiralities acting
-    as N_nu and N_{pi(rho)}; the simultaneous fusion matrix
-    Gamma[nu, rho] = N_nu N_{pi(rho)} must have eigenvalue
-    chi_l(nu) chi_m(rho) with multiplicity Z[l, m]^2 for every pair.  The
-    products of the 0/1 fusion matrices are exact in float64; one eigvalsh
-    takes the k + 1 products of each nu.
-    """
-    Z = su2_invariant_matrix("D_odd", k)  # raises BranchingError off levels 2 mod 4
-    md = su2_modular_data(k)
-    N = su2_fusion_closed_form(k).N.astype(float)
-    N_pi = N[np.argmax(Z.Z, axis=0)]
-    chars = character_table(md)  # chars[l, nu] = chi_l(nu)
-    # (l, m) once per unit of Z[l, m]^2
-    lam, mu = np.divmod(np.repeat(np.arange((k + 1) ** 2), (Z.Z ** 2).ravel()), k + 1)
-    worst = 0.0
-    for nu in range(k + 1):
-        eig = np.linalg.eigvalsh(N[nu] @ N_pi)
-        _, gaps = _match_rows(eig, chars[lam, nu] * chars[mu].T)
-        worst = max(worst, float(gaps.max()))
-    return FullSystemReport(level=k, pairs_checked=(k + 1) ** 2, matched=worst <= SPECTRUM_TOL,
-                            worst_gap=worst)
 
 
 # ---------------------------------------------------------------------------

@@ -85,10 +85,6 @@ class FusionRing:
         if not assoc:
             raise ValueError("fusion tensor not associative")
 
-    def is_dimension_function(self, dims) -> bool:
-        d = np.asarray(dims, dtype=float)
-        prod = np.einsum("lmn,n->lm", self.N, d)
-        return bool(np.max(np.abs(np.outer(d, d) - prod)) < ASSERT_TOL * max(1.0, d.max() ** 2))
 
 
 def associative(N: np.ndarray, unit: int = 0) -> bool:
@@ -403,29 +399,6 @@ def sun_modular_data(n: int, k: int) -> ModularData:
     )
 
 
-def sun_label_index(md: ModularData, part) -> int:
-    """Index of the partition label ``part`` (e.g. (3, 0)) in SU(n) data."""
-    disp = "(" + ",".join(map(str, part)) + ")"
-    if disp not in md.labels:
-        raise KeyError(f"label {disp} not in {md.family}_{md.level}")
-    return md.labels.index(disp)
-
-
-ISING_LABELS = ("id", "eta", "sigma")
-
-
-def ising_fusion_ring() -> FusionRing:
-    """The three-sector Ising ring: eta^2 = id, eta.sigma = sigma, sigma^2 = id + eta."""
-    N = np.zeros((3, 3, 3), dtype=int)
-    N[0] = np.eye(3, dtype=int)
-    N[1, 1, 0] = N[1, 0, 1] = N[0, 1, 1] = 1
-    N[1, 2, 2] = N[2, 1, 2] = N[2, 2, 1] = 1
-    N[2, 0, 2] = N[0, 2, 2] = N[2, 2, 0] = 1
-    ring = FusionRing(labels=ISING_LABELS, N=N)
-    ring.validate()
-    return ring
-
-
 def ising_modular_data() -> ModularData:
     """Closed-form Ising modular data: h_eta = 1/2, h_sigma = 1/16, c = 1/2."""
     r2 = math.sqrt(2.0)
@@ -438,7 +411,7 @@ def ising_modular_data() -> ModularData:
     return ModularData(
         family="ising",
         level=0,
-        labels=ISING_LABELS,
+        labels=("id", "eta", "sigma"),
         S=S,
         T=T,
         twists=twists,
@@ -467,38 +440,6 @@ def cyclic_group_modular_data(n: int) -> ModularData:
         dims=dims,
         global_index=float(n),
         central_charge=0.0,
-    )
-
-
-def modular_data_from_twists(ring: FusionRing, twists, dims,
-                             family: str = "custom", level: int = 0) -> ModularData:
-    """Build S = w^{-1/2} Y and T from a fusion ring, its twists and dimensions.
-
-    Y[a, b] = sum_c (omega_a omega_b / omega_c) N[a, b, c] d_c.  The result is
-    flagged degenerate (via :attr:`ModularData.degenerate`) when S fails
-    unitarity; no modular representation exists in that case.
-    """
-    twists = np.asarray(twists, dtype=complex)
-    dims = np.asarray(dims, dtype=float)
-    if np.max(np.abs(np.abs(twists) - 1.0)) > ASSERT_TOL:
-        raise ValueError("twists must be unimodular")
-    if not ring.is_dimension_function(dims):
-        raise ValueError("dims is not a dimension function of the ring")
-    Y = np.einsum("a,b,c,abc->ab", twists, twists, dims / twists, ring.N.astype(float))
-    w = float(dims @ dims)
-    S = Y / math.sqrt(w)
-    c = _central_charge_from_twists(twists, dims)
-    T = np.diag(np.exp(-1j * np.pi * c / 12.0) * twists)
-    return ModularData(
-        family=family,
-        level=level,
-        labels=ring.labels,
-        S=S,
-        T=T,
-        twists=twists,
-        dims=dims,
-        global_index=w,
-        central_charge=c,
     )
 
 
@@ -649,7 +590,13 @@ def modular_data_to_json(md: ModularData) -> dict:
 
 
 def modular_data_from_json(doc: dict) -> ModularData:
-    """Rebuild ModularData from its JSON document and re-validate invariants."""
+    """Rebuild ModularData from its JSON document and re-validate invariants.
+
+    The one library entry point that no command calls, kept because it is
+    the inverse of ``modular_data_to_json``: it reads modular data from
+    outside the program, so it refuses a document whose parts disagree
+    instead of trusting it.
+    """
     L = len(doc["labels"])
     sizes = [len(doc["S"]), *map(len, doc["S"]), len(doc["T_phases"]), len(doc["dims"])]
     if any(n != L for n in sizes):

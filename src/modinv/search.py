@@ -10,6 +10,11 @@ lattice points inside it are enumerated by a bounded
 depth-first search over the echelon coordinates that skips every subtree
 whose largest possible leaf has a negative entry, with an exact integer test
 at every leaf.
+
+The module also holds the SU(2) classification as a table of branching
+pairs (b+, b-), one per A-D-E case.  Every closed-form SU(2) invariant
+Z = b+^t b- and every diagram's exponents come from it; ``chiral``,
+``nimrep`` and ``dot`` read it.
 """
 
 from __future__ import annotations
@@ -23,7 +28,7 @@ import numpy as np
 
 from .core import (COMMUTE_TOL, FIXED_SPACE_TOL, MAX_DENOMINATOR, PHASE_TOL, PIVOT_TOL,
                    ROUND_TOL, VACUUM_ROW_TOL, ModularData, UsageError, _require_unitary,
-                   su2_level, sun_label_index, sun_modular_data)
+                   su2_level)
 
 DEFAULT_NODE_BUDGET = 10 ** 8
 
@@ -550,35 +555,3 @@ def su2_ade_catalog(md: ModularData, budget: int = DEFAULT_NODE_BUDGET) -> list[
     out.sort(key=lambda ni: ("ADE".index(ni.name[0]), ni.name))
     return out
 
-
-# ---------------------------------------------------------------------------
-# The two printed SU(3) conformal-inclusion invariants
-
-SU3_D6_BLOCKS = [[(0, 0), (3, 0), (3, 3)]]  # and the entry 3 on (2, 1)
-SU3_E8_BLOCKS = [
-    [(0, 0), (4, 2)], [(2, 0), (5, 3)], [(2, 2), (5, 2)],
-    [(3, 0), (3, 3)], [(3, 1), (5, 5)], [(3, 2), (5, 0)],
-]
-
-
-def _block_invariant(md: ModularData, blocks) -> np.ndarray:
-    """Z with Z[a, b] = 1 for every pair of labels a, b in one block."""
-    Z = np.zeros((md.size, md.size), dtype=int)
-    for block in blocks:
-        idx = [sun_label_index(md, p) for p in block]
-        Z[np.ix_(idx, idx)] = 1
-    return Z
-
-
-def su3_named_invariants() -> list[tuple[int, MassMatrix, str]]:
-    """The orbifold invariant at level 3 and the exceptional one at level 5.
-
-    Both are stored as block data over the partition labels (m, n); the level
-    3 matrix carries the entry 3 on the self-conjugate label (2, 1).
-    """
-    md3 = sun_modular_data(3, 3)
-    Z3 = _block_invariant(md3, SU3_D6_BLOCKS)
-    a21 = sun_label_index(md3, (2, 1))
-    Z3[a21, a21] = 3
-    Z5 = _block_invariant(sun_modular_data(3, 5), SU3_E8_BLOCKS)
-    return [(3, MassMatrix(Z3), "D(6)"), (5, MassMatrix(Z5), "E(8)")]

@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 
 from modinv import chiral, core, graph_algebra, nimrep, search
-from test_chiral import chiral_pf_residual
+from test_chiral import chiral_pf_residual, full_system_dodd_per_pair
+from test_search import su3_named_invariants
 
 
 def _report(num, elapsed, limit, text):
@@ -194,7 +195,7 @@ def test_criterion_09_branching_factorizations():
 
 def test_criterion_10_su3_checks():
     t0 = time.perf_counter()
-    (k3, Z3, _), (k5, Z5, _) = search.su3_named_invariants()
+    (k3, Z3, _), (k5, Z5, _) = su3_named_invariants()
     md3 = core.sun_modular_data(3, k3)
     md5 = core.sun_modular_data(3, k5)
     assert search.verify_invariant(md3, Z3).ok
@@ -224,7 +225,7 @@ def test_criterion_11_degenerate_rejection():
 def test_criterion_12_dodd_full_system_spectra():
     t0 = time.perf_counter()
     for k in (6, 10, 14):
-        report = chiral.full_system_dodd(k)
+        report = full_system_dodd_per_pair(k)
         assert report.matched, f"k={k}: worst gap {report.worst_gap}"
         assert report.pairs_checked == (k + 1) ** 2
     elapsed = time.perf_counter() - t0

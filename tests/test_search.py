@@ -614,24 +614,59 @@ def test_full_range_tri_equivalence_and_entry_bound():
             assert np.max(Z.Z - bound) < 1e-6
 
 
+# The two printed SU(3) conformal-inclusion invariants, as block data over
+# the partition labels (m, n): the reference the search must reproduce.
+SU3_D6_BLOCKS = [[(0, 0), (3, 0), (3, 3)]]  # and the entry 3 on (2, 1)
+SU3_E8_BLOCKS = [
+    [(0, 0), (4, 2)], [(2, 0), (5, 3)], [(2, 2), (5, 2)],
+    [(3, 0), (3, 3)], [(3, 1), (5, 5)], [(3, 2), (5, 0)],
+]
+
+
+def sun_label_index(md, part):
+    """Index of the partition label ``part`` (e.g. (3, 0)) in SU(n) data."""
+    return md.labels.index("(" + ",".join(map(str, part)) + ")")
+
+
+def _block_invariant(md, blocks):
+    """Z with Z[a, b] = 1 for every pair of labels a, b in one block."""
+    Z = np.zeros((md.size, md.size), dtype=int)
+    for block in blocks:
+        idx = [sun_label_index(md, p) for p in block]
+        Z[np.ix_(idx, idx)] = 1
+    return Z
+
+
+def su3_named_invariants():
+    """(level, Z, name) of the orbifold invariant at level 3 and the
+    exceptional one at level 5; the level 3 matrix carries the entry 3 on the
+    self-conjugate label (2, 1)."""
+    md3 = core.sun_modular_data(3, 3)
+    Z3 = _block_invariant(md3, SU3_D6_BLOCKS)
+    a21 = sun_label_index(md3, (2, 1))
+    Z3[a21, a21] = 3
+    Z5 = _block_invariant(core.sun_modular_data(3, 5), SU3_E8_BLOCKS)
+    return [(3, search.MassMatrix(Z3), "D(6)"), (5, search.MassMatrix(Z5), "E(8)")]
+
+
 def test_su3_named_invariants_data():
-    (k3, Z3, name3), (k5, Z5, name5) = search.su3_named_invariants()
+    (k3, Z3, name3), (k5, Z5, name5) = su3_named_invariants()
     assert (k3, name3) == (3, "D(6)")
     assert (k5, name5) == (5, "E(8)")
     md3 = core.sun_modular_data(3, 3)
-    a21 = core.sun_label_index(md3, (2, 1))
+    a21 = sun_label_index(md3, (2, 1))
     assert Z3.Z[a21, a21] == 3
     assert set(np.unique(Z3.Z)) == {0, 1, 3}
     assert set(np.unique(Z5.Z)) == {0, 1}
     md5 = core.sun_modular_data(3, 5)
-    i00 = core.sun_label_index(md5, (0, 0))
-    i42 = core.sun_label_index(md5, (4, 2))
+    i00 = sun_label_index(md5, (0, 0))
+    i42 = sun_label_index(md5, (4, 2))
     assert Z5.Z[i00, i00] == 1 and Z5.Z[i00, i42] == 1
 
 
 @pytest.mark.parametrize("slot", [0, 1])
 def test_su3_invariants_verify_and_enumerate(slot):
-    k, Z, _ = search.su3_named_invariants()[slot]
+    k, Z, _ = su3_named_invariants()[slot]
     md = core.sun_modular_data(3, k)
     assert search.verify_invariant(md, Z).ok
     found = search.enumerate_invariants(md)
