@@ -13,7 +13,7 @@ import math
 from collections.abc import Callable
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations, combinations_with_replacement, permutations
+from itertools import combinations, combinations_with_replacement, permutations, product
 
 import numpy as np
 
@@ -250,6 +250,9 @@ class ModularData:
     ``central_charge`` is the mod-8 representative in [0, 8); only
     exp(-i pi c / 12) enters T.  ``degenerate`` is True when S fails
     unitarity, in which case S does not generate a modular representation.
+    ``partitions`` holds the integer rows (a_1 >= ... >= a_{n-1} >= 0) of
+    the labels of SU(n)_k data, in label order, and is None for every
+    other source: Ising, group duals and JSON imports.
     """
 
     family: str
@@ -261,10 +264,12 @@ class ModularData:
     dims: np.ndarray
     global_index: float
     central_charge: float
+    partitions: np.ndarray | None = None
 
     def __post_init__(self):
-        for arr in (self.S, self.T, self.twists, self.dims):
-            arr.setflags(write=False)
+        for arr in (self.S, self.T, self.twists, self.dims, self.partitions):
+            if arr is not None:
+                arr.setflags(write=False)
 
     @property
     def size(self) -> int:
@@ -286,8 +291,22 @@ class ModularData:
 
     @cached_property
     def fusion_generators(self) -> tuple[int, ...]:
-        """generating_labels of the Verlinde ring, read from verlinde_row."""
+        """Labels whose right-nested products span the Verlinde ring.
+
+        SU(n)_k data, which carries ``partitions``, has the fundamental
+        weights Lambda_1, ..., Lambda_{n-1} by theorem (see pieri_rows), and
+        verlinde_row serves their Pieri rows.  Every other ModularData
+        (Ising, group duals, JSON imports, whatever their ``family``) takes
+        generating_labels on its Verlinde rows.
+        """
+        if self.partitions is not None:
+            return tuple(self.fundamental_rows)
         return generating_labels(self.verlinde_row, self.size)
+
+    @cached_property
+    def fundamental_rows(self) -> dict[int, np.ndarray]:
+        """pieri_rows of SU(n)_k data, built once per ModularData; empty without partitions."""
+        return {} if self.partitions is None else pieri_rows(self.partitions, self.level)
 
 
 def _central_charge_from_twists(twists, dims) -> float:
@@ -304,7 +323,10 @@ def su2_level(k: int) -> int:
 
 
 def su2_modular_data(k: int) -> ModularData:
-    """Kac-Peterson S and T for SU(2) at level k (labels are spins 0..k)."""
+    """Kac-Peterson S and T for SU(2) at level k (labels are spins 0..k).
+
+    The label j is the partition (j,), kept as ModularData.partitions.
+    """
     su2_level(k)
     j = np.arange(k + 1)
     S = np.sqrt(2.0 / (k + 2)) * np.sin(np.pi * np.outer(j + 1, j + 1) / (k + 2))
@@ -322,6 +344,7 @@ def su2_modular_data(k: int) -> ModularData:
         dims=dims,
         global_index=float(dims @ dims),
         central_charge=_central_charge_from_twists(twists, dims),
+        partitions=j[:, None],
     )
 
 
@@ -340,9 +363,50 @@ def su2_fusion_closed_form(k: int) -> FusionRing:
     return FusionRing(labels=tuple(map(str, range(L))), N=N)
 
 
-def _sun_partitions(n: int, k: int) -> list[tuple[int, ...]]:
-    """Weakly decreasing tuples (a_1 >= ... >= a_{n-1} >= 0) with a_1 <= k."""
-    return sorted(tuple(reversed(c)) for c in combinations_with_replacement(range(k + 1), n - 1))
+def _sun_partitions(n: int, k: int) -> np.ndarray:
+    """Weakly decreasing int rows (a_1 >= ... >= a_{n-1} >= 0) with a_1 <= k, sorted."""
+    return np.array(sorted(tuple(reversed(c))
+                           for c in combinations_with_replacement(range(k + 1), n - 1)))
+
+
+def pieri_rows(parts: np.ndarray, k: int) -> dict[int, np.ndarray]:
+    """label of Lambda_j -> N_{Lambda_j}, j = 1..n-1, of SU(n)_k by the Pieri rule.
+
+    parts holds the L integer rows (a_1 >= ... >= a_{n-1} >= 0), a_1 <= k,
+    of the labels in lexicographic order, as ModularData.partitions does;
+    a_n = 0.  Each row returned is a read-only int64 L x L matrix
+    N_{Lambda_j}[b, c] = N[Lambda_j, b, c].
+
+    Theorem (Pieri rule for minuscule weights; Goodman-Wenzl, Adv. Math. 82
+    (1990), Kac, Infinite-dimensional Lie algebras, ch. 13).  The
+    fundamental weight Lambda_j, the column of j boxes, is minuscule, so
+    N[Lambda_j, b, c] = 1 iff the partition c arises from b by adding one
+    box to each of j distinct rows, the result is a partition mu, and
+    mu_1 - mu_n <= k; c is mu with its full columns (mu_n of them)
+    removed.  Otherwise it is 0.  The fundamentals generate the
+    representation ring of SU(n), and the Verlinde ring is a quotient of
+    it, so their right-nested products span the Verlinde ring.
+
+    Every 0/1 box vector with 1..n-1 ones is added to every label at once;
+    a label's index is found by searchsorted on mixed-radix codes in base
+    k + 1, which ascend with the lexicographic order.  No float enters.
+    """
+    L, n = len(parts), parts.shape[1] + 1
+    lam = np.zeros((L, n), dtype=np.int64)
+    lam[:, :-1] = parts
+    boxes = np.array([b for b in product((0, 1), repeat=n) if 0 < sum(b) < n])
+    mu = lam + boxes[:, None, :]
+    ok = (np.diff(mu, axis=2) <= 0).all(axis=2) & (mu[:, :, 0] - mu[:, :, -1] <= k)
+    s, b = np.nonzero(ok)
+    radix = (k + 1) ** np.arange(n - 2, -1, -1)
+    codes = parts @ radix
+    c = np.searchsorted(codes, (mu[s, b, :-1] - mu[s, b, -1:]) @ radix)
+    N = np.zeros((n - 1, L, L), dtype=np.int64)
+    N[boxes.sum(axis=1)[s] - 1, b, c] = 1
+    N.setflags(write=False)
+    # Lambda_j is the partition (1^j, 0^(n-1-j))
+    fundamentals = np.searchsorted(codes, np.tri(n - 1, dtype=np.int64) @ radix)
+    return dict(zip(fundamentals.tolist(), N))
 
 
 def sun_modular_data(n: int, k: int) -> ModularData:
@@ -356,7 +420,9 @@ def sun_modular_data(n: int, k: int) -> ModularData:
     The weights a (a_n = 0) and a + rho = a + (n-1, ..., 0) are two L x n
     arrays, each made traceless by one row-mean subtraction; rho is the
     vacuum row of the second.  The Weyl sign of a permutation is its
-    inversion parity.
+    inversion parity.  The integer label rows are kept as
+    ModularData.partitions, from which pieri_rows reads the fusion rows of
+    the fundamental weights.
     """
     if n not in (2, 3, 4):
         raise UsageError(f"unsupported rank: SU({n})")
@@ -384,7 +450,7 @@ def sun_modular_data(n: int, k: int) -> ModularData:
     h = (np.einsum("ij,ij->i", weight, weight) + 2.0 * weight @ rho) / (2.0 * kappa)
     twists = np.exp(2j * np.pi * h)
     dims = (S[:, 0] / S[0, 0]).real
-    labels = tuple("(" + ",".join(map(str, part)) + ")" for part in parts)
+    labels = tuple("(" + ",".join(map(str, part)) + ")" for part in parts.tolist())
     c = _central_charge_from_twists(twists, dims)
     return ModularData(
         family=f"su{n}",
@@ -396,6 +462,7 @@ def sun_modular_data(n: int, k: int) -> ModularData:
         dims=dims,
         global_index=float(dims @ dims),
         central_charge=c,
+        partitions=parts,
     )
 
 
@@ -456,13 +523,16 @@ def _round_counts(X: np.ndarray) -> np.ndarray:
 
     The one rounding rule of the Verlinde coefficients: RoundingError unless
     every entry lies within ROUND_TOL of its nearest integer and none of
-    those integers is negative.
+    those integers is negative.  The squared modulus of the residual is
+    compared with ROUND_TOL^2, so no square root is taken per entry.
     """
-    R = np.round(X.real)
-    X -= R
-    residual = float(np.abs(X).max())
-    if residual > ROUND_TOL:
-        raise RoundingError(f"Verlinde coefficients not integral (residual {residual:.2e})")
+    re = X.real
+    R = np.rint(re)
+    re -= R
+    worst = float((re * re + X.imag ** 2).max())
+    if worst > ROUND_TOL ** 2:
+        raise RoundingError(
+            f"Verlinde coefficients not integral (residual {math.sqrt(worst):.2e})")
     if R.min() < 0:
         raise RoundingError("Verlinde formula produced a negative coefficient")
     return R.astype(np.int64)
@@ -480,12 +550,14 @@ def _verlinde_row(U: np.ndarray, a: int) -> np.ndarray:
 def verlinde_rows(md: ModularData) -> Callable[[int], np.ndarray]:
     """a -> N_a, the read-only int64 matrix N_a[b, c] = N[a, b, c] of the Verlinde ring.
 
-    Each row is _verlinde_row, formed on the first call for a and kept; no
-    L^3 array is formed.  S must be unitary, which is checked here, once.
+    The fundamental weights of SU(n)_k data take their rows from
+    md.fundamental_rows, by the Pieri rule; every other row is
+    _verlinde_row, formed on the first call for a and kept.  No L^3 array
+    is formed.  S must be unitary, which is checked here, once.
     """
     _require_unitary(md)
     U = md.S.T
-    rows: dict[int, np.ndarray] = {}
+    rows = dict(md.fundamental_rows)
 
     def row(a: int) -> np.ndarray:
         a = int(a)

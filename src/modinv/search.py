@@ -105,7 +105,10 @@ class CommutantBasis:
 
 
 def _commutator_residuals(md: ModularData, X: np.ndarray) -> tuple[float, float]:
-    """max |SX - XS| and max |TX - XT|; T is diagonal, so TX - XT = (t_i - t_j) X_ij."""
+    """max |SX - XS| and max |TX - XT|; T is diagonal, so TX - XT = (t_i - t_j) X_ij.
+
+    X is one L x L matrix or a stack of them; the maxima run over the stack.
+    """
     t = np.diag(md.T)
     return (float(np.max(np.abs(md.S @ X - X @ md.S))),
             float(np.max(np.abs((t[:, None] - t[None, :]) * X))))
@@ -203,9 +206,8 @@ def commutant_basis(md: ModularData) -> CommutantBasis:
     N, D = _rationalize(B)
     E = np.zeros((dim, L, L), dtype=np.int64)
     E[:, I, J] = N
-    for X in E / D:
-        if max(_commutator_residuals(md, X)) > COMMUTE_TOL:
-            raise RationalReconstructionError("rationalized basis element fails to commute")
+    if max(_commutator_residuals(md, E / D)) > COMMUTE_TOL:
+        raise RationalReconstructionError("rationalized basis element fails to commute")
     return CommutantBasis(E=E, denominator=D, pivots=tuple(pivots))
 
 
@@ -338,7 +340,9 @@ def fusion_automorphism(row: Callable[[int], np.ndarray], generators, perm) -> b
     """Whether perm, a permutation of the labels with perm[0] = 0, is a fusion
     automorphism, N[perm a, perm b, perm c] = N[a, b, c], of the ring whose
     matrix N_a[b, c] = N[a, b, c] is row(a) and whose right-nested products of
-    ``generators`` span it (core.generating_labels).
+    ``generators`` span it: the fundamental weights of SU(n)_k, whose rows
+    are the Pieri rule (core.pieri_rows), or core.generating_labels of any
+    other ring.
 
     Theorem (the generator lemma of core.associative).  Let the ring be
     commutative and associative with unit e_0, and let P be the matrix of
@@ -367,8 +371,11 @@ def permutation_criterion(md: ModularData, Z: MassMatrix) -> PermutationVerdict:
     induced by an automorphism of the Verlinde ring of md fixing 0) must hold
     or fail together; disagreement signals an implementation bug and raises.
     The identity fixes every N[a, b, c], so it needs no fusion row; any other
-    permutation is checked by fusion_automorphism on md's Verlinde rows of
-    the generators and their images, which md builds once and keeps.
+    permutation is checked by fusion_automorphism on md.fusion_generators
+    and md's rows of the generators and their images, which md builds once
+    and keeps.  For SU(n) data the generators are the fundamental weights
+    with their Pieri rows, and an image that is no fundamental weight has
+    the Verlinde row, so the verdict compares two independent formulas.
     """
     M = Z.Z
     L = Z.size

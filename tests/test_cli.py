@@ -365,6 +365,19 @@ def test_su3_level7_budget_10000_matches_unbudgeted_stdout(capsys):
         GOLDEN_STDOUT[("invariants", "--family", "su3", "--level", "7", "--json")]
 
 
+def _refuse_everywhere(monkeypatch, names, message):
+    """Make each named function raise ``message`` in every modinv module that
+    binds it; return the raising function."""
+    def refuse(*args):
+        raise AssertionError(message)
+
+    for name in names:
+        for module in list(sys.modules.values()):
+            if module.__name__.startswith("modinv") and hasattr(module, name):
+                monkeypatch.setattr(module, name, refuse)
+    return refuse
+
+
 @pytest.mark.parametrize("argv", [
     ("invariants", "--family", "su3", "--level", "7", "--json"),
     ("invariants", "--family", "su4", "--level", "4", "--json"),
@@ -375,14 +388,30 @@ def test_invariants_and_catalog_build_no_fusion_tensor(capsys, monkeypatch, argv
     """Only ``fusion`` builds the whole ring: with each function that builds a
     fusion tensor made to raise, in every module that binds it, the
     permutation flags come from Verlinde rows and stdout is unchanged."""
-    def refuse(*args):
-        raise AssertionError("fusion tensor built")
-
-    for name in ("verlinde_fusion", "su2_fusion_closed_form"):
-        for module in list(sys.modules.values()):
-            if module.__name__.startswith("modinv") and hasattr(module, name):
-                monkeypatch.setattr(module, name, refuse)
+    refuse = _refuse_everywhere(monkeypatch, ("verlinde_fusion", "su2_fusion_closed_form"),
+                                "fusion tensor built")
     monkeypatch.setattr(core.FusionRing, "validate", refuse)
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_STDOUT[argv]
+
+
+@pytest.mark.parametrize("argv", [
+    ("invariants", "--family", "su3", "--level", "5", "--json"),
+    ("invariants", "--family", "su3", "--level", "7", "--json"),
+    ("invariants", "--family", "su3", "--level", "12", "--json"),
+    ("invariants", "--family", "su4", "--level", "2", "--json"),
+    ("invariants", "--family", "su4", "--level", "4", "--json"),
+    ("invariants", "--family", "su2", "--level", "6", "--json"),
+    ("catalog", "--level", "26", "--json"),
+])
+def test_sun_permutation_verdicts_need_no_generator_search(capsys, monkeypatch, argv):
+    """SU(n) data takes the fundamental weights as generators by the Pieri
+    rule: with the generator search made to raise in every module that binds
+    it, the permutation flags (the D_odd one at SU(2)_26 among them) and
+    stdout are unchanged."""
+    _refuse_everywhere(monkeypatch, ("generating_labels", "_krylov_full_rank"),
+                       "generator search run")
     code, out, _ = run(capsys, *argv)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_STDOUT[argv]

@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import json
 import math
 import tracemalloc
 
@@ -9,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from modinv import core, graph_algebra, nimrep
+from modinv import core, graph_algebra, nimrep, search
 
 
 def test_su2_k2_spin_one_dimension():
@@ -469,6 +470,73 @@ def test_verlinde_fusion_rows_are_verlinde_rows():
             assert np.array_equal(N[a], md.verlinde_row(a)), (md.family, md.level, a)
 
 
+# every SU(n) level within the label bounds: SU(2) k <= 64, SU(3) k <= 26, SU(4) k <= 11
+PIERI_LEVELS = ([(2, k) for k in range(1, core.SU2_LEVEL_MAX + 1)]
+                + [(3, k) for k in range(1, 27)] + [(4, k) for k in range(1, 12)])
+
+
+def _su_modular_data(n, k):
+    return core.su2_modular_data(k) if n == 2 else core.sun_modular_data(n, k)
+
+
+def fundamental_labels(md):
+    """The labels of Lambda_j, the column of j boxes, j = 1..n-1, read from the
+    label strings: "1" of SU(2), "(1,...,1,0,...,0)" of SU(n)."""
+    if md.family == "su2":
+        return (md.labels.index("1"),)
+    n = int(md.family[2])
+    return tuple(md.labels.index("(" + ",".join("1" * j + "0" * (n - 1 - j)) + ")")
+                 for j in range(1, n))
+
+
+@pytest.mark.parametrize("n, k", PIERI_LEVELS)
+def test_pieri_rows_are_bitwise_the_verlinde_rows(n, k):
+    md = _su_modular_data(n, k)
+    rows = md.fundamental_rows
+    assert md.fusion_generators == tuple(rows) == fundamental_labels(md)
+    U = md.S.T
+    for g, row in rows.items():
+        assert row.dtype == np.int64 and not row.flags.writeable
+        assert np.array_equal(row, core._verlinde_row(U, g)), g
+        assert md.verlinde_row(g) is row
+
+
+@pytest.mark.parametrize("n, k", PIERI_LEVELS)
+def test_fundamentals_span_the_verlinde_ring(n, k):
+    """The elimination of generating_labels, on the ring relabelled so that the
+    fundamentals come first after the unit, returns fundamentals only, and it
+    can read no other row: their right-nested products span the ring modulo
+    GENERATOR_PRIME, hence over Q."""
+    md = _su_modular_data(n, k)
+    gens = md.fusion_generators
+    L = md.size
+    q = np.array([0, *gens, *sorted(set(range(1, L)) - set(gens))])
+
+    def row(a):
+        if not 1 <= a <= len(gens):
+            raise AssertionError(f"row of the non-fundamental label {md.labels[q[a]]} read")
+        return md.verlinde_row(q[a])[np.ix_(q, q)]
+
+    assert set(core.generating_labels(row, L)) <= set(range(1, len(gens) + 1))
+
+
+def test_json_round_trip_of_sun_data_takes_the_generic_generators():
+    """Imported SU(3)_4 data carries no partitions, so its generators come from
+    generating_labels whatever its family says; every invariant of SU(3)_4
+    gets the verdict of the built data."""
+    md = core.sun_modular_data(3, 4)
+    doc = json.loads(core.dumps_deterministic(core.modular_data_to_json(md)))
+    imported = core.modular_data_from_json(doc)
+    assert imported.family == "su3" and imported.partitions is None
+    assert imported.fundamental_rows == {}
+    assert imported.fusion_generators == core.generating_labels(imported.verlinde_row, md.size)
+    assert imported.fusion_generators != md.fusion_generators == (1, 2)
+    found = search.enumerate_invariants(md)
+    verdicts = [search.permutation_criterion(md, Z) for Z in found]
+    assert sum(v.permutation not in (None, tuple(range(md.size))) for v in verdicts) >= 1
+    assert [search.permutation_criterion(imported, Z) for Z in found] == verdicts
+
+
 @pytest.mark.parametrize("make", [lambda: core.su2_modular_data(10),
                                   lambda: core.sun_modular_data(3, 4),
                                   core.ising_modular_data])
@@ -478,7 +546,9 @@ def test_arrays_shared_across_calls_are_read_only(make):
     md = make()
     shared = [md.S, md.T, md.twists, md.dims, md.verlinde_row(1),
               core.verlinde_fusion(md).N, core.su2_fusion_closed_form(4).N,
-              nimrep.fused_adjacencies(nimrep.ade_graph("D6")).G]
+              nimrep.fused_adjacencies(nimrep.ade_graph("D6")).G,
+              *md.fundamental_rows.values()]
+    shared += [] if md.partitions is None else [md.partitions]
     for arr in shared:
         assert not arr.flags.writeable
         with pytest.raises(ValueError, match="read-only"):

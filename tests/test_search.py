@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from modinv import core, search
+from test_core import fundamental_labels
 
 
 def test_commutant_su2_level4():
@@ -363,7 +364,7 @@ def test_permutation_identity():
     assert verdict.is_permutation
     assert verdict.permutation == tuple(range(6))
     # N[id, id, id] = N always holds, so no fusion row is built
-    assert "verlinde_row" not in vars(md)
+    assert "verlinde_row" not in vars(md) and "fundamental_rows" not in vars(md)
 
 
 @pytest.mark.parametrize("k", [4, 6, 8, 10, 12])
@@ -453,8 +454,13 @@ def test_blockwise_automorphism_equals_the_full_copy_on_every_permutation_invari
 
 
 def test_generating_labels_through_rows_equal_the_tensor_ones():
+    """SU(n) data takes its fundamental weights as generators, Ising the
+    generating labels of its tensor; every generator row is the tensor's."""
     for md, ring in _modular_data_and_rings():
-        want = core.generating_labels(ring.N.__getitem__, ring.size)
+        if md.family == "ising":
+            want = core.generating_labels(ring.N.__getitem__, ring.size)
+        else:
+            want = fundamental_labels(md)
         assert md.fusion_generators == want, (md.family, md.level)
         for g in want:
             assert np.array_equal(md.verlinde_row(g), ring.N[g])
