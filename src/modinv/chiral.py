@@ -225,18 +225,20 @@ def verify_factorization(Z: MassMatrix, b: BranchingData) -> bool:
     return bool(np.array_equal(b.product(), Z.Z))
 
 
-def gamma01_name(k: int, b: BranchingData) -> str:
+def gamma01_name(b: BranchingData) -> str:
     """Gamma01, the fusion graph of the chiral generator, named from b+.
 
     The chiral branching coefficients b+[t, l] are the dimensions of the
     irreducible representations of the chiral fusion rule algebra, so
     chi_l appears sum_t b+[t, l]^2 times in the spectrum of the chiral
-    system: Gamma01 is the level-k diagram with that exponent diagonal.
+    system: Gamma01 is the level-k diagram with that exponent diagonal,
+    where b+ has a column per spin 0..k.
     """
     squares = tuple((b.b_plus ** 2).sum(axis=0).tolist())
-    name = su2_diagram_with_diagonal(k, squares)
+    name = su2_diagram_with_diagonal(squares)
     if name is None:
-        raise BranchingError(f"level {k}: chiral multiplicities {squares} match no diagram")
+        raise BranchingError(f"level {len(squares) - 1}: chiral multiplicities {squares} "
+                             "match no diagram")
     return name
 
 
@@ -317,7 +319,7 @@ def chiral_table(kmax: int) -> list[ChiralRow]:
                 name=named.name,
                 level=k,
                 counts=sector_counts(named.Z, b),
-                gamma01=gamma01_name(k, b),
+                gamma01=gamma01_name(b),
                 Z=named.Z,
                 branching=b,
                 indices=chiral_indices(md, named.Z),

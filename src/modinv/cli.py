@@ -86,14 +86,14 @@ def _invariant_record(name, Z: search.MassMatrix, md: core.ModularData) -> dict:
     """The JSON record of one invariant, as ``invariants`` and ``catalog`` print it."""
     return {"name": name, "Z": Z.Z.tolist(), "diag": list(Z.diagonal),
             "sumsq": Z.sum_of_squares,
-            "permutation": search.permutation_criterion(md, Z).is_permutation}
+            "permutation": search.permutation_criterion(md, Z) is not None}
 
 
 def cmd_invariants(args) -> int:
     md = _load_family(args)
     found = search.enumerate_invariants(md, budget=args.budget)
     # enumerate_invariants has verified every result a posteriori
-    entries = [_invariant_record(search.su2_diagram_with_diagonal(md.level, Z.diagonal)
+    entries = [_invariant_record(search.su2_diagram_with_diagonal(Z.diagonal)
                                  if md.family == "su2" else None, Z, md) for Z in found]
     status = EXIT_OK if found.complete else EXIT_VERIFY
     if not found.complete:
@@ -144,15 +144,14 @@ def cmd_nimrep(args) -> int:
     graph = nimrep.ade_graph(args.graph)
     k = graph.level
     family = nimrep.fused_adjacencies(graph)
-    md = core.su2_modular_data(k)
     if args.invariant:
         Z = _load_invariant(args.invariant, k)
     else:
         Z = search.su2_invariant_matrix(graph.case, k)
-    report = nimrep.spectrum_vs_diagonal(family, md, Z)
+    report = nimrep.spectrum_vs_diagonal(family, Z)
     if args.csv:
         _print_csv("graph,nu,eigenvalue,multiplicity,matched_spin",
-                   nimrep.spectrum_csv_rows(report, md))
+                   nimrep.spectrum_csv_rows(report))
     else:
         print(f"{args.graph}: level {k}, vertices {graph.num_vertices}, "
               f"matched={report.matched} worst_gap={core.sig12(report.worst_gap)}")
@@ -204,7 +203,7 @@ def _parse_theta(spec: str, k: int) -> np.ndarray:
         token = token.strip()
         if token == "id":
             spins.append(0)
-        elif token.startswith("l") and token[1:].isdigit():
+        elif token.startswith("l") and token[1:].isdecimal():
             spins.append(int(token[1:]))
         else:
             raise core.UsageError(f"bad theta token {token!r}")

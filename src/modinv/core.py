@@ -171,7 +171,7 @@ def generating_labels(row: Callable[[int], np.ndarray], L: int,
     if L > 1:
         if not fits(first):
             return tuple(range(L))
-        if _krylov_full_rank(rows_read[first], unit, p):
+        if _krylov_full_rank(rows_read[first], unit):
             return (first,)
     eye = np.eye(L, dtype=np.int64)
     rows = np.empty((L, L), dtype=np.int64)  # rows[:len(pivots)]: reduced echelon basis mod p
@@ -211,9 +211,10 @@ def generating_labels(row: Callable[[int], np.ndarray], L: int,
     return tuple(gens)
 
 
-def _krylov_full_rank(A: np.ndarray, unit: int, p: int) -> bool:
-    """Whether the rows e_unit A^j, j < len(A), have full rank modulo p, for
-    int64 A with len(A) p max(p, max|A|) < 2^63."""
+def _krylov_full_rank(A: np.ndarray, unit: int) -> bool:
+    """Whether the rows e_unit A^j, j < len(A), have full rank modulo p =
+    GENERATOR_PRIME, for int64 A with len(A) p max(p, max|A|) < 2^63."""
+    p = GENERATOR_PRIME
     L = len(A)
     K = np.zeros((L, L), dtype=np.int64)
     K[0, unit] = 1
@@ -286,8 +287,26 @@ class ModularData:
 
     @cached_property
     def verlinde_row(self) -> Callable[[int], np.ndarray]:
-        """a -> N_a of the Verlinde ring (see verlinde_rows), built once per ModularData."""
-        return verlinde_rows(self)
+        """a -> N_a, the read-only int64 matrix N_a[b, c] = N[a, b, c] of the Verlinde ring.
+
+        The fundamental weights of SU(n)_k data take their rows from
+        fundamental_rows, by the Pieri rule; every other row is
+        _verlinde_row, formed on the first call for a and kept.  No L^3 array
+        is formed.  S must be unitary, which is checked here, once per
+        ModularData.
+        """
+        _require_unitary(self)
+        U = self.S.T
+        rows = dict(self.fundamental_rows)
+
+        def row(a: int) -> np.ndarray:
+            a = int(a)
+            if a not in rows:
+                rows[a] = _verlinde_row(U, a)
+                rows[a].setflags(write=False)
+            return rows[a]
+
+        return row
 
     @cached_property
     def fusion_generators(self) -> tuple[int, ...]:
@@ -547,34 +566,12 @@ def _verlinde_row(U: np.ndarray, a: int) -> np.ndarray:
     return _round_counts((U * (U[a] / U[0])) @ U.conj().T)
 
 
-def verlinde_rows(md: ModularData) -> Callable[[int], np.ndarray]:
-    """a -> N_a, the read-only int64 matrix N_a[b, c] = N[a, b, c] of the Verlinde ring.
-
-    The fundamental weights of SU(n)_k data take their rows from
-    md.fundamental_rows, by the Pieri rule; every other row is
-    _verlinde_row, formed on the first call for a and kept.  No L^3 array
-    is formed.  S must be unitary, which is checked here, once.
-    """
-    _require_unitary(md)
-    U = md.S.T
-    rows = dict(md.fundamental_rows)
-
-    def row(a: int) -> np.ndarray:
-        a = int(a)
-        if a not in rows:
-            rows[a] = _verlinde_row(U, a)
-            rows[a].setflags(write=False)
-        return rows[a]
-
-    return row
-
-
 def verlinde_fusion(md: ModularData) -> FusionRing:
     """Fusion tensor N[a,b,c] = sum_r S[r,a] S[r,b] S*[r,c] / S[r,0], rounded.
 
     The one function that builds the whole validated ring, for ``fusion``
     and the D_odd fusion graph; ``invariants`` and ``catalog`` read the few
-    rows they need from verlinde_rows.  S must be unitary.  N[a] is filled
+    rows they need from ModularData.verlinde_row.  S must be unitary.  N[a] is filled
     with _verlinde_row for each label a in turn, so the peak before
     validation is the int64 tensor plus one complex L x L row.
     """
@@ -598,7 +595,6 @@ class ModularChecks:
     s_squared_conjugation: float  # ||S^2 - C|| for the nearest permutation C
     s_fourth: float          # ||S^4 - 1||
     first_row_positive: bool
-    dual: tuple[int, ...]    # permutation read off from S^2
 
     @property
     def passed(self) -> bool:
@@ -632,7 +628,6 @@ def check_modular(md: ModularData) -> ModularChecks:
         s_squared_conjugation=float(np.max(np.abs(S2 - C))),
         s_fourth=float(np.max(np.abs(S2 @ S2 - np.eye(L)))),
         first_row_positive=bool(row0.min() > 0 and abs(S[0, 0].imag) < ASSERT_TOL),
-        dual=tuple(dual.tolist()),
     )
 
 

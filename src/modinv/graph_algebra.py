@@ -37,19 +37,21 @@ class EigenGauge:
     base: int
 
     def validate(self) -> None:
-        V = self.graph.num_vertices
-        if np.max(np.abs(self.psi.conj().T @ self.psi - np.eye(V))) > ASSERT_TOL:
+        """Unitarity, then for each column in turn its eigenvector residual
+        and its positive base entry; the first failure raises GaugeError."""
+        psi, m = self.psi, np.array(self.graph.exponents)
+        if np.max(np.abs(psi.conj().T @ psi - np.eye(self.graph.num_vertices))) > ASSERT_TOL:
             raise GaugeError("psi is not unitary")
-        h = self.graph.coxeter
+        lam = 2.0 * np.cos(np.pi * (m + 1) / self.graph.coxeter)
         A = self.graph.adjacency.astype(float)
-        for col, m in enumerate(self.graph.exponents):
-            v = self.psi[:, col]
-            lam = 2.0 * np.cos(np.pi * (m + 1) / h)
-            if np.max(np.abs(A @ v - lam * v)) > EIGEN_TOL:
-                raise GaugeError(f"column {col} is not an eigenvector for exponent {m}")
-            if not (self.psi[self.base, col].real > ASSERT_TOL
-                    and abs(self.psi[self.base, col].imag) < ASSERT_TOL):
-                raise GaugeError(f"psi[base, {col}] not positive; base vertex unusable")
+        not_eigen = np.max(np.abs(A @ psi - psi * lam), axis=0) > EIGEN_TOL
+        b = psi[self.base]
+        bad = not_eigen | ~((b.real > ASSERT_TOL) & (np.abs(b.imag) < ASSERT_TOL))
+        if bad.any():
+            col = int(np.argmax(bad))
+            if not_eigen[col]:
+                raise GaugeError(f"column {col} is not an eigenvector for exponent {m[col]}")
+            raise GaugeError(f"psi[base, {col}] not positive; base vertex unusable")
 
 
 def _base_vertex(graph: AdeGraph) -> int:

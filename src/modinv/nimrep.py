@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (ASSERT_TOL, FLOAT_EXACT_MAX, SPECTRUM_TOL, ModularData, UsageError,
-                   su2_level)
+                   su2_level, su2_modular_data)
 from .search import MassMatrix, ade_exponent_multiset, diagram_case
 
 
@@ -173,12 +173,14 @@ class SpectrumEntry:
 @dataclass(frozen=True, eq=False)
 class SpectrumReport:
     """Row nu of ``eig`` is the ascending spectrum of G_nu and row nu of
-    ``expected`` its sorted expected multiset, None if the sizes differ."""
+    ``expected`` its sorted expected multiset, None if the sizes differ.
+    ``chars`` is the character table of the family's SU(2)_k data."""
 
     graph: str
     entries: tuple[SpectrumEntry, ...]
     eig: np.ndarray
     expected: np.ndarray | None
+    chars: np.ndarray
 
     @property
     def matched(self) -> bool:
@@ -204,23 +206,25 @@ def _match_rows(eig: np.ndarray, expected: np.ndarray):
     return expected, np.abs(eig - expected).max(axis=1)
 
 
-def spectrum_vs_diagonal(family: NimRepFamily, md: ModularData, Z: MassMatrix) -> SpectrumReport:
+def spectrum_vs_diagonal(family: NimRepFamily, Z: MassMatrix) -> SpectrumReport:
     """Check that eigenvalues of every G_nu are the characters chi_l(nu), each
     with multiplicity Z[l, l].
 
-    chi_l(nu) = S[l, nu] / S[l, 0].  The two sorted multisets are paired in
-    order; each pair must agree within SPECTRUM_TOL.  The spectra come from
-    one eigvalsh over the stacked family, the expected multisets from the
-    character table with row l repeated Z[l, l] times.
+    chi_l(nu) = S[l, nu] / S[l, 0], with S that of SU(2)_k at the family's
+    level k.  The two sorted multisets are paired in order; each pair must
+    agree within SPECTRUM_TOL.  The spectra come from one eigvalsh over the
+    stacked family, the expected multisets from the character table with
+    row l repeated Z[l, l] times.
     """
-    k = family.level
-    if md.size != k + 1 or Z.size != k + 1:
-        raise ValueError("level mismatch between family, modular data and Z")
+    if Z.size != family.level + 1:
+        raise ValueError("level mismatch between family and Z")
+    chars = character_table(su2_modular_data(family.level))
     eig = np.linalg.eigvalsh(family.G.astype(float))
-    expected, gaps = _match_rows(eig, np.repeat(character_table(md), Z.diagonal, axis=0).T)
-    return SpectrumReport(graph=family.graph.name, eig=eig, expected=expected, entries=tuple(
-        SpectrumEntry(nu=nu, matched=gap < SPECTRUM_TOL, worst_gap=gap)
-        for nu, gap in enumerate(gaps.tolist())))
+    expected, gaps = _match_rows(eig, np.repeat(chars, Z.diagonal, axis=0).T)
+    entries = tuple(SpectrumEntry(nu=nu, matched=gap < SPECTRUM_TOL, worst_gap=gap)
+                    for nu, gap in enumerate(gaps.tolist()))
+    return SpectrumReport(graph=family.graph.name, entries=entries, eig=eig,
+                          expected=expected, chars=chars)
 
 
 def _round9(x: np.ndarray) -> np.ndarray:
@@ -246,24 +250,23 @@ def _round9(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def spectrum_csv_rows(report: SpectrumReport, md: ModularData):
+def spectrum_csv_rows(report: SpectrumReport):
     """Rows (graph, nu, eigenvalue, multiplicity, matched spin) of a spectrum report.
 
     Each run of sorted expected values equal to 9 decimals is one row: its first
     eigenvalue, and as spin the last label whose character rounds to that value.
-    Modular data other than the report's raises ValueError.
+    The expected values are entries of the report's character table, so each
+    has its rounded key.
     """
     if report.expected is None:
         return []
-    table = character_table(md).T  # table[nu, l] = chi_l(nu); zip checks its length
+    table = report.chars.T  # table[nu, l] = chi_l(nu)
     rows = []
     for nu, (chars, keys, eig, expected) in enumerate(
             zip(table.tolist(), _round9(table).tolist(), report.eig.tolist(),
-                report.expected.tolist(), strict=True)):
+                report.expected.tolist())):
         spin = dict(zip(keys, range(len(chars))))
         key_of = dict(zip(chars, keys))
-        if not key_of.keys() >= set(expected):
-            raise ValueError(f"{report.graph}: expected values at nu={nu} are no characters")
         start = 0
         for key, run in itertools.groupby(expected, key=key_of.__getitem__):
             count = len(list(run))

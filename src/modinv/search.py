@@ -293,10 +293,10 @@ def enumerate_invariants(md: ModularData, budget: int = DEFAULT_NODE_BUDGET) -> 
     # which differ in some coordinate c_j, differ in Z; the sort by key makes
     # the order byte-stable
     out = InvariantList(sorted(results, key=MassMatrix.key), complete=complete, nodes=nodes)
-    for Z in out:
-        if not verify_invariant(md, Z).ok:
+    if out:
+        if not verify_invariant(md, *out).ok:
             raise AssertionError("enumerated matrix fails invariant verification")
-        if np.max(Z.Z - np.outer(d, d)) > ROUND_TOL:
+        if np.max(np.stack([Z.Z for Z in out]) - np.outer(d, d)) > ROUND_TOL:
             raise AssertionError("entry bound violated a posteriori; search unsound")
     return out
 
@@ -313,27 +313,20 @@ class InvariantReport:
                 and self.vacuum_row_residual < VACUUM_ROW_TOL)
 
 
-def verify_invariant(md: ModularData, Z: MassMatrix) -> InvariantReport:
-    """Commutation residuals and the vacuum-row identity.
+def verify_invariant(md: ModularData, *Zs: MassMatrix) -> InvariantReport:
+    """Commutation residuals and the vacuum-row identity, each the maximum
+    over the mass matrices Zs, which are checked as one stack.
 
     Positivity and Z[0, 0] = 1 are not checked here: MassMatrix refuses any
     Z without them, and its array is read-only.
     """
-    M = Z.Z
-    if M.shape[0] != md.size:
-        raise ValueError("shape mismatch between Z and modular data")
-    d = md.dims
-    return InvariantReport(*_commutator_residuals(md, M),
-                           vacuum_row_residual=float(abs(d @ M[:, 0] - M[0, :] @ d)))
-
-
-@dataclass(frozen=True)
-class PermutationVerdict:
-    zero_row_trivial: bool   # Z[0, :] = delta
-    zero_column_trivial: bool  # Z[:, 0] = delta
-    is_permutation: bool
-    permutation: tuple[int, ...] | None
-    is_fusion_automorphism: bool | None
+    for Z in Zs:
+        if Z.size != md.size:
+            raise ValueError("shape mismatch between Z and modular data")
+    M = np.stack([Z.Z for Z in Zs])
+    # sum_l d_l (Z[l, 0] - Z[0, l]): the exact integer difference, then one product
+    vacuum = np.abs((M[:, :, 0] - M[:, 0, :]) @ md.dims).max()
+    return InvariantReport(*_commutator_residuals(md, M), vacuum_row_residual=float(vacuum))
 
 
 def fusion_automorphism(row: Callable[[int], np.ndarray], generators, perm) -> bool:
@@ -364,18 +357,21 @@ def fusion_automorphism(row: Callable[[int], np.ndarray], generators, perm) -> b
     return all(np.array_equal(row(p[g])[np.ix_(p, p)], row(g)) for g in generators)
 
 
-def permutation_criterion(md: ModularData, Z: MassMatrix) -> PermutationVerdict:
-    """Classify Z by the three equivalent permutation-invariant conditions.
+def permutation_criterion(md: ModularData, Z: MassMatrix) -> tuple[int, ...] | None:
+    """The permutation pi of Z[l, m] = delta(l, pi(m)) if Z is a permutation
+    invariant, None otherwise.
 
-    The conditions (trivial zero row, trivial zero column, Z a permutation
-    induced by an automorphism of the Verlinde ring of md fixing 0) must hold
-    or fail together; disagreement signals an implementation bug and raises.
-    The identity fixes every N[a, b, c], so it needs no fusion row; any other
-    permutation is checked by fusion_automorphism on md.fusion_generators
-    and md's rows of the generators and their images, which md builds once
-    and keeps.  For SU(n) data the generators are the fundamental weights
-    with their Pieri rows, and an image that is no fundamental weight has
-    the Verlinde row, so the verdict compares two independent formulas.
+    Three conditions decide it, and they must hold or fail together: a
+    trivial zero row, a trivial zero column, and Z a permutation induced by
+    an automorphism of the Verlinde ring of md fixing 0.  All three are
+    evaluated; a disagreement signals an implementation bug and raises
+    CriterionInconsistencyError.  The identity fixes every N[a, b, c], so it
+    needs no fusion row; any other permutation is checked by
+    fusion_automorphism on md.fusion_generators and md's rows of the
+    generators and their images, which md builds once and keeps.  For SU(n)
+    data the generators are the fundamental weights with their Pieri rows,
+    and an image that is no fundamental weight has the Verlinde row, so the
+    verdict compares two independent formulas.
     """
     M = Z.Z
     L = Z.size
@@ -386,25 +382,18 @@ def permutation_criterion(md: ModularData, Z: MassMatrix) -> PermutationVerdict:
     c1 = bool(np.array_equal(M[0, :], e0))
     c2 = bool(np.array_equal(M[:, 0], e0))
     perm = None
-    is_auto = None
-    c3 = False
     if np.array_equal(np.sort(M.sum(axis=0)), np.ones(L, dtype=M.dtype)) and \
        np.array_equal(np.sort(M.sum(axis=1)), np.ones(L, dtype=M.dtype)):
         # Z[l, m] = delta(l, pi(m)), and pi(0) = 0 since Z[0, 0] = 1
         perm = tuple(np.argmax(M, axis=0).tolist())
-        is_auto = perm == tuple(range(L)) or fusion_automorphism(
-            md.verlinde_row, md.fusion_generators, perm)
-        c3 = is_auto
+        if perm != tuple(range(L)) and not fusion_automorphism(
+                md.verlinde_row, md.fusion_generators, perm):
+            perm = None
+    c3 = perm is not None
     if not (c1 == c2 == c3):
         raise CriterionInconsistencyError(
             f"permutation conditions disagree: row={c1} column={c2} matrix={c3}")
-    return PermutationVerdict(
-        zero_row_trivial=c1,
-        zero_column_trivial=c2,
-        is_permutation=c3,
-        permutation=perm,
-        is_fusion_automorphism=is_auto,
-    )
+    return perm
 
 
 # ---------------------------------------------------------------------------
@@ -495,7 +484,7 @@ def diagram_case(name: str) -> tuple[str, int]:
     An unknown name raises ValueError, a known one whose level is outside
     1..SU2_LEVEL_MAX UsageError.
     """
-    num = int(name[1:]) if name[1:].isdigit() else 0
+    num = int(name[1:]) if name[1:].isdecimal() else 0
     k = SU2_E_LEVELS.get(name, {"A": num - 1, "D": 2 * num - 4}.get(name[:1], -1))
     cases = dict(su2_diagrams(k)) if k >= 0 else {}
     if name not in cases:
@@ -534,8 +523,10 @@ class NamedInvariant:
     Z: MassMatrix
 
 
-def su2_diagram_with_diagonal(k: int, diag: tuple[int, ...]) -> str | None:
-    """The level-k diagram with spin j as an exponent diag[j] times, if any."""
+def su2_diagram_with_diagonal(diag: tuple[int, ...]) -> str | None:
+    """The diagram with spin j as an exponent diag[j] times, if any; its level
+    is k = len(diag) - 1."""
+    k = len(diag) - 1
     for name, case in su2_diagrams(k):
         if tuple(_diagonal(case, k).tolist()) == diag:
             return name
@@ -554,7 +545,7 @@ def su2_ade_catalog(md: ModularData, budget: int = DEFAULT_NODE_BUDGET) -> list[
         raise RuntimeError(f"enumeration exceeded node budget at level {k}")
     out = []
     for Z in found:
-        name = su2_diagram_with_diagonal(k, Z.diagonal)
+        name = su2_diagram_with_diagonal(Z.diagonal)
         if name is None:
             raise UnmatchedDiagonalError(
                 f"level {k}: diagonal {Z.diagonal} matches no A-D-E diagram with h={k + 2}")

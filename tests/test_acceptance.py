@@ -77,7 +77,7 @@ def test_criterion_05_spectra_match_diagonals():
         md = core.su2_modular_data(k)
         for ni in search.su2_ade_catalog(md):
             family = nimrep.fused_adjacencies(nimrep.ade_graph(ni.name))
-            report = nimrep.spectrum_vs_diagonal(family, md, ni.Z)
+            report = nimrep.spectrum_vs_diagonal(family, ni.Z)
             assert report.matched, f"{ni.name}: worst gap {report.worst_gap}"
     elapsed = time.perf_counter() - t0
     assert elapsed < 10.0

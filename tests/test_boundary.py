@@ -6,9 +6,15 @@ definition and outside ``__init__.py``.  Code that is itself unread does not
 count, so a helper reached only from an unread function is unread too.
 References the tests make do not count: a reference that only tests read
 lives in the test file that reads it.
+
+The same holds one level down, for the members of every top-level class:
+each annotated field, property and method other than a dunder must be read
+as an attribute by package code outside its own definition.  A field only
+ever passed to the constructor is unread: a keyword argument is no read.
 """
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "modinv"
@@ -18,6 +24,11 @@ ALLOWED = {
     "modular_data_from_json": "validates modular data that comes from outside the "
                               "program; the inverse of modular_data_to_json",
 }
+
+
+# Class members, as "Class.member", that nothing in the package reads, each
+# with its reason.
+ALLOWED_MEMBERS = {}
 
 
 def _bound_names(node):
@@ -62,6 +73,36 @@ def unread_names(roots=(), src=SRC):
         unread |= more
 
 
+def _members(cls):
+    """(name, statement) of each annotated field, property and non-dunder method."""
+    for node in cls.body:
+        if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            yield node.target.id, node
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and not (
+                node.name.startswith("__") and node.name.endswith("__")):
+            yield node.name, node
+
+
+def _attribute_reads(node):
+    return Counter(n.attr for n in ast.walk(node)
+                   if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load))
+
+
+def unread_members(allowed=(), src=SRC):
+    """"Class.member" of every member of a top-level class of the package that
+    no package code reads as an attribute outside the member's own definition.
+
+    A read is matched by the member's name alone, whatever the object it is
+    read from.  The ``allowed`` members are left out.
+    """
+    trees = [ast.parse(path.read_text()) for path in sorted(src.glob("*.py"))
+             if path.name != "__init__.py"]
+    reads = sum((_attribute_reads(tree) for tree in trees), Counter())
+    return {f"{cls.name}.{name}" for tree in trees for cls in tree.body
+            if isinstance(cls, ast.ClassDef) for name, node in _members(cls)
+            if reads[name] == _attribute_reads(node)[name]} - set(allowed)
+
+
 def test_every_top_level_name_is_read_by_the_program():
     assert unread_names(ALLOWED) == set()
 
@@ -81,3 +122,29 @@ def test_a_helper_of_unread_code_is_unread(tmp_path):
         "if __name__ == '__main__':\n    sys.exit(main())\n")
     assert unread_names(src=tmp_path) == {"LIMIT", "_helper", "entry"}
     assert unread_names({"entry"}, src=tmp_path) == set()
+
+
+def test_every_class_member_is_read_by_the_program():
+    assert unread_members(ALLOWED_MEMBERS) == set()
+
+
+def test_the_allowed_members_are_defined_and_unread():
+    assert set(ALLOWED_MEMBERS) <= unread_members()
+
+
+def test_a_member_is_read_only_as_an_attribute_outside_its_definition(tmp_path):
+    (tmp_path / "rec.py").write_text(
+        "from dataclasses import dataclass\n"
+        "@dataclass(frozen=True)\n"
+        "class Rec:\n"
+        "    x: int\n"
+        "    y: int\n"
+        "    def walk(self, n):\n        return self.walk(n - 1) if n else 0\n")
+    (tmp_path / "use.py").write_text(
+        "from .rec import Rec\n"
+        "def make():\n    return Rec(x=1, y=2).x\n"
+        "def reset(rec):\n    object.__setattr__(rec, 'y', 0)\n    rec.walk = None\n")
+    # another module reads x; y is only passed to the constructor, and walk is
+    # only assigned and read by itself
+    assert unread_members(src=tmp_path) == {"Rec.y", "Rec.walk"}
+    assert unread_members({"Rec.y", "Rec.walk"}, src=tmp_path) == set()

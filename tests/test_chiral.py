@@ -320,10 +320,9 @@ def test_branching_squares_match_chiral_graph_exponents():
     # graph, so every fused adjacency of Gamma01 must have the characters
     # chi_l(nu) with exactly those multiplicities
     for r in chiral.chiral_table(28):
-        md = core.su2_modular_data(r.level)
         family = nimrep.fused_adjacencies(nimrep.ade_graph(r.gamma01))
         squares = search.MassMatrix(np.diag((r.branching.b_plus ** 2).sum(axis=0)))
-        assert nimrep.spectrum_vs_diagonal(family, md, squares).matched, (r.name, r.level)
+        assert nimrep.spectrum_vs_diagonal(family, squares).matched, (r.name, r.level)
 
 
 def _reference_gamma01(case, name, k):
@@ -349,7 +348,7 @@ def chiral_system(case, k):
     alpha_1, the Perron-Frobenius vector of Gamma01 normalised to 1 at
     vertex 0.
     """
-    graph = nimrep.ade_graph(chiral.gamma01_name(k, search.su2_branching(case, k)))
+    graph = nimrep.ade_graph(chiral.gamma01_name(search.su2_branching(case, k)))
     B = np.array([G[0] for G in nimrep.fused_adjacencies(graph).G]).T
     _, vecs = np.linalg.eigh(graph.adjacency.astype(float))
     pf = vecs[:, -1]  # the largest eigenvalue of a connected graph is simple
@@ -391,7 +390,7 @@ def test_gamma01_matches_hand_written_rule():
     for k in range(1, core.SU2_LEVEL_MAX + 1):
         for name, case in search.su2_diagrams(k):
             b = search.su2_branching(case, k)
-            assert chiral.gamma01_name(k, b) == _reference_gamma01(case, name, k), (name, k)
+            assert chiral.gamma01_name(b) == _reference_gamma01(case, name, k), (name, k)
             # b- describes the other chiral system, with the same multiplicities
             assert np.array_equal((b.b_minus ** 2).sum(axis=0), (b.b_plus ** 2).sum(axis=0))
 

@@ -234,7 +234,7 @@ def test_dodd_dotted_graph_isomorphic_to_path():
     # the mirror relabeling maps dotted edges onto the solid path exactly
     from modinv import search
     pi = search.permutation_criterion(
-        core.su2_modular_data(k), search.su2_invariant_matrix("D_odd", k)).permutation
+        core.su2_modular_data(k), search.su2_invariant_matrix("D_odd", k))
     P = np.zeros((k + 1, k + 1), dtype=int)
     for mu, target in enumerate(pi):
         P[target, mu] = 1
@@ -447,6 +447,8 @@ def test_sun_permutation_verdicts_need_no_generator_search(capsys, monkeypatch, 
     ("emit-graph", "--case", "A3", "--out", "{tmp}/missing/dir/x.dot"),
     ("show", "--family", "group", "--level", str(core.SUN_LABEL_MAX + 1)),
     ("invariants", "--family", "group", "--level", str(core.SUN_LABEL_MAX + 1)),
+    ("gram", "--level", "10", "--theta", "id+l\u00b2"),
+    ("nimrep", "--graph", "A\u00b2"),
 ])
 def test_out_of_range_input_is_usage_error(capsys, tmp_path, argv):
     files = {
@@ -464,6 +466,15 @@ def test_out_of_range_input_is_usage_error(capsys, tmp_path, argv):
     code, out, err = run(capsys, *(a.format(tmp=tmp_path) for a in argv))
     assert code == 2
     assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("gram", "--level", "10", "--theta", "id+l\u00b2"), "bad theta token 'l\u00b2'"),
+    (("nimrep", "--graph", "A\u00b2"), "unknown diagram name 'A\u00b2'"),
+], ids=["gram", "nimrep"])
+def test_a_superscript_digit_is_no_number(capsys, argv, message):
+    # str.isdigit accepts the superscript two, which int() refuses
+    assert run(capsys, *argv) == (2, "", f"error: {message}\n")
 
 
 @pytest.mark.parametrize("argv, k", [

@@ -220,3 +220,61 @@ def test_csv_rows_equal_the_loop(name):
     assert rows == want
     assert [tuple(map(type, r)) for r in rows] == [tuple(map(type, r)) for r in want]
     assert {r[6] for r in rows} == ({"ok", "neg"} if name in ("D5", "D7", "E7") else {"ok"})
+
+
+def _validate_by_columns(gauge):
+    """The column loop: the reference for ``EigenGauge.validate``."""
+    V = gauge.graph.num_vertices
+    if np.max(np.abs(gauge.psi.conj().T @ gauge.psi - np.eye(V))) > core.ASSERT_TOL:
+        raise graph_algebra.GaugeError("psi is not unitary")
+    h = gauge.graph.coxeter
+    A = gauge.graph.adjacency.astype(float)
+    for col, m in enumerate(gauge.graph.exponents):
+        v = gauge.psi[:, col]
+        lam = 2.0 * np.cos(np.pi * (m + 1) / h)
+        if np.max(np.abs(A @ v - lam * v)) > core.EIGEN_TOL:
+            raise graph_algebra.GaugeError(f"column {col} is not an eigenvector for exponent {m}")
+        if not (gauge.psi[gauge.base, col].real > core.ASSERT_TOL
+                and abs(gauge.psi[gauge.base, col].imag) < core.ASSERT_TOL):
+            raise graph_algebra.GaugeError(f"psi[base, {col}] not positive; base vertex unusable")
+
+
+def _gauge_verdict(validate, gauge):
+    try:
+        validate(gauge)
+    except graph_algebra.GaugeError as exc:
+        return str(exc)
+    return None
+
+
+def _perturbed_columns(psi, col):
+    """psi with column col changed: rotated by 1e-6 against a neighbour
+    (unitary, off the eigenspace), swapped with it, negated, turned by a
+    phase, and moved off unitarity."""
+    other = 1 if col == 0 else col - 1
+    pair = [col, other]
+    rot, swap, neg, phase, off = (psi.copy() for _ in range(5))
+    c, s = np.cos(1e-6), np.sin(1e-6)
+    rot[:, pair] = psi[:, pair] @ np.array([[c, -s], [s, c]])
+    swap[:, pair] = psi[:, pair[::-1]]
+    neg[:, col] *= -1
+    phase[:, col] *= np.exp(1e-3j)
+    off[0, col] += 1e-3
+    return rot, swap, neg, phase, off
+
+
+def test_validate_equals_the_column_loop_on_every_diagram():
+    seen, verdicts = 0, set()
+    for k in range(1, core.SU2_LEVEL_MAX + 1):
+        for name, _ in search.su2_diagrams(k):
+            gauge = graph_algebra.eigen_gauge(nimrep.ade_graph(name))
+            last = gauge.graph.num_vertices - 1
+            for psi in (gauge.psi, *_perturbed_columns(gauge.psi, 0),
+                        *_perturbed_columns(gauge.psi, last)):
+                changed = dataclasses.replace(gauge, psi=psi)
+                got = _gauge_verdict(graph_algebra.EigenGauge.validate, changed)
+                assert got == _gauge_verdict(_validate_by_columns, changed), name
+                verdicts.add(got and got.split()[0])
+            seen += 1
+    assert seen == 98
+    assert verdicts == {None, "psi", "column", "psi[base,"}

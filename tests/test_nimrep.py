@@ -91,9 +91,8 @@ def test_spectrum_vs_diagonal(name, case):
     g = nimrep.ade_graph(name)
     k = g.level
     fam = nimrep.fused_adjacencies(g)
-    md = core.su2_modular_data(k)
     Z = search.su2_invariant_matrix(case, k)
-    report = nimrep.spectrum_vs_diagonal(fam, md, Z)
+    report = nimrep.spectrum_vs_diagonal(fam, Z)
     assert report.matched
     assert report.worst_gap < 1e-7
 
@@ -101,8 +100,7 @@ def test_spectrum_vs_diagonal(name, case):
 def test_spectrum_wrong_invariant_detected():
     g = nimrep.ade_graph("D7")
     fam = nimrep.fused_adjacencies(g)
-    md = core.su2_modular_data(10)
-    report = nimrep.spectrum_vs_diagonal(fam, md, search.su2_invariant_matrix("A", 10))
+    report = nimrep.spectrum_vs_diagonal(fam, search.su2_invariant_matrix("A", 10))
     assert not report.matched
 
 
@@ -115,9 +113,8 @@ def test_a3_level2_spectrum_values():
 def test_csv_rows_cover_all_exponents():
     g = nimrep.ade_graph("E6")
     fam = nimrep.fused_adjacencies(g)
-    md = core.su2_modular_data(10)
-    report = nimrep.spectrum_vs_diagonal(fam, md, search.su2_invariant_matrix("E6", 10))
-    rows = nimrep.spectrum_csv_rows(report, md)
+    report = nimrep.spectrum_vs_diagonal(fam, search.su2_invariant_matrix("E6", 10))
+    rows = nimrep.spectrum_csv_rows(report)
     by_nu = {}
     for graph, nu, _, mult, spin in rows:
         assert graph == "E6"
@@ -145,6 +142,7 @@ def _spectrum_per_label(family, md, Z):
 def _assert_report_is_the_per_label_check(report, family, md, Z):
     eig, expected, gaps = _spectrum_per_label(family, md, Z)
     assert report.graph == family.graph.name
+    assert report.chars.tobytes() == nimrep.character_table(md).tobytes()
     assert report.eig.tobytes() == eig.tobytes()
     if expected is None:
         assert report.expected is None
@@ -183,9 +181,9 @@ def test_spectrum_equals_the_per_label_check_on_every_diagram():
         family = nimrep.fused_adjacencies(nimrep.ade_graph(name))
         md = core.su2_modular_data(k)
         Z = search.su2_invariant_matrix(case, k)
-        report = nimrep.spectrum_vs_diagonal(family, md, Z)
+        report = nimrep.spectrum_vs_diagonal(family, Z)
         _assert_report_is_the_per_label_check(report, family, md, Z)
-        rows = nimrep.spectrum_csv_rows(report, md)
+        rows = nimrep.spectrum_csv_rows(report)
         want = _spectrum_csv_rows_by_dict(report, md)
         assert rows == want
         assert [tuple(map(type, r)) for r in rows] == [tuple(map(type, r)) for r in want]
@@ -197,24 +195,11 @@ def test_spectrum_size_mismatch_equals_the_per_label_check():
     family = nimrep.fused_adjacencies(nimrep.ade_graph("D7"))
     md = core.su2_modular_data(10)
     Z = search.su2_invariant_matrix("A", 10)
-    report = nimrep.spectrum_vs_diagonal(family, md, Z)
+    report = nimrep.spectrum_vs_diagonal(family, Z)
     _assert_report_is_the_per_label_check(report, family, md, Z)
     assert report.expected is None
     assert all(e.worst_gap == float("inf") for e in report.entries)
-    assert nimrep.spectrum_csv_rows(report, md) == []
-
-
-def test_spectrum_csv_rows_refuse_other_modular_data():
-    family = nimrep.fused_adjacencies(nimrep.ade_graph("A5"))
-    md = core.su2_modular_data(4)
-    report = nimrep.spectrum_vs_diagonal(family, md, search.su2_invariant_matrix("A", 4))
-    for other in (core.su2_modular_data(3), core.su2_modular_data(5)):
-        with pytest.raises(ValueError):
-            nimrep.spectrum_csv_rows(report, other)
-    # the level matches, the characters of labels 1 and 2 are swapped
-    other = dataclasses.replace(md, S=md.S[:, [0, 2, 1, 3, 4]])
-    with pytest.raises(ValueError, match="no character"):
-        nimrep.spectrum_csv_rows(report, other)
+    assert nimrep.spectrum_csv_rows(report) == []
 
 
 def _assert_round9_is_round(x):
@@ -287,7 +272,7 @@ def test_spectra_for_all_catalog_pairs_up_to_level30():
         md = core.su2_modular_data(k)
         for ni in search.su2_ade_catalog(md):
             fam = nimrep.fused_adjacencies(nimrep.ade_graph(ni.name))
-            assert nimrep.spectrum_vs_diagonal(fam, md, ni.Z).matched, (k, ni.name)
+            assert nimrep.spectrum_vs_diagonal(fam, ni.Z).matched, (k, ni.name)
 
 
 def _isomorphic_by_backtracking(A, B):

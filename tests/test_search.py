@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from modinv import core, search
-from test_core import fundamental_labels
+from test_core import dual_permutation, fundamental_labels
 
 
 def test_commutant_su2_level4():
@@ -337,13 +337,44 @@ def test_verify_enumerated(k):
         assert report.vacuum_row_residual < 1e-9
 
 
+def _enumerated_result_sets():
+    """(md, results) of every search at SU(2) k <= 64, SU(3) k <= 9, SU(4)
+    k <= 5 and Ising."""
+    mds = [core.su2_modular_data(k) for k in range(1, core.SU2_LEVEL_MAX + 1)]
+    mds += [core.sun_modular_data(3, k) for k in range(1, 10)]
+    mds += [core.sun_modular_data(4, k) for k in range(1, 6)]
+    mds.append(core.ising_modular_data())
+    for md in mds:
+        yield md, list(search.enumerate_invariants(md))
+
+
+def test_stacked_verification_is_the_and_of_the_single_ones():
+    for md, found in _enumerated_result_sets():
+        single = [search.verify_invariant(md, Z) for Z in found]
+        stacked = search.verify_invariant(md, *found)
+        assert stacked.ok == all(r.ok for r in single) is True, (md.family, md.level)
+        for field in ("commutes_s", "commutes_t", "vacuum_row_residual"):
+            assert getattr(stacked, field) == pytest.approx(
+                max(getattr(r, field) for r in single), rel=0, abs=1e-12)
+        # one entry off the T-support raised in the last member breaks [T, Z] = 0
+        I, J = np.nonzero(np.abs(np.diag(md.T)[:, None] - np.diag(md.T)[None, :]) > 1e-6)
+        Z = found[-1].Z.copy()
+        Z[I[0], J[0]] += 1
+        assert not search.verify_invariant(md, *found[:-1], search.MassMatrix(Z)).ok
+
+
+def test_stacked_verification_checks_every_shape():
+    md = core.su2_modular_data(4)
+    Z = search.su2_invariant_matrix("A", 4)
+    with pytest.raises(ValueError, match="shape mismatch"):
+        search.verify_invariant(md, Z, search.su2_invariant_matrix("A", 3))
+
+
 def test_permutation_dodd_level10():
     md = core.su2_modular_data(10)
     Z = search.su2_invariant_matrix("D_odd", 10)
-    verdict = search.permutation_criterion(md, Z)
-    assert verdict.is_permutation
-    assert verdict.is_fusion_automorphism
-    pi = verdict.permutation
+    pi = search.permutation_criterion(md, Z)
+    assert pi is not None
     for j in range(11):
         assert pi[j] == (j if j % 2 == 0 else 10 - j)
 
@@ -352,17 +383,14 @@ def test_permutation_e7_fails_all_three():
     md = core.su2_modular_data(16)
     Z = search.su2_invariant_matrix("E7", 16)
     assert Z.Z[0, 16] == 1 and Z.Z[16, 0] == 1
-    verdict = search.permutation_criterion(md, Z)
-    assert not verdict.is_permutation
-    assert not verdict.zero_row_trivial
-    assert not verdict.zero_column_trivial
+    # the zero row and column are not trivial, and permutation_criterion
+    # raises unless the third condition fails with them
+    assert search.permutation_criterion(md, Z) is None
 
 
 def test_permutation_identity():
     md = core.su2_modular_data(5)
-    verdict = search.permutation_criterion(md, search.su2_invariant_matrix("A", 5))
-    assert verdict.is_permutation
-    assert verdict.permutation == tuple(range(6))
+    assert search.permutation_criterion(md, search.su2_invariant_matrix("A", 5)) == tuple(range(6))
     # N[id, id, id] = N always holds, so no fusion row is built
     assert "verlinde_row" not in vars(md) and "fundamental_rows" not in vars(md)
 
@@ -399,14 +427,14 @@ def _reference_permutation_criterion(ring, Z):
     e0[0] = 1
     c1 = bool(np.array_equal(M[0, :], e0))
     c2 = bool(np.array_equal(M[:, 0], e0))
-    perm = is_auto = None
+    perm = None
     c3 = False
     if np.array_equal(np.sort(M.sum(axis=0)), np.ones(L)) and \
        np.array_equal(np.sort(M.sum(axis=1)), np.ones(L)):
         perm = tuple(np.argmax(M, axis=0).tolist())
-        is_auto = c3 = _automorphism_blockwise(ring.N, perm)
+        c3 = _automorphism_blockwise(ring.N, perm)
     assert c1 == c2 == c3
-    return search.PermutationVerdict(c1, c2, c3, perm, is_auto)
+    return perm if c3 else None
 
 
 def _modular_data_and_rings():
@@ -444,11 +472,10 @@ def test_blockwise_automorphism_equals_the_full_copy_on_every_permutation_invari
     blockwise tensor reference, and that reference equals the full copy."""
     checked = 0
     for md, ring, Z in _rings_and_invariants():
-        verdict = search.permutation_criterion(md, Z)
-        assert verdict == _reference_permutation_criterion(ring, Z)
-        if verdict.permutation is not None:
-            assert verdict.is_fusion_automorphism is True
-            assert _automorphism_by_full_copy(ring.N, verdict.permutation) is True
+        pi = search.permutation_criterion(md, Z)
+        assert pi == _reference_permutation_criterion(ring, Z)
+        if pi is not None:
+            assert _automorphism_by_full_copy(ring.N, pi) is True
             checked += 1
     assert checked == PERMUTATION_INVARIANTS
 
@@ -469,7 +496,7 @@ def test_generating_labels_through_rows_equal_the_tensor_ones():
 def _conjugation_invariant(md):
     L = md.size
     Z = np.zeros((L, L), dtype=int)
-    Z[list(core.check_modular(md).dual), np.arange(L)] = 1
+    Z[list(dual_permutation(md)), np.arange(L)] = 1
     return search.MassMatrix(Z)
 
 
@@ -493,7 +520,7 @@ def test_altered_rings_fail_the_automorphism_as_the_full_copy_does():
     md = core.sun_modular_data(3, 4)
     ring = core.verlinde_fusion(md)
     Z = _conjugation_invariant(md)
-    pi = search.permutation_criterion(md, Z).permutation
+    pi = search.permutation_criterion(md, Z)
     outcomes = []
     for N in _relabelled_tensors(ring.N):
         row = N.__getitem__
@@ -532,11 +559,11 @@ def test_permutation_criterion_peak_memory():
     Z = _conjugation_invariant(md)
     tracemalloc.start()
     try:
-        verdict = search.permutation_criterion(md, Z)
+        pi = search.permutation_criterion(md, Z)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert verdict.is_fusion_automorphism and verdict.permutation != tuple(range(L))
+    assert pi is not None and pi != tuple(range(L))
     assert peak < 128 * L ** 2
 
 
@@ -599,7 +626,7 @@ def test_entry_bound_holds_a_posteriori():
 def test_trace_identities_under_dodd_relabeling():
     k = 6
     pi = search.permutation_criterion(
-        core.su2_modular_data(k), search.su2_invariant_matrix("D_odd", k)).permutation
+        core.su2_modular_data(k), search.su2_invariant_matrix("D_odd", k))
     P = np.zeros((k + 1, k + 1), dtype=int)
     for mu, target in enumerate(pi):
         P[target, mu] = 1
