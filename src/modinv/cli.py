@@ -155,8 +155,8 @@ def cmd_nimrep(args) -> int:
     else:
         print(f"{args.graph}: level {k}, vertices {graph.num_vertices}, "
               f"matched={report.matched} worst_gap={core.sig12(report.worst_gap)}")
-        for entry in report.entries:
-            print(f"  nu={entry.nu} matched={entry.matched} gap={core.sig12(entry.worst_gap)}")
+        for nu, (ok, gap) in enumerate(zip(report.matched_by_nu.tolist(), report.gaps.tolist())):
+            print(f"  nu={nu} matched={ok} gap={core.sig12(gap)}")
     return EXIT_OK if report.matched else EXIT_VERIFY
 
 
@@ -215,8 +215,8 @@ def _parse_theta(spec: str, k: int) -> np.ndarray:
 
 
 def cmd_gram(args) -> int:
-    theta = _parse_theta(args.theta, args.level)
     ring = core.su2_fusion_closed_form(args.level)
+    theta = _parse_theta(args.theta, args.level)
     dec = chiral.decompose_gram(chiral.gram_matrix(ring, theta), ring)
     print(f"level {args.level} theta {args.theta}: {dec.num_sectors} sectors, "
           f"G1 graph {dec.graph_name or 'unrecognized'}")

@@ -7,7 +7,6 @@ tips are the last two indices; for E diagrams the short tail is last.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -163,47 +162,36 @@ def fused_adjacencies(graph: AdeGraph) -> NimRepFamily:
     return NimRepFamily(graph=graph, G=G[:k + 1].astype(int))
 
 
-@dataclass(frozen=True)
-class SpectrumEntry:
-    nu: int
-    matched: bool
-    worst_gap: float
-
-
 @dataclass(frozen=True, eq=False)
 class SpectrumReport:
     """Row nu of ``eig`` is the ascending spectrum of G_nu and row nu of
     ``expected`` its sorted expected multiset, None if the sizes differ.
+    gaps[nu] is the largest distance between the two paired in order, inf
+    if the sizes differ, and G_nu is matched iff gaps[nu] < SPECTRUM_TOL.
     ``chars`` is the character table of the family's SU(2)_k data."""
 
     graph: str
-    entries: tuple[SpectrumEntry, ...]
+    gaps: np.ndarray
     eig: np.ndarray
     expected: np.ndarray | None
     chars: np.ndarray
 
     @property
+    def matched_by_nu(self) -> np.ndarray:
+        return self.gaps < SPECTRUM_TOL
+
+    @property
     def matched(self) -> bool:
-        return all(e.matched for e in self.entries)
+        return bool(self.matched_by_nu.all())
 
     @property
     def worst_gap(self) -> float:
-        return max(e.worst_gap for e in self.entries)
+        return float(self.gaps.max())
 
 
 def character_table(md: ModularData) -> np.ndarray:
     """chi[l, nu] = S[l, nu] / S[l, 0], the real part."""
     return (md.S / md.S[:, [0]]).real
-
-
-def _match_rows(eig: np.ndarray, expected: np.ndarray):
-    """Pair each ascending row of ``eig`` with the same row of ``expected``
-    in sorted order: (expected sorted per row, worst gap per row), or
-    (None, an infinite gap per row) if the row sizes differ."""
-    if eig.shape != expected.shape:
-        return None, np.full(len(eig), np.inf)
-    expected = np.sort(expected, axis=1, kind="stable")
-    return expected, np.abs(eig - expected).max(axis=1)
 
 
 def spectrum_vs_diagonal(family: NimRepFamily, Z: MassMatrix) -> SpectrumReport:
@@ -213,66 +201,43 @@ def spectrum_vs_diagonal(family: NimRepFamily, Z: MassMatrix) -> SpectrumReport:
     chi_l(nu) = S[l, nu] / S[l, 0], with S that of SU(2)_k at the family's
     level k.  The two sorted multisets are paired in order; each pair must
     agree within SPECTRUM_TOL.  The spectra come from one eigvalsh over the
-    stacked family, the expected multisets from the character table with
-    row l repeated Z[l, l] times.
+    stacked family.  The size sum_l Z[l, l] of each expected multiset is
+    compared with the vertex count first, in Python integers, and only
+    when they agree is the character table repeated row l Z[l, l] times.
     """
     if Z.size != family.level + 1:
         raise ValueError("level mismatch between family and Z")
     chars = character_table(su2_modular_data(family.level))
     eig = np.linalg.eigvalsh(family.G.astype(float))
-    expected, gaps = _match_rows(eig, np.repeat(chars, Z.diagonal, axis=0).T)
-    entries = tuple(SpectrumEntry(nu=nu, matched=gap < SPECTRUM_TOL, worst_gap=gap)
-                    for nu, gap in enumerate(gaps.tolist()))
-    return SpectrumReport(graph=family.graph.name, entries=entries, eig=eig,
-                          expected=expected, chars=chars)
-
-
-def _round9(x: np.ndarray) -> np.ndarray:
-    """round(v, 9) of every entry v of the float array x, as an array.
-
-    Python's round rounds the exact binary value of v to the nearest
-    multiple of 10^-9, ties to even, and returns the double nearest that
-    decimal.  Here y = fl(v 1e9) is within |v| 10^9 2^-53 of the exact
-    v 10^9, at most 2^-13 (1 + 2^-53) < 1e-3 while |y| < 2^40, and
-    y - rint(y) is exact.  So where y lies at least 1e-3 from every
-    half-integer, the exact v 10^9 rounds to the same integer n = rint(y),
-    with no tie; n and 1e9 are exact doubles and the quotient n / 1e9 is
-    correctly rounded, so it is the double nearest n / 10^9, which is
-    round(v, 9).  The entries within 1e-3 of a half-integer, and any with
-    |y| >= 2^40, go through round itself.
-    """
-    with np.errstate(over="ignore", invalid="ignore"):  # |v| > 1.8e299: y = inf, v slow
-        y = x * 1e9
-        n = np.rint(y)
-        out = n / 1e9
-        slow = (np.abs(np.abs(y - n) - 0.5) < 1e-3) | (np.abs(y) >= 2.0 ** 40)
-    out[slow] = [round(v, 9) for v in x[slow].tolist()]
-    return out
+    if sum(Z.diagonal) != family.graph.num_vertices:
+        return SpectrumReport(graph=family.graph.name, gaps=np.full(len(eig), np.inf),
+                              eig=eig, expected=None, chars=chars)
+    expected = np.sort(np.repeat(chars, Z.diagonal, axis=0).T, axis=1, kind="stable")
+    return SpectrumReport(graph=family.graph.name, gaps=np.abs(eig - expected).max(axis=1),
+                          eig=eig, expected=expected, chars=chars)
 
 
 def spectrum_csv_rows(report: SpectrumReport):
     """Rows (graph, nu, eigenvalue, multiplicity, matched spin) of a spectrum report.
 
-    Each run of sorted expected values equal to 9 decimals is one row: its first
-    eigenvalue, and as spin the last label whose character rounds to that value.
-    The expected values are entries of the report's character table, so each
-    has its rounded key.
+    Each run of sorted expected values, consecutive ones within SPECTRUM_TOL
+    of each other, is one row: its first eigenvalue, and as spin the last
+    label whose character lies within SPECTRUM_TOL of the run.  The expected
+    values of nu are characters chi_l(nu), and over the whole domain, every
+    level k <= SU2_LEVEL_MAX and every nu, equal characters differ by at
+    most 6e-13 and distinct ones by at least 4.5e-6 (a test checks each
+    table).  So each run is one class of equal characters, and these
+    classes are those of round(chi_l(nu), 9) too.
     """
     if report.expected is None:
         return []
-    table = report.chars.T  # table[nu, l] = chi_l(nu)
-    rows = []
-    for nu, (chars, keys, eig, expected) in enumerate(
-            zip(table.tolist(), _round9(table).tolist(), report.eig.tolist(),
-                report.expected.tolist())):
-        spin = dict(zip(keys, range(len(chars))))
-        key_of = dict(zip(chars, keys))
-        start = 0
-        for key, run in itertools.groupby(expected, key=key_of.__getitem__):
-            count = len(list(run))
-            rows.append((report.graph, nu, eig[start], count, spin[key]))
-            start += count
-    return rows
+    x = report.expected
+    nus, starts = np.nonzero(np.diff(x, axis=1, prepend=-np.inf) > SPECTRUM_TOL)
+    counts = np.diff(nus * x.shape[1] + starts, append=x.size)
+    near = np.abs(report.chars.T[nus] - x[nus, starts, None]) <= SPECTRUM_TOL
+    spins = near.shape[1] - 1 - near[:, ::-1].argmax(axis=1)
+    return list(zip([report.graph] * len(nus), nus.tolist(), report.eig[nus, starts].tolist(),
+                    counts.tolist(), spins.tolist()))
 
 
 def identify_ade(A: np.ndarray) -> str | None:

@@ -477,6 +477,15 @@ def test_a_superscript_digit_is_no_number(capsys, argv, message):
     assert run(capsys, *argv) == (2, "", f"error: {message}\n")
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("gram", "--level", "-1", "--theta", "id"), "su2 level out of range: -1"),
+    (("gram", "--level", "0", "--theta", "id+l1"), "su2 level out of range: 0"),
+], ids=["negative", "zero"])
+def test_gram_checks_the_level_before_the_theta(capsys, argv, message):
+    # each theta is valid at some level; the level is what is out of range
+    assert run(capsys, *argv) == (2, "", f"error: {message}\n")
+
+
 @pytest.mark.parametrize("argv, k", [
     (("graph-algebra", "--graph", "A66", "--json"), 65),
     (("graph-algebra", "--graph", "D40", "--json"), 76),

@@ -352,8 +352,9 @@ def test_generating_labels_equal_the_greedy_loop_on_random_tensors(T):
 
 
 def test_generating_labels_guard_only_the_rows_they_read():
-    """A row whose int64 sums could overflow makes every label a generator
-    when it is read, and changes nothing when it is not."""
+    """A row is read as its residues modulo p, whatever the size of its
+    entries: the generators are those of the residue tensor, and only their
+    rows are read."""
     reads = []
 
     def rows_of(N):
@@ -362,19 +363,24 @@ def test_generating_labels_guard_only_the_rows_they_read():
             return N[a]
         return row
 
-    for N, gens in ((core.su2_fusion_closed_form(4).N, (1,)),
-                    (_ising_fusion_ring().N, (1, 2))):
+    p = core.GENERATOR_PRIME
+    rng = np.random.default_rng(0)
+    rings = [core.su2_fusion_closed_form(4).N, _ising_fusion_ring().N] + [
+        _commutative_with_unit(rng.integers(0, 3, (5, 5, 5))) for _ in range(8)]
+    for N in rings:
         L = len(N)
-        huge = 2 ** 63 // (L * core.GENERATOR_PRIME) + 1
-        off = N.astype(np.int64)
-        off[0, L - 1, L - 1] = huge  # in the unit's row, which no generator needs
-        reads.clear()
-        assert core.generating_labels(rows_of(off), L) == gens
-        assert set(reads) == set(gens)
-        for g in gens:
-            on = N.astype(np.int64)
-            on[g, 0, 0] = huge
-            assert core.generating_labels(rows_of(on), L) == tuple(range(L))
+        gens = _greedy_generating_labels(N)
+        # the unit's row, which no generator needs, and every entry of the generator rows
+        for a, b, c in [(0, L - 1, L - 1)] + list(itertools.product(gens, range(L), range(L))):
+            for huge in (p << 35, -(p << 34), 2 ** 63 // (L * p) + 1, 2 ** 62 + 1):
+                M = N.astype(np.int64)
+                M[a, b, c] += huge
+                reads.clear()
+                got = core.generating_labels(rows_of(M), L)
+                assert got == _greedy_generating_labels(M % p), (a, b, c, huge)
+                assert sorted(reads) == list(got)
+                if huge % p == 0 or a == 0:
+                    assert got == gens
 
 
 @pytest.mark.parametrize("name", [f"A{n}" for n in range(2, 50)]

@@ -1,4 +1,6 @@
 import dataclasses
+import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from modinv import core, nimrep, search
+from modinv import cli, core, nimrep, search
 
 ALL_GRAPHS = ["A3", "A5", "A9", "A17", "D4", "D5", "D6", "D7", "D8",
               "D10", "D16", "E6", "E7", "E8"]
@@ -148,24 +150,22 @@ def _assert_report_is_the_per_label_check(report, family, md, Z):
         assert report.expected is None
     else:
         assert report.expected.tobytes() == expected.tobytes()
-    assert [e.nu for e in report.entries] == list(range(family.level + 1))
-    assert [e.worst_gap for e in report.entries] == gaps
-    assert [e.matched for e in report.entries] == [g < core.SPECTRUM_TOL for g in gaps]
+    assert report.gaps.tolist() == gaps
+    assert report.matched_by_nu.tolist() == [g < core.SPECTRUM_TOL for g in gaps]
 
 
 def _spectrum_csv_rows_by_dict(report, md):
     """Rows grouped in a dict keyed by the expected value rounded to 9
     decimals, then sorted: the reference for ``nimrep.spectrum_csv_rows``."""
     rows = []
-    for entry, eig, expected in zip(report.entries, report.eig.tolist(),
-                                    report.expected.tolist()):
-        chars = nimrep.character_table(md)[:, entry.nu].tolist()
+    for nu, (eig, expected) in enumerate(zip(report.eig.tolist(), report.expected.tolist())):
+        chars = nimrep.character_table(md)[:, nu].tolist()
         spin = {round(x, 9): lam for lam, x in enumerate(chars)}
         seen = {}
         for val, exp in zip(eig, expected):
             seen.setdefault(round(exp, 9), []).append(val)
         for key, vals in sorted(seen.items()):
-            rows.append((report.graph, entry.nu, vals[0], len(vals), spin[key]))
+            rows.append((report.graph, nu, vals[0], len(vals), spin[key]))
     return rows
 
 
@@ -198,37 +198,53 @@ def test_spectrum_size_mismatch_equals_the_per_label_check():
     report = nimrep.spectrum_vs_diagonal(family, Z)
     _assert_report_is_the_per_label_check(report, family, md, Z)
     assert report.expected is None
-    assert all(e.worst_gap == float("inf") for e in report.entries)
+    assert report.gaps.tolist() == [float("inf")] * (family.level + 1)
     assert nimrep.spectrum_csv_rows(report) == []
 
 
-def _assert_round9_is_round(x):
-    x = np.asarray(x, dtype=np.float64)
-    want = np.array([round(v, 9) for v in x.ravel().tolist()]).reshape(x.shape)
-    assert nimrep._round9(x).tobytes() == want.tobytes()  # bitwise: signed zeros too
-
-
-def test_round9_equals_round_on_the_su2_character_tables():
+def test_tolerance_classes_are_the_rounded_classes_on_the_whole_domain():
+    """At every level k <= SU2_LEVEL_MAX and every nu, the labels grouped by
+    round(chi_l(nu), 9) are the classes of sorted characters chained within
+    SPECTRUM_TOL, by a wide margin on both sides."""
+    spread, gap = 0.0, float("inf")
     for k in range(1, core.SU2_LEVEL_MAX + 1):
-        _assert_round9_is_round(nimrep.character_table(core.su2_modular_data(k)))
+        table = nimrep.character_table(core.su2_modular_data(k))
+        for nu in range(k + 1):
+            chars = table[:, nu].tolist()
+            order = sorted(range(k + 1), key=chars.__getitem__)
+            by_round, by_tol = {}, []
+            for lam in order:
+                by_round.setdefault(round(chars[lam], 9), []).append(lam)
+                if by_tol and chars[lam] - chars[by_tol[-1][-1]] <= core.SPECTRUM_TOL:
+                    by_tol[-1].append(lam)
+                else:
+                    by_tol.append([lam])
+            assert sorted(by_round.values()) == sorted(by_tol), (k, nu)
+            values = [sorted(chars[lam] for lam in cls) for cls in by_tol]
+            spread = max([spread] + [v[-1] - v[0] for v in values])
+            gap = min([gap] + [b[0] - a[-1] for a, b in zip(values, values[1:])])
+    assert spread < core.SPECTRUM_TOL / 100
+    assert gap > 10 * core.SPECTRUM_TOL
 
 
-def test_round9_breaks_exact_ties_to_even():
-    # 2^-10 = 0.0009765625 and 3 * 2^-10 = 0.0029296875 end in an exact 5
-    assert nimrep._round9(np.array([2.0 ** -10, 3 * 2.0 ** -10, -(2.0 ** -10)])).tolist() \
-        == [0.000976562, 0.002929688, -0.000976562]
-
-
-@settings(derandomize=True, max_examples=300)
-@given(st.lists(st.one_of(
-    st.floats(allow_nan=False, allow_infinity=False),
-    st.floats(-2e3, 2e3),
-    # m 2^-10 with m odd has an exact 5 in its tenth decimal: a tie
-    st.integers(-2 ** 40, 2 ** 40).map(lambda m: m * 2.0 ** -10),
-    # within a few ulps of a tie, on either side
-    st.integers(-10 ** 12, 10 ** 12).map(lambda n: (n + 0.5) / 1e9)), min_size=1))
-def test_round9_equals_round_on_floats_and_exact_halves(xs):
-    _assert_round9_is_round(xs)
+def test_oversized_diagonal_is_refused_before_the_multiset_is_built(capsys, tmp_path):
+    # the expected multiset of diag(1, 1, 10^12) would take 24 TB
+    Z = search.MassMatrix(np.diag([1, 1, 10 ** 12]))
+    family = nimrep.fused_adjacencies(nimrep.ade_graph("A3"))
+    path = tmp_path / "z.json"
+    path.write_text(json.dumps({"Z": Z.Z.tolist()}))
+    tracemalloc.start()
+    try:
+        report = nimrep.spectrum_vs_diagonal(family, Z)
+        code = cli.main(["nimrep", "--graph", "A3", "--invariant", str(path), "--csv"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.expected is None
+    assert report.gaps.tolist() == [float("inf")] * 3
+    assert nimrep.spectrum_csv_rows(report) == []
+    assert (code, capsys.readouterr().out) == (1, "graph,nu,eigenvalue,multiplicity,matched_spin\n")
+    assert peak < 5 * 10 ** 6
 
 
 def test_fused_adjacencies_are_one_read_only_array():
