@@ -53,7 +53,7 @@ from .chiral import (
     sector_counts,
     chiral_table,
 )
-from .dot import GraphDocument, GraphVertex, emit_dot
+from .dot import emit_dot
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

@@ -225,17 +225,8 @@ def cmd_gram(args) -> int:
     return EXIT_OK
 
 
-def _case_document(name: str) -> dot.GraphDocument:
-    if name == "trivial":
-        return dot.trivial_document()
-    graph = nimrep.ade_graph(name)
-    if graph.case == "D_odd":
-        return dot.dodd_fusion_document(graph.level)
-    return dot.ade_document(graph)
-
-
 def cmd_emit_graph(args) -> int:
-    text = dot.emit_dot(_case_document(args.case))
+    text = dot.emit_dot(args.case)
     out = args.out
     outdir = os.environ.get("MODINV_OUTDIR")
     if outdir and not os.path.isabs(out):

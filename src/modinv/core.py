@@ -50,13 +50,12 @@ class RoundingError(ValueError):
 
 @dataclass(frozen=True)
 class FusionRing:
-    """The label names and the non-negative integer fusion tensor.
+    """The non-negative integer fusion tensor of a ring with labels 0 .. L-1.
 
     ``N[a, b, c]`` is the multiplicity of label c in the product a x b.  The
     conjugate of a is the one label b with N[a, b, 0] = 1.
     """
 
-    labels: tuple[str, ...]
     N: np.ndarray
 
     def __post_init__(self):
@@ -64,7 +63,7 @@ class FusionRing:
 
     @property
     def size(self) -> int:
-        return len(self.labels)
+        return len(self.N)
 
     def validate(self) -> None:
         """Assert the ring axioms exactly on the integer tensor.
@@ -376,7 +375,7 @@ def su2_fusion_closed_form(k: int) -> FusionRing:
     a, b, c = np.ogrid[:L, :L, :L]
     N = ((abs(a - b) <= c) & (c <= np.minimum(a + b, 2 * k - a - b))
          & ((a + b + c) % 2 == 0)).astype(int)
-    return FusionRing(labels=tuple(map(str, range(L))), N=N)
+    return FusionRing(N=N)
 
 
 def _sun_partitions(n: int, k: int) -> np.ndarray:
@@ -577,7 +576,7 @@ def verlinde_fusion(md: ModularData) -> FusionRing:
     N = np.empty((L, L, L), dtype=np.int64)
     for a in range(L):
         N[a] = _verlinde_row(U, a)
-    ring = FusionRing(labels=md.labels, N=N)
+    ring = FusionRing(N=N)
     ring.validate()
     return ring
 
@@ -659,9 +658,12 @@ def modular_data_from_json(doc: dict) -> ModularData:
     The one library entry point that no command calls, kept because it is
     the inverse of ``modular_data_to_json``: it reads modular data from
     outside the program, so it refuses a document whose parts disagree
-    instead of trusting it.
+    instead of trusting it, and one with more than SUN_LABEL_MAX labels,
+    the bound every builder keeps, before it builds any array.
     """
     L = len(doc["labels"])
+    if L > SUN_LABEL_MAX:
+        raise UsageError(f"imported data has {L} labels, beyond {SUN_LABEL_MAX}")
     sizes = [len(doc["S"]), *map(len, doc["S"]), len(doc["T_phases"]), len(doc["dims"])]
     if any(n != L for n in sizes):
         raise ValueError(f"imported S, T_phases and dims do not all have {L} entries")

@@ -7,95 +7,51 @@ even vertices a filled style, mirroring the usual figure conventions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .core import su2_modular_data, verlinde_fusion
-from .nimrep import AdeGraph, _depths
+from .nimrep import _depths, ade_graph
 from .search import su2_branching
 
 
-@dataclass(frozen=True)
-class GraphVertex:
-    id: int
-    label: str
-    even: bool = False
-    ambichiral: bool = False
+def emit_dot(case: str) -> str:
+    """Deterministic DOT text of "trivial" (the one ambichiral vacuum) or a diagram.
 
-
-@dataclass(frozen=True)
-class GraphDocument:
-    vertices: tuple[GraphVertex, ...]
-    solid_edges: tuple[tuple[int, int, int], ...]   # (a, b, multiplicity)
-    dotted_edges: tuple[tuple[int, int, int], ...]
-
-    def validate(self) -> None:
-        ids = {v.id for v in self.vertices}
-        for a, b, mult in self.solid_edges + self.dotted_edges:
-            if a not in ids or b not in ids:
-                raise ValueError(f"edge ({a},{b}) references an undeclared vertex")
-            if mult <= 0:
-                raise ValueError("edge multiplicities must be positive")
-
-
-def _edges_from_adjacency(A: np.ndarray):
-    return tuple((a, b, int(A[a, b])) for a, b in np.argwhere(np.triu(A)).tolist())
-
-
-def ade_document(graph: AdeGraph) -> GraphDocument:
-    """The plain Dynkin diagram, solid edges only, parity flags from bipartition."""
-    depth = _depths(graph.adjacency)
-    vertices = tuple(
-        GraphVertex(id=i, label=str(i), even=(depth[i] % 2 == 0))
-        for i in range(graph.num_vertices))
-    return GraphDocument(vertices=vertices,
-                         solid_edges=_edges_from_adjacency(graph.adjacency),
-                         dotted_edges=())
-
-
-def dodd_fusion_document(k: int) -> GraphDocument:
-    """Simultaneous fusion graph of the two chiral generators at level k = 2 mod 4.
-
-    Vertices are the k+1 induced sectors; solid edges are the N_1 adjacency
-    (a path) and dotted edges the N_{k-1} adjacency, both read from the
-    validated Verlinde ring that ``fusion`` prints.  All vertices are
-    ambichiral for these permutation invariants.
+    A Dynkin diagram is drawn plain: solid edges only, parity flags from its
+    bipartition.  A D_odd diagram at level k = 2 mod 4 is drawn as the
+    simultaneous fusion graph of the two chiral generators: the k+1 induced
+    sectors, all ambichiral for these permutation invariants, with solid edges
+    the N_1 adjacency (a path) and dotted edges the N_{k-1} adjacency, both read
+    from the validated Verlinde ring that ``fusion`` prints.
     """
-    branching = su2_branching("D_odd", k)  # raises BranchingError off levels 2 mod 4
-    ring = verlinde_fusion(su2_modular_data(k))
-    vertices = tuple(
-        GraphVertex(id=j, label="id" if j == 0 else f"{name}+",
-                    even=(j % 2 == 0), ambichiral=True)
-        for j, name in enumerate(branching.labels))
-    return GraphDocument(
-        vertices=vertices,
-        solid_edges=_edges_from_adjacency(ring.N[1]),
-        dotted_edges=_edges_from_adjacency(ring.N[k - 1]),
-    )
+    if case == "trivial":
+        none = np.zeros((1, 1), dtype=int)
+        return _emit(["id"], [True], True, none, none)
+    graph = ade_graph(case)
+    A = graph.adjacency
+    if graph.case != "D_odd":
+        labels = [str(i) for i in range(len(A))]
+        return _emit(labels, (_depths(A) % 2 == 0).tolist(), False, A, np.zeros_like(A))
+    k = graph.level
+    names = su2_branching("D_odd", k).labels
+    N = verlinde_fusion(su2_modular_data(k)).N
+    labels = ["id"] + [f"{name}+" for name in names[1:]]
+    return _emit(labels, [j % 2 == 0 for j in range(k + 1)], True, N[1], N[k - 1])
 
 
-def trivial_document() -> GraphDocument:
-    return GraphDocument(vertices=(GraphVertex(0, "id", even=True, ambichiral=True),),
-                         solid_edges=(), dotted_edges=())
-
-
-def emit_dot(doc: GraphDocument) -> str:
-    """Deterministic DOT text: stable ids, label attributes, solid/dashed styles."""
-    doc.validate()
+def _emit(labels, even, ambichiral: bool, solid: np.ndarray, dotted: np.ndarray) -> str:
+    """Vertex v<i> per label, then the upper-triangle edges of solid and of dotted
+    in row-major order; a multiplicity above 1 becomes an edge label."""
+    shape = " shape=doublecircle" if ambichiral else ""
+    fill = ' style=filled fillcolor="gray92"'
     lines = ["graph fusion {", "  node [shape=circle];"]
-    for v in sorted(doc.vertices, key=lambda v: v.id):
-        attrs = [f'label="{v.label}"']
-        if v.ambichiral:
-            attrs.append("shape=doublecircle")
-        if v.even:
-            attrs.append('style=filled fillcolor="gray92"')
-        lines.append(f"  v{v.id} [{' '.join(attrs)}];")
-    for a, b, mult in sorted(doc.solid_edges):
-        extra = f' [label="{mult}"]' if mult > 1 else ""
-        lines.append(f"  v{a} -- v{b}{extra};")
-    for a, b, mult in sorted(doc.dotted_edges):
-        extra = f' label="{mult}"' if mult > 1 else ""
-        lines.append(f"  v{a} -- v{b} [style=dashed{extra}];")
+    lines += [f'  v{i} [label="{label}"{shape}{fill if e else ""}];'
+              for i, (label, e) in enumerate(zip(labels, even))]
+    for A, style in ((solid, []), (dotted, ["style=dashed"])):
+        upper = np.triu(A)
+        for a, b in np.argwhere(upper).tolist():
+            mult = int(upper[a, b])
+            attrs = style + ([f'label="{mult}"'] if mult > 1 else [])
+            lines.append(f"  v{a} -- v{b}" + (f" [{' '.join(attrs)}]" if attrs else "") + ";")
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -13,7 +13,7 @@ import numpy as np
 
 from .core import (ASSERT_TOL, FLOAT_EXACT_MAX, SPECTRUM_TOL, ModularData, UsageError,
                    su2_level, su2_modular_data)
-from .search import MassMatrix, ade_exponent_multiset, diagram_case
+from .search import MassMatrix, diagram_case, su2_branching
 
 
 class NimRepError(ValueError):
@@ -81,8 +81,9 @@ def ade_graph(name: str) -> AdeGraph:
     if kind != "A":
         tail_at = num - 3 if kind == "D" else num - 4
         A[tail_at, num - 1] = A[num - 1, tail_at] = 1
-    g = AdeGraph(name=name, case=case, adjacency=A, coxeter=k + 2,
-                 exponents=ade_exponent_multiset(name))
+    # spin j is an exponent as often as Z[j, j] of the diagram's invariant
+    exponents = tuple(j for j, m in enumerate(su2_branching(case, k).diagonal) for _ in range(m))
+    g = AdeGraph(name=name, case=case, adjacency=A, coxeter=k + 2, exponents=exponents)
     g.validate()
     return g
 

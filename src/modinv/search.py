@@ -430,6 +430,12 @@ class BranchingData:
     def product(self) -> np.ndarray:
         return self.b_plus.T @ self.b_minus
 
+    @property
+    def diagonal(self) -> tuple[int, ...]:
+        """diag(b+^t b-), without the L x L product: spin j is an exponent of the
+        case's diagram this many times."""
+        return tuple((self.b_plus * self.b_minus).sum(axis=0).tolist())
+
 
 def su2_branching(case: str, k: int) -> BranchingData:
     """Ambichiral labels and branching matrices (b+, b-) of an SU(2)_k case.
@@ -492,12 +498,6 @@ def diagram_case(name: str) -> tuple[str, int]:
     return cases[name], su2_level(k)
 
 
-def _diagonal(case: str, k: int) -> np.ndarray:
-    # diag(b+^t b-)[j] = sum_t b+[t, j] b-[t, j], without the L x L product
-    b = su2_branching(case, k)
-    return (b.b_plus * b.b_minus).sum(axis=0)
-
-
 def su2_invariant_matrix(case: str, k: int) -> MassMatrix:
     """The SU(2)_k mass matrix Z = b+^t b- of a branching case.
 
@@ -505,16 +505,6 @@ def su2_invariant_matrix(case: str, k: int) -> MassMatrix:
     the E cases at their exceptional levels SU2_E_LEVELS.
     """
     return MassMatrix(su2_branching(case, k).product())
-
-
-def ade_exponent_multiset(name: str) -> tuple[int, ...]:
-    """Exponents (spin labels, with multiplicity) of the named A-D-E diagram.
-
-    They are the diagonal of the diagram's invariant: spin j appears
-    Z[j, j] times.
-    """
-    diag = _diagonal(*diagram_case(name))
-    return tuple(j for j, m in enumerate(diag.tolist()) for _ in range(m))
 
 
 @dataclass(frozen=True)
@@ -528,7 +518,7 @@ def su2_diagram_with_diagonal(diag: tuple[int, ...]) -> str | None:
     is k = len(diag) - 1."""
     k = len(diag) - 1
     for name, case in su2_diagrams(k):
-        if tuple(_diagonal(case, k).tolist()) == diag:
+        if su2_branching(case, k).diagonal == diag:
             return name
     return None
 

@@ -1,13 +1,14 @@
 import argparse
 import hashlib
 import json
+import re
 import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from modinv import cli, core, dot, nimrep
+from modinv import cli, core, dot, nimrep, search
 
 
 def run(capsys, *argv):
@@ -217,6 +218,56 @@ def test_emit_graph_golden_dot(tmp_path, capsys, case):
     assert hashlib.sha256(out_path.read_bytes()).hexdigest() == GOLDEN_DOT[case]
 
 
+def _reference_dot(case):
+    """DOT text through the document model that emit_dot replaced: a vertex
+    list with parity and ambichiral flags, and sorted (a, b, multiplicity)
+    edge tuples of each style."""
+    def edges(A):
+        return [(a, b, int(A[a, b])) for a, b in np.argwhere(np.triu(A)).tolist()]
+
+    if case == "trivial":
+        vertices, solid, dotted = [(0, "id", True, True)], [], []
+    else:
+        graph = nimrep.ade_graph(case)
+        if graph.case == "D_odd":
+            k = graph.level
+            branching = search.su2_branching("D_odd", k)
+            ring = core.verlinde_fusion(core.su2_modular_data(k))
+            vertices = [(j, "id" if j == 0 else f"{name}+", j % 2 == 0, True)
+                        for j, name in enumerate(branching.labels)]
+            solid, dotted = edges(ring.N[1]), edges(ring.N[k - 1])
+        else:
+            depth = nimrep._depths(graph.adjacency)
+            vertices = [(i, str(i), depth[i] % 2 == 0, False)
+                        for i in range(graph.num_vertices)]
+            solid, dotted = edges(graph.adjacency), []
+    lines = ["graph fusion {", "  node [shape=circle];"]
+    for i, label, even, ambichiral in sorted(vertices):
+        attrs = [f'label="{label}"']
+        if ambichiral:
+            attrs.append("shape=doublecircle")
+        if even:
+            attrs.append('style=filled fillcolor="gray92"')
+        lines.append(f"  v{i} [{' '.join(attrs)}];")
+    for a, b, mult in sorted(solid):
+        extra = f' [label="{mult}"]' if mult > 1 else ""
+        lines.append(f"  v{a} -- v{b}{extra};")
+    for a, b, mult in sorted(dotted):
+        extra = f' label="{mult}"' if mult > 1 else ""
+        lines.append(f"  v{a} -- v{b} [style=dashed{extra}];")
+    lines.append("}")
+    return "\n".join(lines) + "\n"
+
+
+ALL_DIAGRAMS = ([f"A{n}" for n in range(2, 66)] + [f"D{n}" for n in range(4, 35)]
+                + ["E6", "E7", "E8"])
+
+
+@pytest.mark.parametrize("case", ["trivial"] + ALL_DIAGRAMS)
+def test_emit_dot_equals_the_document_model(case):
+    assert dot.emit_dot(case) == _reference_dot(case)
+
+
 def test_emit_graph_outdir_env(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("MODINV_OUTDIR", str(tmp_path))
     code, _, _ = run(capsys, "emit-graph", "--case", "trivial", "--out", "t.dot")
@@ -225,14 +276,14 @@ def test_emit_graph_outdir_env(tmp_path, capsys, monkeypatch):
 
 
 def test_dodd_dotted_graph_isomorphic_to_path():
-    doc = dot.dodd_fusion_document(6)
-    k = 6
+    k = 6  # D5
     A = np.zeros((k + 1, k + 1), dtype=int)
-    for a, b, mult in doc.dotted_edges:
-        A[a, b] = A[b, a] = mult
+    dashed = re.findall(r'v(\d+) -- v(\d+) \[style=dashed(?: label="(\d+)")?\];',
+                        dot.emit_dot("D5"))
+    for a, b, mult in dashed:
+        A[int(a), int(b)] = A[int(b), int(a)] = int(mult or 1)
     assert nimrep.identify_ade(A) == "A7"
     # the mirror relabeling maps dotted edges onto the solid path exactly
-    from modinv import search
     pi = search.permutation_criterion(
         core.su2_modular_data(k), search.su2_invariant_matrix("D_odd", k))
     P = np.zeros((k + 1, k + 1), dtype=int)
@@ -516,14 +567,6 @@ def test_large_sun_refused_before_enumerating_labels(capsys, monkeypatch, n, k):
     code, out, err = run(capsys, "show", "--family", f"su{n}", "--level", str(k))
     assert code == 2
     assert out == "" and err.startswith("error: ")
-
-
-def test_document_validation():
-    bad = dot.GraphDocument(
-        vertices=(dot.GraphVertex(0, "x"),),
-        solid_edges=((0, 1, 1),), dotted_edges=())
-    with pytest.raises(ValueError):
-        dot.emit_dot(bad)
 
 
 COMMAND_NAMES = ["show", "fusion", "invariants", "catalog", "nimrep", "graph-algebra",

@@ -186,7 +186,7 @@ def _cyclic_group_ring(n):
     g = np.arange(n)
     N = np.zeros((n, n, n), dtype=int)
     N[g[:, None], g, (g[:, None] + g) % n] = 1
-    ring = core.FusionRing(labels=tuple(f"g{i}" for i in g), N=N)
+    ring = core.FusionRing(N=N)
     ring.validate()
     return ring
 
@@ -198,7 +198,7 @@ def _ising_fusion_ring():
     N[1, 1, 0] = N[1, 0, 1] = N[0, 1, 1] = 1
     N[1, 2, 2] = N[2, 1, 2] = N[2, 2, 1] = 1
     N[2, 0, 2] = N[0, 2, 2] = N[2, 2, 0] = 1
-    ring = core.FusionRing(labels=("id", "eta", "sigma"), N=N)
+    ring = core.FusionRing(N=N)
     ring.validate()
     return ring
 
@@ -405,7 +405,7 @@ def test_validate_rejects_non_associative_ring():
     N = np.zeros((3, 3, 3), dtype=int)
     N[0] = N[:, 0] = np.eye(3, dtype=int)
     N[1, 1, 0] = N[2, 2, 0] = 1
-    ring = core.FusionRing(labels=tuple(map(str, range(3))), N=N)
+    ring = core.FusionRing(N=N)
     with pytest.raises(ValueError, match="not associative"):
         ring.validate()
 
@@ -420,7 +420,7 @@ def test_validate_rejects_bad_vacuum_couplings(vacuum):
     N = np.zeros((3, 3, 3), dtype=int)
     N[0] = N[:, 0] = np.eye(3, dtype=int)
     N[:, :, 0] = vacuum
-    ring = core.FusionRing(labels=tuple(map(str, range(3))), N=N)
+    ring = core.FusionRing(N=N)
     with pytest.raises(ValueError, match="duality map inconsistent with vacuum couplings"):
         ring.validate()
 
@@ -669,8 +669,8 @@ def _is_dimension_function(ring, dims):
     return bool(np.max(np.abs(np.outer(d, d) - prod)) < core.ASSERT_TOL * max(1.0, d.max() ** 2))
 
 
-def _modular_data_from_twists(ring, twists, dims):
-    """S = w^{-1/2} Y and T from a fusion ring, its twists and dimensions, with
+def _modular_data_from_twists(ring, labels, twists, dims):
+    """S = w^{-1/2} Y and T from a fusion ring, its label names, twists and dimensions, with
     Y[a, b] = sum_c (omega_a omega_b / omega_c) N[a, b, c] d_c: an independent
     construction of the modular data, flagged degenerate when S fails
     unitarity."""
@@ -683,7 +683,7 @@ def _modular_data_from_twists(ring, twists, dims):
     Y = np.einsum("a,b,c,abc->ab", twists, twists, dims / twists, ring.N.astype(float))
     w = float(dims @ dims)
     c = core._central_charge_from_twists(twists, dims)
-    return core.ModularData(family="custom", level=0, labels=ring.labels, S=Y / math.sqrt(w),
+    return core.ModularData(family="custom", level=0, labels=labels, S=Y / math.sqrt(w),
                             T=np.diag(np.exp(-1j * np.pi * c / 12.0) * twists),
                             twists=twists, dims=dims, global_index=w, central_charge=c)
 
@@ -691,7 +691,7 @@ def _modular_data_from_twists(ring, twists, dims):
 def test_ising_from_twists_matches_closed_form():
     md = core.ising_modular_data()
     ring = _ising_fusion_ring()
-    built = _modular_data_from_twists(ring, md.twists, md.dims)
+    built = _modular_data_from_twists(ring, md.labels, md.twists, md.dims)
     assert np.max(np.abs(built.S - md.S)) < 1e-9
     assert np.max(np.abs(built.T - md.T)) < 1e-9
 
@@ -721,22 +721,21 @@ def test_from_twists_rejects_bad_dims():
     ring = _ising_fusion_ring()
     md = core.ising_modular_data()
     with pytest.raises(ValueError, match="dimension function"):
-        _modular_data_from_twists(ring, md.twists, [1.0, 1.0, 1.0])
+        _modular_data_from_twists(ring, md.labels, md.twists, [1.0, 1.0, 1.0])
 
 
 def test_from_twists_reproduces_su2_s_matrix():
     k = 7
     md = core.su2_modular_data(k)
     ring = core.su2_fusion_closed_form(k)
-    built = _modular_data_from_twists(ring, md.twists, md.dims)
+    built = _modular_data_from_twists(ring, md.labels, md.twists, md.dims)
     assert np.max(np.abs(built.S - md.S)) < 1e-9
     assert not built.degenerate
 
 
 def test_trivial_ring_from_twists():
-    ring = _cyclic_group_ring(2)
-    one = core.FusionRing(labels=ring.labels[:1], N=np.ones((1, 1, 1), dtype=int))
-    built = _modular_data_from_twists(one, [1.0], [1.0])
+    one = core.FusionRing(N=np.ones((1, 1, 1), dtype=int))
+    built = _modular_data_from_twists(one, ("g0",), [1.0], [1.0])
     assert built.S[0, 0] == 1
     assert built.global_index == 1.0
     assert built.central_charge == 0.0
@@ -757,7 +756,8 @@ def test_group_dual_from_twists_degenerate_rank_one():
     # S is rank one whichever scale convention is used
     n = 5
     ring = _cyclic_group_ring(n)
-    built = _modular_data_from_twists(ring, np.ones(n), np.ones(n))
+    labels = tuple(f"g{i}" for i in range(n))
+    built = _modular_data_from_twists(ring, labels, np.ones(n), np.ones(n))
     assert built.degenerate
     assert np.linalg.matrix_rank(built.S) == 1
     assert np.max(np.abs(built.S * np.sqrt(n) - np.outer(np.ones(n), np.ones(n)))) < 1e-12
@@ -922,6 +922,24 @@ def test_json_import_validates():
     doc["dims"][1] = 3.0
     with pytest.raises(ValueError):
         core.modular_data_from_json(doc)
+
+
+def _group_dual_json(n):
+    """The JSON document of the Z_n group dual, written without its builder."""
+    entry = {"re": float(core.sig12(1.0 / n)), "im": 0.0}
+    return {"family": "group", "level": n, "labels": [f"g{i}" for i in range(n)],
+            "S": [[entry] * n for _ in range(n)], "T_phases": [{"re": 1.0, "im": 0.0}] * n,
+            "dims": [1.0] * n, "w": float(n), "c": 0.0}
+
+
+def test_json_import_keeps_the_label_bound():
+    n = core.SUN_LABEL_MAX
+    doc = _group_dual_json(n)
+    assert doc == core.modular_data_to_json(core.cyclic_group_modular_data(n))
+    assert core.modular_data_from_json(doc).size == n
+    with pytest.raises(core.UsageError) as exc:
+        core.modular_data_from_json(_group_dual_json(n + 1))
+    assert str(exc.value) == "imported data has 401 labels, beyond 400"
 
 
 @pytest.mark.parametrize("cut", [
