@@ -17,7 +17,7 @@ reproduces the summary table of the SU(2) classification.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, astuple, dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
@@ -34,10 +34,7 @@ from .search import (
     BranchingData,
     BranchingError,
     MassMatrix,
-    diagram_case,
     su2_ade_catalog,
-    su2_branching,
-    su2_diagram_with_diagonal,
 )
 from .nimrep import identify_ade
 
@@ -225,21 +222,21 @@ def verify_factorization(Z: MassMatrix, b: BranchingData) -> bool:
     return bool(np.array_equal(b.product(), Z.Z))
 
 
-def gamma01_name(b: BranchingData) -> str:
+def gamma01_name(b: BranchingData, diagrams: dict) -> str:
     """Gamma01, the fusion graph of the chiral generator, named from b+.
 
     The chiral branching coefficients b+[t, l] are the dimensions of the
     irreducible representations of the chiral fusion rule algebra, so
     chi_l appears sum_t b+[t, l]^2 times in the spectrum of the chiral
     system: Gamma01 is the level-k diagram with that exponent diagonal,
-    where b+ has a column per spin 0..k.
+    where b+ has a column per spin 0..k.  ``diagrams`` maps the level's
+    diagonals to their diagrams, as ``search.su2_diagram_table`` does.
     """
     squares = tuple((b.b_plus ** 2).sum(axis=0).tolist())
-    name = su2_diagram_with_diagonal(squares)
-    if name is None:
+    if squares not in diagrams:
         raise BranchingError(f"level {len(squares) - 1}: chiral multiplicities {squares} "
                              "match no diagram")
-    return name
+    return diagrams[squares][0]
 
 
 # ---------------------------------------------------------------------------
@@ -311,15 +308,18 @@ def chiral_table(kmax: int) -> list[ChiralRow]:
     rows = []
     for k in range(1, kmax + 1):
         md = su2_modular_data(k)
-        for named in su2_ade_catalog(md):
-            b = su2_branching(diagram_case(named.name)[0], k)
+        catalog = su2_ade_catalog(md)
+        # the catalog holds every level-k diagram, so Gamma01 is named from it
+        diagrams = {named.Z.diagonal: (named.name, named.branching) for named in catalog}
+        for named in catalog:
+            b = named.branching
             if not verify_factorization(named.Z, b):
                 raise BranchingError(f"{named.name} at level {k}: factorization failed")
             rows.append(ChiralRow(
                 name=named.name,
                 level=k,
                 counts=sector_counts(named.Z, b),
-                gamma01=gamma01_name(b),
+                gamma01=gamma01_name(b, diagrams),
                 Z=named.Z,
                 branching=b,
                 indices=chiral_indices(md, named.Z),
@@ -341,7 +341,8 @@ def dossier(row: ChiralRow) -> dict:
         "w": float(sig12(idx.w)),
         "wPlus": float(sig12(idx.w_plus)),
         "w0": float(sig12(idx.w_zero)),
-        "counts": asdict(row.counts),
+        "counts": {"mm": row.counts.mm, "mn": row.counts.mn, "chiral": row.counts.chiral,
+                   "ambi": row.counts.ambi},
     }
 
 

@@ -5,14 +5,21 @@ returns 0 or 1 for its result and raises on an error; main alone maps the
 error to its code, 2 for a UsageError and 1 otherwise.  All numeric
 output is printed with 12 significant digits and JSON/CSV output is
 byte-stable across runs.
+
+A handler builds and checks every record before it writes its first byte,
+so a command that fails writes nothing on stdout.  Only the formatting is
+streamed: the documents are written a piece at a time, so the memory they
+take beyond the data the command needs is about one piece.
 """
 
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
 import sys
+from collections.abc import Iterator
 
 import numpy as np
 
@@ -23,11 +30,56 @@ EXIT_VERIFY = 1
 EXIT_USAGE = 2
 
 
+CSV_CHUNK_ROWS = 256  # CSV rows formatted and written by one write
+
+
 def _print_csv(header: str, rows) -> None:
-    """One print of a CSV table: floats by core.sig12, every other cell by str."""
-    lines = [header] + [",".join(core.sig12(x) if isinstance(x, float) else str(x) for x in row)
-                        for row in rows]
-    print("\n".join(lines))
+    """Print a CSV table, floats by core.sig12 and every other cell by str.
+
+    ``rows`` may be any iterable; it is formatted and written CSV_CHUNK_ROWS
+    rows at a time.
+    """
+    write = sys.stdout.write
+    write(header)
+    rows = iter(rows)
+    while chunk := list(itertools.islice(rows, CSV_CHUNK_ROWS)):
+        write("".join("\n" + ",".join(core.sig12(x) if isinstance(x, float) else str(x)
+                                      for x in row) for row in chunk))
+    write("\n")
+
+
+def _print_json(doc: dict) -> None:
+    """Print core.dumps_deterministic(doc), one piece of a list at a time.
+
+    A member whose value is an iterator stands for a list: it yields the
+    list's elements in pieces, each a list of consecutive elements, and each
+    piece is encoded by dumps_deterministic and written before the next one
+    is built.  A piece holds as many elements as one record of its producer,
+    such as the fusion triples of one label, so encoding stays one C call
+    per record.  Every other member is encoded whole.
+    """
+    write = sys.stdout.write
+    write("{")
+    for i, key in enumerate(sorted(doc)):
+        write(("," if i else "") + core.dumps_deterministic(key) + ":")
+        value = doc[key]
+        if not isinstance(value, Iterator):
+            write(core.dumps_deterministic(value))
+            continue
+        write("[")
+        sep = ""
+        for piece in value:
+            if piece:
+                # "[e1,...,en]" without its brackets is the piece's share of the list
+                write(sep + core.dumps_deterministic(piece)[1:-1])
+                sep = ","
+        write("]")
+    write("}\n")
+
+
+def _one_per_piece(records) -> Iterator[list]:
+    """The pieces of a list whose records are written one at a time."""
+    return ([record] for record in records)
 
 
 # --family name -> modular data at a level; every family but ising needs one.
@@ -51,8 +103,9 @@ def _load_family(args) -> core.ModularData:
 def cmd_show(args) -> int:
     md = _load_family(args)
     if args.json:
-        print(core.dumps_deterministic(core.modular_data_to_json(md)))
+        _print_json(core.modular_data_to_json(md, rows=_one_per_piece))
         return EXIT_OK
+    checks = core.check_modular(md)
     print(f"family={md.family} level={md.level} labels={md.size}")
     print(f"w={core.sig12(md.global_index)} c={core.sig12(md.central_charge)} "
           f"degenerate={md.degenerate}")
@@ -60,25 +113,30 @@ def cmd_show(args) -> int:
         tw = md.twists[i]
         print(f"  {lab}: d={core.sig12(md.dims[i])} "
               f"twist=({core.sig12(tw.real)},{core.sig12(tw.imag)})")
-    checks = core.check_modular(md)
     print("modular checks:", checks.summary())
     return EXIT_OK if (checks.passed or md.degenerate) else EXIT_VERIFY
+
+
+def _fusion_triples(N: np.ndarray) -> Iterator[list]:
+    """[a, b, c, N[a, b, c]] for every nonzero entry in row-major order, one
+    list per label a."""
+    for a, Na in enumerate(N):
+        nonzero = Na != 0
+        bc = np.argwhere(nonzero)
+        yield np.column_stack([np.full(len(bc), a), bc, Na[nonzero]]).tolist()
 
 
 def cmd_fusion(args) -> int:
     md = _load_family(args)
     ring = core.verlinde_fusion(md)
-    # [a, b, c, N[a, b, c]] for every nonzero entry, in row-major order
-    nonzero = ring.N != 0
-    triples = np.column_stack([np.argwhere(nonzero), ring.N[nonzero]]).tolist()
     if args.json:
-        doc = {"family": md.family, "level": md.level, "labels": list(md.labels),
-               "N": triples}
-        print(core.dumps_deterministic(doc))
+        _print_json({"family": md.family, "level": md.level, "labels": list(md.labels),
+                     "N": _fusion_triples(ring.N)})
         return EXIT_OK
-    for a, b, c, m in triples:
-        mult = "" if m == 1 else f" x{m}"
-        print(f"  {md.labels[a]} . {md.labels[b]} -> {md.labels[c]}{mult}")
+    labels = md.labels
+    for piece in _fusion_triples(ring.N):
+        sys.stdout.write("".join(f"  {labels[a]} . {labels[b]} -> {labels[c]}"
+                                 f"{'' if m == 1 else f' x{m}'}\n" for a, b, c, m in piece))
     return EXIT_OK
 
 
@@ -93,15 +151,15 @@ def cmd_invariants(args) -> int:
     md = _load_family(args)
     found = search.enumerate_invariants(md, budget=args.budget)
     # enumerate_invariants has verified every result a posteriori
-    entries = [_invariant_record(search.su2_diagram_with_diagonal(Z.diagonal)
-                                 if md.family == "su2" else None, Z, md) for Z in found]
+    names = ({diag: name for diag, (name, _) in search.su2_diagram_table(md.level).items()}
+             if md.family == "su2" else {})
+    entries = [_invariant_record(names.get(Z.diagonal), Z, md) for Z in found]
     status = EXIT_OK if found.complete else EXIT_VERIFY
     if not found.complete:
         print("warning: search incomplete (node budget exhausted)", file=sys.stderr)
     if args.json:
-        doc = {"family": md.family, "level": md.level, "complete": found.complete,
-               "invariants": entries}
-        print(core.dumps_deterministic(doc))
+        _print_json({"family": md.family, "level": md.level, "complete": found.complete,
+                     "invariants": entries})
         return status
     print(f"{len(found)} invariant(s) at {md.family} level {md.level} "
           f"(complete={found.complete})")
@@ -114,9 +172,8 @@ def cmd_catalog(args) -> int:
     md = core.su2_modular_data(args.level)
     named = search.su2_ade_catalog(md, budget=args.budget)
     if args.json:
-        doc = {"family": "su2", "level": args.level,
-               "invariants": [_invariant_record(ni.name, ni.Z, md) for ni in named]}
-        print(core.dumps_deterministic(doc))
+        _print_json({"family": "su2", "level": args.level,
+                     "invariants": [_invariant_record(ni.name, ni.Z, md) for ni in named]})
         return EXIT_OK
     for ni in named:
         print(f"{ni.name}: diag={list(ni.Z.diagonal)} sumsq={ni.Z.sum_of_squares}")
@@ -166,25 +223,25 @@ def cmd_graph_algebra(args) -> int:
     if args.csv:
         _print_csv("graph,a,b,c,value,rounded,flag", graph_algebra.csv_rows(fusion))
         return EXIT_OK
+    associative = fusion.associative() if fusion.positive else None
     if args.json:
-        doc = {"graph": fusion.graph, "positive": fusion.positive,
-               "worst_negative": float(core.sig12(fusion.worst_negative)),
-               "integrality_gap": float(core.sig12(fusion.integrality_gap)),
-               "associative": fusion.associative() if fusion.positive else None}
-        print(core.dumps_deterministic(doc))
+        _print_json({"graph": fusion.graph, "positive": fusion.positive,
+                     "worst_negative": float(core.sig12(fusion.worst_negative)),
+                     "integrality_gap": float(core.sig12(fusion.integrality_gap)),
+                     "associative": associative})
         return EXIT_OK
     verdict = "positive fusion rules" if fusion.positive else "negative entries"
     print(f"{fusion.graph}: {verdict}; worst entry {core.sig12(fusion.worst_negative)}; "
           f"base vertex {gauge.base}")
     if fusion.positive:
-        print(f"  associative: {fusion.associative()}")
+        print(f"  associative: {associative}")
     return EXIT_OK
 
 
 def cmd_chiral_table(args) -> int:
     rows = chiral.chiral_table(args.max_level)
     if args.json:
-        print(core.dumps_deterministic({"rows": [chiral.dossier(r) for r in rows]}))
+        _print_json({"rows": _one_per_piece(map(chiral.dossier, rows))})
         return EXIT_OK
     if args.csv:
         _print_csv("name,level,mm,mn,chiral,ambi,gamma01", chiral.table_csv_rows(rows))

@@ -639,12 +639,15 @@ def _complex_entry(z) -> dict:
     return {"re": float(sig12(z.real)), "im": float(sig12(z.imag))}
 
 
-def modular_data_to_json(md: ModularData) -> dict:
+def modular_data_to_json(md: ModularData, rows=list) -> dict:
+    """The JSON document of md.  Its "S" is ``rows`` applied to a generator
+    of the rows of S: a list by default, and for ``show --json`` the pieces
+    in which the CLI writes S one row at a time."""
     return {
         "family": md.family,
         "level": md.level,
         "labels": list(md.labels),
-        "S": [[_complex_entry(z) for z in row] for row in md.S],
+        "S": rows([_complex_entry(z) for z in row] for row in md.S),
         "T_phases": [_complex_entry(md.T[i, i]) for i in range(md.size)],
         "dims": [float(sig12(d)) for d in md.dims],
         "w": float(sig12(md.global_index)),
@@ -701,6 +704,13 @@ def _validate_modular_data(md: ModularData) -> None:
         raise ValueError("imported twists are not unimodular")
 
 
-def dumps_deterministic(doc: dict) -> str:
-    """Byte-stable JSON used by the CLI (sorted keys, 12 significant digits)."""
-    return json.dumps(doc, sort_keys=True, separators=(",", ":"))
+def dumps_deterministic(value) -> str:
+    """Byte-stable JSON of any JSON value: sorted keys, no spaces.
+
+    Floats are rounded to 12 significant digits by sig12 before they get
+    here.  The CLI encodes its documents with it piece by piece: a whole
+    document is the concatenation of the encodings of its keys, its scalar
+    members and the pieces of its lists, so it never holds more than one
+    piece encoded.
+    """
+    return json.dumps(value, sort_keys=True, separators=(",", ":"))

@@ -136,12 +136,20 @@ def graph_structure_constants(gauge: EigenGauge) -> GraphFusion:
     bytes.
     """
     N = verlinde_sum(gauge.psi, gauge.base)
-    real = N.real
-    if np.max(np.abs(N.imag)) > ROUND_TOL:
+    real, imag = N.real, N.imag
+    worst_imag = float(max(imag.max(), -imag.min()))
+    if worst_imag > ROUND_TOL:
         raise GaugeError(f"{gauge.graph.name}: complex structure constants "
-                         f"(imag {np.max(np.abs(N.imag)):.2e})")
-    rounded = np.round(real)
-    gap = float(np.max(np.abs(real - rounded)))
+                         f"(imag {worst_imag:.2e})")
+    # rounded and its gap one a-slice at a time, so that beside N only the
+    # int tensor and one float slice are alive; a max is the same in any order
+    rounded = np.empty(real.shape, dtype=int)
+    gap = 0.0
+    for a, slice_a in enumerate(real):
+        r = np.round(slice_a)
+        rounded[a] = r
+        r -= slice_a
+        gap = max(gap, float(np.abs(r, out=r).max()))
     worst_neg = float(real.min())
     if gap > ROUND_TOL and worst_neg > -ROUND_TOL:
         raise GaugeError(f"{gauge.graph.name}: entries neither integral nor negative; "
@@ -151,7 +159,7 @@ def graph_structure_constants(gauge: EigenGauge) -> GraphFusion:
         graph=gauge.graph.name,
         base=gauge.base,
         Nhat=N,
-        rounded=rounded.astype(int),
+        rounded=rounded,
         positive=positive,
         worst_negative=worst_neg,
         integrality_gap=gap,
@@ -162,9 +170,13 @@ CSV_FLAGS = np.array(["ok", "frac", "neg"], dtype=object)
 
 
 def csv_rows(fusion: GraphFusion):
-    """Rows (graph, a, b, c, value, rounded, flag) for every structure constant."""
-    val = fusion.Nhat.real
-    flag = np.where(val < -ROUND_TOL, 2, np.where(np.abs(val - fusion.rounded) < ROUND_TOL, 0, 1))
-    abc = np.indices(val.shape).reshape(3, -1).tolist()
-    return list(zip(itertools.repeat(fusion.graph), *abc, val.ravel().tolist(),
-                    fusion.rounded.ravel().tolist(), CSV_FLAGS[flag.ravel()].tolist()))
+    """Rows (graph, a, b, c, value, rounded, flag) for every structure constant,
+    in row-major order, built one a-slice at a time."""
+    V = len(fusion.rounded)
+    b, c = np.indices((V, V)).reshape(2, -1).tolist()
+    graph = itertools.repeat(fusion.graph)
+    for a in range(V):
+        val, rnd = fusion.Nhat[a].real, fusion.rounded[a]
+        flag = np.where(val < -ROUND_TOL, 2, np.where(np.abs(val - rnd) < ROUND_TOL, 0, 1))
+        yield from zip(graph, itertools.repeat(a, V * V), b, c, val.ravel().tolist(),
+                       rnd.ravel().tolist(), CSV_FLAGS[flag.ravel()].tolist())

@@ -511,16 +511,14 @@ def su2_invariant_matrix(case: str, k: int) -> MassMatrix:
 class NamedInvariant:
     name: str
     Z: MassMatrix
+    branching: BranchingData  # the pair (b+, b-) with Z = b+^t b-
 
 
-def su2_diagram_with_diagonal(diag: tuple[int, ...]) -> str | None:
-    """The diagram with spin j as an exponent diag[j] times, if any; its level
-    is k = len(diag) - 1."""
-    k = len(diag) - 1
-    for name, case in su2_diagrams(k):
-        if su2_branching(case, k).diagonal == diag:
-            return name
-    return None
+def su2_diagram_table(k: int) -> dict[tuple[int, ...], tuple[str, BranchingData]]:
+    """Every SU(2)_k diagram by its exponent diagonal (spin j an exponent
+    diag[j] times), with its name and branching pair, each pair built once."""
+    pairs = [(name, su2_branching(case, k)) for name, case in su2_diagrams(k)]
+    return {b.diagonal: (name, b) for name, b in pairs}
 
 
 def su2_ade_catalog(md: ModularData, budget: int = DEFAULT_NODE_BUDGET) -> list[NamedInvariant]:
@@ -533,13 +531,14 @@ def su2_ade_catalog(md: ModularData, budget: int = DEFAULT_NODE_BUDGET) -> list[
     found = enumerate_invariants(md, budget=budget)
     if not found.complete:
         raise RuntimeError(f"enumeration exceeded node budget at level {k}")
+    table = su2_diagram_table(k)
     out = []
     for Z in found:
-        name = su2_diagram_with_diagonal(Z.diagonal)
-        if name is None:
+        if Z.diagonal not in table:
             raise UnmatchedDiagonalError(
                 f"level {k}: diagonal {Z.diagonal} matches no A-D-E diagram with h={k + 2}")
-        out.append(NamedInvariant(name=name, Z=Z))
+        name, b = table[Z.diagonal]
+        out.append(NamedInvariant(name=name, Z=Z, branching=b))
     out.sort(key=lambda ni: ("ADE".index(ni.name[0]), ni.name))
     return out
 

@@ -348,7 +348,8 @@ def chiral_system(case, k):
     alpha_1, the Perron-Frobenius vector of Gamma01 normalised to 1 at
     vertex 0.
     """
-    graph = nimrep.ade_graph(chiral.gamma01_name(search.su2_branching(case, k)))
+    graph = nimrep.ade_graph(chiral.gamma01_name(search.su2_branching(case, k),
+                                                 search.su2_diagram_table(k)))
     B = np.array([G[0] for G in nimrep.fused_adjacencies(graph).G]).T
     _, vecs = np.linalg.eigh(graph.adjacency.astype(float))
     pf = vecs[:, -1]  # the largest eigenvalue of a connected graph is simple
@@ -388,9 +389,10 @@ def _reference_chiral_system(case, k):
 
 def test_gamma01_matches_hand_written_rule():
     for k in range(1, core.SU2_LEVEL_MAX + 1):
+        diagrams = search.su2_diagram_table(k)
         for name, case in search.su2_diagrams(k):
             b = search.su2_branching(case, k)
-            assert chiral.gamma01_name(b) == _reference_gamma01(case, name, k), (name, k)
+            assert chiral.gamma01_name(b, diagrams) == _reference_gamma01(case, name, k), (name, k)
             # b- describes the other chiral system, with the same multiplicities
             assert np.array_equal((b.b_minus ** 2).sum(axis=0), (b.b_plus ** 2).sum(axis=0))
 

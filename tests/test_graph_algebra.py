@@ -191,7 +191,7 @@ def test_gauge_equals_the_grouping_reference_on_every_diagram():
 def test_csv_rows_shape():
     fusion = graph_algebra.graph_structure_constants(
         graph_algebra.eigen_gauge(nimrep.ade_graph("A3")))
-    rows = graph_algebra.csv_rows(fusion)
+    rows = list(graph_algebra.csv_rows(fusion))
     assert len(rows) == 27
     assert all(row[6] in ("ok", "neg", "frac") for row in rows)
 
@@ -215,7 +215,7 @@ def _csv_rows_by_loop(fusion):
 def test_csv_rows_equal_the_loop(name):
     fusion = graph_algebra.graph_structure_constants(
         graph_algebra.eigen_gauge(nimrep.ade_graph(name)))
-    rows = graph_algebra.csv_rows(fusion)
+    rows = list(graph_algebra.csv_rows(fusion))
     want = _csv_rows_by_loop(fusion)
     assert rows == want
     assert [tuple(map(type, r)) for r in rows] == [tuple(map(type, r)) for r in want]
