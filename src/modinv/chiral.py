@@ -30,19 +30,10 @@ from .core import (
     sig12,
     su2_modular_data,
 )
-from .search import (
-    BranchingData,
-    BranchingError,
-    MassMatrix,
-    su2_ade_catalog,
-)
+from .search import BranchingData, MassMatrix, su2_ade_catalog
 from .nimrep import identify_ade
 
 GRAM_NODE_BUDGET = 10 ** 6
-
-
-class GramDecompositionError(ValueError):
-    pass
 
 
 # ---------------------------------------------------------------------------
@@ -105,9 +96,9 @@ def factor_gram(M: np.ndarray) -> tuple[np.ndarray, int]:
     M = np.asarray(M)
     L = M.shape[0]
     if not np.array_equal(M, M.T):
-        raise GramDecompositionError("Gram matrix must be symmetric")
+        raise ValueError("Gram matrix must be symmetric")
     if M.min() < 0:
-        raise GramDecompositionError("Gram matrix of a non-negative F must be non-negative")
+        raise ValueError("Gram matrix of a non-negative F must be non-negative")
     M = M.astype(np.int64)
     rows_of = M.tolist()
     F = np.zeros((L, L), dtype=np.int64)  # F[:r] holds the sectors found; grown as needed
@@ -135,7 +126,7 @@ def factor_gram(M: np.ndarray) -> tuple[np.ndarray, int]:
         nonlocal nodes
         nodes += 1
         if nodes > GRAM_NODE_BUDGET:
-            raise GramDecompositionError(f"no factorization within {GRAM_NODE_BUDGET} nodes")
+            raise ValueError(f"no factorization within {GRAM_NODE_BUDGET} nodes")
         if j == len(cands):
             if not any(dotrem):
                 yield spawn(col, r, rem, math.isqrt(rem), [])
@@ -175,7 +166,7 @@ def factor_gram(M: np.ndarray) -> tuple[np.ndarray, int]:
         else:
             stack.append(step)
     if solution is None:
-        raise GramDecompositionError("no non-negative integer factorization found")
+        raise ValueError("no non-negative integer factorization found")
     return solution, nodes
 
 
@@ -183,22 +174,27 @@ def decompose_gram(M: np.ndarray, ring: FusionRing) -> SectorDecomposition:
     """Factor M = F^t F and induce G1 from F.
 
     F is the first factorization of ``factor_gram``, whose docstring states
-    and proves the row rule that its search branches by.  G1 solves
-    G1 F = F N_1 exactly; fractional or negative G1 signals an inconsistent
-    theta.
+    and proves the row rule that its search branches by.  G1 is lstsq's
+    minimum-norm solution of G1 F = F N_1, rounded, and must solve it
+    exactly; fractional or negative G1 signals an inconsistent theta.  F
+    determines G1 only when its rows are independent: where y^t F = 0 for
+    some y != 0, G1 + x y^t solves the equation too, for every column x.
+    Such F are common (rank r - 1 of r rows for id+l10 at level 10 and for
+    id+l2 at levels 6 and 22), and the G1 returned is then one solution
+    among many, not the induced graph.
     """
     F, _ = factor_gram(M)
     if not np.array_equal(F.T @ F, M):
-        raise GramDecompositionError("factorization check failed")
+        raise ValueError("factorization check failed")
     N1 = ring.N[1]
     sol, *_ = np.linalg.lstsq(F.T.astype(float), (F @ N1).T.astype(float), rcond=None)
     G1 = sol.T
     G1r = np.round(G1)
     if np.max(np.abs(G1 - G1r)) > ASSERT_TOL or G1r.min() < 0:
-        raise GramDecompositionError("induced G1 is not a non-negative integer matrix")
+        raise ValueError("induced G1 is not a non-negative integer matrix")
     G1i = G1r.astype(int)
     if not np.array_equal(G1i @ F, F @ N1):
-        raise GramDecompositionError("G1 F = F N_1 fails exactly")
+        raise ValueError("G1 F = F N_1 fails exactly")
     return SectorDecomposition(F=F, G1=G1i)
 
 
@@ -234,8 +230,8 @@ def gamma01_name(b: BranchingData, diagrams: dict) -> str:
     """
     squares = tuple((b.b_plus ** 2).sum(axis=0).tolist())
     if squares not in diagrams:
-        raise BranchingError(f"level {len(squares) - 1}: chiral multiplicities {squares} "
-                             "match no diagram")
+        raise ValueError(f"level {len(squares) - 1}: chiral multiplicities {squares} "
+                         "match no diagram")
     return diagrams[squares][0]
 
 
@@ -273,7 +269,7 @@ def sector_counts(Z: MassMatrix, b: BranchingData) -> SectorCounts:
     plus = int((b.b_plus.astype(np.int64) ** 2).sum())
     minus = int((b.b_minus.astype(np.int64) ** 2).sum())
     if plus != minus:
-        raise BranchingError(f"chiral counts disagree: {plus} vs {minus}")
+        raise ValueError(f"chiral counts disagree: {plus} vs {minus}")
     return SectorCounts(
         mm=Z.sum_of_squares,
         mn=int(sum(Z.diagonal)),
@@ -314,7 +310,7 @@ def chiral_table(kmax: int) -> list[ChiralRow]:
         for named in catalog:
             b = named.branching
             if not verify_factorization(named.Z, b):
-                raise BranchingError(f"{named.name} at level {k}: factorization failed")
+                raise ValueError(f"{named.name} at level {k}: factorization failed")
             rows.append(ChiralRow(
                 name=named.name,
                 level=k,

@@ -40,14 +40,6 @@ class UsageError(ValueError):
     """An argument outside the declared limits or names (CLI exit code 2)."""
 
 
-class DegenerateDataError(ValueError):
-    """Raised when an operation requires a non-degenerate (unitary) S matrix."""
-
-
-class RoundingError(ValueError):
-    """Raised when a value expected to be a non-negative integer is not."""
-
-
 @dataclass(frozen=True)
 class FusionRing:
     """The non-negative integer fusion tensor of a ring with labels 0 .. L-1.
@@ -100,29 +92,29 @@ def associative(N: np.ndarray, unit: int = 0) -> bool:
     function returns does.
 
     N[unit] = I and commutativity are checked exactly first; a tensor that
-    fails either raises ValueError, since the theorem needs both.  The
-    products are float64 BLAS products of N_a with one block of labels at a
-    time, and only N_a and the block are converted.  Every partial sum is
-    an integer of magnitude at most L max|N|^2.  Below FLOAT_EXACT_MAX
-    float64 holds each of them exactly, in any summation order, so the
-    comparison is an exact integer test; integer inputs beyond that bound
-    raise ValueError.
+    fails either raises ValueError, since the theorem needs both.
+    Commutativity is N_a = N[:, a] for each label a in turn.  The products
+    are float64 BLAS products N_x N_a and N_a N_x, one label x at a time,
+    and only N_a and N_x are converted, so beside N the check holds a few
+    L x L arrays and no L^3 one.  Every partial sum is an integer of
+    magnitude at most L max|N|^2.  Below FLOAT_EXACT_MAX float64 holds each
+    of them exactly, in any summation order, so the comparison is an exact
+    integer test; integer inputs beyond that bound raise ValueError.
     """
     N = np.asarray(N)
     L = len(N)
     if not np.array_equal(N[unit], np.eye(L, dtype=int)):
         raise ValueError(f"label {unit} is not a unit")
-    if not np.array_equal(N, N.transpose(1, 0, 2)):
+    if not all(np.array_equal(N[a], N[:, a]) for a in range(L)):
         raise ValueError("fusion tensor not commutative")
     n = max(int(N.max()), -int(N.min()))
     if L * n * n >= FLOAT_EXACT_MAX:
         raise ValueError("associativity check beyond the exact float64 range")
-    step = -(-L // 8)  # eight blocks of labels keep the temporaries near three L^3 bytes
     for a in generating_labels(N.__getitem__, L, unit):
         Na = N[a].astype(np.float64)
-        for s in range(0, L, step):
-            block = N[s:s + step].astype(np.float64)
-            if not np.array_equal(block @ Na, Na @ block):
+        for Nx in N:
+            Nx = Nx.astype(np.float64)
+            if not np.array_equal(Nx @ Na, Na @ Nx):
                 return False
     return True
 
@@ -526,9 +518,9 @@ def cyclic_group_modular_data(n: int) -> ModularData:
 
 
 def _require_unitary(md: ModularData) -> None:
-    """DegenerateDataError unless S is unitary, as Verlinde and the commutant need."""
+    """ValueError unless S is unitary, as Verlinde and the commutant need."""
     if md.degenerate:
-        raise DegenerateDataError(
+        raise ValueError(
             f"S is degenerate (unitarity residual {md.unitarity_residual:.2e}); "
             "the Verlinde formula and the commutant search need a unitary S")
 
@@ -536,7 +528,7 @@ def _require_unitary(md: ModularData) -> None:
 def _round_counts(X: np.ndarray) -> np.ndarray:
     """The complex Verlinde sums X as int64 counts; X is overwritten.
 
-    The one rounding rule of the Verlinde coefficients: RoundingError unless
+    The one rounding rule of the Verlinde coefficients: ValueError unless
     every entry lies within ROUND_TOL of its nearest integer and none of
     those integers is negative.  The squared modulus of the residual is
     compared with ROUND_TOL^2, so no square root is taken per entry.
@@ -546,10 +538,10 @@ def _round_counts(X: np.ndarray) -> np.ndarray:
     re -= R
     worst = float((re * re + X.imag ** 2).max())
     if worst > ROUND_TOL ** 2:
-        raise RoundingError(
+        raise ValueError(
             f"Verlinde coefficients not integral (residual {math.sqrt(worst):.2e})")
     if R.min() < 0:
-        raise RoundingError("Verlinde formula produced a negative coefficient")
+        raise ValueError("Verlinde formula produced a negative coefficient")
     return R.astype(np.int64)
 
 
@@ -568,8 +560,10 @@ def verlinde_fusion(md: ModularData) -> FusionRing:
     The one function that builds the whole validated ring, for ``fusion``
     and the D_odd fusion graph; ``invariants`` and ``catalog`` read the few
     rows they need from ModularData.verlinde_row.  S must be unitary.  N[a] is filled
-    with _verlinde_row for each label a in turn, so the peak before
-    validation is the int64 tensor plus one complex L x L row.
+    with _verlinde_row for each label a in turn, and validation checks one
+    label at a time (see associative), so the peak is the int64 tensor plus
+    a few L x L arrays: one complex row while N is filled, the check's
+    float64 products after.
     """
     _require_unitary(md)
     U, L = md.S.T, md.size

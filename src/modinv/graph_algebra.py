@@ -20,10 +20,6 @@ from .core import ASSERT_TOL, EIGEN_TOL, ROUND_TOL, associative, verlinde_sum
 from .nimrep import AdeGraph
 
 
-class GaugeError(ValueError):
-    pass
-
-
 @dataclass(frozen=True)
 class EigenGauge:
     """Unitary eigenvector matrix of G_1, column i for exponent graph.exponents[i].
@@ -38,10 +34,10 @@ class EigenGauge:
 
     def validate(self) -> None:
         """Unitarity, then for each column in turn its eigenvector residual
-        and its positive base entry; the first failure raises GaugeError."""
+        and its positive base entry; the first failure raises ValueError."""
         psi, m = self.psi, np.array(self.graph.exponents)
         if np.max(np.abs(psi.conj().T @ psi - np.eye(self.graph.num_vertices))) > ASSERT_TOL:
-            raise GaugeError("psi is not unitary")
+            raise ValueError("psi is not unitary")
         lam = 2.0 * np.cos(np.pi * (m + 1) / self.graph.coxeter)
         A = self.graph.adjacency.astype(float)
         not_eigen = np.max(np.abs(A @ psi - psi * lam), axis=0) > EIGEN_TOL
@@ -50,8 +46,8 @@ class EigenGauge:
         if bad.any():
             col = int(np.argmax(bad))
             if not_eigen[col]:
-                raise GaugeError(f"column {col} is not an eigenvector for exponent {m[col]}")
-            raise GaugeError(f"psi[base, {col}] not positive; base vertex unusable")
+                raise ValueError(f"column {col} is not an eigenvector for exponent {m[col]}")
+            raise ValueError(f"psi[base, {col}] not positive; base vertex unusable")
 
 
 def _base_vertex(graph: AdeGraph) -> int:
@@ -139,7 +135,7 @@ def graph_structure_constants(gauge: EigenGauge) -> GraphFusion:
     real, imag = N.real, N.imag
     worst_imag = float(max(imag.max(), -imag.min()))
     if worst_imag > ROUND_TOL:
-        raise GaugeError(f"{gauge.graph.name}: complex structure constants "
+        raise ValueError(f"{gauge.graph.name}: complex structure constants "
                          f"(imag {worst_imag:.2e})")
     # rounded and its gap one a-slice at a time, so that beside N only the
     # int tensor and one float slice are alive; a max is the same in any order
@@ -152,7 +148,7 @@ def graph_structure_constants(gauge: EigenGauge) -> GraphFusion:
         gap = max(gap, float(np.abs(r, out=r).max()))
     worst_neg = float(real.min())
     if gap > ROUND_TOL and worst_neg > -ROUND_TOL:
-        raise GaugeError(f"{gauge.graph.name}: entries neither integral nor negative; "
+        raise ValueError(f"{gauge.graph.name}: entries neither integral nor negative; "
                          f"worst residual {gap:.3g}")
     positive = bool(gap <= ROUND_TOL and rounded.min() >= 0)
     return GraphFusion(

@@ -11,17 +11,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (ASSERT_TOL, FLOAT_EXACT_MAX, SPECTRUM_TOL, ModularData, UsageError,
-                   su2_level, su2_modular_data)
+from .core import (ASSERT_TOL, FLOAT_EXACT_MAX, SPECTRUM_TOL, ModularData, su2_level,
+                   su2_modular_data)
 from .search import MassMatrix, diagram_case, su2_branching
-
-
-class NimRepError(ValueError):
-    pass
-
-
-class UnknownDiagramError(NimRepError, UsageError):
-    """A name outside A_n (n >= 1), D_n (n >= 4) and E6, E7, E8."""
 
 
 @dataclass(frozen=True)
@@ -50,16 +42,16 @@ class AdeGraph:
     def validate(self) -> None:
         A = self.adjacency
         if not np.array_equal(A, A.T) or A.dtype.kind not in "iu":
-            raise NimRepError("adjacency must be a symmetric integer matrix")
+            raise ValueError("adjacency must be a symmetric integer matrix")
         norm = np.linalg.eigvalsh(A.astype(float)).max()
         if abs(norm - 2.0 * np.cos(np.pi / self.coxeter)) > ASSERT_TOL:
-            raise NimRepError(f"{self.name}: |A| != 2 cos(pi/{self.coxeter})")
+            raise ValueError(f"{self.name}: |A| != 2 cos(pi/{self.coxeter})")
         depth = _depths(A)
         if depth.min() < 0:
-            raise NimRepError(f"{self.name}: not connected")
+            raise ValueError(f"{self.name}: not connected")
         parity = depth % 2
         if A[parity[:, None] == parity].any():
-            raise NimRepError(f"{self.name}: not bipartite")
+            raise ValueError(f"{self.name}: not bipartite")
 
 
 def ade_graph(name: str) -> AdeGraph:
@@ -68,12 +60,7 @@ def ade_graph(name: str) -> AdeGraph:
     A_n is a path on n vertices.  D_n and E_n are a path on n - 1 vertices
     with one tail vertex attached at spine vertex n - 3 (D_n) or n - 4 (E_n).
     """
-    try:
-        case, k = diagram_case(name)
-    except UsageError:
-        raise
-    except ValueError as exc:
-        raise UnknownDiagramError(str(exc)) from None
+    case, k = diagram_case(name)
     kind, num = name[0], int(name[1:])
     spine = np.arange(num if kind == "A" else num - 1)
     A = np.zeros((num, num), dtype=int)
@@ -156,10 +143,10 @@ def fused_adjacencies(graph: AdeGraph) -> NimRepFamily:
     if not V * np.abs(G[1]).max() * np.abs(G[:k + 1]).max(initial=0) < FLOAT_EXACT_MAX:
         raise ValueError(f"{graph.name}: fused adjacencies beyond the exact float64 range")
     if (G[2:k + 1] < 0).any():
-        raise NimRepError(f"{graph.name}: negative entry in fused adjacency")
+        raise ValueError(f"{graph.name}: negative entry in fused adjacency")
     su2_level(k)
     if G[k + 1].any():
-        raise NimRepError(f"{graph.name}: nimrep identity fails")
+        raise ValueError(f"{graph.name}: nimrep identity fails")
     return NimRepFamily(graph=graph, G=G[:k + 1].astype(int))
 
 

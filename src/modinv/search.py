@@ -33,18 +33,6 @@ from .core import (COMMUTE_TOL, FIXED_SPACE_TOL, MAX_DENOMINATOR, PHASE_TOL, PIV
 DEFAULT_NODE_BUDGET = 10 ** 8
 
 
-class RationalReconstructionError(ValueError):
-    """A float in the echelon basis has no small-denominator rational nearby."""
-
-
-class UnmatchedDiagonalError(ValueError):
-    """An enumerated invariant's diagonal matches no A-D-E exponent multiset."""
-
-
-class CriterionInconsistencyError(AssertionError):
-    """The three equivalent permutation-invariant conditions disagreed."""
-
-
 @dataclass(frozen=True)
 class MassMatrix:
     """A modular invariant candidate: non-negative integer matrix with Z[0,0]=1."""
@@ -150,12 +138,12 @@ def _rationalize(x: np.ndarray) -> tuple[np.ndarray, int]:
     for v in x.flat[far].tolist():
         f = Fraction(v).limit_denominator(MAX_DENOMINATOR)
         if abs(float(f) - v) > ROUND_TOL:
-            raise RationalReconstructionError(
+            raise ValueError(
                 f"no rational with denominator <= {MAX_DENOMINATOR} near {v!r}")
         rats.append(f)
     D = math.lcm(1, *(f.denominator for f in rats))
     if D * (np.abs(x).max(initial=0.0) + 1) >= 2 ** 63:
-        raise RationalReconstructionError("rational basis too large for int64 numerators")
+        raise ValueError("rational basis too large for int64 numerators")
     N = n.astype(np.int64) * D
     N.flat[far] = [f.numerator * (D // f.denominator) for f in rats]
     return N, D
@@ -207,7 +195,7 @@ def commutant_basis(md: ModularData) -> CommutantBasis:
     E = np.zeros((dim, L, L), dtype=np.int64)
     E[:, I, J] = N
     if max(_commutator_residuals(md, E / D)) > COMMUTE_TOL:
-        raise RationalReconstructionError("rationalized basis element fails to commute")
+        raise ValueError("rationalized basis element fails to commute")
     return CommutantBasis(E=E, denominator=D, pivots=tuple(pivots))
 
 
@@ -256,7 +244,7 @@ def enumerate_invariants(md: ModularData, budget: int = DEFAULT_NODE_BUDGET) -> 
     # a leaf sums dim terms c_i E_i with 0 <= c_i <= bound; int64 must hold
     # them exactly, and so every partial sum and every suffix bound U
     if dim * (int(bound.max()) + 1) * int(np.abs(E).max()) >= 2 ** 63:
-        raise RationalReconstructionError("integer echelon basis too large for an int64 search")
+        raise ValueError("integer echelon basis too large for an int64 search")
     # vacuum normalization pins the (0,0) pivot; the entry bound there is
     # exactly 1, so this is also the fallback root bound
     hi = [1 if p == 0 else int(math.floor(bound[p] + ROUND_TOL)) for p in pivots]
@@ -365,7 +353,7 @@ def permutation_criterion(md: ModularData, Z: MassMatrix) -> tuple[int, ...] | N
     trivial zero row, a trivial zero column, and Z a permutation induced by
     an automorphism of the Verlinde ring of md fixing 0.  All three are
     evaluated; a disagreement signals an implementation bug and raises
-    CriterionInconsistencyError.  The identity fixes every N[a, b, c], so it
+    AssertionError.  The identity fixes every N[a, b, c], so it
     needs no fusion row; any other permutation is checked by
     fusion_automorphism on md.fusion_generators and md's rows of the
     generators and their images, which md builds once and keeps.  For SU(n)
@@ -391,17 +379,13 @@ def permutation_criterion(md: ModularData, Z: MassMatrix) -> tuple[int, ...] | N
             perm = None
     c3 = perm is not None
     if not (c1 == c2 == c3):
-        raise CriterionInconsistencyError(
+        raise AssertionError(
             f"permutation conditions disagree: row={c1} column={c2} matrix={c3}")
     return perm
 
 
 # ---------------------------------------------------------------------------
 # The SU(2) classification as branching pairs, and the A-D-E naming of results
-
-class BranchingError(ValueError):
-    """An unknown branching case, or one asked for at a level where it does not exist."""
-
 
 SU2_E_LEVELS = {"E6": 10, "E7": 16, "E8": 28}
 
@@ -452,23 +436,23 @@ def su2_branching(case: str, k: int) -> BranchingData:
                              np.eye(L, dtype=int), np.eye(L, dtype=int))
     if case == "D_odd":
         if k % 4 != 2:
-            raise BranchingError("D_odd requires level 2 mod 4")
+            raise ValueError("D_odd requires level 2 mod 4")
         # the even spins and the middle odd spin k/2 stay, the rest mirror to k - j
         pi = [j if j % 2 == 0 or 2 * j == k else k - j for j in range(L)]
         return BranchingData(tuple(f"a{j}" for j in range(L)),
                              np.eye(L, dtype=int), np.eye(L, dtype=int)[pi])
     if case == "D_even":
         if k % 4 != 0:
-            raise BranchingError("D_even requires level 0 mod 4")
+            raise ValueError("D_even requires level 0 mod 4")
         half = k // 2
         rows = tuple((f"a{j}", (j, k - j)) for j in range(0, half, 2)) + \
             (("delta", (half,)), ("delta'", (half,)))
     elif case in SU2_E_ROWS:
         if k != SU2_E_LEVELS[case]:
-            raise BranchingError(f"{case} requires level {SU2_E_LEVELS[case]}")
+            raise ValueError(f"{case} requires level {SU2_E_LEVELS[case]}")
         rows = SU2_E_ROWS[case]
     else:
-        raise BranchingError(f"unknown case {case!r}")
+        raise ValueError(f"unknown case {case!r}")
     b = np.zeros((2, len(rows), L), dtype=int)
     for t, row in enumerate(rows):
         b[0, t, list(row[1])] = 1
@@ -487,14 +471,14 @@ def su2_diagrams(k: int) -> list[tuple[str, str]]:
 def diagram_case(name: str) -> tuple[str, int]:
     """(branching case, level k) of an A-D-E diagram; its Coxeter number is k + 2.
 
-    An unknown name raises ValueError, a known one whose level is outside
-    1..SU2_LEVEL_MAX UsageError.
+    An unknown name, or a known one whose level is outside
+    1..SU2_LEVEL_MAX, raises UsageError.
     """
     num = int(name[1:]) if name[1:].isdecimal() else 0
     k = SU2_E_LEVELS.get(name, {"A": num - 1, "D": 2 * num - 4}.get(name[:1], -1))
     cases = dict(su2_diagrams(k)) if k >= 0 else {}
     if name not in cases:
-        raise ValueError(f"unknown diagram name {name!r}")
+        raise UsageError(f"unknown diagram name {name!r}")
     return cases[name], su2_level(k)
 
 
@@ -535,7 +519,7 @@ def su2_ade_catalog(md: ModularData, budget: int = DEFAULT_NODE_BUDGET) -> list[
     out = []
     for Z in found:
         if Z.diagonal not in table:
-            raise UnmatchedDiagonalError(
+            raise ValueError(
                 f"level {k}: diagonal {Z.diagonal} matches no A-D-E diagram with h={k + 2}")
         name, b = table[Z.diagonal]
         out.append(NamedInvariant(name=name, Z=Z, branching=b))

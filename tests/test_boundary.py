@@ -11,9 +11,14 @@ The same holds one level down, for the members of every top-level class:
 each annotated field, property and method other than a dunder must be read
 as an attribute by package code outside its own definition.  A field only
 ever passed to the constructor is unread: a keyword argument is no read.
+
+An exception class is read only by an ``except`` clause that names it.  A
+class that is only raised tells no handler anything its builtin base does
+not, so every exception class of the package must be named in one.
 """
 
 import ast
+import builtins
 from collections import Counter
 from pathlib import Path
 
@@ -88,6 +93,11 @@ def _attribute_reads(node):
                    if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load))
 
 
+def _trees(src):
+    return [ast.parse(path.read_text()) for path in sorted(src.glob("*.py"))
+            if path.name != "__init__.py"]
+
+
 def unread_members(allowed=(), src=SRC):
     """"Class.member" of every member of a top-level class of the package that
     no package code reads as an attribute outside the member's own definition.
@@ -95,12 +105,35 @@ def unread_members(allowed=(), src=SRC):
     A read is matched by the member's name alone, whatever the object it is
     read from.  The ``allowed`` members are left out.
     """
-    trees = [ast.parse(path.read_text()) for path in sorted(src.glob("*.py"))
-             if path.name != "__init__.py"]
+    trees = _trees(src)
     reads = sum((_attribute_reads(tree) for tree in trees), Counter())
     return {f"{cls.name}.{name}" for tree in trees for cls in tree.body
             if isinstance(cls, ast.ClassDef) for name, node in _members(cls)
             if reads[name] == _attribute_reads(node)[name]} - set(allowed)
+
+
+def _is_builtin_exception(name):
+    value = getattr(builtins, name, None)
+    return isinstance(value, type) and issubclass(value, BaseException)
+
+
+def unhandled_exceptions(src=SRC):
+    """Top-level exception classes of the package that no ``except`` clause
+    of package code names, as a name or an attribute.
+
+    A class is an exception class when one of its bases is a builtin
+    exception or, to a fixpoint, an exception class of the package.
+    """
+    trees = _trees(src)
+    bases = {cls.name: set().union(*map(_read_names, cls.bases)) for tree in trees
+             for cls in tree.body if isinstance(cls, ast.ClassDef)}
+    errors = set()
+    while more := {name for name, read in bases.items() if name not in errors
+                   and any(b in errors or _is_builtin_exception(b) for b in read)}:
+        errors |= more
+    caught = set().union(*(_read_names(node.type) for tree in trees for node in ast.walk(tree)
+                           if isinstance(node, ast.ExceptHandler) and node.type))
+    return errors - caught
 
 
 def test_every_top_level_name_is_read_by_the_program():
@@ -148,3 +181,23 @@ def test_a_member_is_read_only_as_an_attribute_outside_its_definition(tmp_path):
     # only assigned and read by itself
     assert unread_members(src=tmp_path) == {"Rec.y", "Rec.walk"}
     assert unread_members({"Rec.y", "Rec.walk"}, src=tmp_path) == set()
+
+
+def test_every_exception_class_is_named_by_a_handler():
+    assert unhandled_exceptions() == set()
+
+
+def test_an_exception_class_is_read_only_by_an_except_clause(tmp_path):
+    (tmp_path / "errors.py").write_text(
+        "class Base(ValueError):\n    pass\n"
+        "class Derived(Base):\n    pass\n"
+        "class Missing(KeyError):\n    pass\n"
+        "class Plain:\n    pass\n")
+    (tmp_path / "use.py").write_text(
+        "from . import errors\n"
+        "def run(f):\n"
+        "    try:\n        return f()\n"
+        "    except (errors.Base, KeyError):\n        raise errors.Derived('raised only')\n"
+        "    except Exception:\n        raise errors.Missing()\n")
+    # Derived and Missing are raised but no handler names them; Plain is no exception
+    assert unhandled_exceptions(src=tmp_path) == {"Derived", "Missing"}

@@ -69,11 +69,29 @@ def test_decompose_gram_two_sided_ideal(k):
     assert dec.graph_name == f"A{k + 1}"
 
 
+# (level, theta spins) -> (rows, rank, distinct rows) of F; where the rank
+# is below the rows, y^t F = 0 for some y != 0 and F does not determine G1
+GRAM_RANKS = {
+    (5, (0, 2)): (6, 6, 6),
+    (6, (0, 2)): (7, 6, 7),
+    (10, (0, 10)): (7, 6, 6),
+    (16, (0, 8, 16)): (7, 7, 7),
+    (22, (0, 2)): (23, 22, 23),
+}
+
+
+@pytest.mark.parametrize("k,spins", sorted(GRAM_RANKS))
+def test_gram_factor_rank(k, spins):
+    ring = core.su2_fusion_closed_form(k)
+    F = chiral.decompose_gram(chiral.gram_matrix(ring, chiral.theta_vector(k, spins)), ring).F
+    assert (len(F), np.linalg.matrix_rank(F), len(np.unique(F, axis=0))) == GRAM_RANKS[k, spins]
+
+
 def test_decompose_gram_rejects_negative_entries():
     ring = core.su2_fusion_closed_form(2)
     M = chiral.gram_matrix(ring, chiral.theta_vector(2, [0]))
     M[0, 1] = M[1, 0] = -1
-    with pytest.raises(chiral.GramDecompositionError, match="non-negative"):
+    with pytest.raises(ValueError, match="non-negative"):
         chiral.decompose_gram(M, ring)
 
 
@@ -81,7 +99,7 @@ def test_decompose_gram_budget(monkeypatch):
     monkeypatch.setattr(chiral, "GRAM_NODE_BUDGET", 5)
     ring = core.su2_fusion_closed_form(16)
     M = chiral.gram_matrix(ring, chiral.theta_vector(16, [0, 8, 16]))
-    with pytest.raises(chiral.GramDecompositionError, match="within 5 nodes"):
+    with pytest.raises(ValueError, match="within 5 nodes"):
         chiral.decompose_gram(M, ring)
 
 
@@ -153,14 +171,14 @@ def _assert_same_search(M):
     exact = nodes - forced
     with mock.patch.object(chiral, "GRAM_NODE_BUDGET", exact):
         if want is None:
-            with pytest.raises(chiral.GramDecompositionError, match="no non-negative integer"):
+            with pytest.raises(ValueError, match="no non-negative integer"):
                 chiral.factor_gram(M)
         else:
             F, got = chiral.factor_gram(M)
             assert F.dtype == want.dtype and np.array_equal(F, want)
             assert got == exact
     with mock.patch.object(chiral, "GRAM_NODE_BUDGET", exact - 1):
-        with pytest.raises(chiral.GramDecompositionError, match=f"within {exact - 1} nodes"):
+        with pytest.raises(ValueError, match=f"within {exact - 1} nodes"):
             chiral.factor_gram(M)
     return want, nodes, exact
 
@@ -236,11 +254,11 @@ def test_branching_type_flags():
 
 
 def test_branching_wrong_level():
-    with pytest.raises(search.BranchingError):
+    with pytest.raises(ValueError, match="D_even requires level 0 mod 4"):
         search.su2_branching("D_even", 6)
-    with pytest.raises(search.BranchingError):
+    with pytest.raises(ValueError, match="E7 requires level 16"):
         search.su2_branching("E7", 10)
-    with pytest.raises(search.BranchingError):
+    with pytest.raises(ValueError, match="D_odd requires level 2 mod 4"):
         search.su2_invariant_matrix("D_odd", 8)
 
 

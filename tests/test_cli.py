@@ -155,6 +155,24 @@ def test_gram_bad_theta_usage_error(capsys):
     assert "x9" in err
 
 
+# argv -> (exit code, stderr) of failures raised below the CLI; main tells
+# them apart only as a UsageError (2) or any other error (1)
+ERROR_TRIGGERS = {
+    ("nimrep", "--graph", "X9"): (2, "error: unknown diagram name 'X9'\n"),
+    ("fusion", "--family", "group", "--level", "3"): (
+        1, "error: S is degenerate (unitarity residual 6.67e-01); the Verlinde formula "
+           "and the commutant search need a unitary S\n"),
+    ("gram", "--level", "4", "--theta", "id+l1"): (
+        1, "error: no non-negative integer factorization found\n"),
+}
+
+
+@pytest.mark.parametrize("argv", sorted(ERROR_TRIGGERS))
+def test_error_triggers_exit_code_and_stderr(capsys, argv):
+    code, err = ERROR_TRIGGERS[argv]
+    assert run(capsys, *argv) == (code, "", err)
+
+
 def test_missing_level_usage_error(capsys):
     assert run(capsys, "show", "--family", "su2") == \
         (2, "", "error: --level is required for family su2\n")

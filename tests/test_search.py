@@ -258,10 +258,10 @@ def test_commutant_rejects_degenerate():
     # one unitarity verdict, formed once, refuses the commutant and the
     # Verlinde ring with one message
     md = core.cyclic_group_modular_data(3)
-    with pytest.raises(core.DegenerateDataError) as commutant:
+    with pytest.raises(ValueError, match="S is degenerate") as commutant:
         search.commutant_basis(md)
     assert "unitarity_residual" in vars(md)
-    with pytest.raises(core.DegenerateDataError) as verlinde:
+    with pytest.raises(ValueError, match="S is degenerate") as verlinde:
         core.verlinde_fusion(md)
     assert str(verlinde.value) == str(commutant.value)
 
@@ -546,8 +546,7 @@ def test_altered_rings_fail_the_automorphism_as_the_full_copy_does():
     raised[gens[0], 0, 1] += 1
     altered = dataclasses.replace(md)
     vars(altered)["verlinde_row"] = raised.__getitem__
-    with pytest.raises(search.CriterionInconsistencyError,
-                       match="row=True column=True matrix=False"):
+    with pytest.raises(AssertionError, match="row=True column=True matrix=False"):
         search.permutation_criterion(altered, Z)
 
 
