@@ -34,17 +34,24 @@ CSV_CHUNK_ROWS = 256  # CSV rows formatted and written by one write
 
 
 def _print_csv(header: str, rows) -> None:
-    """Print a CSV table, floats by core.sig12 and every other cell by str.
+    """Print a CSV table, a float cell as core.sig12 and every other cell by str.
 
-    ``rows`` may be any iterable; it is formatted and written CSV_CHUNK_ROWS
-    rows at a time.
+    Each row is written by one % operation: the row format puts
+    core.NUMBER_FORMAT (sig12's format) in each float column and %s in every
+    other column.  The columns are read off the first row, so every row has
+    the cell types of the first, as each table of the package does: a column
+    comes from one typed array or field.  ``rows`` may be any iterable of
+    tuples; it is formatted and written CSV_CHUNK_ROWS rows at a time.
     """
     write = sys.stdout.write
     write(header)
     rows = iter(rows)
-    while chunk := list(itertools.islice(rows, CSV_CHUNK_ROWS)):
-        write("".join("\n" + ",".join(core.sig12(x) if isinstance(x, float) else str(x)
-                                      for x in row) for row in chunk))
+    first = next(rows, None)
+    if first is not None:
+        fmt = "\n" + ",".join(core.NUMBER_FORMAT if isinstance(x, float) else "%s" for x in first)
+        rows = itertools.chain([first], rows)
+        while chunk := list(itertools.islice(rows, CSV_CHUNK_ROWS)):
+            write("".join(map(fmt.__mod__, chunk)))
     write("\n")
 
 

@@ -22,7 +22,8 @@ ROUND_TOL = 1e-6  # a float rounded to an integer or a small rational may be thi
 ASSERT_TOL = 1e-9  # numerical identities of S, T, dimensions and eigenvectors hold to this
 VACUUM_ROW_TOL = 100 * ASSERT_TOL  # the vacuum-row identity sums L products of dimensions
 PHASE_TOL = 1e-12  # two T phases this close are equal; distinct phases are far apart
-FIXED_SPACE_TOL = 1e-9  # commutant directions have 1 - eigenvalue <= 4.7e-12, the next >= 0.55
+FIXED_SPACE_TOL = 1e-9  # commutant directions have 1 - eigenvalue <= 4.4e-15, the next >= 0.5527
+# (1 - 1/sqrt 5), by eigh and by eigvalsh over SU(2) k <= 64, SU(3) k <= 26 and SU(4) k <= 11
 PIVOT_TOL = 1e-7  # an echelon pivot candidate below this is zero in exact arithmetic
 COMMUTE_TOL = 1e-8  # a commutant element commutes with S and T to this
 EIGEN_TOL = 1e-8  # eigenvector residual
@@ -361,13 +362,17 @@ def su2_fusion_closed_form(k: int) -> FusionRing:
     The window equals the rounded Verlinde sum of su2_modular_data at every
     level up to SU2_LEVEL_MAX (a test checks each), and the Verlinde formula
     diagonalises every N_a by the one unitary S, so the ring axioms hold and
-    are not re-validated on every call.
+    are not re-validated on every call.  N[a, b, c] = 1 iff |a - b| <= c <=
+    min(a + b, 2k - a - b) and c has the parity of a + b; the bounds and the
+    parity are L x L arrays compared against c by broadcasting, so the only
+    L^3 arrays are the boolean masks and N itself.
     """
     L = su2_level(k) + 1
-    a, b, c = np.ogrid[:L, :L, :L]
-    N = ((abs(a - b) <= c) & (c <= np.minimum(a + b, 2 * k - a - b))
-         & ((a + b + c) % 2 == 0)).astype(int)
-    return FusionRing(N=N)
+    a, b = np.ogrid[:L, :L]
+    lo, hi = abs(a - b)[..., None], np.minimum(a + b, 2 * k - a - b)[..., None]
+    parity = ((a + b) % 2)[..., None]
+    c = np.arange(L)
+    return FusionRing(N=((lo <= c) & (c <= hi) & (c % 2 == parity)).astype(int))
 
 
 def _sun_partitions(n: int, k: int) -> np.ndarray:
@@ -624,9 +629,12 @@ def check_modular(md: ModularData) -> ModularChecks:
 # ---------------------------------------------------------------------------
 # JSON export / import
 
+NUMBER_FORMAT = "%.12g"  # 12 significant digits: the one number format of text, CSV and JSON output
+
+
 def sig12(x: float) -> str:
-    """x to 12 significant digits, the one number format of text, CSV and JSON output."""
-    return f"{float(x):.12g}"
+    """x to 12 significant digits, NUMBER_FORMAT."""
+    return NUMBER_FORMAT % float(x)
 
 
 def _complex_entry(z) -> dict:

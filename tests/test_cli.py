@@ -219,7 +219,10 @@ def test_emit_graph_e7_dynkin(tmp_path, capsys):
 GOLDEN_DOT = {
     "A33": "46153125726d8e815410725312bdb8a7a173c49a53755bc32e9e01ee18fd8f36",
     "A49": "8ac9fcac9436c8e2644b3c0a69e4fe6426eb1f04fb0c1069804d948e9cd43fc8",
+    "D13": "dd05fbbddfb20982e215e5fb6d6052981e7f70a9d41ec6196d11c9553241aefd",
+    "D15": "5144d7e549445bfcf099240dde3543e78ddc54117076dbd1c0c8cbf023dd6328",
     "D21": "0cd6f2a8efa1ed98b71ce6213c23017c180d65e8902cdfd3aad3eea1ae77e0e0",
+    "D33": "4a06c9124ed83dc6b868af474c80820959b5886e8a5b01d2d2d6df6fb70f38c3",
     "D5": "d761719bdb8481c64fbdb7fe231d65d112cd37dcad4286134f29e640ff169a99",
     "D8": "11168901cae944b921980a07d6b2fba4d85b75046062b687edc4b52b611cf599",
     "E6": "785aa3f55259966f564bcf5167fccabd3c3da7dad7bba0f63ed80128b2507938",
@@ -447,6 +450,13 @@ def _refuse_everywhere(monkeypatch, names, message):
     return refuse
 
 
+def _refuse_fusion_tensor(monkeypatch):
+    """Make each function that builds a fusion tensor, and FusionRing.validate, raise."""
+    refuse = _refuse_everywhere(monkeypatch, ("verlinde_fusion", "su2_fusion_closed_form"),
+                                "fusion tensor built")
+    monkeypatch.setattr(core.FusionRing, "validate", refuse)
+
+
 @pytest.mark.parametrize("argv", [
     ("invariants", "--family", "su3", "--level", "7", "--json"),
     ("invariants", "--family", "su4", "--level", "4", "--json"),
@@ -457,12 +467,35 @@ def test_invariants_and_catalog_build_no_fusion_tensor(capsys, monkeypatch, argv
     """Only ``fusion`` builds the whole ring: with each function that builds a
     fusion tensor made to raise, in every module that binds it, the
     permutation flags come from Verlinde rows and stdout is unchanged."""
-    refuse = _refuse_everywhere(monkeypatch, ("verlinde_fusion", "su2_fusion_closed_form"),
-                                "fusion tensor built")
-    monkeypatch.setattr(core.FusionRing, "validate", refuse)
+    _refuse_fusion_tensor(monkeypatch)
     code, out, _ = run(capsys, *argv)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_STDOUT[argv]
+
+
+@pytest.mark.parametrize("argv", [
+    ("nimrep", "--graph", "A49", "--csv"),
+    ("graph-algebra", "--graph", "A49", "--json"),
+    ("chiral-table", "--max-level", "32", "--json"),
+    ("emit-graph", "--case", "A33"),
+    ("emit-graph", "--case", "D8"),
+    ("emit-graph", "--case", "E7"),
+])
+def test_diagram_commands_build_no_fusion_tensor(tmp_path, capsys, monkeypatch, argv):
+    """Of the diagram commands only ``gram`` (the closed form) and the D_odd
+    drawing of ``emit-graph`` (the validated Verlinde ring) build a fusion
+    tensor: with each builder and FusionRing.validate made to raise, stdout
+    and every other drawing are unchanged."""
+    _refuse_fusion_tensor(monkeypatch)
+    if argv[0] == "emit-graph":
+        out_path = tmp_path / "graph.dot"
+        code, _, _ = run(capsys, *argv, "--out", str(out_path))
+        digest, golden = hashlib.sha256(out_path.read_bytes()).hexdigest(), GOLDEN_DOT[argv[-1]]
+    else:
+        code, out, _ = run(capsys, *argv)
+        digest, golden = hashlib.sha256(out.encode()).hexdigest(), GOLDEN_STDOUT[argv]
+    assert code == 0
+    assert digest == golden
 
 
 @pytest.mark.parametrize("argv", [

@@ -139,6 +139,20 @@ def test_fixed_space_margin(family, k):
     assert gap[:len(gap) - dim].min(initial=1.0) >= 0.5
 
 
+def test_fixed_space_tol_comment_figures():
+    # the figures of the FIXED_SPACE_TOL comment on SU(2) k <= 64, SU(3) k <= 12, SU(4) k <= 8
+    cases = ([("su2", k) for k in range(1, core.SU2_LEVEL_MAX + 1)]
+             + [("su3", k) for k in range(1, 13)] + [("su4", k) for k in range(1, 9)])
+    for family, k in cases:
+        md = _modular_data(family, k)
+        M = search._fixed_space_matrix(md, *search._t_support(md))
+        for lam in (np.linalg.eigh(M)[0], np.linalg.eigvalsh(M)):
+            gap = 1.0 - lam
+            fixed = gap <= core.FIXED_SPACE_TOL
+            assert gap[fixed].max() <= 4.4e-15, (family, k)
+            assert gap[~fixed].min(initial=1.0) >= 0.5527, (family, k)
+
+
 @pytest.mark.parametrize("family,k", [("su2", k) for k in range(1, 17)]
                          + [("su3", k) for k in range(1, 6)]
                          + [("su4", k) for k in range(1, 4)] + [("ising", 0)])

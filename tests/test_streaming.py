@@ -5,6 +5,7 @@ memory beyond the data a command needs stays a fraction of its output."""
 import importlib.util
 import itertools
 import json
+import math
 import sys
 import tracemalloc
 from pathlib import Path
@@ -29,9 +30,13 @@ def _encode(doc) -> str:
     return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
 
 
+def _cell(x) -> str:
+    """The reference cell rule: a float to 12 significant digits, anything else by str."""
+    return f"{float(x):.12g}" if isinstance(x, float) else str(x)
+
+
 def _csv(header, rows) -> str:
-    lines = [",".join(core.sig12(x) if isinstance(x, float) else str(x) for x in row)
-             for row in rows]
+    lines = [",".join(map(_cell, row)) for row in rows]
     return "\n".join([header] + lines) + "\n"
 
 
@@ -137,6 +142,22 @@ def test_json_writer_pieces(capsys):
     assert capsys.readouterr().out == _encode(
         {"family": "x", "N": [[0, 1], [2, 3], [4, 5]], "empty": [], "only_empty": [],
          "level": None})
+
+
+CSV_FLOATS = [-0.0, 0.0, 1e-13, 1e12, 123456789012345.0, math.inf, -math.inf, 0.1 + 0.2]
+
+
+def test_csv_writer_formats_each_cell_by_the_reference_rule(monkeypatch, capsys):
+    """One row format per table writes the bytes of the per-cell rule, over
+    chunk boundaries, for float, numpy.float64, large int, str and bool cells."""
+    monkeypatch.setattr(cli, "CSV_CHUNK_ROWS", 3)
+    rows = [("g", 10 ** 12 + i, x, np.float64(x) / 3, i % 2 == 0)
+            for i, x in enumerate(CSV_FLOATS)]
+    cli._print_csv("s,n,x,y,even", iter(rows))
+    assert capsys.readouterr().out == _csv("s,n,x,y,even", rows)
+    cli._print_csv("s,n,x,y,even", [])
+    assert capsys.readouterr().out == _csv("s,n,x,y,even", [])
+    assert [core.sig12(x) for x in CSV_FLOATS] == list(map(_cell, CSV_FLOATS))
 
 
 def _raise_on_last_call(monkeypatch, capsys, owner, name, argv):
