@@ -11,8 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (ASSERT_TOL, FLOAT_EXACT_MAX, SPECTRUM_TOL, ModularData, su2_level,
-                   su2_modular_data)
+from .core import FLOAT_EXACT_MAX, SPECTRUM_TOL, ModularData, su2_level, su2_modular_data
 from .search import MassMatrix, diagram_case, su2_branching
 
 
@@ -39,26 +38,14 @@ class AdeGraph:
     def level(self) -> int:
         return self.coxeter - 2
 
-    def validate(self) -> None:
-        A = self.adjacency
-        if not np.array_equal(A, A.T) or A.dtype.kind not in "iu":
-            raise ValueError("adjacency must be a symmetric integer matrix")
-        norm = np.linalg.eigvalsh(A.astype(float)).max()
-        if abs(norm - 2.0 * np.cos(np.pi / self.coxeter)) > ASSERT_TOL:
-            raise ValueError(f"{self.name}: |A| != 2 cos(pi/{self.coxeter})")
-        depth = _depths(A)
-        if depth.min() < 0:
-            raise ValueError(f"{self.name}: not connected")
-        parity = depth % 2
-        if A[parity[:, None] == parity].any():
-            raise ValueError(f"{self.name}: not bipartite")
-
 
 def ade_graph(name: str) -> AdeGraph:
     """Build the named diagram ("A7", "D5", "E6", ...) in canonical vertex order.
 
     A_n is a path on n vertices.  D_n and E_n are a path on n - 1 vertices
     with one tail vertex attached at spine vertex n - 3 (D_n) or n - 4 (E_n).
+    The result is not re-checked on each call: tests check that every diagram
+    within SU2_LEVEL_MAX is a tree whose spectrum is its exponents.
     """
     case, k = diagram_case(name)
     kind, num = name[0], int(name[1:])
@@ -70,9 +57,7 @@ def ade_graph(name: str) -> AdeGraph:
         A[tail_at, num - 1] = A[num - 1, tail_at] = 1
     # spin j is an exponent as often as Z[j, j] of the diagram's invariant
     exponents = tuple(j for j, m in enumerate(su2_branching(case, k).diagonal) for _ in range(m))
-    g = AdeGraph(name=name, case=case, adjacency=A, coxeter=k + 2, exponents=exponents)
-    g.validate()
-    return g
+    return AdeGraph(name=name, case=case, adjacency=A, coxeter=k + 2, exponents=exponents)
 
 
 def _depths(A: np.ndarray, root: int = 0) -> np.ndarray:
@@ -119,8 +104,9 @@ def fused_adjacencies(graph: AdeGraph) -> NimRepFamily:
     e_j = U_j(x) for the polynomials U_{j+1} = x U_j - U_{j-1}, U_0 = 1,
     U_1 = x, and G_j = U_j(G_1), so e_j -> G_j is a ring map iff
     U_{k+1}(G_1) = G_{k+1} = 0.
-    A negative entry in G_2 .. G_k signals a wrong graph/level pairing and
-    raises.
+    A level k outside 1..SU2_LEVEL_MAX is refused before anything is
+    allocated.  A negative entry in G_2 .. G_k signals a wrong graph/level
+    pairing and raises.
 
     The recursion runs in float64 BLAS products and is converted to int
     once.  Every partial sum of G_1 G_j is an integer of magnitude at most
@@ -132,9 +118,9 @@ def fused_adjacencies(graph: AdeGraph) -> NimRepFamily:
     G_{k+1} is zero exactly when its computed value is; beyond the bound
     ValueError is raised.
     """
-    k = graph.coxeter - 2
+    k = su2_level(graph.coxeter - 2)
     V = graph.num_vertices
-    G = np.empty((max(k, 0) + 2, V, V))
+    G = np.empty((k + 2, V, V))
     G[0] = np.eye(V)
     G[1] = graph.adjacency
     for j in range(1, k + 1):
@@ -144,7 +130,6 @@ def fused_adjacencies(graph: AdeGraph) -> NimRepFamily:
         raise ValueError(f"{graph.name}: fused adjacencies beyond the exact float64 range")
     if (G[2:k + 1] < 0).any():
         raise ValueError(f"{graph.name}: negative entry in fused adjacency")
-    su2_level(k)
     if G[k + 1].any():
         raise ValueError(f"{graph.name}: nimrep identity fails")
     return NimRepFamily(graph=graph, G=G[:k + 1].astype(int))
@@ -242,14 +227,18 @@ def identify_ade(A: np.ndarray) -> str | None:
     # entries summing to 2(n - 1) with a loop leave fewer than n - 1 edges,
     # too few to connect n vertices, so a tree has zero diagonal
     if (not np.array_equal(A, A.T) or not np.isin(A, (0, 1)).all()
-            or A.sum() != 2 * (n - 1) or _depths(A).min() < 0):
+            or A.sum() != 2 * (n - 1)):
         return None
     deg = A.sum(axis=0)
+    # one traversal from the fork (if any) gives connectivity and the arm lengths
+    depth = _depths(A, int(deg.argmax()))
+    if depth.min() < 0:
+        return None
     if deg.max() <= 2:
         return f"A{n}"
     if (deg == 1).sum() != 3:
         return None
-    a, b, c = sorted(_depths(A, int(deg.argmax()))[deg == 1])
+    a, b, c = sorted(depth[deg == 1])
     if (a, b) == (1, 1):
         return f"D{c + 3}"
     if (a, b) == (1, 2) and c <= 4:

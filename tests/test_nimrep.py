@@ -12,6 +12,9 @@ from modinv import cli, core, nimrep, search
 
 ALL_GRAPHS = ["A3", "A5", "A9", "A17", "D4", "D5", "D6", "D7", "D8",
               "D10", "D16", "E6", "E7", "E8"]
+# the 98 diagrams of levels 1..SU2_LEVEL_MAX, the whole domain of ade_graph
+EVERY_DIAGRAM = [name for k in range(1, core.SU2_LEVEL_MAX + 1)
+                 for name, _ in search.su2_diagrams(k)]
 
 
 def test_e7_graph_data():
@@ -42,9 +45,12 @@ def test_unknown_graph_name():
             nimrep.ade_graph(bad)
 
 
-@pytest.mark.parametrize("name", ALL_GRAPHS)
+@pytest.mark.parametrize("name", EVERY_DIAGRAM)
 def test_spectrum_matches_exponents(name):
+    """ade_graph does not check its result, so this is the check: the whole
+    spectrum, and with it the norm 2 cos(pi / h), of every diagram."""
     g = nimrep.ade_graph(name)
+    assert g.adjacency.dtype.kind == "i" and np.array_equal(g.adjacency, g.adjacency.T)
     eig = np.sort(np.linalg.eigvalsh(g.adjacency.astype(float)))
     want = np.sort([2 * np.cos(np.pi * (m + 1) / g.coxeter) for m in g.exponents])
     assert np.max(np.abs(eig - want)) < 1e-9
@@ -84,6 +90,19 @@ def test_wrong_graph_level_pairing_raises():
     bad = dataclasses.replace(g, coxeter=12)
     with pytest.raises(ValueError, match="D5: negative entry in fused adjacency"):
         nimrep.fused_adjacencies(bad)
+
+
+def test_out_of_range_level_is_refused_before_allocating():
+    # a level of 10^5 - 2 would stack 10^5 matrices and run the recursion first
+    bad = dataclasses.replace(nimrep.ade_graph("A5"), coxeter=10 ** 5)
+    tracemalloc.start()
+    try:
+        with pytest.raises(core.UsageError, match="su2 level out of range: 99998"):
+            nimrep.fused_adjacencies(bad)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 ** 6
 
 
 @pytest.mark.parametrize("name,case", [

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 import tracemalloc
 from fractions import Fraction
@@ -235,7 +236,9 @@ def _enumerate_with_basis(monkeypatch, md, change):
 
 @pytest.mark.parametrize("family,k", [("su2", 16), ("su3", 5)])
 def test_enumeration_divides_by_the_common_denominator(monkeypatch, family, k):
-    # every real case has denominator 1; scale the basis to reach the division
+    # the built-in families have denominator 1 (SU(2) k <= 64, SU(3) k <= 26,
+    # SU(4) k <= 11, Ising), so scale the basis to reach the division here;
+    # test_product_data_has_a_common_denominator_of_two runs it on real data
     md = _modular_data(family, k)
     expected = search.enumerate_invariants(md)
     found = _enumerate_with_basis(monkeypatch, md, lambda b: search.CommutantBasis(
@@ -243,6 +246,34 @@ def test_enumeration_divides_by_the_common_denominator(monkeypatch, family, k):
     assert search.commutant_basis(md).denominator == 3
     assert [Z.key() for Z in found] == [Z.key() for Z in expected]
     assert (found.nodes, found.complete) == (expected.nodes, expected.complete)
+
+
+def _product(a, b):
+    """The modular data of the product theory: S, T and the rest by np.kron."""
+    return core.ModularData(
+        family=f"{a.family}x{b.family}", level=0,
+        labels=tuple(f"{x},{y}" for x in a.labels for y in b.labels),
+        S=np.kron(a.S, b.S), T=np.kron(a.T, b.T), twists=np.kron(a.twists, b.twists),
+        dims=np.kron(a.dims, b.dims), global_index=a.global_index * b.global_index,
+        central_charge=(a.central_charge + b.central_charge) % 8)
+
+
+def test_product_data_has_a_common_denominator_of_two():
+    """SU(2)_4 x SU(2)_4, data a library user can build, has a commutant
+    basis with denominator 2: the Fraction path of _rationalize and the
+    division by D in the search serve genuine input."""
+    md = _product(core.su2_modular_data(4), core.su2_modular_data(4))
+    basis = search.commutant_basis(md)
+    assert (basis.dim, basis.denominator) == (9, 2)
+    found = search.enumerate_invariants(md)
+    assert found.complete and len(found) == 13
+    assert all(search.verify_invariant(md, Z).ok for Z in found)
+    A5, D4 = (search.su2_invariant_matrix(case, 4).Z for case in ("A", "D_even"))
+    for a, b in itertools.product((A5, D4), repeat=2):
+        assert search.MassMatrix(np.kron(a, b)) in found
+    back = search.commutant_basis(core.modular_data_from_json(core.modular_data_to_json(md)))
+    assert np.array_equal(back.E, basis.E)
+    assert (back.denominator, back.pivots) == (basis.denominator, basis.pivots)
 
 
 @pytest.mark.parametrize("family,k", [("su2", 16), ("su3", 5)])

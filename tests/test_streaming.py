@@ -2,6 +2,7 @@
 whole-document encoding, a failing check leaves stdout empty, and the
 memory beyond the data a command needs stays a fraction of its output."""
 
+import hashlib
 import importlib.util
 import itertools
 import json
@@ -127,11 +128,36 @@ def run(capsys, argv):
     return code, captured.out, captured.err
 
 
+def _assert_same_document(got, want):
+    """Equal lengths and SHA-256 digests, or a failure naming the first
+    differing line.  A bare == on documents of megabytes sends pytest's
+    difflib explanation into minutes of work when they differ."""
+    def digest(text):
+        return hashlib.sha256(text.encode()).hexdigest()
+
+    if len(got) == len(want) and digest(got) == digest(want):
+        return
+    pairs = itertools.zip_longest(got.splitlines(True), want.splitlines(True))
+    i, (a, b) = next((i, p) for i, p in enumerate(pairs) if p[0] != p[1])
+    pytest.fail(f"documents differ first at line index {i}:\n got: {a!r}\nwant: {b!r}",
+                pytrace=False)
+
+
+def test_document_comparison_names_the_first_differing_line():
+    _assert_same_document("a\nb\n", "a\nb\n")
+    for got, want, line in [("a\nb\nc\n", "a\nB\nc\n", "line index 1:\n got: 'b\\n'"),
+                            ("a\nb", "a\nb\n", "line index 1:\n got: 'b'"),
+                            ("a\n", "a\nb\n", "line index 1:\n got: None")]:
+        with pytest.raises(pytest.fail.Exception) as info:
+            _assert_same_document(got, want)
+        assert line in str(info.value)
+
+
 @pytest.mark.parametrize("argv", STREAMED + _benchmark_documents(), ids=" ".join)
 def test_streamed_output_equals_the_whole_document(capsys, argv):
     code, out, _ = run(capsys, argv)
     assert code == 0
-    assert out == reference_stdout(argv)
+    _assert_same_document(out, reference_stdout(argv))
 
 
 def test_json_writer_pieces(capsys):
