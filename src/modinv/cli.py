@@ -367,7 +367,13 @@ def main(argv=None) -> int:
         argv = sys.argv[1:]
     args = build_parser(argv[0] if argv else None).parse_args(argv)
     try:
-        return args.func(args)
+        status = args.func(args)
+        sys.stdout.flush()
+        return status
+    except BrokenPipeError:
+        # the reader is gone; stdout goes to devnull so the flush at exit cannot raise
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_VERIFY
     except core.UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -80,8 +80,8 @@ class FusionRing:
 
 
 
-def associative(N: np.ndarray, unit: int = 0) -> bool:
-    """Whether the commutative fusion tensor N with unit ``unit`` is associative.
+def associative(N: np.ndarray) -> bool:
+    """Whether the commutative fusion tensor N with unit label 0 is associative.
 
     Theorem.  Let N be commutative, N[p, q, r] = N[q, p, r], and write N_x
     for the matrix N[x].  For a label a, the identities (e_a e_b) e_i =
@@ -92,7 +92,7 @@ def associative(N: np.ndarray, unit: int = 0) -> bool:
     :func:`generating_labels`) N is associative iff every label that
     function returns does.
 
-    N[unit] = I and commutativity are checked exactly first; a tensor that
+    N[0] = I and commutativity are checked exactly first; a tensor that
     fails either raises ValueError, since the theorem needs both.
     Commutativity is N_a = N[:, a] for each label a in turn.  The products
     are float64 BLAS products N_x N_a and N_a N_x, one label x at a time,
@@ -104,14 +104,14 @@ def associative(N: np.ndarray, unit: int = 0) -> bool:
     """
     N = np.asarray(N)
     L = len(N)
-    if not np.array_equal(N[unit], np.eye(L, dtype=int)):
-        raise ValueError(f"label {unit} is not a unit")
+    if not np.array_equal(N[0], np.eye(L, dtype=int)):
+        raise ValueError("label 0 is not a unit")
     if not all(np.array_equal(N[a], N[:, a]) for a in range(L)):
         raise ValueError("fusion tensor not commutative")
     n = max(int(N.max()), -int(N.min()))
     if L * n * n >= FLOAT_EXACT_MAX:
         raise ValueError("associativity check beyond the exact float64 range")
-    for a in generating_labels(N.__getitem__, L, unit):
+    for a in generating_labels(N.__getitem__, L):
         Na = N[a].astype(np.float64)
         for Nx in N:
             Nx = Nx.astype(np.float64)
@@ -123,14 +123,13 @@ def associative(N: np.ndarray, unit: int = 0) -> bool:
 GENERATOR_PRIME = 2 ** 27 - 39  # the largest prime below 2^27: L p^2 < 2^63 for L < 512
 
 
-def generating_labels(row: Callable[[int], np.ndarray], L: int,
-                      unit: int = 0) -> tuple[int, ...]:
-    """Labels whose right-nested products g_1 (g_2 (... (g_n e_unit))) span the ring.
+def generating_labels(row: Callable[[int], np.ndarray], L: int) -> tuple[int, ...]:
+    """Labels whose right-nested products g_1 (g_2 (... (g_n e_0))) span the ring.
 
     The ring has L labels, and row(a) is the matrix N_a[b, c] = N[a, b, c]
     of its label a; only the rows of the returned labels are read.
 
-    Generator lemma.  Let R be a commutative algebra with unit 1 = e_unit and
+    Generator lemma.  Let R be a commutative algebra with unit 1 = e_0 and
     products e_a e_b = sum_c N[a, b, c] e_c.  The set A = {a : (a y) x =
     a (y x) for all x, y} is a subspace, contains 1, and is closed under
     products: for a, b in A, ((ab) y) x = (a (by)) x = a ((by) x) =
@@ -142,16 +141,15 @@ def generating_labels(row: Callable[[int], np.ndarray], L: int,
     products have integer coordinates, and rank L modulo p means an L x L
     minor nonzero modulo p, hence nonzero over Z: the products span Q^L.
     Labels are taken greedily in index order, each one whose basis vector
-    is not yet in the span.  The first is the first label a that is not the
-    unit, and the span it closes with e_unit is that of the rows
-    e_unit N_a^j, j < L.  When those have rank L modulo p, the greedy loop
-    returns (a,), so ``_krylov_full_rank`` decides that case first with
-    one elimination.  N must have the unit and be commutative, which
-    ``associative`` checks first.  Each row read is kept as its int64
-    residues modulo p; reduction modulo p commutes with the products, so
-    the ranks are those of the integer rows.  A sum of L products of
-    residues is below L p^2, and where that could overflow int64 every
-    label is returned, so the check is the full one.
+    is not yet in the span.  The first is label 1, and the span it closes
+    with e_0 is that of the rows e_0 N_1^j, j < L.  When those have rank L
+    modulo p, the greedy loop returns (1,), so ``_krylov_full_rank``
+    decides that case first with one elimination.  N must have unit label 0
+    and be commutative, which ``associative`` checks first.  Each row read
+    is kept as its int64 residues modulo p; reduction modulo p commutes
+    with the products, so the ranks are those of the integer rows.  A sum
+    of L products of residues is below L p^2, and where that could
+    overflow int64 every label is returned, so the check is the full one.
     """
     p = GENERATOR_PRIME
     if L * p * p >= 2 ** 63:
@@ -161,9 +159,8 @@ def generating_labels(row: Callable[[int], np.ndarray], L: int,
     def read(a: int) -> np.ndarray:  # row a, read once, as int64 residues mod p
         return (np.asarray(row(a)) % p).astype(np.int64)
 
-    first = int(unit == 0)
-    if L > 1 and _krylov_full_rank(read(first), unit):
-        return (first,)
+    if L > 1 and _krylov_full_rank(read(1)):
+        return (1,)
     eye = np.eye(L, dtype=np.int64)
     rows = np.empty((L, L), dtype=np.int64)  # rows[:len(pivots)]: reduced echelon basis mod p
     pivots: list[int] = []
@@ -183,7 +180,7 @@ def generating_labels(row: Callable[[int], np.ndarray], L: int,
         return rows[start:len(pivots)]
 
     gens: list[int] = []
-    extend(eye[[unit]])
+    extend(eye[[0]])
     for a in range(L):
         if len(pivots) == L:
             break
@@ -200,13 +197,13 @@ def generating_labels(row: Callable[[int], np.ndarray], L: int,
     return tuple(gens)
 
 
-def _krylov_full_rank(A: np.ndarray, unit: int) -> bool:
-    """Whether the rows e_unit A^j, j < len(A), have full rank modulo p =
+def _krylov_full_rank(A: np.ndarray) -> bool:
+    """Whether the rows e_0 A^j, j < len(A), have full rank modulo p =
     GENERATOR_PRIME, for int64 A with entries in [0, p) and len(A) p^2 < 2^63."""
     p = GENERATOR_PRIME
     L = len(A)
     K = np.zeros((L, L), dtype=np.int64)
-    K[0, unit] = 1
+    K[0, 0] = 1
     for j in range(1, L):
         K[j] = K[j - 1] @ A % p
     for c in range(L):
@@ -426,8 +423,7 @@ def sun_modular_data(n: int, k: int) -> ModularData:
 
     Labels are partition pairs/tuples (a_1 >= ... >= a_{n-1} >= 0), a_1 <= k,
     sorted lexicographically so the vacuum (0,...,0) has index 0.  The SU(3)
-    display convention "(m,n)" corresponds to Dynkin labels (m-n, n).  For
-    n = 2 this agrees entrywise with :func:`su2_modular_data`.
+    display convention "(m,n)" corresponds to Dynkin labels (m-n, n).
 
     The weights a (a_n = 0) and a + rho = a + (n-1, ..., 0) are two L x n
     arrays, each made traceless by one row-mean subtraction; rho is the
@@ -436,7 +432,7 @@ def sun_modular_data(n: int, k: int) -> ModularData:
     ModularData.partitions, from which pieri_rows reads the fusion rows of
     the fundamental weights.
     """
-    if n not in (2, 3, 4):
+    if n not in (3, 4):
         raise UsageError(f"unsupported rank: SU({n})")
     if k < 1:
         raise UsageError(f"level must be positive: {k}")

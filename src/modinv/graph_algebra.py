@@ -109,7 +109,6 @@ class GraphFusion:
     """Structure constants from the gauge, with their integrality classification."""
 
     graph: str
-    base: int                 # distinguished vertex acting as the unit
     Nhat: np.ndarray          # complex values as computed
     rounded: np.ndarray       # nearest integers
     positive: bool            # all entries within ROUND_TOL of non-negative integers
@@ -117,8 +116,8 @@ class GraphFusion:
     integrality_gap: float
 
     def associative(self) -> bool:
-        """Exact associativity, checked on the generators of the base vertex."""
-        return associative(self.rounded, self.base)
+        """Exact associativity, with vertex 0, the base of every positive case, as unit."""
+        return associative(self.rounded)
 
 
 def graph_structure_constants(gauge: EigenGauge) -> GraphFusion:
@@ -153,7 +152,6 @@ def graph_structure_constants(gauge: EigenGauge) -> GraphFusion:
     positive = bool(gap <= ROUND_TOL and rounded.min() >= 0)
     return GraphFusion(
         graph=gauge.graph.name,
-        base=gauge.base,
         Nhat=N,
         rounded=rounded,
         positive=positive,

@@ -1,13 +1,16 @@
 import argparse
 import hashlib
 import json
+import os
 import re
+import subprocess
 import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 
+import modinv
 from modinv import cli, core, dot, nimrep, search
 
 
@@ -691,3 +694,22 @@ def test_console_script_reads_sys_argv(capsys, monkeypatch):
     captured = capsys.readouterr()
     assert (code, captured.out, captured.err) == expected
     assert expected[0] == 0 and expected[1]
+
+
+@pytest.mark.parametrize("argv", [
+    ("graph-algebra", "--graph", "A33", "--csv"),
+    ("show", "--family", "su3", "--level", "12", "--json"),
+    ("fusion", "--family", "su3", "--level", "12", "--json"),
+], ids=lambda argv: argv[0])
+def test_a_closed_pipe_ends_the_command_without_a_traceback(argv):
+    # each output is far beyond a pipe's buffer, so the command is still
+    # writing when the reader closes its end after 10 bytes
+    src = os.path.dirname(os.path.dirname(modinv.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.Popen([sys.executable, "-m", "modinv.cli", *argv], env=env,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert len(proc.stdout.read(10)) == 10
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert (proc.wait(), err) == (cli.EXIT_VERIFY, b"")

@@ -70,9 +70,9 @@ def test_associative_on_generators_equals_full_check(name):
         graph_algebra.eigen_gauge(nimrep.ade_graph(name)))
     R = fusion.rounded
     V = len(R)
-    assert len(core.generating_labels(R.__getitem__, V, fusion.base)) < V
+    assert len(core.generating_labels(R.__getitem__, V)) < V
     assert fusion.associative() is _represents_int64(R) is True
-    # a symmetric change off the base vertex; two-vertex unital rings stay associative
+    # a symmetric change off the unit vertex 0; two-vertex unital rings stay associative
     M = np.array(R)
     M[1, V - 1, 1] += 1
     M[V - 1, 1, 1] = M[1, V - 1, 1]
@@ -86,33 +86,48 @@ def _represents_int64(N):
     return all(np.array_equal(N @ N[a], (N[a] @ flat).reshape(N.shape)) for a in range(len(N)))
 
 
-def _unit_residual(fusion):
+def _unit_residual(gauge, fusion):
     # Nhat[base] is the identity matrix: the base vertex is the unit
     V = len(fusion.Nhat)
-    return np.abs(fusion.Nhat[fusion.base] - np.eye(V)).max()
+    return np.abs(fusion.Nhat[gauge.base] - np.eye(V)).max()
 
 
-def _graph_fusion(name):
-    return graph_algebra.graph_structure_constants(
-        graph_algebra.eigen_gauge(nimrep.ade_graph(name)))
+def _gauge_and_fusion(name):
+    gauge = graph_algebra.eigen_gauge(nimrep.ade_graph(name))
+    return gauge, graph_algebra.graph_structure_constants(gauge)
 
 
 @pytest.mark.parametrize("name", POSITIVE)
 def test_positive_cases(name):
-    fusion = _graph_fusion(name)
+    gauge, fusion = _gauge_and_fusion(name)
     assert fusion.positive
     assert fusion.integrality_gap < 1e-6
     assert fusion.associative()
-    assert _unit_residual(fusion) < 1e-9
+    assert _unit_residual(gauge, fusion) < 1e-9
 
 
 @pytest.mark.parametrize("name", NEGATIVE)
 def test_negative_cases(name):
-    fusion = _graph_fusion(name)
+    gauge, fusion = _gauge_and_fusion(name)
     assert not fusion.positive
     assert fusion.worst_negative < -1e-3
     # the base vertex still acts as the unit even in the negative cases
-    assert _unit_residual(fusion) < 1e-9
+    assert _unit_residual(gauge, fusion) < 1e-9
+
+
+def test_every_positive_algebra_has_its_unit_at_vertex_0():
+    """GraphFusion.associative takes vertex 0 as the unit.  Over every
+    diagram of SU(2) k <= SU2_LEVEL_MAX the algebra is positive exactly for
+    A, D_even, E6 and E8, and each of those has base vertex 0; D_odd, the
+    one case with another base, is never positive."""
+    cases = []
+    for k in range(1, core.SU2_LEVEL_MAX + 1):
+        for name, case in search.su2_diagrams(k):
+            gauge, fusion = _gauge_and_fusion(name)
+            assert fusion.positive is (case in ("A", "D_even", "E6", "E8")), name
+            assert gauge.base == 0 or not fusion.positive, name
+            cases.append(case)
+    assert len(cases) == 98 and "D_odd" in cases and "E7" in cases
 
 
 @pytest.mark.parametrize("name", ["A7", "D6", "E6", "E8"])

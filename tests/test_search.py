@@ -203,7 +203,8 @@ def test_rationalize_agrees_with_limit_denominator(xs, y):
                        + [(4, k) for k in range(1, 6)]))
 def test_json_round_trip_keeps_the_commutant_basis(nk):
     # imported data carries 12 significant digits; FIXED_SPACE_TOL is sized for it
-    md = core.sun_modular_data(*nk)
+    n, k = nk
+    md = core.su2_modular_data(k) if n == 2 else core.sun_modular_data(n, k)
     back = core.modular_data_from_json(core.modular_data_to_json(md))
     assert core.check_modular(back).passed
     a, b = search.commutant_basis(md), search.commutant_basis(back)
