@@ -45,8 +45,6 @@ from .graph_algebra import (
     graph_structure_constants,
 )
 from .chiral import (
-    SectorDecomposition,
-    gram_matrix,
     decompose_gram,
     verify_factorization,
     chiral_indices,

@@ -24,52 +24,18 @@ import numpy as np
 from .core import (
     ASSERT_TOL,
     CHIRAL_TABLE_LEVEL_MAX,
-    FusionRing,
     ModularData,
     UsageError,
     sig12,
     su2_modular_data,
 )
 from .search import BranchingData, MassMatrix, su2_ade_catalog
-from .nimrep import identify_ade
 
 GRAM_NODE_BUDGET = 10 ** 6
 
 
 # ---------------------------------------------------------------------------
 # Gram matrices of sector systems and their integer factorization
-
-def gram_matrix(ring: FusionRing, theta) -> np.ndarray:
-    """Sector Gram matrix M[l, m] = sum_nu theta_nu N[nu, l, m].
-
-    ``theta`` is the multiplicity vector of the generating sector; it must
-    contain the identity (theta[0] >= 1).
-    """
-    t = np.asarray(theta, dtype=int)
-    if t.shape != (ring.size,):
-        raise ValueError("theta length must match the label set")
-    if t[0] < 1:
-        raise ValueError("theta must contain the identity sector")
-    if t.min() < 0:
-        raise ValueError("theta multiplicities must be non-negative")
-    return np.einsum("n,nlm->lm", t, ring.N)
-
-
-@dataclass(frozen=True)
-class SectorDecomposition:
-    """Integer F with F^t F = M (rows: irreducible sectors) and the induced G1."""
-
-    F: np.ndarray
-    G1: np.ndarray
-
-    @property
-    def num_sectors(self) -> int:
-        return self.F.shape[0]
-
-    @property
-    def graph_name(self) -> str | None:
-        return identify_ade(self.G1)
-
 
 def factor_gram(M: np.ndarray) -> tuple[np.ndarray, int]:
     """A non-negative integer F with F^t F = M by column-wise peeling, and
@@ -170,42 +136,34 @@ def factor_gram(M: np.ndarray) -> tuple[np.ndarray, int]:
     return solution, nodes
 
 
-def decompose_gram(M: np.ndarray, ring: FusionRing) -> SectorDecomposition:
-    """Factor M = F^t F and induce G1 from F.
+def decompose_gram(theta: np.ndarray, N: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The sector Gram matrix M[l, m] = sum_nu theta[nu] N[nu, l, m], its
+    factorization M = F^t F and the G1 that F induces, as (F, G1).
 
-    F is the first factorization of ``factor_gram``, whose docstring states
-    and proves the row rule that its search branches by.  G1 is lstsq's
-    minimum-norm solution of G1 F = F N_1, rounded, and must solve it
-    exactly; fractional or negative G1 signals an inconsistent theta.  F
-    determines G1 only when its rows are independent: where y^t F = 0 for
-    some y != 0, G1 + x y^t solves the equation too, for every column x.
-    Such F are common (rank r - 1 of r rows for id+l10 at level 10 and for
-    id+l2 at levels 6 and 22), and the G1 returned is then one solution
-    among many, not the induced graph.
+    ``theta`` is the multiplicity vector of the generating sector over the
+    labels of the fusion tensor N.  F is the first factorization of
+    ``factor_gram``, whose docstring states and proves the row rule that its
+    search branches by.  G1 is lstsq's minimum-norm solution of
+    G1 F = F N_1, rounded, and must solve it exactly; fractional or negative
+    G1 signals an inconsistent theta.  F determines G1 only when its rows
+    are independent: where y^t F = 0 for some y != 0, G1 + x y^t solves the
+    equation too, for every column x.  Such F are common (rank r - 1 of r
+    rows for id+l10 at level 10 and for id+l2 at levels 6 and 22), and the
+    G1 returned is then one solution among many, not the induced graph.
     """
+    M = np.einsum("n,nlm->lm", theta, N)
     F, _ = factor_gram(M)
     if not np.array_equal(F.T @ F, M):
         raise ValueError("factorization check failed")
-    N1 = ring.N[1]
-    sol, *_ = np.linalg.lstsq(F.T.astype(float), (F @ N1).T.astype(float), rcond=None)
+    sol, *_ = np.linalg.lstsq(F.T.astype(float), (F @ N[1]).T.astype(float), rcond=None)
     G1 = sol.T
     G1r = np.round(G1)
     if np.max(np.abs(G1 - G1r)) > ASSERT_TOL or G1r.min() < 0:
         raise ValueError("induced G1 is not a non-negative integer matrix")
     G1i = G1r.astype(int)
-    if not np.array_equal(G1i @ F, F @ N1):
+    if not np.array_equal(G1i @ F, F @ N[1]):
         raise ValueError("G1 F = F N_1 fails exactly")
-    return SectorDecomposition(F=F, G1=G1i)
-
-
-def theta_vector(k: int, spins) -> np.ndarray:
-    """Multiplicity vector over SU(2)_k spins from a list like [0, 8, 16]."""
-    t = np.zeros(k + 1, dtype=int)
-    for j in spins:
-        if not 0 <= j <= k:
-            raise ValueError(f"spin {j} outside level {k}")
-        t[j] += 1
-    return t
+    return F, G1i
 
 
 # ---------------------------------------------------------------------------
@@ -225,14 +183,14 @@ def gamma01_name(b: BranchingData, diagrams: dict) -> str:
     irreducible representations of the chiral fusion rule algebra, so
     chi_l appears sum_t b+[t, l]^2 times in the spectrum of the chiral
     system: Gamma01 is the level-k diagram with that exponent diagonal,
-    where b+ has a column per spin 0..k.  ``diagrams`` maps the level's
-    diagonals to their diagrams, as ``search.su2_diagram_table`` does.
+    where b+ has a column per spin 0..k.  ``diagrams`` maps each diagonal
+    of the level to the name of its diagram.
     """
     squares = tuple((b.b_plus ** 2).sum(axis=0).tolist())
     if squares not in diagrams:
         raise ValueError(f"level {len(squares) - 1}: chiral multiplicities {squares} "
                          "match no diagram")
-    return diagrams[squares][0]
+    return diagrams[squares]
 
 
 # ---------------------------------------------------------------------------
@@ -306,7 +264,7 @@ def chiral_table(kmax: int) -> list[ChiralRow]:
         md = su2_modular_data(k)
         catalog = su2_ade_catalog(md)
         # the catalog holds every level-k diagram, so Gamma01 is named from it
-        diagrams = {named.Z.diagonal: (named.name, named.branching) for named in catalog}
+        diagrams = {named.Z.diagonal: named.name for named in catalog}
         for named in catalog:
             b = named.branching
             if not verify_factorization(named.Z, b):

@@ -262,6 +262,8 @@ def cmd_chiral_table(args) -> int:
 
 
 def _parse_theta(spec: str, k: int) -> np.ndarray:
+    """The multiplicity of each spin 0..k in theta: one for each `l<j>`
+    token, `id` standing for `l0`, and spin 0 exactly once."""
     spins = []
     for token in spec.split("+"):
         token = token.strip()
@@ -271,20 +273,20 @@ def _parse_theta(spec: str, k: int) -> np.ndarray:
             spins.append(int(token[1:]))
         else:
             raise core.UsageError(f"bad theta token {token!r}")
-    if 0 not in spins:
-        raise core.UsageError(f"theta {spec!r} is missing id")
+    # <theta, id> = <iota, iota> = 1 for an irreducible iota
+    if spins.count(0) != 1:
+        raise core.UsageError(f"theta {spec!r} must contain id exactly once")
     if any(j > k for j in spins):
         raise core.UsageError("theta spin beyond level")
-    return chiral.theta_vector(k, spins)
+    return np.bincount(spins, minlength=k + 1)
 
 
 def cmd_gram(args) -> int:
     ring = core.su2_fusion_closed_form(args.level)
-    theta = _parse_theta(args.theta, args.level)
-    dec = chiral.decompose_gram(chiral.gram_matrix(ring, theta), ring)
-    print(f"level {args.level} theta {args.theta}: {dec.num_sectors} sectors, "
-          f"G1 graph {dec.graph_name or 'unrecognized'}")
-    for row in dec.G1.tolist():
+    F, G1 = chiral.decompose_gram(_parse_theta(args.theta, args.level), ring.N)
+    print(f"level {args.level} theta {args.theta}: {len(F)} sectors, "
+          f"G1 graph {nimrep.identify_ade(G1) or 'unrecognized'}")
+    for row in G1.tolist():
         print("  " + " ".join(str(x) for x in row))
     return EXIT_OK
 
@@ -367,6 +369,8 @@ def main(argv=None) -> int:
         argv = sys.argv[1:]
     args = build_parser(argv[0] if argv else None).parse_args(argv)
     try:
+        if vars(args).get("csv") and vars(args).get("json"):
+            raise core.UsageError("--csv and --json cannot be combined")
         status = args.func(args)
         sys.stdout.flush()
         return status

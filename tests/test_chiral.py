@@ -12,10 +12,21 @@ from modinv import chiral, core, nimrep, search
 from test_search import su3_named_invariants
 
 
+def _theta(k, spins):
+    """theta over the spins 0..k, one copy of each spin listed."""
+    return np.bincount(spins, minlength=k + 1)
+
+
+def _gram(ring, spins):
+    """M = sum of N_nu over the spins of theta."""
+    return ring.N[list(spins)].sum(axis=0)
+
+
 def test_gram_matrix_e7_theta():
     k = 16
     ring = core.su2_fusion_closed_form(k)
-    M = chiral.gram_matrix(ring, chiral.theta_vector(k, [0, 8, 16]))
+    F, _ = chiral.decompose_gram(_theta(k, [0, 8, 16]), ring.N)
+    M = F.T @ F
     for j in range(k + 1):
         for jp in range(k + 1):
             want = int(j == jp) + int(ring.N[8, j, jp]) + int(j == k - jp)
@@ -24,49 +35,43 @@ def test_gram_matrix_e7_theta():
 
 def test_gram_matrix_identity_theta():
     ring = core.su2_fusion_closed_form(5)
-    M = chiral.gram_matrix(ring, chiral.theta_vector(5, [0]))
-    assert np.array_equal(M, np.eye(6, dtype=int))
+    F, _ = chiral.decompose_gram(_theta(5, [0]), ring.N)
+    assert np.array_equal(F.T @ F, np.eye(6, dtype=int))
 
 
 def test_gram_matrix_dodd_theta():
     ring = core.su2_fusion_closed_form(6)
-    M = chiral.gram_matrix(ring, chiral.theta_vector(6, [0, 6]))
+    F, _ = chiral.decompose_gram(_theta(6, [0, 6]), ring.N)
+    M = F.T @ F
     for j in range(7):
         for jp in range(7):
             assert M[j, jp] == int(j == jp) + int(j == 6 - jp)
 
 
-def test_gram_matrix_requires_identity():
-    ring = core.su2_fusion_closed_form(4)
-    with pytest.raises(ValueError):
-        chiral.gram_matrix(ring, chiral.theta_vector(4, [4]))
-
-
 def test_decompose_gram_e7():
     ring = core.su2_fusion_closed_form(16)
-    M = chiral.gram_matrix(ring, chiral.theta_vector(16, [0, 8, 16]))
-    dec = chiral.decompose_gram(M, ring)
-    assert dec.num_sectors == 7
-    assert dec.graph_name == "E7"
-    assert np.array_equal(dec.F.T @ dec.F, M)
+    F, G1 = chiral.decompose_gram(_theta(16, [0, 8, 16]), ring.N)
+    assert len(F) == 7
+    assert nimrep.identify_ade(G1) == "E7"
+    assert np.array_equal(F.T @ F, _gram(ring, [0, 8, 16]))
 
 
 @pytest.mark.parametrize("ell", [2, 3, 4])
 def test_decompose_gram_dodd(ell):
     k = 4 * ell - 2
     ring = core.su2_fusion_closed_form(k)
-    dec = chiral.decompose_gram(chiral.gram_matrix(ring, chiral.theta_vector(k, [0, k])), ring)
-    assert dec.num_sectors == 2 * ell + 1
-    assert dec.graph_name == f"D{2 * ell + 1}"
+    F, G1 = chiral.decompose_gram(_theta(k, [0, k]), ring.N)
+    assert len(F) == 2 * ell + 1
+    assert nimrep.identify_ade(G1) == f"D{2 * ell + 1}"
 
 
 @pytest.mark.parametrize("k", [3, 8, 13, 16])
 def test_decompose_gram_two_sided_ideal(k):
     # theta = spin0 + spin2 reproduces the spin chain graph with a crease
     ring = core.su2_fusion_closed_form(k)
-    dec = chiral.decompose_gram(chiral.gram_matrix(ring, chiral.theta_vector(k, [0, 2])), ring)
-    assert dec.num_sectors == k + 1
-    assert dec.graph_name == f"A{k + 1}"
+    F, G1 = chiral.decompose_gram(_theta(k, [0, 2]), ring.N)
+    assert len(F) == k + 1
+    assert nimrep.identify_ade(G1) == f"A{k + 1}"
 
 
 # (level, theta spins) -> (rows, rank, distinct rows) of F; where the rank
@@ -83,24 +88,22 @@ GRAM_RANKS = {
 @pytest.mark.parametrize("k,spins", sorted(GRAM_RANKS))
 def test_gram_factor_rank(k, spins):
     ring = core.su2_fusion_closed_form(k)
-    F = chiral.decompose_gram(chiral.gram_matrix(ring, chiral.theta_vector(k, spins)), ring).F
+    F, _ = chiral.decompose_gram(_theta(k, spins), ring.N)
     assert (len(F), np.linalg.matrix_rank(F), len(np.unique(F, axis=0))) == GRAM_RANKS[k, spins]
 
 
 def test_decompose_gram_rejects_negative_entries():
+    # theta = id - l1 gives M[0, 1] = -N[1, 0, 1] = -1
     ring = core.su2_fusion_closed_form(2)
-    M = chiral.gram_matrix(ring, chiral.theta_vector(2, [0]))
-    M[0, 1] = M[1, 0] = -1
     with pytest.raises(ValueError, match="non-negative"):
-        chiral.decompose_gram(M, ring)
+        chiral.decompose_gram(np.array([1, -1, 0]), ring.N)
 
 
 def test_decompose_gram_budget(monkeypatch):
     monkeypatch.setattr(chiral, "GRAM_NODE_BUDGET", 5)
     ring = core.su2_fusion_closed_form(16)
-    M = chiral.gram_matrix(ring, chiral.theta_vector(16, [0, 8, 16]))
     with pytest.raises(ValueError, match="within 5 nodes"):
-        chiral.decompose_gram(M, ring)
+        chiral.decompose_gram(_theta(16, [0, 8, 16]), ring.N)
 
 
 def _all_rows_gram_search(M):
@@ -192,17 +195,16 @@ GRAM_CASES = ([(k, [0, k]) for k in range(2, 47)] + [(k, [0, 2]) for k in range(
 @pytest.mark.parametrize("k,spins", GRAM_CASES)
 def test_gram_search_equals_the_all_rows_search(k, spins):
     ring = core.su2_fusion_closed_form(k)
-    M = chiral.gram_matrix(ring, chiral.theta_vector(k, spins))
-    F, _, _ = _assert_same_search(M)
-    dec = chiral.decompose_gram(M, ring)
-    assert np.array_equal(dec.F, F)
-    assert np.array_equal(dec.G1, _reference_g1(F, ring))
+    F, _, _ = _assert_same_search(_gram(ring, spins))
+    got_F, G1 = chiral.decompose_gram(_theta(k, spins), ring.N)
+    assert np.array_equal(got_F, F)
+    assert np.array_equal(G1, _reference_g1(F, ring))
 
 
 def test_gram_search_nodes_on_the_dodd_series():
     # the row rule leaves about a tenth of the nodes on id+l38 (G1 = D21)
     ring = core.su2_fusion_closed_form(38)
-    _, nodes, got = _assert_same_search(chiral.gram_matrix(ring, chiral.theta_vector(38, [0, 38])))
+    _, nodes, got = _assert_same_search(_gram(ring, [0, 38]))
     assert (nodes, got) == (856, 77)
 
 
@@ -352,6 +354,11 @@ def _reference_gamma01(case, name, k):
     return name
 
 
+def _diagram_names(k):
+    """Each level-k diagonal mapped to the name of its diagram."""
+    return {diag: name for diag, (name, _) in search.su2_diagram_table(k).items()}
+
+
 def chiral_system(case, k):
     """(B, dims_chiral) for the full chiral system of an SU(2)_k case, derived
     from Gamma01.
@@ -367,7 +374,7 @@ def chiral_system(case, k):
     vertex 0.
     """
     graph = nimrep.ade_graph(chiral.gamma01_name(search.su2_branching(case, k),
-                                                 search.su2_diagram_table(k)))
+                                                 _diagram_names(k)))
     B = np.array([G[0] for G in nimrep.fused_adjacencies(graph).G]).T
     _, vecs = np.linalg.eigh(graph.adjacency.astype(float))
     pf = vecs[:, -1]  # the largest eigenvalue of a connected graph is simple
@@ -407,7 +414,7 @@ def _reference_chiral_system(case, k):
 
 def test_gamma01_matches_hand_written_rule():
     for k in range(1, core.SU2_LEVEL_MAX + 1):
-        diagrams = search.su2_diagram_table(k)
+        diagrams = _diagram_names(k)
         for name, case in search.su2_diagrams(k):
             b = search.su2_branching(case, k)
             assert chiral.gamma01_name(b, diagrams) == _reference_gamma01(case, name, k), (name, k)
@@ -506,7 +513,7 @@ def test_e7_vacuum_coupling_counts():
     # <a1+ a1-, a1+ a1-> = Z00 + Z02 + Z20 + Z22 and <theta, theta> = sum t^2
     Z = search.su2_invariant_matrix("E7", 16).Z
     assert Z[0, 0] + Z[0, 2] + Z[2, 0] + Z[2, 2] == 1
-    t = chiral.theta_vector(16, [0, 8, 16])
+    t = _theta(16, [0, 8, 16])
     assert int(t @ t) == 3
 
 

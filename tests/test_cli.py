@@ -422,6 +422,17 @@ GOLDEN_STDOUT = {
         "35867c2e956996ac0381a18156107df8f19dbbe26b103f8d87024ce46a178e73",
     ("catalog", "--level", "44", "--json"):
         "6520d2318adb2b188b8127a101e73b39b82a71aa31e37e6bad87453a58a89d43",
+    # recorded before theta was checked in one place and decompose_gram
+    # returned plain arrays: in the first three F has rank r - 1, so the
+    # printed G1 is lstsq's minimum-norm choice; the last is full rank
+    ("gram", "--level", "6", "--theta", "id+l2"):
+        "31f4135a8b980c4c58d8708bc9b4711264e9b53d2b4a86545ba40095e9cbd965",
+    ("gram", "--level", "22", "--theta", "id+l2"):
+        "c95784fe3d9d867c729727148c2e7a3bcfe8071b4e9a15c520bc095eda032345",
+    ("gram", "--level", "10", "--theta", "id+l10"):
+        "a5f8e06675b3337c50bc414ef27f23de4e507d5003de2ab591eff08bb532f8cb",
+    ("gram", "--level", "5", "--theta", "id+l2"):
+        "b23c42530f5aa548ccd70502acd7309f9aefe3519c61724e9e9b8adf3a0f0a46",
 }
 
 
@@ -554,6 +565,11 @@ def test_sun_permutation_verdicts_need_no_generator_search(capsys, monkeypatch, 
     ("invariants", "--family", "group", "--level", str(core.SUN_LABEL_MAX + 1)),
     ("gram", "--level", "10", "--theta", "id+l\u00b2"),
     ("nimrep", "--graph", "A\u00b2"),
+    # <theta, id> = 1: id exactly once, and l0 is id
+    ("gram", "--level", "4", "--theta", "id+id"),
+    ("gram", "--level", "4", "--theta", "id+l0"),
+    ("graph-algebra", "--graph", "A3", "--csv", "--json"),
+    ("chiral-table", "--max-level", "1", "--csv", "--json"),
 ])
 def test_out_of_range_input_is_usage_error(capsys, tmp_path, argv):
     files = {
