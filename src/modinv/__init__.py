@@ -28,12 +28,11 @@ from .search import (
     permutation_criterion,
     su2_ade_catalog,
     su2_branching,
-    su2_invariant_matrix,
+    AdeGraph,
+    ade_graph,
 )
 from .nimrep import (
-    AdeGraph,
     NimRepFamily,
-    ade_graph,
     fused_adjacencies,
     spectrum_vs_diagonal,
     identify_ade,
@@ -46,7 +45,6 @@ from .graph_algebra import (
 )
 from .chiral import (
     decompose_gram,
-    verify_factorization,
     chiral_indices,
     sector_counts,
     chiral_table,

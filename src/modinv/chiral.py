@@ -5,8 +5,8 @@ Z = b+^t b- with non-negative integer branching matrices b+, b-.  For the
 block-diagonal (type I) SU(2) cases b+ = b-; the permutation invariants at
 levels 2 mod 4 and the level-16 exceptional case are genuinely twisted.
 The branching pairs come from the table in ``search``, which derives every
-closed-form SU(2) invariant from them; ``chiral_table`` checks each pair
-against the enumerated Z.  The chiral branching coefficients are the
+closed-form SU(2) invariant from them; ``search.su2_ade_catalog`` checks
+each pair against the enumerated Z.  The chiral branching coefficients are the
 dimensions of the irreducible representations of the chiral fusion rule
 algebra, so b+ fixes the chiral fusion graph Gamma01 (the diagram with
 exponent diagonal sum_t b+[t, l]^2).  The module also factorizes
@@ -24,6 +24,7 @@ import numpy as np
 from .core import (
     ASSERT_TOL,
     CHIRAL_TABLE_LEVEL_MAX,
+    VACUUM_ROW_TOL,
     ModularData,
     UsageError,
     sig12,
@@ -167,14 +168,7 @@ def decompose_gram(theta: np.ndarray, N: np.ndarray) -> tuple[np.ndarray, np.nda
 
 
 # ---------------------------------------------------------------------------
-# Branching factorization and the chiral fusion graph
-
-def verify_factorization(Z: MassMatrix, b: BranchingData) -> bool:
-    """Exact integer check of Z = b+^t b- (its transpose is b-^t b+ = Z^t)."""
-    if b.b_plus.shape[1] != Z.size:
-        raise ValueError("branching width does not match Z")
-    return bool(np.array_equal(b.product(), Z.Z))
-
+# The chiral fusion graph
 
 def gamma01_name(b: BranchingData, diagrams: dict) -> str:
     """Gamma01, the fusion graph of the chiral generator, named from b+.
@@ -205,13 +199,12 @@ class ChiralIndices:
 
 def chiral_indices(md: ModularData, Z: MassMatrix) -> ChiralIndices:
     """w, the common chiral index w+ = w / sum_l d_l Z[l,0], and w0 = w+^2 / w."""
-    d = md.dims
-    col = float(d @ Z.Z[:, 0])
-    row = float(Z.Z[0, :] @ d)
-    if abs(col - row) > ASSERT_TOL * max(1.0, col):
-        raise AssertionError(f"vacuum row/column sums disagree: {col} vs {row}")
+    # the vacuum-row identity as verify_invariant checks it
+    residual = abs((Z.Z[:, 0] - Z.Z[0, :]) @ md.dims)
+    if not residual < VACUUM_ROW_TOL:
+        raise AssertionError(f"vacuum row/column sums disagree by {residual}")
     w = md.global_index
-    w_plus = w / col
+    w_plus = w / float(md.dims @ Z.Z[:, 0])
     return ChiralIndices(w=w, w_plus=w_plus, w_zero=w_plus ** 2 / w)
 
 
@@ -264,19 +257,17 @@ def chiral_table(kmax: int) -> list[ChiralRow]:
         md = su2_modular_data(k)
         catalog = su2_ade_catalog(md)
         # the catalog holds every level-k diagram, so Gamma01 is named from it
-        diagrams = {named.Z.diagonal: named.name for named in catalog}
-        for named in catalog:
-            b = named.branching
-            if not verify_factorization(named.Z, b):
-                raise ValueError(f"{named.name} at level {k}: factorization failed")
+        diagrams = {graph.Z.diagonal: graph.name for graph in catalog}
+        for graph in catalog:
+            b = graph.branching
             rows.append(ChiralRow(
-                name=named.name,
+                name=graph.name,
                 level=k,
-                counts=sector_counts(named.Z, b),
+                counts=sector_counts(graph.Z, b),
                 gamma01=gamma01_name(b, diagrams),
-                Z=named.Z,
+                Z=graph.Z,
                 branching=b,
-                indices=chiral_indices(md, named.Z),
+                indices=chiral_indices(md, graph.Z),
             ))
     return rows
 

@@ -102,6 +102,8 @@ FAMILIES = {
 
 
 def _load_family(args) -> core.ModularData:
+    if args.level is not None and args.family == "ising":
+        raise core.UsageError("--level does not apply to family ising")
     if args.level is None and args.family != "ising":
         raise core.UsageError(f"--level is required for family {args.family}")
     return FAMILIES[args.family](args.level)
@@ -158,7 +160,7 @@ def cmd_invariants(args) -> int:
     md = _load_family(args)
     found = search.enumerate_invariants(md, budget=args.budget)
     # enumerate_invariants has verified every result a posteriori
-    names = ({diag: name for diag, (name, _) in search.su2_diagram_table(md.level).items()}
+    names = ({diag: graph.name for diag, graph in search.su2_diagram_table(md.level).items()}
              if md.family == "su2" else {})
     entries = [_invariant_record(names.get(Z.diagonal), Z, md) for Z in found]
     status = EXIT_OK if found.complete else EXIT_VERIFY
@@ -177,13 +179,13 @@ def cmd_invariants(args) -> int:
 
 def cmd_catalog(args) -> int:
     md = core.su2_modular_data(args.level)
-    named = search.su2_ade_catalog(md, budget=args.budget)
+    graphs = search.su2_ade_catalog(md, budget=args.budget)
     if args.json:
         _print_json({"family": "su2", "level": args.level,
-                     "invariants": [_invariant_record(ni.name, ni.Z, md) for ni in named]})
+                     "invariants": [_invariant_record(g.name, g.Z, md) for g in graphs]})
         return EXIT_OK
-    for ni in named:
-        print(f"{ni.name}: diag={list(ni.Z.diagonal)} sumsq={ni.Z.sum_of_squares}")
+    for g in graphs:
+        print(f"{g.name}: diag={list(g.Z.diagonal)} sumsq={g.Z.sum_of_squares}")
     return EXIT_OK
 
 
@@ -205,14 +207,10 @@ def _load_invariant(path: str, k: int) -> search.MassMatrix:
 
 
 def cmd_nimrep(args) -> int:
-    graph = nimrep.ade_graph(args.graph)
+    graph = search.ade_graph(args.graph)
     k = graph.level
-    family = nimrep.fused_adjacencies(graph)
-    if args.invariant:
-        Z = _load_invariant(args.invariant, k)
-    else:
-        Z = search.su2_invariant_matrix(graph.case, k)
-    report = nimrep.spectrum_vs_diagonal(family, Z)
+    Z = _load_invariant(args.invariant, k) if args.invariant else graph.Z
+    report = nimrep.spectrum_vs_diagonal(nimrep.fused_adjacencies(graph), Z)
     if args.csv:
         _print_csv("graph,nu,eigenvalue,multiplicity,matched_spin",
                    nimrep.spectrum_csv_rows(report))
@@ -225,7 +223,7 @@ def cmd_nimrep(args) -> int:
 
 
 def cmd_graph_algebra(args) -> int:
-    gauge = graph_algebra.eigen_gauge(nimrep.ade_graph(args.graph))
+    gauge = graph_algebra.eigen_gauge(search.ade_graph(args.graph))
     fusion = graph_algebra.graph_structure_constants(gauge)
     if args.csv:
         _print_csv("graph,a,b,c,value,rounded,flag", graph_algebra.csv_rows(fusion))
@@ -282,8 +280,8 @@ def _parse_theta(spec: str, k: int) -> np.ndarray:
 
 
 def cmd_gram(args) -> int:
-    ring = core.su2_fusion_closed_form(args.level)
-    F, G1 = chiral.decompose_gram(_parse_theta(args.theta, args.level), ring.N)
+    theta = _parse_theta(args.theta, core.su2_level(args.level))
+    F, G1 = chiral.decompose_gram(theta, core.su2_fusion_closed_form(args.level).N)
     print(f"level {args.level} theta {args.theta}: {len(F)} sectors, "
           f"G1 graph {nimrep.identify_ade(G1) or 'unrecognized'}")
     for row in G1.tolist():

@@ -10,8 +10,8 @@ from __future__ import annotations
 import numpy as np
 
 from .core import su2_modular_data, verlinde_fusion
-from .nimrep import _depths, ade_graph
-from .search import su2_branching
+from .nimrep import _depths
+from .search import ade_graph
 
 
 def emit_dot(case: str) -> str:
@@ -33,7 +33,7 @@ def emit_dot(case: str) -> str:
         labels = [str(i) for i in range(len(A))]
         return _emit(labels, (_depths(A) % 2 == 0).tolist(), False, A, np.zeros_like(A))
     k = graph.level
-    names = su2_branching("D_odd", k).labels
+    names = graph.branching.labels
     N = verlinde_fusion(su2_modular_data(k)).N
     labels = ["id"] + [f"{name}+" for name in names[1:]]
     return _emit(labels, [j % 2 == 0 for j in range(k + 1)], True, N[1], N[k - 1])

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import ASSERT_TOL, EIGEN_TOL, ROUND_TOL, associative, verlinde_sum
-from .nimrep import AdeGraph
+from .search import AdeGraph
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,5 @@
-"""A-D-E graphs, fused adjacency families and eigenvalue/diagonal matching.
-
-Canonical vertex order: the linear spine first with the distinguished end
-vertex at index 0, fork or tail vertices last.  For D diagrams the two fork
-tips are the last two indices; for E diagrams the short tail is last.
-"""
+"""Fused adjacency families of the A-D-E graphs of ``search``, eigenvalue/diagonal
+matching and the naming of a tree as an A-D-E diagram."""
 
 from __future__ import annotations
 
@@ -12,52 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import FLOAT_EXACT_MAX, SPECTRUM_TOL, ModularData, su2_level, su2_modular_data
-from .search import MassMatrix, diagram_case, su2_branching
-
-
-@dataclass(frozen=True)
-class AdeGraph:
-    """An A-D-E Dynkin diagram with its Coxeter number and exponents.
-
-    Exponents use spin labelling: value m stands for the adjacency eigenvalue
-    2 cos(pi (m+1) / h), i.e. m is one less than the Coxeter exponent.
-    ``case`` is the SU(2) branching case of the diagram (``search.diagram_case``).
-    """
-
-    name: str
-    case: str
-    adjacency: np.ndarray
-    coxeter: int
-    exponents: tuple[int, ...]
-
-    @property
-    def num_vertices(self) -> int:
-        return self.adjacency.shape[0]
-
-    @property
-    def level(self) -> int:
-        return self.coxeter - 2
-
-
-def ade_graph(name: str) -> AdeGraph:
-    """Build the named diagram ("A7", "D5", "E6", ...) in canonical vertex order.
-
-    A_n is a path on n vertices.  D_n and E_n are a path on n - 1 vertices
-    with one tail vertex attached at spine vertex n - 3 (D_n) or n - 4 (E_n).
-    The result is not re-checked on each call: tests check that every diagram
-    within SU2_LEVEL_MAX is a tree whose spectrum is its exponents.
-    """
-    case, k = diagram_case(name)
-    kind, num = name[0], int(name[1:])
-    spine = np.arange(num if kind == "A" else num - 1)
-    A = np.zeros((num, num), dtype=int)
-    A[spine[:-1], spine[1:]] = A[spine[1:], spine[:-1]] = 1
-    if kind != "A":
-        tail_at = num - 3 if kind == "D" else num - 4
-        A[tail_at, num - 1] = A[num - 1, tail_at] = 1
-    # spin j is an exponent as often as Z[j, j] of the diagram's invariant
-    exponents = tuple(j for j, m in enumerate(su2_branching(case, k).diagonal) for _ in range(m))
-    return AdeGraph(name=name, case=case, adjacency=A, coxeter=k + 2, exponents=exponents)
+from . import search
 
 
 def _depths(A: np.ndarray, root: int = 0) -> np.ndarray:
@@ -84,7 +35,7 @@ class NimRepFamily:
     """Matrices G_0 .. G_k representing the SU(2)_k fusion ring on graph vertices,
     stacked in one read-only int array of shape (k + 1, V, V)."""
 
-    graph: AdeGraph
+    graph: search.AdeGraph
     G: np.ndarray
 
     def __post_init__(self):
@@ -95,7 +46,7 @@ class NimRepFamily:
         return len(self.G) - 1
 
 
-def fused_adjacencies(graph: AdeGraph) -> NimRepFamily:
+def fused_adjacencies(graph: search.AdeGraph) -> NimRepFamily:
     """Fused adjacency matrices by the three-term recursion G_{j+1} = G_1 G_j - G_{j-1}.
 
     The recursion is run one step past the level k = h - 2 and G_{k+1} must
@@ -167,7 +118,7 @@ def character_table(md: ModularData) -> np.ndarray:
     return (md.S / md.S[:, [0]]).real
 
 
-def spectrum_vs_diagonal(family: NimRepFamily, Z: MassMatrix) -> SpectrumReport:
+def spectrum_vs_diagonal(family: NimRepFamily, Z: search.MassMatrix) -> SpectrumReport:
     """Check that eigenvalues of every G_nu are the characters chi_l(nu), each
     with multiplicity Z[l, l].
 
@@ -216,7 +167,7 @@ def spectrum_csv_rows(report: SpectrumReport):
 def identify_ade(A: np.ndarray) -> str | None:
     """Name of the A-D-E diagram isomorphic to the given adjacency, if any.
 
-    The inverse of ``ade_graph``'s rule.  A symmetric 0/1 matrix with zero
+    The inverse of ``search.ade_graph``'s rule.  A symmetric 0/1 matrix with zero
     diagonal that is a tree (connected, n - 1 edges) is A_n if it is a path.
     Otherwise it needs exactly three leaves, i.e. one vertex of degree 3, and
     is named by its arm lengths (the leaves' distances from that vertex):

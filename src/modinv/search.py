@@ -12,9 +12,10 @@ whose largest possible leaf has a negative entry, with an exact integer test
 at every leaf.
 
 The module also holds the SU(2) classification as a table of branching
-pairs (b+, b-), one per A-D-E case.  Every closed-form SU(2) invariant
-Z = b+^t b- and every diagram's exponents come from it; ``chiral``,
-``nimrep`` and ``dot`` read it.
+pairs (b+, b-), one per A-D-E case, and the A-D-E diagrams: each
+``AdeGraph`` carries its pair, and its invariant Z = b+^t b- and its
+exponents are read off that pair.  ``su2_ade_catalog`` returns the diagram
+of each enumerated invariant after checking Z = b+^t b- exactly.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from __future__ import annotations
 import math
 from collections.abc import Callable
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 
 import numpy as np
@@ -412,7 +414,9 @@ class BranchingData:
         return len(self.labels)
 
     def product(self) -> np.ndarray:
-        return self.b_plus.T @ self.b_minus
+        """b+^t b- by a float64 BLAS product: its entries are 0/1, so every partial
+        sum is an integer of at most num_ambichiral, held exactly."""
+        return (self.b_plus.T.astype(float) @ self.b_minus).astype(int)
 
     @property
     def diagonal(self) -> tuple[int, ...]:
@@ -482,34 +486,78 @@ def diagram_case(name: str) -> tuple[str, int]:
     return cases[name], su2_level(k)
 
 
-def su2_invariant_matrix(case: str, k: int) -> MassMatrix:
-    """The SU(2)_k mass matrix Z = b+^t b- of a branching case.
-
-    The D cases live at even levels (D_even at 0 mod 4, D_odd at 2 mod 4),
-    the E cases at their exceptional levels SU2_E_LEVELS.
-    """
-    return MassMatrix(su2_branching(case, k).product())
-
-
 @dataclass(frozen=True)
-class NamedInvariant:
+class AdeGraph:
+    """An A-D-E Dynkin diagram with its Coxeter number and SU(2) branching pair.
+
+    ``case`` is the SU(2) branching case of the diagram (``diagram_case``)
+    and ``branching`` its pair (b+, b-) at level k = coxeter - 2.  The
+    diagram's invariant Z = b+^t b- and its exponents are read off the pair.
+    Exponents use spin labelling: value m stands for the adjacency eigenvalue
+    2 cos(pi (m+1) / h), i.e. m is one less than the Coxeter exponent.
+    Canonical vertex order: the spine first, its distinguished end vertex
+    at index 0, and the fork or tail vertices last (the two fork tips of a
+    D diagram, the short tail of an E diagram).
+    """
+
     name: str
-    Z: MassMatrix
-    branching: BranchingData  # the pair (b+, b-) with Z = b+^t b-
+    case: str
+    adjacency: np.ndarray
+    coxeter: int
+    branching: BranchingData
+
+    @property
+    def num_vertices(self) -> int:
+        return self.adjacency.shape[0]
+
+    @property
+    def level(self) -> int:
+        return self.coxeter - 2
+
+    @cached_property
+    def Z(self) -> MassMatrix:
+        """The diagram's SU(2)_k invariant b+^t b-."""
+        return MassMatrix(self.branching.product())
+
+    @cached_property
+    def exponents(self) -> tuple[int, ...]:
+        """Spin j repeated Z[j, j] times, in ascending order."""
+        return tuple(j for j, m in enumerate(self.branching.diagonal) for _ in range(m))
 
 
-def su2_diagram_table(k: int) -> dict[tuple[int, ...], tuple[str, BranchingData]]:
+def ade_graph(name: str) -> AdeGraph:
+    """Build the named diagram ("A7", "D5", "E6", ...) in canonical vertex order.
+
+    A_n is a path on n vertices.  D_n and E_n are a path on n - 1 vertices
+    with one tail vertex attached at spine vertex n - 3 (D_n) or n - 4 (E_n).
+    The result is not re-checked on each call: tests check that every diagram
+    within SU2_LEVEL_MAX is a tree whose spectrum is its exponents.
+    """
+    case, k = diagram_case(name)
+    kind, num = name[0], int(name[1:])
+    spine = np.arange(num if kind == "A" else num - 1)
+    A = np.zeros((num, num), dtype=int)
+    A[spine[:-1], spine[1:]] = A[spine[1:], spine[:-1]] = 1
+    if kind != "A":
+        tail_at = num - 3 if kind == "D" else num - 4
+        A[tail_at, num - 1] = A[num - 1, tail_at] = 1
+    return AdeGraph(name=name, case=case, adjacency=A, coxeter=k + 2,
+                    branching=su2_branching(case, k))
+
+
+def su2_diagram_table(k: int) -> dict[tuple[int, ...], AdeGraph]:
     """Every SU(2)_k diagram by its exponent diagonal (spin j an exponent
-    diag[j] times), with its name and branching pair, each pair built once."""
-    pairs = [(name, su2_branching(case, k)) for name, case in su2_diagrams(k)]
-    return {b.diagonal: (name, b) for name, b in pairs}
+    diag[j] times), in A-D-E order."""
+    return {g.branching.diagonal: g for g in map(ade_graph, dict(su2_diagrams(k)))}
 
 
-def su2_ade_catalog(md: ModularData, budget: int = DEFAULT_NODE_BUDGET) -> list[NamedInvariant]:
-    """Enumerate the invariants of SU(2)_k data md; name each by its diagonal exponents.
+def su2_ade_catalog(md: ModularData, budget: int = DEFAULT_NODE_BUDGET) -> list[AdeGraph]:
+    """The A-D-E diagram of each invariant of SU(2)_k data md, named by its diagonal.
 
     The diagonal of an invariant is the eigenvalue-multiplicity vector of the
-    A-D-E diagram with Coxeter number k + 2; an unmatched diagonal raises.
+    A-D-E diagram with Coxeter number k + 2; an unmatched diagonal raises,
+    and so does an invariant other than its diagram's Z = b+^t b-, an exact
+    integer check of the factorization.
     """
     k = md.level
     found = enumerate_invariants(md, budget=budget)
@@ -518,11 +566,12 @@ def su2_ade_catalog(md: ModularData, budget: int = DEFAULT_NODE_BUDGET) -> list[
     table = su2_diagram_table(k)
     out = []
     for Z in found:
-        if Z.diagonal not in table:
+        graph = table.get(Z.diagonal)
+        if graph is None:
             raise ValueError(
                 f"level {k}: diagonal {Z.diagonal} matches no A-D-E diagram with h={k + 2}")
-        name, b = table[Z.diagonal]
-        out.append(NamedInvariant(name=name, Z=Z, branching=b))
-    out.sort(key=lambda ni: ("ADE".index(ni.name[0]), ni.name))
+        if graph.Z != Z:
+            raise ValueError(f"{graph.name} at level {k}: factorization failed")
+        out.append(graph)
+    out.sort(key=lambda graph: ("ADE".index(graph.name[0]), graph.name))
     return out
-

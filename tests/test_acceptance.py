@@ -54,7 +54,7 @@ def test_criterion_03_ade_enumeration():
     t0 = time.perf_counter()
     for k, expected in EXPECTED_SETS.items():
         named = search.su2_ade_catalog(core.su2_modular_data(k))
-        assert {ni.name for ni in named} == expected
+        assert {graph.name for graph in named} == expected
         assert len(named) == len(expected)
     elapsed = time.perf_counter() - t0
     assert elapsed < 60.0
@@ -75,10 +75,10 @@ def test_criterion_05_spectra_match_diagonals():
     t0 = time.perf_counter()
     for k, names in EXPECTED_SETS.items():
         md = core.su2_modular_data(k)
-        for ni in search.su2_ade_catalog(md):
-            family = nimrep.fused_adjacencies(nimrep.ade_graph(ni.name))
-            report = nimrep.spectrum_vs_diagonal(family, ni.Z)
-            assert report.matched, f"{ni.name}: worst gap {report.worst_gap}"
+        for graph in search.su2_ade_catalog(md):
+            family = nimrep.fused_adjacencies(graph)
+            report = nimrep.spectrum_vs_diagonal(family, graph.Z)
+            assert report.matched, f"{graph.name}: worst gap {report.worst_gap}"
     elapsed = time.perf_counter() - t0
     assert elapsed < 10.0
     _report(5, elapsed, 10, "nimrep spectra match invariant diagonals, all graphs/nu")
@@ -87,7 +87,7 @@ def test_criterion_05_spectra_match_diagonals():
 def test_criterion_06_graph_algebra_dichotomy():
     t0 = time.perf_counter()
     fusions = {name: graph_algebra.graph_structure_constants(
-        graph_algebra.eigen_gauge(nimrep.ade_graph(name)))
+        graph_algebra.eigen_gauge(search.ade_graph(name)))
         for name in ("A9", "D6", "D8", "E6", "E8", "D5", "D7", "E7")}
     for name in ("A9", "D6", "D8", "E6", "E8"):
         assert fusions[name].positive and fusions[name].associative()
@@ -155,7 +155,7 @@ def test_criterion_09_branching_factorizations():
         cases = ["A"]
         if k % 4 == 0:
             cases.append("D_even")
-        if k % 4 == 2:
+        if k % 4 == 2 and k > 2:  # D3 is A3
             cases.append("D_odd")
         if k == 10:
             cases.append("E6")
@@ -164,10 +164,14 @@ def test_criterion_09_branching_factorizations():
         if k == 28:
             cases.append("E8")
         expected_rows = _expected_table_rows()
+        # the catalog's Z of each case equals the enumerated invariant
+        md = core.su2_modular_data(k)
+        catalog = {graph.case: graph for graph in search.su2_ade_catalog(md)}
+        assert sorted(catalog) == sorted(cases), k
         for case in cases:
-            Z = search.su2_invariant_matrix(case, k)
             b = search.su2_branching(case, k)
-            assert chiral.verify_factorization(Z, b), f"{case} at k={k}"
+            Z = catalog[case].Z
+            assert np.array_equal(Z.Z, b.product()), f"{case} at k={k}"
             counts = chiral.sector_counts(Z, b)
             table_name = {"A": f"A{k+1}", "D_even": f"D{k//2+2}",
                           "D_odd": f"D{k//2+2}"}.get(case, case)
@@ -175,12 +179,12 @@ def test_criterion_09_branching_factorizations():
                 assert (counts.mm, counts.mn, counts.chiral, counts.ambi) == \
                     expected_rows[(table_name, k)][:4], f"{case} at k={k}"
     md = core.su2_modular_data(16)
-    idx = chiral.chiral_indices(md, search.su2_invariant_matrix("E7", 16))
+    idx = chiral.chiral_indices(md, search.ade_graph("E7").Z)
     assert abs(idx.w_plus - idx.w / 2) < 1e-9
     assert abs(idx.w_zero - idx.w / 4) < 1e-9
     for k in (3, 12, 25):
         mdk = core.su2_modular_data(k)
-        idd = chiral.chiral_indices(mdk, search.su2_invariant_matrix("A", k))
+        idd = chiral.chiral_indices(mdk, search.ade_graph(f"A{k + 1}").Z)
         assert abs(idd.w_plus - idd.w) < 1e-9 and abs(idd.w_zero - idd.w) < 1e-9
     for case, levels in (("D_odd", range(6, 31, 4)), ("D_even", range(4, 29, 4)),
                          ("E7", [16])):

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from modinv import chiral, core, nimrep, search
-from test_search import su3_named_invariants
+from test_search import su2_invariant, su3_named_invariants
 
 
 def _theta(k, spins):
@@ -242,9 +242,10 @@ CASES_AT = [("A", 7), ("D_even", 8), ("D_odd", 10), ("E6", 10), ("E7", 16), ("E8
 
 @pytest.mark.parametrize("case,k", CASES_AT)
 def test_branching_factorizes(case, k):
+    # su2_ade_catalog has checked the diagram's Z = b+^t b- against the enumerated invariant
+    graph = next(g for g in search.su2_ade_catalog(core.su2_modular_data(k)) if g.case == case)
     b = search.su2_branching(case, k)
-    Z = search.su2_invariant_matrix(case, k)
-    assert chiral.verify_factorization(Z, b)
+    assert np.array_equal(graph.Z.Z, b.b_plus.T @ b.b_minus)
 
 
 def test_branching_type_flags():
@@ -261,7 +262,7 @@ def test_branching_wrong_level():
     with pytest.raises(ValueError, match="E7 requires level 16"):
         search.su2_branching("E7", 10)
     with pytest.raises(ValueError, match="D_odd requires level 2 mod 4"):
-        search.su2_invariant_matrix("D_odd", 8)
+        search.su2_branching("D_odd", 8)
 
 
 def test_e7_cross_terms_from_single_rows():
@@ -284,13 +285,13 @@ def test_e6_row_supports():
 def test_dodd_branching_is_permutation_pattern():
     b = search.su2_branching("D_odd", 6)
     assert np.array_equal(b.b_plus, np.eye(7, dtype=int))
-    Z = search.su2_invariant_matrix("D_odd", 6)
+    Z = su2_invariant("D_odd", 6)
     assert np.array_equal(b.b_minus, Z.Z)
 
 
 def test_chiral_indices_e7():
     md = core.su2_modular_data(16)
-    Z = search.su2_invariant_matrix("E7", 16)
+    Z = su2_invariant("E7", 16)
     idx = chiral.chiral_indices(md, Z)
     assert abs(idx.w_plus - idx.w / 2) < 1e-9
     assert abs(idx.w_zero - idx.w_plus / 2) < 1e-9
@@ -298,9 +299,17 @@ def test_chiral_indices_e7():
 
 def test_chiral_indices_diagonal():
     md = core.su2_modular_data(9)
-    idx = chiral.chiral_indices(md, search.su2_invariant_matrix("A", 9))
+    idx = chiral.chiral_indices(md, su2_invariant("A", 9))
     assert abs(idx.w_plus - idx.w) < 1e-9
     assert abs(idx.w_zero - idx.w) < 1e-9
+
+
+def test_chiral_indices_refuse_a_broken_vacuum_row():
+    # sum_l d_l Z[l, 0] = 1 + d_2 = 3 against sum_l Z[0, l] d_l = 1
+    Z = np.eye(5, dtype=int)
+    Z[2, 0] = 1
+    with pytest.raises(AssertionError, match="vacuum row"):
+        chiral.chiral_indices(core.su2_modular_data(4), search.MassMatrix(Z))
 
 
 def test_chiral_indices_su3_orbifold():
@@ -313,7 +322,7 @@ def test_chiral_indices_su3_orbifold():
 
 
 def test_sector_counts_e7():
-    Z = search.su2_invariant_matrix("E7", 16)
+    Z = su2_invariant("E7", 16)
     counts = chiral.sector_counts(Z, search.su2_branching("E7", 16))
     assert (counts.mm, counts.mn, counts.chiral, counts.ambi) == (17, 7, 10, 6)
 
@@ -321,7 +330,7 @@ def test_sector_counts_e7():
 @pytest.mark.parametrize("ell", [2, 3, 4])
 def test_sector_counts_deven(ell):
     k = 4 * ell - 4
-    counts = chiral.sector_counts(search.su2_invariant_matrix("D_even", k),
+    counts = chiral.sector_counts(su2_invariant("D_even", k),
                                   search.su2_branching("D_even", k))
     assert (counts.mm, counts.mn, counts.chiral, counts.ambi) == \
         (4 * ell, 2 * ell, 2 * ell, ell + 1)
@@ -329,7 +338,7 @@ def test_sector_counts_deven(ell):
 
 @pytest.mark.parametrize("k", [1, 4, 9])
 def test_sector_counts_diagonal(k):
-    counts = chiral.sector_counts(search.su2_invariant_matrix("A", k),
+    counts = chiral.sector_counts(su2_invariant("A", k),
                                   search.su2_branching("A", k))
     L = k + 1
     assert (counts.mm, counts.mn, counts.chiral, counts.ambi) == (L, L, L, L)
@@ -340,7 +349,7 @@ def test_branching_squares_match_chiral_graph_exponents():
     # graph, so every fused adjacency of Gamma01 must have the characters
     # chi_l(nu) with exactly those multiplicities
     for r in chiral.chiral_table(28):
-        family = nimrep.fused_adjacencies(nimrep.ade_graph(r.gamma01))
+        family = nimrep.fused_adjacencies(search.ade_graph(r.gamma01))
         squares = search.MassMatrix(np.diag((r.branching.b_plus ** 2).sum(axis=0)))
         assert nimrep.spectrum_vs_diagonal(family, squares).matched, (r.name, r.level)
 
@@ -356,7 +365,7 @@ def _reference_gamma01(case, name, k):
 
 def _diagram_names(k):
     """Each level-k diagonal mapped to the name of its diagram."""
-    return {diag: name for diag, (name, _) in search.su2_diagram_table(k).items()}
+    return {diag: graph.name for diag, graph in search.su2_diagram_table(k).items()}
 
 
 def chiral_system(case, k):
@@ -373,7 +382,7 @@ def chiral_system(case, k):
     alpha_1, the Perron-Frobenius vector of Gamma01 normalised to 1 at
     vertex 0.
     """
-    graph = nimrep.ade_graph(chiral.gamma01_name(search.su2_branching(case, k),
+    graph = search.ade_graph(chiral.gamma01_name(search.su2_branching(case, k),
                                                  _diagram_names(k)))
     B = np.array([G[0] for G in nimrep.fused_adjacencies(graph).G]).T
     _, vecs = np.linalg.eigh(graph.adjacency.astype(float))
@@ -384,7 +393,7 @@ def chiral_system(case, k):
 def chiral_pf_residual(case, k):
     """Residual of sum_l d_l B[beta, l] = (w / w+) d_beta over the chiral system."""
     md = core.su2_modular_data(k)
-    idx = chiral.chiral_indices(md, search.su2_invariant_matrix(case, k))
+    idx = chiral.chiral_indices(md, su2_invariant(case, k))
     B, dims_chiral = chiral_system(case, k)
     return np.abs(B @ md.dims - (idx.w / idx.w_plus) * dims_chiral).max()
 
@@ -461,7 +470,7 @@ def test_full_system_dodd_k6():
 def test_full_system_dodd_identity_pair():
     # nu = rho = 0 gives the identity matrix: dimension counts sum Z^2
     k = 6
-    Z = search.su2_invariant_matrix("D_odd", k)
+    Z = su2_invariant("D_odd", k)
     assert Z.sum_of_squares == k + 1
 
 
@@ -478,7 +487,7 @@ def full_system_dodd_per_pair(k):
     matrix N_nu N_{pi(rho)} must have eigenvalue chi_l(nu) chi_m(rho) with
     multiplicity Z[l, m]^2; one eigvalsh per (nu, rho) against its expected
     list."""
-    Z = search.su2_invariant_matrix("D_odd", k)
+    Z = su2_invariant("D_odd", k)
     md = core.su2_modular_data(k)
     ring = core.su2_fusion_closed_form(k)
     pi = [int(np.argmax(Z.Z[:, mu])) for mu in range(k + 1)]
@@ -511,7 +520,7 @@ def test_chiral_pf_identity(case, k):
 
 def test_e7_vacuum_coupling_counts():
     # <a1+ a1-, a1+ a1-> = Z00 + Z02 + Z20 + Z22 and <theta, theta> = sum t^2
-    Z = search.su2_invariant_matrix("E7", 16).Z
+    Z = su2_invariant("E7", 16).Z
     assert Z[0, 0] + Z[0, 2] + Z[2, 0] + Z[2, 2] == 1
     t = _theta(16, [0, 8, 16])
     assert int(t @ t) == 3

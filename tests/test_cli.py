@@ -12,6 +12,7 @@ import pytest
 
 import modinv
 from modinv import cli, core, dot, nimrep, search
+from test_search import su2_invariant
 
 
 def run(capsys, *argv):
@@ -117,7 +118,7 @@ def test_nimrep_csv(capsys):
 
 def test_nimrep_invariant_file(tmp_path, capsys):
     from modinv import search
-    Z = search.su2_invariant_matrix("D_odd", 10)
+    Z = su2_invariant("D_odd", 10)
     path = tmp_path / "z.json"
     path.write_text(json.dumps({"Z": Z.Z.tolist()}))
     code, out, _ = run(capsys, "nimrep", "--graph", "D7", "--invariant", str(path))
@@ -252,7 +253,7 @@ def _reference_dot(case):
     if case == "trivial":
         vertices, solid, dotted = [(0, "id", True, True)], [], []
     else:
-        graph = nimrep.ade_graph(case)
+        graph = search.ade_graph(case)
         if graph.case == "D_odd":
             k = graph.level
             branching = search.su2_branching("D_odd", k)
@@ -309,11 +310,11 @@ def test_dodd_dotted_graph_isomorphic_to_path():
     assert nimrep.identify_ade(A) == "A7"
     # the mirror relabeling maps dotted edges onto the solid path exactly
     pi = search.permutation_criterion(
-        core.su2_modular_data(k), search.su2_invariant_matrix("D_odd", k))
+        core.su2_modular_data(k), su2_invariant("D_odd", k))
     P = np.zeros((k + 1, k + 1), dtype=int)
     for mu, target in enumerate(pi):
         P[target, mu] = 1
-    assert np.array_equal(P @ A @ P.T, nimrep.ade_graph("A7").adjacency)
+    assert np.array_equal(P @ A @ P.T, search.ade_graph("A7").adjacency)
 
 
 @pytest.mark.parametrize("argv", [
@@ -570,6 +571,10 @@ def test_sun_permutation_verdicts_need_no_generator_search(capsys, monkeypatch, 
     ("gram", "--level", "4", "--theta", "id+l0"),
     ("graph-algebra", "--graph", "A3", "--csv", "--json"),
     ("chiral-table", "--max-level", "1", "--csv", "--json"),
+    # the Ising data has no level
+    ("invariants", "--family", "ising", "--level", "3"),
+    ("show", "--family", "ising", "--level", "3"),
+    ("fusion", "--family", "ising", "--level", "3"),
 ])
 def test_out_of_range_input_is_usage_error(capsys, tmp_path, argv):
     files = {
@@ -605,6 +610,23 @@ def test_a_superscript_digit_is_no_number(capsys, argv, message):
 def test_gram_checks_the_level_before_the_theta(capsys, argv, message):
     # each theta is valid at some level; the level is what is out of range
     assert run(capsys, *argv) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("argv, builder, message", [
+    (("gram", "--level", "4", "--theta", "id+id"), (core, "su2_fusion_closed_form"),
+     "theta 'id+id' must contain id exactly once"),
+    (("nimrep", "--graph", "A3", "--invariant", "{tmp}/missing.json"),
+     (nimrep, "fused_adjacencies"),
+     "cannot read {tmp}/missing.json: [Errno 2] No such file or directory: '{tmp}/missing.json'"),
+], ids=["gram", "nimrep"])
+def test_input_is_read_before_anything_is_built(capsys, monkeypatch, tmp_path, argv, builder,
+                                                message):
+    def refuse(*args, **kwargs):
+        raise AssertionError("built before the input was read")
+
+    monkeypatch.setattr(*builder, refuse)
+    argv = [a.format(tmp=tmp_path) for a in argv]
+    assert run(capsys, *argv) == (2, "", f"error: {message.format(tmp=tmp_path)}\n")
 
 
 @pytest.mark.parametrize("argv, k", [
@@ -729,3 +751,32 @@ def test_a_closed_pipe_ends_the_command_without_a_traceback(argv):
     err = proc.stderr.read()
     proc.stderr.close()
     assert (proc.wait(), err) == (cli.EXIT_VERIFY, b"")
+
+
+README = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")
+
+
+def _readme_block(opening):
+    """The body of the first fenced block of README.md that follows ``opening``."""
+    with open(README) as fh:
+        return re.search(opening + r"\n(.*?)```", fh.read(), re.S).group(1)
+
+
+def test_readme_python_example(capsys):
+    exec(_readme_block("```python"), {})
+    exponents = {"A17": range(17), "D10": (0, 2, 4, 6, 8, 8, 10, 12, 14, 16),
+                 "E7": (0, 4, 6, 8, 10, 12, 16)}
+    diagonals = {name: tuple(np.bincount(m, minlength=17).tolist())
+                 for name, m in exponents.items()}
+    assert capsys.readouterr().out.splitlines() == [
+        f"{name} {diag}" for name, diag in diagonals.items()]
+
+
+def test_readme_cli_examples(capsys, monkeypatch, tmp_path):
+    monkeypatch.setenv("MODINV_OUTDIR", str(tmp_path))
+    lines = _readme_block("## CLI\n\n```sh").splitlines()
+    assert len(lines) == 9
+    for line in lines:
+        argv = re.sub(r"\[[^]]*\]", "", line).split()
+        assert argv[0] == "modinv", line
+        assert run(capsys, *argv[1:])[0] == 0, line

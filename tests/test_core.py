@@ -154,7 +154,7 @@ def test_represents_matches_int64_loop_on_fused_families(name):
     """fused_adjacencies' truncation verdict against the full int64 nimrep
     identity on every label: it accepts the diagram, and it rejects the
     diagram with one edge doubled, whose recursion then breaks the identity."""
-    graph = nimrep.ade_graph(name)
+    graph = search.ade_graph(name)
     N = core.su2_fusion_closed_form(graph.level).N
     G = np.array(nimrep.fused_adjacencies(graph).G)
     assert _represents_int64(N, G)
@@ -330,7 +330,7 @@ def test_generating_labels_equal_the_greedy_loop_on_graph_algebras():
     single = 0
     for name in names:
         fusion = graph_algebra.graph_structure_constants(
-            graph_algebra.eigen_gauge(nimrep.ade_graph(name)))
+            graph_algebra.eigen_gauge(search.ade_graph(name)))
         N = fusion.rounded
         got = core.generating_labels(N.__getitem__, len(N))
         assert got == _greedy_generating_labels(N), name
@@ -385,7 +385,7 @@ def test_generator_check_rejects_fused_families_changed_off_the_generators(name)
     """The ring of each fused family's level, changed at a label c off its
     one generator (e_c e_c gains e_0), is rejected by associative, which
     commutes N_1 only; the family no longer represents the changed ring."""
-    family = nimrep.fused_adjacencies(nimrep.ade_graph(name))
+    family = nimrep.fused_adjacencies(search.ade_graph(name))
     N = core.su2_fusion_closed_form(family.level).N
     G = np.array(family.G)
     assert core.generating_labels(N.__getitem__, len(N)) == (1,)
@@ -555,7 +555,7 @@ def test_arrays_shared_across_calls_are_read_only(make):
     md = make()
     shared = [md.S, md.T, md.twists, md.dims, md.verlinde_row(1),
               core.verlinde_fusion(md).N, core.su2_fusion_closed_form(4).N,
-              nimrep.fused_adjacencies(nimrep.ade_graph("D6")).G,
+              nimrep.fused_adjacencies(search.ade_graph("D6")).G,
               *md.fundamental_rows.values()]
     shared += [] if md.partitions is None else [md.partitions]
     for arr in shared:

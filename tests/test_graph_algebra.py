@@ -11,7 +11,7 @@ NEGATIVE = ["D5", "D7", "E7"]
 
 def test_a_series_gauge_is_s_matrix():
     k = 4
-    gauge = graph_algebra.eigen_gauge(nimrep.ade_graph("A5"))
+    gauge = graph_algebra.eigen_gauge(search.ade_graph("A5"))
     S = core.su2_modular_data(k).S.real
     assert gauge.graph.exponents == tuple(range(5))
     assert np.max(np.abs(gauge.psi.real - S)) < 1e-10
@@ -19,7 +19,7 @@ def test_a_series_gauge_is_s_matrix():
 
 
 def test_d4_has_doubled_middle_exponent():
-    gauge = graph_algebra.eigen_gauge(nimrep.ade_graph("D4"))
+    gauge = graph_algebra.eigen_gauge(search.ade_graph("D4"))
     assert gauge.graph.exponents == (0, 2, 2, 4)
     # the doubled columns are complex conjugates of each other
     c1, c2 = gauge.psi[:, 1], gauge.psi[:, 2]
@@ -27,13 +27,13 @@ def test_d4_has_doubled_middle_exponent():
 
 
 def test_e7_gauge_no_multiplicity():
-    gauge = graph_algebra.eigen_gauge(nimrep.ade_graph("E7"))
+    gauge = graph_algebra.eigen_gauge(search.ade_graph("E7"))
     assert len(set(gauge.graph.exponents)) == 7
     gauge.validate()
 
 
 def test_dodd_base_vertex_is_fork():
-    gauge = graph_algebra.eigen_gauge(nimrep.ade_graph("D5"))
+    gauge = graph_algebra.eigen_gauge(search.ade_graph("D5"))
     assert gauge.base == 4
     assert np.min(np.abs(gauge.psi[gauge.base])) > 1e-9
 
@@ -41,14 +41,14 @@ def test_dodd_base_vertex_is_fork():
 def test_dodd_spine_end_is_refused_as_base():
     # the exponent h/2 - 1 eigenvector of D_odd vanishes on the spine, so
     # vertex 0, the base of every other case, cannot be the base there
-    graph = dataclasses.replace(nimrep.ade_graph("D7"), case="D_even")
+    graph = dataclasses.replace(search.ade_graph("D7"), case="D_even")
     with pytest.raises(ValueError, match="base vertex unusable"):
         graph_algebra.eigen_gauge(graph)
 
 
 @pytest.mark.parametrize("name", POSITIVE + NEGATIVE)
 def test_gauge_unitary_and_positive_base_row(name):
-    gauge = graph_algebra.eigen_gauge(nimrep.ade_graph(name))
+    gauge = graph_algebra.eigen_gauge(search.ade_graph(name))
     V = gauge.graph.num_vertices
     assert np.max(np.abs(gauge.psi.conj().T @ gauge.psi - np.eye(V))) < 1e-9
     row = gauge.psi[gauge.base]
@@ -59,7 +59,7 @@ def test_gauge_unitary_and_positive_base_row(name):
 def test_a_series_equals_verlinde():
     for name, k in (("A5", 4), ("A9", 8)):
         fusion = graph_algebra.graph_structure_constants(
-            graph_algebra.eigen_gauge(nimrep.ade_graph(name)))
+            graph_algebra.eigen_gauge(search.ade_graph(name)))
         assert fusion.positive
         assert np.array_equal(fusion.rounded, core.su2_fusion_closed_form(k).N)
 
@@ -67,7 +67,7 @@ def test_a_series_equals_verlinde():
 @pytest.mark.parametrize("name", POSITIVE)
 def test_associative_on_generators_equals_full_check(name):
     fusion = graph_algebra.graph_structure_constants(
-        graph_algebra.eigen_gauge(nimrep.ade_graph(name)))
+        graph_algebra.eigen_gauge(search.ade_graph(name)))
     R = fusion.rounded
     V = len(R)
     assert len(core.generating_labels(R.__getitem__, V)) < V
@@ -93,7 +93,7 @@ def _unit_residual(gauge, fusion):
 
 
 def _gauge_and_fusion(name):
-    gauge = graph_algebra.eigen_gauge(nimrep.ade_graph(name))
+    gauge = graph_algebra.eigen_gauge(search.ade_graph(name))
     return gauge, graph_algebra.graph_structure_constants(gauge)
 
 
@@ -133,7 +133,7 @@ def test_every_positive_algebra_has_its_unit_at_vertex_0():
 @pytest.mark.parametrize("name", ["A7", "D6", "E6", "E8"])
 def test_gauge_diagonalizes_fused_family(name):
     # psi^dagger G_a psi is diagonal for every fused adjacency G_a
-    g = nimrep.ade_graph(name)
+    g = search.ade_graph(name)
     psi = graph_algebra.eigen_gauge(g).psi
     D = psi.conj().T @ nimrep.fused_adjacencies(g).G @ psi
     off = D - D * np.eye(len(psi))
@@ -144,7 +144,7 @@ def test_gauge_diagonalizes_fused_family(name):
 def test_sign_gauge_invariance(name):
     # flipping signs of multiplicity-one columns leaves the tensor unchanged
     rng = np.random.default_rng(7)
-    gauge = graph_algebra.eigen_gauge(nimrep.ade_graph(name))
+    gauge = graph_algebra.eigen_gauge(search.ade_graph(name))
     base_fusion = graph_algebra.graph_structure_constants(gauge)
     exps = list(gauge.graph.exponents)
     signs = np.array([rng.choice([-1.0, 1.0]) if exps.count(m) == 1 else 1.0
@@ -196,7 +196,7 @@ def test_gauge_equals_the_grouping_reference_on_every_diagram():
     seen = 0
     for k in range(1, core.SU2_LEVEL_MAX + 1):
         for name, _ in search.su2_diagrams(k):
-            graph = nimrep.ade_graph(name)
+            graph = search.ade_graph(name)
             assert graph_algebra.eigen_gauge(graph).psi.tobytes() == \
                 _psi_by_grouping(graph).tobytes(), name
             seen += 1
@@ -205,7 +205,7 @@ def test_gauge_equals_the_grouping_reference_on_every_diagram():
 
 def test_csv_rows_shape():
     fusion = graph_algebra.graph_structure_constants(
-        graph_algebra.eigen_gauge(nimrep.ade_graph("A3")))
+        graph_algebra.eigen_gauge(search.ade_graph("A3")))
     rows = list(graph_algebra.csv_rows(fusion))
     assert len(rows) == 27
     assert all(row[6] in ("ok", "neg", "frac") for row in rows)
@@ -229,7 +229,7 @@ def _csv_rows_by_loop(fusion):
 @pytest.mark.parametrize("name", ["A2", "A11", "D4", "D5", "D7", "D12", "E6", "E7", "E8"])
 def test_csv_rows_equal_the_loop(name):
     fusion = graph_algebra.graph_structure_constants(
-        graph_algebra.eigen_gauge(nimrep.ade_graph(name)))
+        graph_algebra.eigen_gauge(search.ade_graph(name)))
     rows = list(graph_algebra.csv_rows(fusion))
     want = _csv_rows_by_loop(fusion)
     assert rows == want
@@ -282,7 +282,7 @@ def test_validate_equals_the_column_loop_on_every_diagram():
     seen, verdicts = 0, set()
     for k in range(1, core.SU2_LEVEL_MAX + 1):
         for name, _ in search.su2_diagrams(k):
-            gauge = graph_algebra.eigen_gauge(nimrep.ade_graph(name))
+            gauge = graph_algebra.eigen_gauge(search.ade_graph(name))
             last = gauge.graph.num_vertices - 1
             for psi in (gauge.psi, *_perturbed_columns(gauge.psi, 0),
                         *_perturbed_columns(gauge.psi, last)):

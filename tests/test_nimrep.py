@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from modinv import cli, core, nimrep, search
+from test_search import su2_invariant
 
 ALL_GRAPHS = ["A3", "A5", "A9", "A17", "D4", "D5", "D6", "D7", "D8",
               "D10", "D16", "E6", "E7", "E8"]
@@ -18,38 +19,38 @@ EVERY_DIAGRAM = [name for k in range(1, core.SU2_LEVEL_MAX + 1)
 
 
 def test_e7_graph_data():
-    g = nimrep.ade_graph("E7")
+    g = search.ade_graph("E7")
     assert g.num_vertices == 7
     assert sorted(g.exponents) == [0, 4, 6, 8, 10, 12, 16]
     assert g.coxeter == 18
 
 
 def test_a5_adjacency_is_spin_one_fusion_matrix():
-    g = nimrep.ade_graph("A5")
+    g = search.ade_graph("A5")
     ring = core.su2_fusion_closed_form(4)
     assert np.array_equal(g.adjacency, ring.N[1])
 
 
 def test_d5_exponents():
-    assert sorted(nimrep.ade_graph("D5").exponents) == [0, 2, 3, 4, 6]
+    assert sorted(search.ade_graph("D5").exponents) == [0, 2, 3, 4, 6]
 
 
 def test_d4_doubled_exponent():
-    exps = nimrep.ade_graph("D4").exponents
+    exps = search.ade_graph("D4").exponents
     assert sorted(exps) == [0, 2, 2, 4]
 
 
 def test_unknown_graph_name():
     for bad in ("F4", "D3", "E9", "Q5", "A"):
         with pytest.raises(core.UsageError, match=f"unknown diagram name '{bad}'"):
-            nimrep.ade_graph(bad)
+            search.ade_graph(bad)
 
 
 @pytest.mark.parametrize("name", EVERY_DIAGRAM)
 def test_spectrum_matches_exponents(name):
     """ade_graph does not check its result, so this is the check: the whole
     spectrum, and with it the norm 2 cos(pi / h), of every diagram."""
-    g = nimrep.ade_graph(name)
+    g = search.ade_graph(name)
     assert g.adjacency.dtype.kind == "i" and np.array_equal(g.adjacency, g.adjacency.T)
     eig = np.sort(np.linalg.eigvalsh(g.adjacency.astype(float)))
     want = np.sort([2 * np.cos(np.pi * (m + 1) / g.coxeter) for m in g.exponents])
@@ -58,7 +59,7 @@ def test_spectrum_matches_exponents(name):
 
 @pytest.mark.parametrize("name", ALL_GRAPHS)
 def test_fused_adjacencies_properties(name):
-    fam = nimrep.fused_adjacencies(nimrep.ade_graph(name))
+    fam = nimrep.fused_adjacencies(search.ade_graph(name))
     assert np.array_equal(fam.G[0], np.eye(fam.graph.num_vertices, dtype=int))
     assert np.array_equal(fam.G[1], fam.graph.adjacency)
     for G in fam.G:
@@ -71,14 +72,14 @@ def test_fused_adjacencies_properties(name):
 
 def test_a_family_is_regular_representation():
     k = 8
-    fam = nimrep.fused_adjacencies(nimrep.ade_graph("A9"))
+    fam = nimrep.fused_adjacencies(search.ade_graph("A9"))
     ring = core.su2_fusion_closed_form(k)
     for j in range(k + 1):
         assert np.array_equal(fam.G[j], ring.N[j])
 
 
 def test_e7_top_matrix_is_involution_fixing_fork():
-    fam = nimrep.fused_adjacencies(nimrep.ade_graph("E7"))
+    fam = nimrep.fused_adjacencies(search.ade_graph("E7"))
     G16 = fam.G[16]
     assert np.array_equal(np.sort(G16.sum(axis=0)), np.ones(7, dtype=int))
     assert np.array_equal(G16 @ G16, fam.G[0])  # nimrep identity: N[16,16,0] = 1
@@ -86,7 +87,7 @@ def test_e7_top_matrix_is_involution_fixing_fork():
 
 
 def test_wrong_graph_level_pairing_raises():
-    g = nimrep.ade_graph("D5")
+    g = search.ade_graph("D5")
     bad = dataclasses.replace(g, coxeter=12)
     with pytest.raises(ValueError, match="D5: negative entry in fused adjacency"):
         nimrep.fused_adjacencies(bad)
@@ -94,7 +95,7 @@ def test_wrong_graph_level_pairing_raises():
 
 def test_out_of_range_level_is_refused_before_allocating():
     # a level of 10^5 - 2 would stack 10^5 matrices and run the recursion first
-    bad = dataclasses.replace(nimrep.ade_graph("A5"), coxeter=10 ** 5)
+    bad = dataclasses.replace(search.ade_graph("A5"), coxeter=10 ** 5)
     tracemalloc.start()
     try:
         with pytest.raises(core.UsageError, match="su2 level out of range: 99998"):
@@ -109,32 +110,32 @@ def test_out_of_range_level_is_refused_before_allocating():
     ("A3", "A"), ("D5", "D_odd"), ("E6", "E6"), ("E7", "E7"),
 ])
 def test_spectrum_vs_diagonal(name, case):
-    g = nimrep.ade_graph(name)
+    g = search.ade_graph(name)
     k = g.level
     fam = nimrep.fused_adjacencies(g)
-    Z = search.su2_invariant_matrix(case, k)
+    Z = su2_invariant(case, k)
     report = nimrep.spectrum_vs_diagonal(fam, Z)
     assert report.matched
     assert report.worst_gap < 1e-7
 
 
 def test_spectrum_wrong_invariant_detected():
-    g = nimrep.ade_graph("D7")
+    g = search.ade_graph("D7")
     fam = nimrep.fused_adjacencies(g)
-    report = nimrep.spectrum_vs_diagonal(fam, search.su2_invariant_matrix("A", 10))
+    report = nimrep.spectrum_vs_diagonal(fam, su2_invariant("A", 10))
     assert not report.matched
 
 
 def test_a3_level2_spectrum_values():
-    fam = nimrep.fused_adjacencies(nimrep.ade_graph("A3"))
+    fam = nimrep.fused_adjacencies(search.ade_graph("A3"))
     eig = np.sort(np.linalg.eigvalsh(fam.G[1].astype(float)))
     assert np.max(np.abs(eig - np.array([-np.sqrt(2), 0, np.sqrt(2)]))) < 1e-12
 
 
 def test_csv_rows_cover_all_exponents():
-    g = nimrep.ade_graph("E6")
+    g = search.ade_graph("E6")
     fam = nimrep.fused_adjacencies(g)
-    report = nimrep.spectrum_vs_diagonal(fam, search.su2_invariant_matrix("E6", 10))
+    report = nimrep.spectrum_vs_diagonal(fam, su2_invariant("E6", 10))
     rows = nimrep.spectrum_csv_rows(report)
     by_nu = {}
     for graph, nu, _, mult, spin in rows:
@@ -197,9 +198,9 @@ def _every_diagram():
 def test_spectrum_equals_the_per_label_check_on_every_diagram():
     seen = 0
     for name, case, k in _every_diagram():
-        family = nimrep.fused_adjacencies(nimrep.ade_graph(name))
+        family = nimrep.fused_adjacencies(search.ade_graph(name))
         md = core.su2_modular_data(k)
-        Z = search.su2_invariant_matrix(case, k)
+        Z = su2_invariant(case, k)
         report = nimrep.spectrum_vs_diagonal(family, Z)
         _assert_report_is_the_per_label_check(report, family, md, Z)
         rows = nimrep.spectrum_csv_rows(report)
@@ -211,9 +212,9 @@ def test_spectrum_equals_the_per_label_check_on_every_diagram():
 
 
 def test_spectrum_size_mismatch_equals_the_per_label_check():
-    family = nimrep.fused_adjacencies(nimrep.ade_graph("D7"))
+    family = nimrep.fused_adjacencies(search.ade_graph("D7"))
     md = core.su2_modular_data(10)
-    Z = search.su2_invariant_matrix("A", 10)
+    Z = su2_invariant("A", 10)
     report = nimrep.spectrum_vs_diagonal(family, Z)
     _assert_report_is_the_per_label_check(report, family, md, Z)
     assert report.expected is None
@@ -249,7 +250,7 @@ def test_tolerance_classes_are_the_rounded_classes_on_the_whole_domain():
 def test_oversized_diagonal_is_refused_before_the_multiset_is_built(capsys, tmp_path):
     # the expected multiset of diag(1, 1, 10^12) would take 24 TB
     Z = search.MassMatrix(np.diag([1, 1, 10 ** 12]))
-    family = nimrep.fused_adjacencies(nimrep.ade_graph("A3"))
+    family = nimrep.fused_adjacencies(search.ade_graph("A3"))
     path = tmp_path / "z.json"
     path.write_text(json.dumps({"Z": Z.Z.tolist()}))
     tracemalloc.start()
@@ -267,7 +268,7 @@ def test_oversized_diagonal_is_refused_before_the_multiset_is_built(capsys, tmp_
 
 
 def test_fused_adjacencies_are_one_read_only_array():
-    G = nimrep.fused_adjacencies(nimrep.ade_graph("E6")).G
+    G = nimrep.fused_adjacencies(search.ade_graph("E6")).G
     assert G.shape == (11, 6, 6) and G.dtype.kind == "i"
     with pytest.raises(ValueError):
         G[0, 0, 0] = 2
@@ -277,7 +278,7 @@ def test_stacked_eigvalsh_and_character_table_are_bitwise_per_label():
     """The batched eigvalsh and the vectorised character table give the very
     floats of one eigvalsh per matrix and one complex division per entry."""
     for name, _, k in _every_diagram():
-        G = nimrep.fused_adjacencies(nimrep.ade_graph(name)).G
+        G = nimrep.fused_adjacencies(search.ade_graph(name)).G
         stacked = np.linalg.eigvalsh(np.array(G, dtype=float))
         for nu, Gnu in enumerate(G):
             assert stacked[nu].tobytes() == np.linalg.eigvalsh(Gnu.astype(float)).tobytes()
@@ -291,8 +292,8 @@ def test_stacked_eigvalsh_and_character_table_are_bitwise_per_label():
 
 def test_fused_adjacencies_refuse_beyond_the_exact_float_range():
     # one vertex with a loop of weight 2^30: G_2 = 2^60 - 1 needs 60 bits
-    g = nimrep.AdeGraph(name="X1", case="A", adjacency=np.array([[2 ** 30]]), coxeter=4,
-                        exponents=(0,))
+    g = search.AdeGraph(name="X1", case="A", adjacency=np.array([[2 ** 30]]), coxeter=4,
+                        branching=search.su2_branching("A", 2))
     with pytest.raises(ValueError, match="beyond the exact float64 range"):
         nimrep.fused_adjacencies(g)
     # 2^17 keeps V max|G_1| max|G_j| = 2^17 (2^34 - 1) below 2^53: exact, and
@@ -305,9 +306,9 @@ def test_fused_adjacencies_refuse_beyond_the_exact_float_range():
 def test_spectra_for_all_catalog_pairs_up_to_level30():
     for k in range(1, 31):
         md = core.su2_modular_data(k)
-        for ni in search.su2_ade_catalog(md):
-            fam = nimrep.fused_adjacencies(nimrep.ade_graph(ni.name))
-            assert nimrep.spectrum_vs_diagonal(fam, ni.Z).matched, (k, ni.name)
+        for graph in search.su2_ade_catalog(md):
+            fam = nimrep.fused_adjacencies(graph)
+            assert nimrep.spectrum_vs_diagonal(fam, graph.Z).matched, (k, graph.name)
 
 
 def _isomorphic_by_backtracking(A, B):
@@ -381,7 +382,7 @@ def _diagram_adjacency(name):
 def test_diagram_adjacency_is_ade_graphs_rule():
     for k in range(1, core.SU2_LEVEL_MAX + 1):
         for name, _ in search.su2_diagrams(k):
-            assert np.array_equal(_diagram_adjacency(name), nimrep.ade_graph(name).adjacency)
+            assert np.array_equal(_diagram_adjacency(name), search.ade_graph(name).adjacency)
 
 
 def _relabelled(A, perm):
@@ -389,17 +390,17 @@ def _relabelled(A, perm):
 
 
 def test_identify_ade_relabelled():
-    a = nimrep.ade_graph("D5").adjacency
+    a = search.ade_graph("D5").adjacency
     b = _relabelled(a, [3, 1, 0, 2, 4])
     assert not np.array_equal(a, b)
     assert nimrep.identify_ade(b) == "D5"
-    assert nimrep.identify_ade(_relabelled(nimrep.ade_graph("A5").adjacency,
+    assert nimrep.identify_ade(_relabelled(search.ade_graph("A5").adjacency,
                                            [2, 4, 0, 1, 3])) == "A5"
 
 
 @pytest.mark.parametrize("name", ["A7", "D6", "E8", "D15", "A17"])
 def test_identify_ade(name):
-    assert nimrep.identify_ade(nimrep.ade_graph(name).adjacency) == name
+    assert nimrep.identify_ade(search.ade_graph(name).adjacency) == name
 
 
 def test_identify_rejects_cycle():
@@ -517,7 +518,7 @@ def _assert_same_depths(A, root):
 
 def test_depths_equal_the_level_by_level_search_on_every_diagram():
     for name, _, _ in _every_diagram():
-        A = nimrep.ade_graph(name).adjacency
+        A = search.ade_graph(name).adjacency
         for root in range(len(A)):
             _assert_same_depths(A, root)
 
@@ -577,7 +578,7 @@ def test_truncation_verdict_agrees_with_generator_check():
     checked = {"ok": 0, ValueError: 0, core.UsageError: 0}
     for k in range(1, core.SU2_LEVEL_MAX + 1):
         for name, _ in search.su2_diagrams(k):
-            g = nimrep.ade_graph(name)
+            g = search.ade_graph(name)
             for shift in (0, -1, 1, 2):
                 if k + shift > core.SU2_LEVEL_MAX:
                     continue

@@ -13,6 +13,11 @@ from modinv import core, search
 from test_core import dual_permutation, fundamental_labels
 
 
+def su2_invariant(case, k):
+    """The closed-form SU(2)_k invariant Z = b+^t b- of a branching case."""
+    return search.MassMatrix(search.su2_branching(case, k).product())
+
+
 def test_commutant_su2_level4():
     md = core.su2_modular_data(4)
     basis = search.commutant_basis(md)
@@ -223,7 +228,7 @@ def test_integer_basis_is_exact_echelon(family, k):
     assert np.array_equal(at_pivots, D * np.eye(basis.dim, dtype=np.int64))
     found = [Z.Z for Z in search.enumerate_invariants(md)]
     assert found
-    closed = [search.su2_invariant_matrix(case, k).Z
+    closed = [su2_invariant(case, k).Z
               for _, case in search.su2_diagrams(k)] if family == "su2" else []
     for Z in found + closed:
         assert _in_integer_span(basis, Z)
@@ -269,7 +274,7 @@ def test_product_data_has_a_common_denominator_of_two():
     found = search.enumerate_invariants(md)
     assert found.complete and len(found) == 13
     assert all(search.verify_invariant(md, Z).ok for Z in found)
-    A5, D4 = (search.su2_invariant_matrix(case, 4).Z for case in ("A", "D_even"))
+    A5, D4 = (su2_invariant(case, 4).Z for case in ("A", "D_even"))
     for a, b in itertools.product((A5, D4), repeat=2):
         assert search.MassMatrix(np.kron(a, b)) in found
     back = search.commutant_basis(core.modular_data_from_json(core.modular_data_to_json(md)))
@@ -411,14 +416,14 @@ def test_stacked_verification_is_the_and_of_the_single_ones():
 
 def test_stacked_verification_checks_every_shape():
     md = core.su2_modular_data(4)
-    Z = search.su2_invariant_matrix("A", 4)
+    Z = su2_invariant("A", 4)
     with pytest.raises(ValueError, match="shape mismatch"):
-        search.verify_invariant(md, Z, search.su2_invariant_matrix("A", 3))
+        search.verify_invariant(md, Z, su2_invariant("A", 3))
 
 
 def test_permutation_dodd_level10():
     md = core.su2_modular_data(10)
-    Z = search.su2_invariant_matrix("D_odd", 10)
+    Z = su2_invariant("D_odd", 10)
     pi = search.permutation_criterion(md, Z)
     assert pi is not None
     for j in range(11):
@@ -427,7 +432,7 @@ def test_permutation_dodd_level10():
 
 def test_permutation_e7_fails_all_three():
     md = core.su2_modular_data(16)
-    Z = search.su2_invariant_matrix("E7", 16)
+    Z = su2_invariant("E7", 16)
     assert Z.Z[0, 16] == 1 and Z.Z[16, 0] == 1
     # the zero row and column are not trivial, and permutation_criterion
     # raises unless the third condition fails with them
@@ -436,7 +441,7 @@ def test_permutation_e7_fails_all_three():
 
 def test_permutation_identity():
     md = core.su2_modular_data(5)
-    assert search.permutation_criterion(md, search.su2_invariant_matrix("A", 5)) == tuple(range(6))
+    assert search.permutation_criterion(md, su2_invariant("A", 5)) == tuple(range(6))
     # N[id, id, id] = N always holds, so no fusion row is built
     assert "verlinde_row" not in vars(md) and "fundamental_rows" not in vars(md)
 
@@ -500,7 +505,7 @@ def _rings_and_invariants():
     checks up to level 28) and the enumerated SU(3), SU(4) and Ising ones."""
     for md, ring in _modular_data_and_rings():
         if md.family == "su2":
-            found = [search.su2_invariant_matrix(case, md.level)
+            found = [su2_invariant(case, md.level)
                      for _, case in search.su2_diagrams(md.level)]
         else:
             found = search.enumerate_invariants(md)
@@ -613,7 +618,7 @@ def test_permutation_criterion_peak_memory():
 
 
 def _catalog_names(k):
-    return [ni.name for ni in search.su2_ade_catalog(core.su2_modular_data(k))]
+    return [graph.name for graph in search.su2_ade_catalog(core.su2_modular_data(k))]
 
 
 def test_catalog_level3_only_diagonal():
@@ -630,9 +635,19 @@ def test_catalog_level2_names_a3():
 
 def test_catalog_level16_no_naming_ambiguity():
     # D10 and E7 share the level but not the diagonal
-    named = {ni.name: ni.Z for ni in search.su2_ade_catalog(core.su2_modular_data(16))}
+    named = {g.name: g.Z for g in search.su2_ade_catalog(core.su2_modular_data(16))}
     assert set(named) == {"A17", "D10", "E7"}
     assert named["D10"].diagonal != named["E7"].diagonal
+
+
+def test_catalog_refuses_an_invariant_other_than_its_diagrams(monkeypatch):
+    # A5's diagonal with one more entry off it: named A5, but not b+^t b- of A5
+    Z = np.eye(5, dtype=int)
+    Z[0, 2] = 1
+    monkeypatch.setattr(search, "enumerate_invariants",
+                        lambda md, budget: search.InvariantList([search.MassMatrix(Z)]))
+    with pytest.raises(ValueError, match="A5 at level 4: factorization failed"):
+        search.su2_ade_catalog(core.su2_modular_data(4))
 
 
 def test_closed_form_invariants_match_enumeration():
@@ -640,13 +655,22 @@ def test_closed_form_invariants_match_enumeration():
     # unpruned enumeration checks it, E6, E7 and E8 included
     for k in range(1, 29):
         enumerated = {Z.key() for Z in search.enumerate_invariants(core.su2_modular_data(k))}
-        closed = {search.su2_invariant_matrix(case, k).key()
+        closed = {su2_invariant(case, k).key()
                   for _, case in search.su2_diagrams(k)}
         assert closed == enumerated, k
 
 
+def test_branching_product_equals_the_integer_product():
+    # product() is a float64 BLAS product; numpy's integer matmul is the reference
+    for k in range(1, core.SU2_LEVEL_MAX + 1):
+        for _, case in search.su2_diagrams(k):
+            b = search.su2_branching(case, k)
+            Z = b.product()
+            assert Z.dtype.kind == "i" and np.array_equal(Z, b.b_plus.T @ b.b_minus), (case, k)
+
+
 def test_deven_closed_form_block_structure():
-    Z = search.su2_invariant_matrix("D_even", 12).Z
+    Z = su2_invariant("D_even", 12).Z
     assert Z[6, 6] == 2
     assert Z[4, 8] == 1 and Z[8, 4] == 1 and Z[4, 4] == 1
     assert Z[2, 2] == 1 and Z[2, 10] == 1
@@ -654,7 +678,7 @@ def test_deven_closed_form_block_structure():
 
 
 def test_e7_closed_form_entries():
-    Z = search.su2_invariant_matrix("E7", 16).Z
+    Z = su2_invariant("E7", 16).Z
     assert Z[8, 8] == 1
     assert Z[2, 8] == 1 and Z[8, 2] == 1 and Z[14, 8] == 1
     assert Z[0, 16] == 1
@@ -671,7 +695,7 @@ def test_entry_bound_holds_a_posteriori():
 def test_trace_identities_under_dodd_relabeling():
     k = 6
     pi = search.permutation_criterion(
-        core.su2_modular_data(k), search.su2_invariant_matrix("D_odd", k))
+        core.su2_modular_data(k), su2_invariant("D_odd", k))
     P = np.zeros((k + 1, k + 1), dtype=int)
     for mu, target in enumerate(pi):
         P[target, mu] = 1

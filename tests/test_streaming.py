@@ -71,7 +71,7 @@ def reference_stdout(argv) -> str:
         return _encode(core.modular_data_to_json(cli._load_family(args)))
     if args.command == "graph-algebra":
         fusion = graph_algebra.graph_structure_constants(
-            graph_algebra.eigen_gauge(nimrep.ade_graph(args.graph)))
+            graph_algebra.eigen_gauge(search.ade_graph(args.graph)))
         if args.csv:
             return _csv("graph,a,b,c,value,rounded,flag", _whole_csv_rows(fusion))
         return _encode({"graph": fusion.graph, "positive": fusion.positive,
@@ -79,9 +79,8 @@ def reference_stdout(argv) -> str:
                         "integrality_gap": float(core.sig12(fusion.integrality_gap)),
                         "associative": fusion.associative() if fusion.positive else None})
     if args.command == "nimrep":
-        graph = nimrep.ade_graph(args.graph)
-        report = nimrep.spectrum_vs_diagonal(nimrep.fused_adjacencies(graph),
-                                             search.su2_invariant_matrix(graph.case, graph.level))
+        graph = search.ade_graph(args.graph)
+        report = nimrep.spectrum_vs_diagonal(nimrep.fused_adjacencies(graph), graph.Z)
         return _csv("graph,nu,eigenvalue,multiplicity,matched_spin",
                     nimrep.spectrum_csv_rows(report))
     if args.command == "chiral-table":
@@ -89,12 +88,12 @@ def reference_stdout(argv) -> str:
     if args.command == "catalog":
         md = core.su2_modular_data(args.level)
         return _encode({"family": "su2", "level": args.level, "invariants": [
-            cli._invariant_record(ni.name, ni.Z, md)
-            for ni in search.su2_ade_catalog(md, budget=args.budget)]})
+            cli._invariant_record(graph.name, graph.Z, md)
+            for graph in search.su2_ade_catalog(md, budget=args.budget)]})
     assert args.command == "invariants", argv
     md = cli._load_family(args)
     found = search.enumerate_invariants(md, budget=args.budget)
-    names = ({diag: name for diag, (name, _) in search.su2_diagram_table(md.level).items()}
+    names = ({diag: graph.name for diag, graph in search.su2_diagram_table(md.level).items()}
              if md.family == "su2" else {})
     return _encode({"family": md.family, "level": md.level, "complete": found.complete,
                     "invariants": [cli._invariant_record(names.get(Z.diagonal), Z, md)
@@ -212,7 +211,7 @@ def _raise_on_last_call(monkeypatch, capsys, owner, name, argv):
 
 # the check each command runs once per record, the last call on its last record
 LAST_RECORD_CHECK = {"fusion": (core, "_round_counts"),
-                     "chiral-table": (chiral, "verify_factorization"),
+                     "chiral-table": (chiral, "chiral_indices"),
                      "catalog": (search, "permutation_criterion"),
                      "invariants": (search, "permutation_criterion")}
 
@@ -274,7 +273,7 @@ def _traced_peak(fn) -> int:
      lambda: core.verlinde_fusion(core.sun_modular_data(3, 12))),
     (("graph-algebra", "--graph", "A33", "--csv"),
      lambda: graph_algebra.graph_structure_constants(
-         graph_algebra.eigen_gauge(nimrep.ade_graph("A33")))),
+         graph_algebra.eigen_gauge(search.ade_graph("A33")))),
 ])
 def test_writing_adds_less_than_half_the_output_to_the_peak(monkeypatch, argv, build):
     """The traced peak of the command is at most that of building its data
