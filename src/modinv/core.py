@@ -22,8 +22,10 @@ ROUND_TOL = 1e-6  # a float rounded to an integer or a small rational may be thi
 ASSERT_TOL = 1e-9  # numerical identities of S, T, dimensions and eigenvectors hold to this
 VACUUM_ROW_TOL = 100 * ASSERT_TOL  # the vacuum-row identity sums L products of dimensions
 PHASE_TOL = 1e-12  # two T phases this close are equal; distinct phases are far apart
-FIXED_SPACE_TOL = 1e-9  # commutant directions have 1 - eigenvalue <= 4.4e-15, the next >= 0.5527
-# (1 - 1/sqrt 5), by eigh and by eigvalsh over SU(2) k <= 64, SU(3) k <= 26 and SU(4) k <= 11
+# (data without partitions only: ModularData.t_support of SU(n)_k data is decided in integers)
+FIXED_SPACE_TOL = 1e-9  # commutant directions have |1 - eigenvalue| <= 2.0e-15, the next >= 0.2402
+# (SU(3)_17) on the orbit matrix W^t M W, and <= 4.4e-15, >= 0.5527 (1 - 1/sqrt 5) on M over the
+# whole T-support, by eigh and by eigvalsh over SU(2) k <= 64, SU(3) k <= 26 and SU(4) k <= 11
 PIVOT_TOL = 1e-7  # an echelon pivot candidate below this is zero in exact arithmetic
 COMMUTE_TOL = 1e-8  # a commutant element commutes with S and T to this
 EIGEN_TOL = 1e-8  # eigenvector residual
@@ -313,6 +315,40 @@ class ModularData:
         """pieri_rows of SU(n)_k data, built once per ModularData; empty without partitions."""
         return {} if self.partitions is None else pieri_rows(self.partitions, self.level)
 
+    @cached_property
+    def galois(self) -> tuple[np.ndarray, np.ndarray] | None:
+        """galois_action of SU(n)_k data, built once per ModularData and
+        read-only; None without partitions."""
+        if self.partitions is None:
+            return None
+        pair = galois_action(self.partitions, self.level)
+        for arr in pair:
+            arr.setflags(write=False)
+        return pair
+
+    @cached_property
+    def t_support(self) -> tuple[np.ndarray, np.ndarray]:
+        """The positions (i, j), in row-major order, with h_i - h_j an
+        integer: those where [T, X] = 0 allows X_ij != 0.  Read-only.
+
+        SU(n)_k data decides it in integers: h = (|xi|^2 - |rho|^2) /
+        (2 kappa), xi the traceless part of the row x = a + rho, so h_i - h_j
+        is an integer iff n |xi_i|^2 = n |x_i|^2 - (sum x_i)^2, an integer,
+        agrees with n |xi_j|^2 modulo 2 n kappa.  Other data compares its T
+        phases within PHASE_TOL.
+        """
+        if self.partitions is None:
+            t = np.diag(self.T)
+            support = np.nonzero(np.abs(t[:, None] - t[None, :]) < PHASE_TOL)
+        else:
+            x = _shifted_rows(self.partitions)
+            n = x.shape[1]
+            h = (n * (x * x).sum(axis=1) - x.sum(axis=1) ** 2) % (2 * n * (self.level + n))
+            support = np.nonzero(h[:, None] == h[None, :])
+        for arr in support:
+            arr.setflags(write=False)
+        return support
+
 
 def _central_charge_from_twists(twists, dims) -> float:
     """Mod-8 central charge, 4*arg(sum omega d^2)/pi mapped into [0, 8)."""
@@ -416,6 +452,70 @@ def pieri_rows(parts: np.ndarray, k: int) -> dict[int, np.ndarray]:
     # Lambda_j is the partition (1^j, 0^(n-1-j))
     fundamentals = np.searchsorted(codes, np.tri(n - 1, dtype=np.int64) @ radix)
     return dict(zip(fundamentals.tolist(), N))
+
+
+def _shifted_rows(parts: np.ndarray) -> np.ndarray:
+    """The int64 rows x = a + rho of the labels, a = (parts, 0) and rho =
+    (n - 1, ..., 1, 0)."""
+    n = parts.shape[1] + 1
+    x = np.zeros((len(parts), n), dtype=np.int64)
+    x[:, :-1] = parts
+    return x + np.arange(n - 1, -1, -1)
+
+
+def galois_action(parts: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The Galois permutations and signs (sigma, eps) of SU(n)_k; parts
+    holds the label rows in lexicographic order, as in pieri_rows.
+
+    Both are int64 arrays of shape (phi(n kappa), L), kappa = k + n: row r
+    holds sigma_l and eps_l (+1 or -1) of the r-th l coprime to n kappa in
+    1 .. n kappa - 1, in ascending order.
+
+    Theorem (Coste-Gannon, Phys. Lett. B 323 (1994); Gannon, Commun. Math.
+    Phys. 161 (1994)).  Let W[a, b] = sum over permutations w of sgn(w)
+    zeta^(n <w xi_a, xi_b>), zeta = exp(-2 pi i / (n kappa)), with xi the
+    traceless part of the row x = a + rho; S = c W for a scalar c, and
+    n <w xi_a, xi_b> is an integer.  The automorphism zeta -> zeta^l of
+    Q(zeta) maps W to G_l W, with G_l[a, sigma_l a] = eps_l(a) a signed
+    permutation.  So every rational Z that commutes with S commutes with
+    each G_l: Z[sigma a, sigma b] = eps(a) eps(b) Z[a, b].
+
+    The affine Weyl reduction, in integers.  Take y = l x, its residues
+    r = y mod kappa and s = sum_i floor(y_i / kappa) mod n, and add kappa
+    to the s smallest residues, which are distinct since gcd(l, n kappa)
+    = 1.  The result z differs from y by kappa times an integer vector
+    whose sum is divisible by n, which moves each exponent of W by a
+    multiple of n kappa and xi by a multiple of (1, ..., 1) only; and
+    max z - min z < kappa, so z is one alcove point.  eps_l(a) is the sign
+    of the permutation that sorts z into descending order, and sigma_l a
+    is the label whose row is sorted z minus its last entry minus rho.
+
+    All l and labels are done at once, coordinates first.  rank_i counts
+    the residues below r_i; those with rank < s wrap (gain kappa), and
+    z_i takes place pos_i = rank_i - s, plus n if it wraps, in ascending
+    order.  So eps is (-1)^(inversions of r) times the sign of the rotation
+    by s places, (-1)^(s (n - s)), times that of the reversal,
+    (-1)^(n (n - 1) / 2).  sigma_l a is found by the mixed-radix code in
+    base k + 1 of its row, as in pieri_rows: the entry at place p >= 1
+    is the digit z_i - min z - p of weight (k + 1)^(p - 1).
+    """
+    n = parts.shape[1] + 1
+    kappa = k + n
+    ells = np.flatnonzero(np.gcd(np.arange(n * kappa), n * kappa) == 1)
+    y = (ells[:, None, None] * _shifted_rows(parts)).transpose(2, 0, 1).copy()  # y[i, l, a]
+    q = y // kappa
+    r = y - kappa * q
+    s = q.sum(axis=0) % n
+    rank = sum(r[j] < r for j in range(n))
+    wraps = rank < s
+    z = r + kappa * wraps
+    pos = rank - s + n * wraps
+    inversions = sum(r[i] > r[j] for i, j in combinations(range(n), 2))
+    eps = 1 - 2 * ((inversions + s * (n - s) + n * (n - 1) // 2) & 1)
+    weight = np.zeros(n, dtype=np.int64)
+    weight[1:] = (k + 1) ** np.arange(n - 1)
+    code = ((z - z.min(axis=0) - pos) * weight[pos]).sum(axis=0)
+    return np.searchsorted(parts @ weight[:0:-1], code), eps
 
 
 def sun_modular_data(n: int, k: int) -> ModularData:

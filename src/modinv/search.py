@@ -1,12 +1,15 @@
 """Exact commutant search for non-negative integer modular invariants.
 
 A mass matrix is an integer matrix Z >= 0 with Z[0,0] = 1 commuting with S
-and T.  The commutant of {S, T} is the eigenvalue-1 eigenspace of one real
-symmetric matrix on the T-support (the Gram matrix of the commutation map is
-2 (I - M)); it is brought to reduced echelon form, rationalized entry by
-entry (rint where the nearest integer is provably the closest small
-fraction) and stored as integer matrices over one common denominator;
-lattice points inside it are enumerated by a bounded
+and T.  The search runs in the commutant of {S, T} intersected with the span
+of W, the Galois orbit columns of commutant_basis, which holds every mass
+matrix by the Galois theorem of core.galois_action (W = I on data without
+partitions).  That space is the eigenvalue-1 eigenspace of one small real
+symmetric matrix W^t M W, where 2 (I - M) is the Gram matrix of the
+commutation map on the T-support; it is lifted by W, brought to reduced
+echelon form, rationalized entry by entry (rint where the nearest integer is
+provably the closest small fraction) and stored as integer matrices over one
+common denominator; lattice points inside it are enumerated by a bounded
 depth-first search over the echelon coordinates that skips every subtree
 whose largest possible leaf has a negative entry, with an exact integer test
 at every leaf.
@@ -28,7 +31,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .core import (COMMUTE_TOL, FIXED_SPACE_TOL, MAX_DENOMINATOR, PHASE_TOL, PIVOT_TOL,
+from .core import (COMMUTE_TOL, FIXED_SPACE_TOL, MAX_DENOMINATOR, PIVOT_TOL,
                    ROUND_TOL, VACUUM_ROW_TOL, ModularData, UsageError, _require_unitary,
                    su2_level)
 
@@ -76,12 +79,19 @@ class MassMatrix:
 
 @dataclass(frozen=True)
 class CommutantBasis:
-    """Integer echelon basis of the real solution space of [S,X] = [T,X] = 0.
+    """Integer echelon basis of the real solutions X of [S,X] = [T,X] = 0 in
+    the span of W, the Galois orbit columns of _kept_orbits.
+
+    On SU(n)_k data that is the part of the commutant that vanishes at the
+    parity zeros and is constant on each Galois orbit of the kept
+    positions; it holds every invariant Z >= 0 (the theorem of
+    _kept_orbits).  On data without partitions W = I, and it is the whole
+    commutant.
 
     The i-th basis matrix is E[i] / denominator, one common denominator for
     all.  Pivot positions are row-major indices into the flattened matrix;
     the basis is in reduced echelon form, E[i].flat[pivots[j]] = denominator
-    * delta_ij, so a commutant element X is sum_i X.flat[pivots[i]] E[i] /
+    * delta_ij, so an element X of the space is sum_i X.flat[pivots[i]] E[i] /
     denominator.
     """
 
@@ -104,22 +114,64 @@ def _commutator_residuals(md: ModularData, X: np.ndarray) -> tuple[float, float]
             float(np.max(np.abs((t[:, None] - t[None, :]) * X))))
 
 
-def _t_support(md: ModularData) -> tuple[np.ndarray, np.ndarray]:
-    """Row-major positions (i, j) allowed by [T, X] = 0, i.e. with equal T phases."""
-    t = np.diag(md.T)
-    return np.nonzero(np.abs(t[:, None] - t[None, :]) < PHASE_TOL)
+def _kept_orbits(md: ModularData) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(I, J, orbit): the kept positions (I[p], J[p]) in row-major order and
+    the Galois orbit of each, the orbits numbered 0, 1, ... by their first
+    position.  They define W, the m x q matrix whose column o is the
+    indicator of orbit o over the square root of its size.
+
+    On SU(n)_k data the kept positions are md.t_support minus the parity
+    zeros, the (i, j) with eps_l(i) != eps_l(j) for some l, and the orbit of
+    (i, j) is {(sigma_l i, sigma_l j)} over all l.  The sigma_l form a
+    group, so the least row-major index of an orbit names it; the kept
+    positions are a union of orbits, so it is a kept position.
+
+    Theorem: every Z >= 0 that commutes with S and T lies in the span of
+    W.  By core.galois_action, Z[sigma_l i, sigma_l j] = eps_l(i) eps_l(j)
+    Z[i, j] for every l.  Both entries are >= 0, so Z vanishes where
+    eps_l(i) != eps_l(j) (Gannon's parity rule), and at a kept position
+    eps_l(i) eps_l(j) = 1, so Z is constant on each orbit.  Data without
+    partitions keeps md.t_support, each position its own orbit: W = I.
+    """
+    I, J = md.t_support
+    if md.galois is None:
+        return I, J, np.arange(len(I))
+    sigma, eps = md.galois
+    keep = (eps[:, I] == eps[:, J]).all(axis=0)
+    I, J = I[keep], J[keep]
+    L = md.size
+    first = (sigma[:, I] * L + sigma[:, J]).min(axis=0)
+    return I, J, np.searchsorted(first[first == I * L + J], first)
 
 
 def _fixed_space_matrix(md: ModularData, I: np.ndarray, J: np.ndarray) -> np.ndarray:
-    """The m x m matrix M whose eigenvalue-1 eigenspace is the commutant on the T-support.
+    """The m x m matrix M whose eigenvalue-1 eigenspace is the commutant on the positions (I, J).
 
     Let A be the real stacked 2L^2 x m matrix of X -> SX - XS on the unit
-    matrices at the support positions (I, J), and K = Re(S[I,I] o conj
-    S[J,J]) with o the entrywise product.  For a unitary S, A^t A = 2 (I - M)
-    with M = (K + K^t) / 2, so A v = 0 iff M v = v; a symmetric S has M = K.
+    matrices at the positions (I, J), and K = Re(S[I,I] o conj S[J,J])
+    with o the entrywise product.  For a unitary S, A^t A = 2 (I - M) with
+    M = (K + K^t) / 2, so A v = 0 iff M v = v; a symmetric S has M = K.
     """
     K = (md.S[np.ix_(I, I)] * md.S[np.ix_(J, J)].conj()).real
     return (K + K.T) / 2
+
+
+def _orbit_matrix(md: ModularData, I: np.ndarray, J: np.ndarray, orbit: np.ndarray) -> np.ndarray:
+    """The q x q matrix W^t M W, with M of _fixed_space_matrix on the kept
+    positions (I, J) and W the orbit columns of _kept_orbits.
+
+    W has orthonormal columns, and A^t A = 2 (I - M), so A W y = 0 iff
+    W^t M W y = y: the eigenvalue-1 eigenspace of W^t M W, lifted by W, is
+    the commutant intersected with the span of W.  The orbit sums are
+    taken on M with its rows and columns grouped by orbit.
+    """
+    by_orbit = np.argsort(orbit)
+    size = np.bincount(orbit)
+    starts = np.cumsum(size) - size
+    M = _fixed_space_matrix(md, I[by_orbit], J[by_orbit])
+    scale = 1.0 / np.sqrt(size)
+    sums = np.add.reduceat(np.add.reduceat(M, starts, axis=0), starts, axis=1)
+    return sums * np.outer(scale, scale)
 
 
 def _rationalize(x: np.ndarray) -> tuple[np.ndarray, int]:
@@ -152,31 +204,36 @@ def _rationalize(x: np.ndarray) -> tuple[np.ndarray, int]:
 
 
 def commutant_basis(md: ModularData) -> CommutantBasis:
-    """Solve [S,X] = [T,X] = 0 over the reals and return an integer echelon basis.
+    """An integer echelon basis of the real solutions of [S,X] = [T,X] = 0
+    in the span of W, the Galois orbit columns of _kept_orbits.
 
-    T is diagonal, so X vanishes outside the m pairs with equal T phases.
-    On that support the S commutation is the eigenvalue-1 eigenspace of the
-    real symmetric m x m matrix M of _fixed_space_matrix (the Gram matrix of
-    the 2L^2 x m commutation map is 2 (I - M)); eigenvalues with 1 - lambda
-    <= FIXED_SPACE_TOL span it.  The space is brought to reduced row echelon
-    form over the support columns in row-major order, rationalized with
-    denominators <= MAX_DENOMINATOR by _rationalize and scaled by their
-    common denominator.  The reduced echelon form of a subspace is unique,
-    so the result does not depend on the eigenbasis eigh returns.
+    That space is the commutant intersected with the span of W: on SU(n)_k
+    data the commutant elements that vanish at the parity zeros and are
+    constant on each Galois orbit, which include every invariant Z >= 0
+    (the theorem of _kept_orbits); on other data, W = I, the whole
+    commutant.  It is the eigenvalue-1 eigenspace of the real symmetric
+    q x q matrix W^t M W of _orbit_matrix, taken at 1 - lambda <=
+    FIXED_SPACE_TOL and lifted by W to the m kept positions.  It is brought
+    to reduced row echelon form over those columns in row-major order,
+    rationalized with denominators <= MAX_DENOMINATOR by _rationalize and
+    scaled by their common denominator.  The reduced echelon form of a
+    subspace is unique, so the result does not depend on the eigenbasis
+    eigh returns.
     """
     _require_unitary(md)
     L = md.size
-    I, J = _t_support(md)
+    I, J, orbit = _kept_orbits(md)
     m = len(I)
-    lam, vecs = np.linalg.eigh(_fixed_space_matrix(md, I, J))
+    lam, vecs = np.linalg.eigh(_orbit_matrix(md, I, J, orbit))
     # eigenvalues ascend, so the fixed space is spanned by the last dim vectors
     dim = int(np.count_nonzero(1.0 - lam <= FIXED_SPACE_TOL))
     if dim == 0:
         raise ValueError("empty commutant (no identity found); S/T data inconsistent")
 
-    # reduced row echelon over floats on the support columns, which are in
-    # row-major order; every entry off the support is exactly zero
-    B = vecs[:, m - dim:].T.copy()
+    # lifted by W, position p takes its orbit's coordinate over the square
+    # root of the orbit size; reduced row echelon over floats on the kept
+    # columns, which are in row-major order; every entry off them is zero
+    B = (vecs[orbit, len(lam) - dim:] / np.sqrt(np.bincount(orbit))[orbit, None]).T.copy()
     pivots = []
     r = 0
     for col in range(m):
@@ -211,7 +268,14 @@ class InvariantList(list):
 
 
 def enumerate_invariants(md: ModularData, budget: int = DEFAULT_NODE_BUDGET) -> InvariantList:
-    """All mass matrices in the commutant: integer entries >= 0, Z[0,0] = 1.
+    """All mass matrices of md: integer entries >= 0, Z[0,0] = 1, commuting with S and T.
+
+    Completeness.  Every mass matrix lies in the space that commutant_basis
+    spans, the commutant intersected with the span of the Galois orbit
+    columns W, by the theorem of _kept_orbits: it vanishes at the parity
+    zeros and is constant on each Galois orbit (W = I, the whole commutant,
+    on data without partitions).  So the lattice points of that basis,
+    enumerated below, are all of them.
 
     Enumeration runs over integer coordinates of the echelon basis, most
     constrained pivot first; each pivot coordinate equals the Z entry at the
@@ -401,7 +465,7 @@ SU2_E_ROWS = {
 }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BranchingData:
     """Ambichiral labels with the two branching matrices (rows: ambichiral)."""
 
@@ -486,7 +550,7 @@ def diagram_case(name: str) -> tuple[str, int]:
     return cases[name], su2_level(k)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AdeGraph:
     """An A-D-E Dynkin diagram with its Coxeter number and SU(2) branching pair.
 

@@ -529,6 +529,58 @@ def test_fundamentals_span_the_verlinde_ring(n, k):
     assert set(core.generating_labels(row, L)) <= set(range(1, len(gens) + 1))
 
 
+def _conjugate_weyl_sums(md):
+    """(l, W_l) for every l coprime to n kappa, ascending: the Weyl sum
+    W_l[a, b] = sum over permutations w of sgn(w) zeta^(l n <w xi_a, xi_b>),
+    zeta = exp(-2 pi i / (n kappa)), built from the integer exponents
+    n <w x_a, x_b> - (sum x_a)(sum x_b), x = a + rho, and a table of the
+    powers of zeta."""
+    parts = md.partitions
+    L, n = len(parts), parts.shape[1] + 1
+    N = n * (md.level + n)
+    x = np.zeros((L, n), dtype=np.int64)
+    x[:, :-1] = parts
+    x += np.arange(n - 1, -1, -1)
+    total = x.sum(axis=1)
+    terms = [((-1) ** sum(w[i] > w[j] for i, j in itertools.combinations(range(n), 2)),
+              n * x[:, list(w)] @ x.T - np.outer(total, total))
+             for w in itertools.permutations(range(n))]
+    powers = np.exp(-2j * np.pi * np.arange(N) / N)
+    for ell in range(1, N):
+        if math.gcd(ell, N) == 1:
+            yield ell, sum(sign * powers[ell * E % N] for sign, E in terms)
+
+
+@pytest.mark.parametrize("n, k", PIERI_LEVELS)
+def test_galois_action_conjugates_the_weyl_sum(n, k):
+    # sigma_l is a bijection and eps_l W[sigma_l] is the Weyl sum with its
+    # exponent times l, for every l coprime to n kappa; S = c W
+    md = _su_modular_data(n, k)
+    sigma, eps = md.galois
+    assert not sigma.flags.writeable and not eps.flags.writeable
+    assert md.galois is md.galois
+    sums = _conjugate_weyl_sums(md)
+    ell, W = next(sums)
+    assert ell == 1 and np.array_equal(sigma[0], np.arange(md.size)) and (eps[0] == 1).all()
+    assert np.max(np.abs(md.S - md.S[0, 0] / W[0, 0] * W)) < 1e-12
+    count = 1
+    for (ell, W_ell), s, e in zip(sums, sigma[1:], eps[1:]):
+        assert np.array_equal(np.sort(s), np.arange(md.size)), ell
+        assert np.array_equal(np.abs(e), np.ones(md.size)), ell
+        assert np.max(np.abs(e[:, None] * W[s] - W_ell)) < 1e-10, ell
+        count += 1
+    assert count == len(sigma) == len(eps)
+
+
+@pytest.mark.parametrize("n, k", PIERI_LEVELS)
+def test_integer_t_support_is_the_phase_tol_support(n, k):
+    md = _su_modular_data(n, k)
+    t = np.diag(md.T)
+    I, J = np.nonzero(np.abs(t[:, None] - t[None, :]) < core.PHASE_TOL)
+    assert np.array_equal(md.t_support[0], I) and np.array_equal(md.t_support[1], J)
+    assert not md.t_support[0].flags.writeable
+
+
 def test_json_round_trip_of_sun_data_takes_the_generic_generators():
     """Imported SU(3)_4 data carries no partitions, so its generators come from
     generating_labels whatever its family says; every invariant of SU(3)_4

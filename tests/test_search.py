@@ -3,6 +3,7 @@ import itertools
 import math
 import tracemalloc
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -10,7 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from modinv import core, search
-from test_core import dual_permutation, fundamental_labels
+from full_support_search import full_support_invariants
+from test_core import PIERI_LEVELS, dual_permutation, fundamental_labels
 
 
 def su2_invariant(case, k):
@@ -28,12 +30,23 @@ def test_commutant_su2_level4():
         assert np.max(np.abs(md.T @ X - X @ md.T)) < 1e-8
 
 
+def _orbit_columns(md):
+    """(I, J, W): the kept positions of search._kept_orbits and W, the dense
+    m x q matrix whose column o is the indicator of orbit o over the square
+    root of its size."""
+    I, J, orbit = search._kept_orbits(md)
+    W = np.zeros((len(I), orbit.max() + 1))
+    W[np.arange(len(I)), orbit] = 1.0
+    return I, J, W / np.sqrt(W.sum(axis=0))
+
+
 def _svd_nullspace(md):
-    # reference: the real 2L^2 x m matrix A of X -> SX - XS on the T-support
-    # unit matrices, and its nullspace from a thin SVD cut at 1e-8 relative
-    # to the largest singular value
+    # reference: the real 2L^2 x m matrix A of X -> SX - XS on the unit
+    # matrices at the kept positions, and the nullspace of A W, W the orbit
+    # columns, from a thin SVD cut at 1e-8 relative to the largest singular
+    # value, lifted by W to the kept positions
     L = md.size
-    I, J = search._t_support(md)
+    I, J, W = _orbit_columns(md)
     m = len(I)
     S = md.S
     cols = np.arange(m)
@@ -42,16 +55,16 @@ def _svd_nullspace(md):
     A[line * L + J, cols] += S[:, I]
     A[I * L + line, cols] -= S[J, :].T
     A = np.vstack([A.real, A.imag])
-    _, sv, vt = np.linalg.svd(A, full_matrices=False)
+    _, sv, vt = np.linalg.svd(A @ W, full_matrices=False)
     rank = int(np.sum(sv > 1e-8 * max(1.0, sv[0])))
-    return A, I, J, vt[rank:]
+    return A, I, J, W, vt[rank:] @ W.T
 
 
 def _commutant_basis_by_svd(md, columns=None):
     # reference: the SVD nullspace, the row-by-row echelon loop and the
     # Fraction reconstruction of every entry, over the given row-major flat
-    # columns (default: the T support), with E scattered into place
-    _, I, J, null = _svd_nullspace(md)
+    # columns (default: the kept positions), with E scattered into place
+    _, I, J, _, null = _svd_nullspace(md)
     L = md.size
     support = I * L + J
     columns = support if columns is None else columns
@@ -84,7 +97,7 @@ def _commutant_basis_by_svd(md, columns=None):
 
 def _commutant_basis_on_all_columns(md):
     # reference: the echelon form and the rational reconstruction run over all
-    # L^2 columns, with the T support entered by one scatter before them
+    # L^2 columns, with the kept positions entered by one scatter before them
     return _commutant_basis_by_svd(md, np.arange(md.size ** 2))
 
 
@@ -136,27 +149,38 @@ def test_eigenspace_basis_equals_svd_reference(family, k):
 
 @pytest.mark.parametrize("family,k", FIXED_SPACE_CASES)
 def test_fixed_space_margin(family, k):
-    # the commutant eigenvalues sit far inside FIXED_SPACE_TOL, the rest far outside
+    # the commutant eigenvalues sit far inside FIXED_SPACE_TOL, the rest far
+    # outside: on W^t M W, whose fixed space the basis spans (its next gap is
+    # >= 0.2402, see the FIXED_SPACE_TOL comment), and on M over the whole
+    # T-support, which data without partitions meets
     md = _modular_data(family, k)
-    I, J = search._t_support(md)
-    gap = 1.0 - np.linalg.eigh(search._fixed_space_matrix(md, I, J))[0]
     dim = search.commutant_basis(md).dim
-    assert np.max(np.abs(gap[len(gap) - dim:])) <= 1e-13
-    assert gap[:len(gap) - dim].min(initial=1.0) >= 0.5
+    orbit_gap = 1.0 - np.linalg.eigh(search._orbit_matrix(md, *search._kept_orbits(md)))[0]
+    full_gap = 1.0 - np.linalg.eigh(search._fixed_space_matrix(md, *md.t_support))[0]
+    full_dim = int(np.count_nonzero(full_gap <= 1e-13))
+    assert full_dim >= dim
+    for gap, d, next_min in ((orbit_gap, dim, 0.24), (full_gap, full_dim, 0.5)):
+        assert np.max(np.abs(gap[len(gap) - d:])) <= 1e-13
+        assert gap[:len(gap) - d].min(initial=1.0) >= next_min
 
 
 def test_fixed_space_tol_comment_figures():
-    # the figures of the FIXED_SPACE_TOL comment on SU(2) k <= 64, SU(3) k <= 12, SU(4) k <= 8
+    # the figures of the FIXED_SPACE_TOL comment on SU(2) k <= 64, SU(3) k <= 12,
+    # SU(4) k <= 8: W^t M W on the kept orbit columns, which the search
+    # diagonalizes, and M on the whole T-support, which data without
+    # partitions (a JSON import of the same data) meets
     cases = ([("su2", k) for k in range(1, core.SU2_LEVEL_MAX + 1)]
              + [("su3", k) for k in range(1, 13)] + [("su4", k) for k in range(1, 9)])
     for family, k in cases:
         md = _modular_data(family, k)
-        M = search._fixed_space_matrix(md, *search._t_support(md))
-        for lam in (np.linalg.eigh(M)[0], np.linalg.eigvalsh(M)):
-            gap = 1.0 - lam
-            fixed = gap <= core.FIXED_SPACE_TOL
-            assert gap[fixed].max() <= 4.4e-15, (family, k)
-            assert gap[~fixed].min(initial=1.0) >= 0.5527, (family, k)
+        orbit_matrix = search._orbit_matrix(md, *search._kept_orbits(md))
+        full = search._fixed_space_matrix(md, *md.t_support)
+        for M, fixed_max, next_min in ((orbit_matrix, 2.0e-15, 0.2402), (full, 4.4e-15, 0.5527)):
+            for lam in (np.linalg.eigh(M)[0], np.linalg.eigvalsh(M)):
+                gap = 1.0 - lam
+                fixed = gap <= core.FIXED_SPACE_TOL
+                assert np.abs(gap[fixed]).max() <= fixed_max, (family, k)
+                assert gap[~fixed].min(initial=1.0) >= next_min, (family, k)
 
 
 @pytest.mark.parametrize("family,k", [("su2", k) for k in range(1, 17)]
@@ -164,9 +188,11 @@ def test_fixed_space_tol_comment_figures():
                          + [("su4", k) for k in range(1, 4)] + [("ising", 0)])
 def test_gram_of_the_commutation_map_is_two_i_minus_m(family, k):
     md = _modular_data(family, k)
-    A, I, J, _ = _svd_nullspace(md)
+    A, I, J, W, _ = _svd_nullspace(md)
     M = search._fixed_space_matrix(md, I, J)
     assert np.max(np.abs(A.T @ A - 2 * (np.eye(len(I)) - M))) < 1e-12
+    orbit_matrix = search._orbit_matrix(md, *search._kept_orbits(md))
+    assert np.max(np.abs(orbit_matrix - W.T @ M @ W)) < 1e-12
 
 
 def test_rationalize_rounds_near_integers_and_keeps_small_fractions():
@@ -207,14 +233,23 @@ def test_rationalize_agrees_with_limit_denominator(xs, y):
 @given(st.sampled_from([(2, k) for k in range(1, 45)] + [(3, k) for k in range(1, 10)]
                        + [(4, k) for k in range(1, 6)]))
 def test_json_round_trip_keeps_the_commutant_basis(nk):
-    # imported data carries 12 significant digits; FIXED_SPACE_TOL is sized for it
+    # imported data carries 12 significant digits; FIXED_SPACE_TOL is sized
+    # for it.  It has no partitions, so its own search runs on the whole
+    # T-support; on the kept orbit columns of the built data it gives the
+    # built data's basis, and both searches find the same invariants
     n, k = nk
     md = core.su2_modular_data(k) if n == 2 else core.sun_modular_data(n, k)
     back = core.modular_data_from_json(core.modular_data_to_json(md))
     assert core.check_modular(back).passed
-    a, b = search.commutant_basis(md), search.commutant_basis(back)
+    assert back.galois is None
+    orbits = search._kept_orbits(md)
+    with mock.patch.object(search, "_kept_orbits", lambda _: orbits):
+        b = search.commutant_basis(back)
+    a = search.commutant_basis(md)
     assert np.array_equal(a.E, b.E)
     assert (a.denominator, a.pivots) == (b.denominator, b.pivots)
+    found = [Z.key() for Z in search.enumerate_invariants(md)]
+    assert [Z.key() for Z in search.enumerate_invariants(back)] == found
 
 
 @pytest.mark.parametrize("family,k", [("su2", k) for k in range(1, 29)]
@@ -824,7 +859,7 @@ def _enumerate_unpruned(md):
     return search.InvariantList(uniq, complete=complete, nodes=nodes)
 
 
-# node ceilings of the pruned search; the unpruned one needs 17,107, 53,451
+# node ceilings of the pruned search; the unpruned one needs 17,107, 400
 # and 13,204 nodes here, so a prune that is quietly switched off fails
 PRUNED_NODE_CEILING = {("su3", 5): 150, ("su3", 7): 200, ("su4", 4): 200}
 
@@ -856,7 +891,10 @@ def _charge_conjugation(md):
     return C
 
 
-@pytest.mark.parametrize("n,k", [(3, 8), (3, 9), (4, 5)])
+# the frontier: SU(3)_21 and 25 and SU(4)_8, 10 and 11 ran past 10^6 nodes
+# on the whole T-support and finish in about a second on the orbit columns
+@pytest.mark.parametrize("n,k", [(3, 8), (3, 9), (4, 5),
+                                 (3, 21), (3, 25), (4, 8), (4, 10), (4, 11)])
 def test_frontier_levels_complete_with_closed_result_sets(n, k):
     # structural checks only: the identity and C = S^2 are invariants, and
     # the set is closed under Z -> Z^t and Z -> C Z
@@ -872,3 +910,146 @@ def test_frontier_levels_complete_with_closed_result_sets(n, k):
     for Z in found:
         assert search.MassMatrix(Z.Z.T.copy()).key() in keys
         assert search.MassMatrix(C @ Z.Z).key() in keys
+
+
+@pytest.mark.parametrize("n,k", PIERI_LEVELS)
+def test_kept_positions_are_a_union_of_galois_orbits(n, k):
+    # every sigma_l maps the kept positions onto themselves and keeps each
+    # orbit number; the orbit of a position is exactly its images, and the
+    # orbits are numbered by their first position
+    md = _modular_data(f"su{n}", k)
+    I, J, orbit = search._kept_orbits(md)
+    sigma, eps = md.galois
+    L = md.size
+    codes = I * L + J
+    images = sigma[:, I] * L + sigma[:, J]
+    at = np.searchsorted(codes, images)
+    assert np.array_equal(codes[np.minimum(at, len(codes) - 1)], images)
+    assert np.array_equal(orbit[at], np.broadcast_to(orbit, at.shape))
+    assert np.array_equal([len(set(col)) for col in at.T.tolist()], np.bincount(orbit)[orbit])
+    numbers, first = np.unique(orbit, return_index=True)
+    assert np.array_equal(numbers, np.arange(len(numbers))) and (np.diff(first) > 0).all()
+    # the kept positions are the T-support positions with eps_l(i) = eps_l(j) for all l
+    T_I, T_J = md.t_support
+    kept = (eps[:, T_I] == eps[:, T_J]).all(axis=0)
+    assert np.array_equal(codes, (T_I * L + T_J)[kept])
+
+
+def test_data_without_partitions_keeps_the_t_support_with_singleton_orbits():
+    md = core.ising_modular_data()
+    assert md.galois is None
+    I, J, orbit = search._kept_orbits(md)
+    assert (I.tolist(), J.tolist()) == ([0, 1, 2], [0, 1, 2])
+    assert orbit.tolist() == [0, 1, 2]
+
+
+@pytest.mark.parametrize("family,k", [("su2", k) for k in range(1, core.SU2_LEVEL_MAX + 1)]
+                         + [("su3", k) for k in range(1, 13)]
+                         + [("su4", k) for k in range(1, 8)] + [("ising", 0)])
+def test_orbit_search_equals_the_full_support_search(family, k):
+    # differential test of the Galois theorem of search._kept_orbits: the
+    # search on the kept orbit columns finds what the search on the whole
+    # T-support finds, in the same order
+    md = _modular_data(family, k)
+    expected = full_support_invariants(md)
+    found = search.enumerate_invariants(md)
+    assert expected.complete and found.complete
+    assert [Z.key() for Z in found] == [Z.key() for Z in expected]
+
+
+def _su3_gannon_list(k):
+    """Gannon's SU(3)_k invariants (Commun. Math. Phys. 161 (1994)), built by
+    hand from the theorem: name -> Z.
+
+    Labels are Dynkin pairs (l1, l2); J(l1, l2) = (k - l1 - l2, l1) is the
+    simple current, t = l1 + 2 l2 mod 3 the triality and C(l1, l2) = (l2,
+    l1) charge conjugation.  A = 1, A^C = C.  For k != 0 mod 3, D is the
+    permutation l -> J^(k t(l)) l; for k = 0 mod 3 it is the orbit
+    invariant, Z[l, J^j l] = 1 for t(l) = 0, which puts 3 on the fixed point
+    (k/3, k/3).  D^C = D C.  The exceptionals are written in shifted
+    weights (l1 + 1, l2 + 1) as sums of m |block|^2 over blocks of labels:
+    E_5 of SU(3)_5 in SU(6)_1; E_9^(1) of SU(3)_9 in (E6)_1; E_9^(2), which
+    also has 2 |chi_(4,4)|^2 and the cross terms of chi_(4,4) with the
+    block (2,2) + (2,8) + (8,2); E_21 of SU(3)_21 in (E7)_1.  Each comes
+    with its conjugate E C.
+    """
+    md = core.sun_modular_data(3, k)
+    at = {(a1 - a2, a2): i for i, (a1, a2) in enumerate(md.partitions.tolist())}
+    L = md.size
+
+    def current(lam, j):
+        for _ in range(j % 3):
+            lam = (k - lam[0] - lam[1], lam[0])
+        return lam
+
+    def block(*shifted):
+        v = np.zeros(L, dtype=np.int64)
+        for a, b in shifted:
+            v[at[(a - 1, b - 1)]] += 1
+        return v
+
+    def squares(*blocks, mult=1):
+        return mult * sum(np.outer(v, v) for v in blocks)
+
+    C = np.zeros((L, L), dtype=np.int64)
+    D = np.zeros((L, L), dtype=np.int64)
+    for lam, i in at.items():
+        C[i, at[lam[::-1]]] = 1
+        t = (lam[0] + 2 * lam[1]) % 3
+        if k % 3:
+            D[i, at[current(lam, k * t)]] = 1
+        elif t == 0:
+            for j in range(3):
+                D[i, at[current(lam, j)]] += 1
+    Z = {"A": np.eye(L, dtype=np.int64), "A^C": C, "D": D, "D^C": D @ C}
+    E = {}
+    if k == 5:
+        E["E_5"] = squares(block((1, 1), (3, 3)), block((1, 3), (4, 3)), block((3, 1), (3, 4)),
+                           block((3, 2), (1, 6)), block((4, 1), (1, 4)), block((2, 3), (6, 1)))
+    if k == 9:
+        E["E_9^(1)"] = (squares(block((1, 1), (10, 1), (1, 10), (5, 5), (5, 2), (2, 5)))
+                        + squares(block((3, 3), (3, 6), (6, 3)), mult=2))
+        f, g = block((4, 4)), block((2, 2), (2, 8), (8, 2))
+        E["E_9^(2)"] = (squares(block((1, 1), (10, 1), (1, 10)), block((3, 3), (3, 6), (6, 3)),
+                                block((1, 4), (7, 1), (4, 7)), block((4, 1), (1, 7), (7, 4)),
+                                block((5, 5), (5, 2), (2, 5)))
+                        + squares(f, mult=2) + np.outer(f, g) + np.outer(g, f))
+    if k == 21:
+        E["E_21"] = squares(
+            block((1, 1), (5, 5), (7, 7), (11, 11), (22, 1), (1, 22), (14, 5), (5, 14),
+                  (11, 2), (2, 11), (10, 7), (7, 10)),
+            block((16, 7), (7, 16), (16, 1), (1, 16), (11, 8), (8, 11), (11, 5), (5, 11),
+                  (8, 5), (5, 8), (7, 1), (1, 7)))
+    for name, X in E.items():
+        Z[name] = X
+        Z[name + "^C"] = X @ C
+    return md, Z
+
+
+# Gannon's coincidences: D = A^C at k <= 2 (J^(k t) is C there), D = D^C
+# where every orbit of triality 0 is C-stable (k = 3, 6), and E_9^(1) and
+# E_21 are C-stable; every other pair of names differs
+GANNON_COINCIDENCES = {1: [{"A", "D^C"}, {"A^C", "D"}], 2: [{"A", "D^C"}, {"A^C", "D"}],
+                       3: [{"D", "D^C"}], 6: [{"D", "D^C"}],
+                       9: [{"E_9^(1)", "E_9^(1)^C"}], 21: [{"E_21", "E_21^C"}]}
+
+
+@pytest.mark.parametrize("k", range(1, 27))
+def test_su3_invariants_are_gannons_list(k):
+    md, Z = _su3_gannon_list(k)
+    names = {}
+    for name, X in Z.items():
+        names.setdefault(search.MassMatrix(X).key(), set()).add(name)
+    assert sorted(map(sorted, (v for v in names.values() if len(v) > 1))) == sorted(
+        map(sorted, GANNON_COINCIDENCES.get(k, [])))
+    assert search.verify_invariant(md, *map(search.MassMatrix, Z.values())).ok
+    found = search.enumerate_invariants(md)
+    assert found.complete
+    assert {Z.key() for Z in found} == set(names)
+
+
+def test_records_with_array_fields_compare_by_identity():
+    # equal fields of ndarray type would make a generated __eq__ raise
+    a, b = search.ade_graph("A3"), search.ade_graph("A3")
+    assert a == a and a != b and a.branching != b.branching
+    assert len({a, b, a.branching, b.branching, a}) == 4
