@@ -22,10 +22,9 @@ ROUND_TOL = 1e-6  # a float rounded to an integer or a small rational may be thi
 ASSERT_TOL = 1e-9  # numerical identities of S, T, dimensions and eigenvectors hold to this
 VACUUM_ROW_TOL = 100 * ASSERT_TOL  # the vacuum-row identity sums L products of dimensions
 PHASE_TOL = 1e-12  # two T phases this close are equal; distinct phases are far apart
-# (data without partitions only: ModularData.t_support of SU(n)_k data is decided in integers)
-FIXED_SPACE_TOL = 1e-9  # commutant directions have |1 - eigenvalue| <= 2.0e-15, the next >= 0.2402
-# (SU(3)_17) on the orbit matrix W^t M W, and <= 4.4e-15, >= 0.5527 (1 - 1/sqrt 5) on M over the
-# whole T-support, by eigh and by eigvalsh over SU(2) k <= 64, SU(3) k <= 26 and SU(4) k <= 11
+FIXED_SPACE_TOL = 1e-9  # commutant directions have |1 - eigenvalue| <= 1.0e-14, the next >= 0.2402
+# (SU(3)_17) on the orbit matrix W^t M W and >= 0.5527 (1 - 1/sqrt 5) on M over the whole T-support,
+# by eigh and by eigvalsh, on one BLAS thread or more, over SU(2) k <= 64, SU(3) k <= 26, SU(4) k <= 11
 PIVOT_TOL = 1e-7  # an echelon pivot candidate below this is zero in exact arithmetic
 COMMUTE_TOL = 1e-8  # a commutant element commutes with S and T to this
 EIGEN_TOL = 1e-8  # eigenvector residual
@@ -326,29 +325,6 @@ class ModularData:
             arr.setflags(write=False)
         return pair
 
-    @cached_property
-    def t_support(self) -> tuple[np.ndarray, np.ndarray]:
-        """The positions (i, j), in row-major order, with h_i - h_j an
-        integer: those where [T, X] = 0 allows X_ij != 0.  Read-only.
-
-        SU(n)_k data decides it in integers: h = (|xi|^2 - |rho|^2) /
-        (2 kappa), xi the traceless part of the row x = a + rho, so h_i - h_j
-        is an integer iff n |xi_i|^2 = n |x_i|^2 - (sum x_i)^2, an integer,
-        agrees with n |xi_j|^2 modulo 2 n kappa.  Other data compares its T
-        phases within PHASE_TOL.
-        """
-        if self.partitions is None:
-            t = np.diag(self.T)
-            support = np.nonzero(np.abs(t[:, None] - t[None, :]) < PHASE_TOL)
-        else:
-            x = _shifted_rows(self.partitions)
-            n = x.shape[1]
-            h = (n * (x * x).sum(axis=1) - x.sum(axis=1) ** 2) % (2 * n * (self.level + n))
-            support = np.nonzero(h[:, None] == h[None, :])
-        for arr in support:
-            arr.setflags(write=False)
-        return support
-
 
 def _central_charge_from_twists(twists, dims) -> float:
     """Mod-8 central charge, 4*arg(sum omega d^2)/pi mapped into [0, 8)."""
@@ -454,15 +430,6 @@ def pieri_rows(parts: np.ndarray, k: int) -> dict[int, np.ndarray]:
     return dict(zip(fundamentals.tolist(), N))
 
 
-def _shifted_rows(parts: np.ndarray) -> np.ndarray:
-    """The int64 rows x = a + rho of the labels, a = (parts, 0) and rho =
-    (n - 1, ..., 1, 0)."""
-    n = parts.shape[1] + 1
-    x = np.zeros((len(parts), n), dtype=np.int64)
-    x[:, :-1] = parts
-    return x + np.arange(n - 1, -1, -1)
-
-
 def galois_action(parts: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     """The Galois permutations and signs (sigma, eps) of SU(n)_k; parts
     holds the label rows in lexicographic order, as in pieri_rows.
@@ -502,7 +469,10 @@ def galois_action(parts: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     n = parts.shape[1] + 1
     kappa = k + n
     ells = np.flatnonzero(np.gcd(np.arange(n * kappa), n * kappa) == 1)
-    y = (ells[:, None, None] * _shifted_rows(parts)).transpose(2, 0, 1).copy()  # y[i, l, a]
+    x = np.zeros((n, len(parts)), dtype=np.int64)
+    x[:-1] = parts.T
+    x += np.arange(n - 1, -1, -1)[:, None]  # x[i, a], the row a + rho
+    y = ells[:, None] * x[:, None, :]  # y[i, l, a]
     q = y // kappa
     r = y - kappa * q
     s = q.sum(axis=0) % n

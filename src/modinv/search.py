@@ -31,7 +31,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .core import (COMMUTE_TOL, FIXED_SPACE_TOL, MAX_DENOMINATOR, PIVOT_TOL,
+from .core import (COMMUTE_TOL, FIXED_SPACE_TOL, MAX_DENOMINATOR, PHASE_TOL, PIVOT_TOL,
                    ROUND_TOL, VACUUM_ROW_TOL, ModularData, UsageError, _require_unitary,
                    su2_level)
 
@@ -80,12 +80,12 @@ class MassMatrix:
 @dataclass(frozen=True)
 class CommutantBasis:
     """Integer echelon basis of the real solutions X of [S,X] = [T,X] = 0 in
-    the span of W, the Galois orbit columns of _kept_orbits.
+    the span of W, the Galois orbit columns of _orbit_columns.
 
     On SU(n)_k data that is the part of the commutant that vanishes at the
     parity zeros and is constant on each Galois orbit of the kept
     positions; it holds every invariant Z >= 0 (the theorem of
-    _kept_orbits).  On data without partitions W = I, and it is the whole
+    _orbit_columns).  On data without partitions W = I, and it is the whole
     commutant.
 
     The i-th basis matrix is E[i] / denominator, one common denominator for
@@ -114,13 +114,19 @@ def _commutator_residuals(md: ModularData, X: np.ndarray) -> tuple[float, float]
             float(np.max(np.abs((t[:, None] - t[None, :]) * X))))
 
 
-def _kept_orbits(md: ModularData) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(I, J, orbit): the kept positions (I[p], J[p]) in row-major order and
-    the Galois orbit of each, the orbits numbered 0, 1, ... by their first
-    position.  They define W, the m x q matrix whose column o is the
-    indicator of orbit o over the square root of its size.
+def _t_support(md: ModularData) -> tuple[np.ndarray, np.ndarray]:
+    """Row-major positions (i, j) allowed by [T, X] = 0, i.e. with equal T phases."""
+    t = np.diag(md.T)
+    return np.nonzero(np.abs(t[:, None] - t[None, :]) < PHASE_TOL)
 
-    On SU(n)_k data the kept positions are md.t_support minus the parity
+
+def _orbit_columns(md: ModularData) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(I, J, W): the kept positions (I[p], J[p]) in row-major order and
+    the m x q matrix W whose column o is the indicator of the o-th Galois
+    orbit of the kept positions over the square root of its size, the
+    orbits in the order of their first position.
+
+    On SU(n)_k data the kept positions are _t_support minus the parity
     zeros, the (i, j) with eps_l(i) != eps_l(j) for some l, and the orbit of
     (i, j) is {(sigma_l i, sigma_l j)} over all l.  The sigma_l form a
     group, so the least row-major index of an orbit names it; the kept
@@ -131,17 +137,20 @@ def _kept_orbits(md: ModularData) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     Z[i, j] for every l.  Both entries are >= 0, so Z vanishes where
     eps_l(i) != eps_l(j) (Gannon's parity rule), and at a kept position
     eps_l(i) eps_l(j) = 1, so Z is constant on each orbit.  Data without
-    partitions keeps md.t_support, each position its own orbit: W = I.
+    partitions keeps _t_support, each position its own orbit: W = I.
     """
-    I, J = md.t_support
+    I, J = _t_support(md)
     if md.galois is None:
-        return I, J, np.arange(len(I))
+        return I, J, np.eye(len(I))
     sigma, eps = md.galois
     keep = (eps[:, I] == eps[:, J]).all(axis=0)
     I, J = I[keep], J[keep]
-    L = md.size
-    first = (sigma[:, I] * L + sigma[:, J]).min(axis=0)
-    return I, J, np.searchsorted(first[first == I * L + J], first)
+    first = (sigma[:, I] * md.size + sigma[:, J]).min(axis=0)
+    orbit = np.searchsorted(first[first == I * md.size + J], first)
+    size = np.bincount(orbit)
+    W = np.zeros((len(I), len(size)))
+    W[np.arange(len(I)), orbit] = 1.0 / np.sqrt(size[orbit])
+    return I, J, W
 
 
 def _fixed_space_matrix(md: ModularData, I: np.ndarray, J: np.ndarray) -> np.ndarray:
@@ -154,24 +163,6 @@ def _fixed_space_matrix(md: ModularData, I: np.ndarray, J: np.ndarray) -> np.nda
     """
     K = (md.S[np.ix_(I, I)] * md.S[np.ix_(J, J)].conj()).real
     return (K + K.T) / 2
-
-
-def _orbit_matrix(md: ModularData, I: np.ndarray, J: np.ndarray, orbit: np.ndarray) -> np.ndarray:
-    """The q x q matrix W^t M W, with M of _fixed_space_matrix on the kept
-    positions (I, J) and W the orbit columns of _kept_orbits.
-
-    W has orthonormal columns, and A^t A = 2 (I - M), so A W y = 0 iff
-    W^t M W y = y: the eigenvalue-1 eigenspace of W^t M W, lifted by W, is
-    the commutant intersected with the span of W.  The orbit sums are
-    taken on M with its rows and columns grouped by orbit.
-    """
-    by_orbit = np.argsort(orbit)
-    size = np.bincount(orbit)
-    starts = np.cumsum(size) - size
-    M = _fixed_space_matrix(md, I[by_orbit], J[by_orbit])
-    scale = 1.0 / np.sqrt(size)
-    sums = np.add.reduceat(np.add.reduceat(M, starts, axis=0), starts, axis=1)
-    return sums * np.outer(scale, scale)
 
 
 def _rationalize(x: np.ndarray) -> tuple[np.ndarray, int]:
@@ -205,35 +196,35 @@ def _rationalize(x: np.ndarray) -> tuple[np.ndarray, int]:
 
 def commutant_basis(md: ModularData) -> CommutantBasis:
     """An integer echelon basis of the real solutions of [S,X] = [T,X] = 0
-    in the span of W, the Galois orbit columns of _kept_orbits.
+    in the span of W, the Galois orbit columns of _orbit_columns.
 
     That space is the commutant intersected with the span of W: on SU(n)_k
     data the commutant elements that vanish at the parity zeros and are
     constant on each Galois orbit, which include every invariant Z >= 0
-    (the theorem of _kept_orbits); on other data, W = I, the whole
-    commutant.  It is the eigenvalue-1 eigenspace of the real symmetric
-    q x q matrix W^t M W of _orbit_matrix, taken at 1 - lambda <=
-    FIXED_SPACE_TOL and lifted by W to the m kept positions.  It is brought
-    to reduced row echelon form over those columns in row-major order,
-    rationalized with denominators <= MAX_DENOMINATOR by _rationalize and
-    scaled by their common denominator.  The reduced echelon form of a
-    subspace is unique, so the result does not depend on the eigenbasis
-    eigh returns.
+    (the theorem of _orbit_columns); on other data, W = I, the whole
+    commutant.  With M of _fixed_space_matrix on the m kept positions, A W
+    y = 0 iff W^t M W y = y, since W has orthonormal columns and A^t A =
+    2 (I - M); so the space is the eigenvalue-1 eigenspace of the real
+    symmetric q x q matrix W^t M W, taken at 1 - lambda <= FIXED_SPACE_TOL
+    and lifted by W.  It is brought to reduced row echelon form over the
+    kept columns in row-major order, rationalized with denominators <=
+    MAX_DENOMINATOR by _rationalize and scaled by their common denominator.
+    The reduced echelon form of a subspace is unique, so the result does
+    not depend on the eigenbasis eigh returns.
     """
     _require_unitary(md)
     L = md.size
-    I, J, orbit = _kept_orbits(md)
+    I, J, W = _orbit_columns(md)
     m = len(I)
-    lam, vecs = np.linalg.eigh(_orbit_matrix(md, I, J, orbit))
+    lam, vecs = np.linalg.eigh(W.T @ _fixed_space_matrix(md, I, J) @ W)
     # eigenvalues ascend, so the fixed space is spanned by the last dim vectors
     dim = int(np.count_nonzero(1.0 - lam <= FIXED_SPACE_TOL))
     if dim == 0:
         raise ValueError("empty commutant (no identity found); S/T data inconsistent")
 
-    # lifted by W, position p takes its orbit's coordinate over the square
-    # root of the orbit size; reduced row echelon over floats on the kept
-    # columns, which are in row-major order; every entry off them is zero
-    B = (vecs[orbit, len(lam) - dim:] / np.sqrt(np.bincount(orbit))[orbit, None]).T.copy()
+    # reduced row echelon over floats on the kept columns, which are in
+    # row-major order; every entry off them is exactly zero
+    B = (W @ vecs[:, len(lam) - dim:]).T.copy()
     pivots = []
     r = 0
     for col in range(m):
@@ -272,7 +263,7 @@ def enumerate_invariants(md: ModularData, budget: int = DEFAULT_NODE_BUDGET) -> 
 
     Completeness.  Every mass matrix lies in the space that commutant_basis
     spans, the commutant intersected with the span of the Galois orbit
-    columns W, by the theorem of _kept_orbits: it vanishes at the parity
+    columns W, by the theorem of _orbit_columns: it vanishes at the parity
     zeros and is constant on each Galois orbit (W = I, the whole commutant,
     on data without partitions).  So the lattice points of that basis,
     enumerated below, are all of them.

@@ -572,15 +572,6 @@ def test_galois_action_conjugates_the_weyl_sum(n, k):
     assert count == len(sigma) == len(eps)
 
 
-@pytest.mark.parametrize("n, k", PIERI_LEVELS)
-def test_integer_t_support_is_the_phase_tol_support(n, k):
-    md = _su_modular_data(n, k)
-    t = np.diag(md.T)
-    I, J = np.nonzero(np.abs(t[:, None] - t[None, :]) < core.PHASE_TOL)
-    assert np.array_equal(md.t_support[0], I) and np.array_equal(md.t_support[1], J)
-    assert not md.t_support[0].flags.writeable
-
-
 def test_json_round_trip_of_sun_data_takes_the_generic_generators():
     """Imported SU(3)_4 data carries no partitions, so its generators come from
     generating_labels whatever its family says; every invariant of SU(3)_4
