@@ -30,7 +30,7 @@ from .core import (
     sig12,
     su2_modular_data,
 )
-from .search import BranchingData, MassMatrix, su2_ade_catalog
+from .search import AdeGraph, BranchingData, MassMatrix, su2_ade_catalog
 
 GRAM_NODE_BUDGET = 10 ** 6
 
@@ -225,7 +225,7 @@ def sector_counts(Z: MassMatrix, b: BranchingData) -> SectorCounts:
         mm=Z.sum_of_squares,
         mn=int(sum(Z.diagonal)),
         chiral=plus,
-        ambi=b.num_ambichiral,
+        ambi=len(b.labels),
     )
 
 
@@ -234,12 +234,9 @@ def sector_counts(Z: MassMatrix, b: BranchingData) -> SectorCounts:
 
 @dataclass(frozen=True)
 class ChiralRow:
-    name: str
-    level: int
+    graph: AdeGraph  # the invariant's diagram: name, level, Z and branching pair
     counts: SectorCounts
     gamma01: str  # fusion graph of the chiral generators
-    Z: MassMatrix
-    branching: BranchingData
     indices: ChiralIndices
 
 
@@ -259,14 +256,10 @@ def chiral_table(kmax: int) -> list[ChiralRow]:
         # the catalog holds every level-k diagram, so Gamma01 is named from it
         diagrams = {graph.Z.diagonal: graph.name for graph in catalog}
         for graph in catalog:
-            b = graph.branching
             rows.append(ChiralRow(
-                name=graph.name,
-                level=k,
-                counts=sector_counts(graph.Z, b),
-                gamma01=gamma01_name(b, diagrams),
-                Z=graph.Z,
-                branching=b,
+                graph=graph,
+                counts=sector_counts(graph.Z, graph.branching),
+                gamma01=gamma01_name(graph.branching, diagrams),
                 indices=chiral_indices(md, graph.Z),
             ))
     return rows
@@ -276,13 +269,13 @@ def chiral_table(kmax: int) -> list[ChiralRow]:
 # Serialization helpers
 
 def dossier(row: ChiralRow) -> dict:
-    idx = row.indices
+    idx, graph = row.indices, row.graph
     return {
-        "name": row.name,
-        "level": row.level,
-        "Z": row.Z.Z.tolist(),
-        "bPlus": row.branching.b_plus.tolist(),
-        "bMinus": row.branching.b_minus.tolist(),
+        "name": graph.name,
+        "level": graph.level,
+        "Z": graph.Z.Z.tolist(),
+        "bPlus": graph.branching.b_plus.tolist(),
+        "bMinus": graph.branching.b_minus.tolist(),
         "w": float(sig12(idx.w)),
         "wPlus": float(sig12(idx.w_plus)),
         "w0": float(sig12(idx.w_zero)),
@@ -292,4 +285,4 @@ def dossier(row: ChiralRow) -> dict:
 
 
 def table_csv_rows(rows):
-    return [(r.name, r.level, *astuple(r.counts), r.gamma01) for r in rows]
+    return [(r.graph.name, r.graph.level, *astuple(r.counts), r.gamma01) for r in rows]

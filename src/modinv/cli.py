@@ -254,7 +254,7 @@ def cmd_chiral_table(args) -> int:
     print(f"{'name':>6} {'k':>3} {'#MM':>4} {'#MN':>4} {'#chi':>4} {'#amb':>4}  gamma01")
     for r in rows:
         c = r.counts
-        print(f"{r.name:>6} {r.level:>3} {c.mm:>4} {c.mn:>4} "
+        print(f"{r.graph.name:>6} {r.graph.level:>3} {c.mm:>4} {c.mn:>4} "
               f"{c.chiral:>4} {c.ambi:>4}  {r.gamma01}")
     return EXIT_OK
 

@@ -27,7 +27,6 @@ FIXED_SPACE_TOL = 1e-9  # commutant directions have |1 - eigenvalue| <= 1.0e-14,
 # by eigh and by eigvalsh, on one BLAS thread or more, over SU(2) k <= 64, SU(3) k <= 26, SU(4) k <= 11
 PIVOT_TOL = 1e-7  # an echelon pivot candidate below this is zero in exact arithmetic
 COMMUTE_TOL = 1e-8  # a commutant element commutes with S and T to this
-EIGEN_TOL = 1e-8  # eigenvector residual
 SPECTRUM_TOL = 1e-7  # a computed eigenvalue matches its character value to this, and equal
 # SU(2) characters (k <= SU2_LEVEL_MAX) differ by <= 6.0e-13, distinct ones by >= 4.56e-6
 MAX_DENOMINATOR = 10 ** 6  # largest denominator tried in rational reconstruction
@@ -42,7 +41,7 @@ class UsageError(ValueError):
     """An argument outside the declared limits or names (CLI exit code 2)."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FusionRing:
     """The non-negative integer fusion tensor of a ring with labels 0 .. L-1.
 
@@ -231,7 +230,7 @@ def verlinde_sum(U: np.ndarray, base: int) -> np.ndarray:
     return np.einsum("am,bm,cm->abc", U / U[base], U, U.conj())
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ModularData:
     """S and T matrices with twists, quantum dimensions and global index.
 

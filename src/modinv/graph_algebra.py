@@ -16,11 +16,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ASSERT_TOL, EIGEN_TOL, ROUND_TOL, associative, verlinde_sum
+from .core import ASSERT_TOL, ROUND_TOL, associative, verlinde_sum
 from .search import AdeGraph
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EigenGauge:
     """Unitary eigenvector matrix of G_1, column i for exponent graph.exponents[i].
 
@@ -40,7 +40,7 @@ class EigenGauge:
             raise ValueError("psi is not unitary")
         lam = 2.0 * np.cos(np.pi * (m + 1) / self.graph.coxeter)
         A = self.graph.adjacency.astype(float)
-        not_eigen = np.max(np.abs(A @ psi - psi * lam), axis=0) > EIGEN_TOL
+        not_eigen = np.max(np.abs(A @ psi - psi * lam), axis=0) > ASSERT_TOL
         b = psi[self.base]
         bad = not_eigen | ~((b.real > ASSERT_TOL) & (np.abs(b.imag) < ASSERT_TOL))
         if bad.any():
@@ -104,7 +104,7 @@ def _deven_degenerate_pair(graph: AdeGraph, B: np.ndarray):
     return c1, c2
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GraphFusion:
     """Structure constants from the gauge, with their integrality classification."""
 

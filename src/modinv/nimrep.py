@@ -30,7 +30,7 @@ def _depths(A: np.ndarray, root: int = 0) -> np.ndarray:
     return np.array(depth)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NimRepFamily:
     """Matrices G_0 .. G_k representing the SU(2)_k fusion ring on graph vertices,
     stacked in one read-only int array of shape (k + 1, V, V)."""

@@ -77,7 +77,7 @@ class MassMatrix:
         return hash(self.key())
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CommutantBasis:
     """Integer echelon basis of the real solutions X of [S,X] = [T,X] = 0 in
     the span of W, the Galois orbit columns of _orbit_columns.
@@ -464,13 +464,9 @@ class BranchingData:
     b_plus: np.ndarray
     b_minus: np.ndarray
 
-    @property
-    def num_ambichiral(self) -> int:
-        return len(self.labels)
-
     def product(self) -> np.ndarray:
         """b+^t b- by a float64 BLAS product: its entries are 0/1, so every partial
-        sum is an integer of at most num_ambichiral, held exactly."""
+        sum is an integer of at most len(labels), held exactly."""
         return (self.b_plus.T.astype(float) @ self.b_minus).astype(int)
 
     @property
@@ -483,24 +479,23 @@ class BranchingData:
 def su2_branching(case: str, k: int) -> BranchingData:
     """Ambichiral labels and branching matrices (b+, b-) of an SU(2)_k case.
 
-    case is one of A, D_even, D_odd, E6, E7, E8; rows are ambichiral
-    sectors, columns spins, and the invariant is Z = b+^t b-.  Type I cases
-    have one row per block of Z with b+ = b- (the middle spin-k/2 block of
-    D_even splits into two rows); D_odd is the permutation case b+ = 1,
+    case is one of A, D_even, D_odd, E6, E7, E8, each a tuple of ambichiral
+    rows (label, b+ support[, b- support]), b- = b+ on a row without a b-
+    support; columns are spins, and the invariant is Z = b+^t b-.  Type I
+    cases have one row per block of Z with b+ = b- (the middle spin-k/2 block
+    of D_even splits into two rows); D_odd is the permutation case b+ = 1,
     b- = pi; E7 mixes an honest ambichiral sextet.
     """
     L = k + 1
     if case == "A":
-        return BranchingData(tuple(f"a{j}" for j in range(L)),
-                             np.eye(L, dtype=int), np.eye(L, dtype=int))
-    if case == "D_odd":
+        rows = tuple((f"a{j}", (j,)) for j in range(L))
+    elif case == "D_odd":
         if k % 4 != 2:
             raise ValueError("D_odd requires level 2 mod 4")
         # the even spins and the middle odd spin k/2 stay, the rest mirror to k - j
-        pi = [j if j % 2 == 0 or 2 * j == k else k - j for j in range(L)]
-        return BranchingData(tuple(f"a{j}" for j in range(L)),
-                             np.eye(L, dtype=int), np.eye(L, dtype=int)[pi])
-    if case == "D_even":
+        rows = tuple((f"a{j}", (j,), (j if j % 2 == 0 or 2 * j == k else k - j,))
+                     for j in range(L))
+    elif case == "D_even":
         if k % 4 != 0:
             raise ValueError("D_even requires level 0 mod 4")
         half = k // 2
@@ -513,9 +508,8 @@ def su2_branching(case: str, k: int) -> BranchingData:
     else:
         raise ValueError(f"unknown case {case!r}")
     b = np.zeros((2, len(rows), L), dtype=int)
-    for t, row in enumerate(rows):
-        b[0, t, list(row[1])] = 1
-        b[1, t, list(row[-1])] = 1
+    for side, support in enumerate((1, -1)):  # b+ from the first support, b- from the last
+        b[side].flat[[t * L + j for t, row in enumerate(rows) for j in row[support]]] = 1
     return BranchingData(tuple(row[0] for row in rows), b[0], b[1])
 
 
@@ -527,25 +521,11 @@ def su2_diagrams(k: int) -> list[tuple[str, str]]:
     return out + [(name, name) for name, level in SU2_E_LEVELS.items() if level == k]
 
 
-def diagram_case(name: str) -> tuple[str, int]:
-    """(branching case, level k) of an A-D-E diagram; its Coxeter number is k + 2.
-
-    An unknown name, or a known one whose level is outside
-    1..SU2_LEVEL_MAX, raises UsageError.
-    """
-    num = int(name[1:]) if name[1:].isdecimal() else 0
-    k = SU2_E_LEVELS.get(name, {"A": num - 1, "D": 2 * num - 4}.get(name[:1], -1))
-    cases = dict(su2_diagrams(k)) if k >= 0 else {}
-    if name not in cases:
-        raise UsageError(f"unknown diagram name {name!r}")
-    return cases[name], su2_level(k)
-
-
 @dataclass(frozen=True, eq=False)
 class AdeGraph:
     """An A-D-E Dynkin diagram with its Coxeter number and SU(2) branching pair.
 
-    ``case`` is the SU(2) branching case of the diagram (``diagram_case``)
+    ``case`` is the SU(2) branching case of the diagram (``su2_diagrams``)
     and ``branching`` its pair (b+, b-) at level k = coxeter - 2.  The
     diagram's invariant Z = b+^t b- and its exponents are read off the pair.
     Exponents use spin labelling: value m stands for the adjacency eigenvalue
@@ -585,11 +565,18 @@ def ade_graph(name: str) -> AdeGraph:
 
     A_n is a path on n vertices.  D_n and E_n are a path on n - 1 vertices
     with one tail vertex attached at spine vertex n - 3 (D_n) or n - 4 (E_n).
+    The Coxeter number of the diagram is k + 2, and its branching case is the
+    one ``su2_diagrams(k)`` lists under its name.  An unknown name, or a
+    known one whose level is outside 1..SU2_LEVEL_MAX, raises UsageError.
     The result is not re-checked on each call: tests check that every diagram
     within SU2_LEVEL_MAX is a tree whose spectrum is its exponents.
     """
-    case, k = diagram_case(name)
-    kind, num = name[0], int(name[1:])
+    kind, num = name[:1], int(name[1:]) if name[1:].isdecimal() else 0
+    k = SU2_E_LEVELS.get(name, {"A": num - 1, "D": 2 * num - 4}.get(kind, -1))
+    case = dict(su2_diagrams(k)).get(name) if k >= 0 else None
+    if case is None:
+        raise UsageError(f"unknown diagram name {name!r}")
+    k = su2_level(k)
     spine = np.arange(num if kind == "A" else num - 1)
     A = np.zeros((num, num), dtype=int)
     A[spine[:-1], spine[1:]] = A[spine[1:], spine[:-1]] = 1
@@ -612,14 +599,15 @@ def su2_ade_catalog(md: ModularData, budget: int = DEFAULT_NODE_BUDGET) -> list[
     The diagonal of an invariant is the eigenvalue-multiplicity vector of the
     A-D-E diagram with Coxeter number k + 2; an unmatched diagonal raises,
     and so does an invariant other than its diagram's Z = b+^t b-, an exact
-    integer check of the factorization.
+    integer check of the factorization.  The diagrams come in the A-D-E order
+    of su2_diagram_table.
     """
     k = md.level
     found = enumerate_invariants(md, budget=budget)
     if not found.complete:
         raise RuntimeError(f"enumeration exceeded node budget at level {k}")
     table = su2_diagram_table(k)
-    out = []
+    matched = set()
     for Z in found:
         graph = table.get(Z.diagonal)
         if graph is None:
@@ -627,6 +615,5 @@ def su2_ade_catalog(md: ModularData, budget: int = DEFAULT_NODE_BUDGET) -> list[
                 f"level {k}: diagonal {Z.diagonal} matches no A-D-E diagram with h={k + 2}")
         if graph.Z != Z:
             raise ValueError(f"{graph.name} at level {k}: factorization failed")
-        out.append(graph)
-    out.sort(key=lambda graph: ("ADE".index(graph.name[0]), graph.name))
-    return out
+        matched.add(graph)
+    return [graph for graph in table.values() if graph in matched]

@@ -122,8 +122,8 @@ def _expected_table_rows():
 def test_criterion_07_table_reproduction():
     t0 = time.perf_counter()
     rows = chiral.chiral_table(28)
-    got = {(r.name, r.level): (r.counts.mm, r.counts.mn, r.counts.chiral, r.counts.ambi,
-                               r.gamma01) for r in rows}
+    got = {(r.graph.name, r.graph.level): (r.counts.mm, r.counts.mn, r.counts.chiral,
+                                           r.counts.ambi, r.gamma01) for r in rows}
     assert got == _expected_table_rows()
     elapsed = time.perf_counter() - t0
     assert elapsed < 10.0

@@ -350,8 +350,8 @@ def test_branching_squares_match_chiral_graph_exponents():
     # chi_l(nu) with exactly those multiplicities
     for r in chiral.chiral_table(28):
         family = nimrep.fused_adjacencies(search.ade_graph(r.gamma01))
-        squares = search.MassMatrix(np.diag((r.branching.b_plus ** 2).sum(axis=0)))
-        assert nimrep.spectrum_vs_diagonal(family, squares).matched, (r.name, r.level)
+        squares = search.MassMatrix(np.diag((r.graph.branching.b_plus ** 2).sum(axis=0)))
+        assert nimrep.spectrum_vs_diagonal(family, squares).matched, (r.graph.name, r.graph.level)
 
 
 def _reference_gamma01(case, name, k):
@@ -446,12 +446,13 @@ def test_count_monotonicity_and_permutation_collapse():
     for r in chiral.chiral_table(20):
         c = r.counts
         assert c.mm >= c.chiral >= c.ambi
-        if r.name.startswith("A") or (r.name.startswith("D") and r.level % 4 == 2):
-            assert c.mm == c.chiral == c.ambi == r.level + 1
+        g = r.graph
+        if g.name.startswith("A") or (g.name.startswith("D") and g.level % 4 == 2):
+            assert c.mm == c.chiral == c.ambi == g.level + 1
 
 
 def test_chiral_table_selected_rows():
-    rows = {(r.name, r.level): r for r in chiral.chiral_table(16)}
+    rows = {(r.graph.name, r.graph.level): r for r in chiral.chiral_table(16)}
     e6 = rows[("E6", 10)]
     assert (e6.counts, e6.gamma01) == (chiral.SectorCounts(mm=12, mn=6, chiral=6, ambi=3), "E6")
     d7 = rows[("D7", 10)]
@@ -527,7 +528,7 @@ def test_e7_vacuum_coupling_counts():
 
 
 def test_dossier_structure():
-    row = next(r for r in chiral.chiral_table(16) if r.name == "E7")
+    row = next(r for r in chiral.chiral_table(16) if r.graph.name == "E7")
     doc = chiral.dossier(row)
     assert doc["counts"] == {"mm": 17, "mn": 7, "chiral": 10, "ambi": 6}
     assert doc["wPlus"] == pytest.approx(doc["w"] / 2)

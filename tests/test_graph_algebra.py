@@ -160,7 +160,7 @@ def test_sign_gauge_invariance(name):
 
 def _psi_by_grouping(graph):
     """The gauge found by grouping the sorted float eigenvalues within
-    EIGEN_TOL and sorting the columns by exponent: the reference for
+    ASSERT_TOL and sorting the columns by exponent: the reference for
     ``eigen_gauge``, which reads the multiplicities from the exponents."""
     A = graph.adjacency.astype(float)
     V = graph.num_vertices
@@ -173,7 +173,7 @@ def _psi_by_grouping(graph):
     while i < V:
         block = [order[i]]
         j = i + 1
-        while j < V and abs(evals[order[j]] - evals[order[i]]) < core.EIGEN_TOL:
+        while j < V and abs(evals[order[j]] - evals[order[i]]) < core.ASSERT_TOL:
             block.append(order[j])
             j += 1
         ms = exps_sorted[i:j]
@@ -247,7 +247,7 @@ def _validate_by_columns(gauge):
     for col, m in enumerate(gauge.graph.exponents):
         v = gauge.psi[:, col]
         lam = 2.0 * np.cos(np.pi * (m + 1) / h)
-        if np.max(np.abs(A @ v - lam * v)) > core.EIGEN_TOL:
+        if np.max(np.abs(A @ v - lam * v)) > core.ASSERT_TOL:
             raise ValueError(f"column {col} is not an eigenvector for exponent {m}")
         if not (gauge.psi[gauge.base, col].real > core.ASSERT_TOL
                 and abs(gauge.psi[gauge.base, col].imag) < core.ASSERT_TOL):

@@ -354,7 +354,7 @@ def _identify_by_isomorphism(A):
     n = A.shape[0]
     for name in (f"A{n}", f"D{n}", f"E{n}"):
         try:
-            search.diagram_case(name)
+            search.ade_graph(name)
         except core.UsageError as exc:
             if str(exc).startswith("unknown diagram name"):
                 continue

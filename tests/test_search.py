@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from modinv import core, search
+from modinv import core, graph_algebra, nimrep, search
 from full_support_search import full_support_basis, full_support_invariants
 from test_core import PIERI_LEVELS, dual_permutation, fundamental_labels
 
@@ -687,6 +687,28 @@ def test_catalog_refuses_an_invariant_other_than_its_diagrams(monkeypatch):
         search.su2_ade_catalog(core.su2_modular_data(4))
 
 
+def test_catalog_keeps_the_diagram_table_order():
+    # su2_ade_catalog returns its diagrams in su2_diagram_table order, with no
+    # sort of its own; the goldens pin that order at a few levels only
+    for k in range(1, core.SU2_LEVEL_MAX + 1):
+        assert _catalog_names(k) == [name for name, _ in search.su2_diagrams(k)], k
+
+
+def test_permutation_branching_pairs():
+    # A is (I, I) with labels a0..ak; D_odd is (I, I[pi]), pi fixing the even
+    # spins and k/2 and sending every other spin j to k - j
+    for k in range(1, core.SU2_LEVEL_MAX + 1):
+        I = np.eye(k + 1, dtype=int)
+        b = search.su2_branching("A", k)
+        assert b.labels == tuple(f"a{j}" for j in range(k + 1))
+        assert np.array_equal(b.b_plus, I) and np.array_equal(b.b_minus, I), k
+        if k % 4 == 2:
+            pi = [j if j % 2 == 0 or j == k // 2 else k - j for j in range(k + 1)]
+            b = search.su2_branching("D_odd", k)
+            assert b.labels == tuple(f"a{j}" for j in range(k + 1))
+            assert np.array_equal(b.b_plus, I) and np.array_equal(b.b_minus, I[pi]), k
+
+
 def test_closed_form_invariants_match_enumeration():
     # the branching table is the only source of the closed forms; the
     # unpruned enumeration checks it, E6, E7 and E8 included
@@ -1055,7 +1077,22 @@ def test_su3_invariants_are_gannons_list(k):
 
 
 def test_records_with_array_fields_compare_by_identity():
-    # equal fields of ndarray type would make a generated __eq__ raise
-    a, b = search.ade_graph("A3"), search.ade_graph("A3")
-    assert a == a and a != b and a.branching != b.branching
-    assert len({a, b, a.branching, b.branching, a}) == 4
+    # equal fields of ndarray type would make a generated __eq__ raise, and a
+    # generated __hash__ of a frozen record would raise on them
+    def two(make):
+        return make(), make()
+
+    md = core.su2_modular_data(4)
+    graph = search.ade_graph("D4")
+    gauge = graph_algebra.eigen_gauge(graph)
+    pairs = [two(lambda: search.ade_graph("A3")),
+             two(lambda: search.su2_branching("E6", 10)),
+             two(lambda: core.su2_modular_data(4)),
+             two(lambda: core.su2_fusion_closed_form(4)),
+             two(lambda: search.commutant_basis(md)),
+             two(lambda: nimrep.fused_adjacencies(graph)),
+             two(lambda: graph_algebra.eigen_gauge(graph)),
+             two(lambda: graph_algebra.graph_structure_constants(gauge))]
+    for a, b in pairs:
+        assert a == a and a != b, type(a)
+        assert len({a, b, a}) == 2, type(a)
